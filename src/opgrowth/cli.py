@@ -383,32 +383,43 @@ def _cmd_simulate(config: dict, out_dir: str):
     if config["mode"] == "desk" and ("r" not in plan_spec or "m_star" not in plan_spec):
         raise ConfigError("desk mode needs plan.r and plan.m_star")
     want_oracle = bool(config.get("oracle", True))
+    grid = _grid(config.get("t_grid", [0.5]))
+    plans = [
+        plan(params, t, epsilon, mode=config["mode"], graph=graph,
+             anchor_vertex=int(plan_spec.get("anchor_vertex", 0)),
+             r=plan_spec.get("r"), m_star=plan_spec.get("m_star"))
+        for t in grid
+    ]
+    # one simulate call per distinct plan; groups in order of first grid point
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, sim_plan in enumerate(plans):
+        groups.setdefault((sim_plan.r, sim_plan.m_star), []).append(i)
+    results: list = [None] * len(grid)
+    done = len(grid)  # the grid prefix whose plans all stay under the qubit cap
+    for indices in groups.values():
+        try:
+            group_results = simulate_expectation(
+                model, observable, state, [grid[i] for i in indices], plans[indices[0]],
+                params=params, threads=int(config["threads"]))
+        except CapExceededError:
+            done = indices[0]
+            break
+        for i, result in zip(indices, group_results):
+            results[i] = result
+    exact_values = [None] * done
+    if want_oracle and done:
+        exact_values = exact_expectation(model, observable, state, grid[:done])
     header = ["t", "m_star", "estimate", "exact", "error", "bound_value",
               "clusters_evaluated", "wall_time"]
     rows: list[list] = []
-    truncated = False
-    for t in _grid(config.get("t_grid", [0.5])):
-        sim_plan = plan(
-            params, t, epsilon, mode=config["mode"], graph=graph,
-            anchor_vertex=int(plan_spec.get("anchor_vertex", 0)),
-            r=plan_spec.get("r"), m_star=plan_spec.get("m_star"),
-        )
-        try:
-            _, diag = simulate_expectation(
-                model, observable, state, t, sim_plan,
-                params=params, threads=int(config["threads"]))
-        except CapExceededError:
-            truncated = True
-            break
-        exact = None
-        if want_oracle:
-            exact = exact_expectation(model, observable, state, t)
+    for t, (_, diag), exact in zip(grid[:done], results, exact_values):
         bound_value = diag.get("truncation_bound")
-        for m, running in enumerate(diag["running_estimates"], start=1):
+        for m, (running, clusters) in enumerate(
+                zip(diag["running_estimates"], diag["running_clusters"]), start=1):
             error = abs(running - exact) if exact is not None else None
-            rows.append([float(t), m, running, exact, error, bound_value,
-                         diag["clusters_evaluated"], None])
+            rows.append([float(t), m, running, exact, error, bound_value, clusters, None])
     _csv(os.path.join(out_dir, "results.csv"), header, rows)
+    truncated = done < len(grid)
     return ["results.csv"], truncated, 2 if truncated else 0
 
 
@@ -417,9 +428,9 @@ def _cmd_oracle(config: dict, out_dir: str):
     model = _build_model(config["model"], graph, config["seed"])
     state = _build_state(config.get("state"), graph)
     observable = _build_observable(config.get("observable"))
-    rows = []
-    for t in _grid(config.get("t_grid", [0.5])):
-        rows.append([float(t), exact_expectation(model, observable, state, t)])
+    grid = _grid(config.get("t_grid", [0.5]))
+    exact_values = exact_expectation(model, observable, state, grid)
+    rows = [[float(t), exact] for t, exact in zip(grid, exact_values)]
     _csv(os.path.join(out_dir, "oracle.csv"), ["t", "exact"], rows)
     return ["oracle.csv"], False, 0
 

@@ -282,28 +282,48 @@ def hamiltonian_matrix(
         for t in terms:
             out += embed(t.matrix, tuple(sorted(t.support)), region)
         return out
-    out = sp.csr_matrix((2**n, 2**n), dtype=complex)
-    for t in terms:
-        out = out + _sparse_embed(t.matrix, tuple(sorted(t.support)), region)
-    return out
+    return _sparse_assemble(terms, region)
 
 
-def _sparse_embed(matrix: np.ndarray, support: tuple[int, ...], region: tuple[int, ...]):
+def _sparse_assemble(terms: tuple[HamTerm, ...], region: tuple[int, ...]) -> sp.csr_matrix:
+    """CSR matrix of a sum of terms, built in one pass over flip masks.
+
+    A term entry M[a, b] connects basis states x and x ^ mask, where mask is
+    the bit flip a ^ b placed on the term's region bits.  So every term adds
+    one value per row to a handful of global masks; the row values of each
+    mask are summed in term order (the dense sum's order, so entries agree
+    exactly) and written straight into CSR arrays.  Values that vanish are
+    not stored.
+    """
     n = len(region)
-    k = len(support)
-    pos = [region.index(s) for s in support]
-    rest = [i for i in range(n) if i not in pos]
-    big = sp.kron(sp.csr_matrix(matrix), sp.identity(2 ** (n - k), format="csr"), format="csr")
-    # permute basis from support-first qubit order to region order
-    cur = pos + rest
-    shifts = [n - 1 - i for i in cur]
-    src = np.arange(2**n)
-    dest = np.zeros(2**n, dtype=np.int64)
-    for j in range(n):
-        bit = (src >> (n - 1 - j)) & 1
-        dest |= bit << shifts[j]
-    P = sp.csr_matrix((np.ones(2**n), (dest, src)), shape=(2**n, 2**n))
-    return P @ big @ P.T
+    dim = 1 << n
+    shift = {v: n - 1 - i for i, v in enumerate(region)}
+    pieces = []  # (global mask, value per local row, bit shifts of the term's sites)
+    for term in terms:
+        shifts = [shift[v] for v in sorted(term.support)]
+        k = len(shifts)
+        local = np.arange(1 << k)
+        for f in range(1 << k):
+            values = term.matrix[local, local ^ f]
+            if np.any(values):
+                mask = sum(1 << s for j, s in enumerate(shifts) if f >> (k - 1 - j) & 1)
+                pieces.append((mask, values, shifts))
+    masks = sorted({mask for mask, _, _ in pieces})
+    column = {mask: j for j, mask in enumerate(masks)}
+    idx = np.int32 if dim * len(masks) < 2**31 else np.int64
+    rows = np.arange(dim, dtype=idx)
+    data = np.zeros((dim, len(masks)), dtype=complex)
+    for mask, values, shifts in pieces:
+        k = len(shifts)
+        local_row = sum(((rows >> s) & 1) << (k - 1 - j) for j, s in enumerate(shifts))
+        data[:, column[mask]] += values[local_row]
+    stored = data != 0
+    indptr = np.zeros(dim + 1, dtype=idx)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    indices = (rows[:, None] ^ np.array(masks, dtype=idx))[stored]
+    out = sp.csr_matrix((data[stored], indices, indptr), shape=(dim, dim))
+    out.sort_indices()
+    return out
 
 
 def evolution_unitary(H: HamiltonianSpec, region: tuple[int, ...], t: float) -> np.ndarray:
@@ -433,20 +453,33 @@ def _term(support: frozenset[int], matrix: np.ndarray) -> HamTerm:
                    float(np.linalg.norm(matrix, 2)))
 
 
+def time_grid(t) -> tuple[list[float], bool]:
+    """(times, scalar): a single time becomes a one-point grid."""
+    if np.ndim(t) == 0:
+        return [float(t)], True
+    return [float(x) for x in t], False
+
+
 def exact_expectation(
     H: HamiltonianSpec,
     A: LocalOperator,
     rho,
-    t: float,
+    t,
     region: tuple[int, ...] | None = None,
     cap: int = DEFAULT_QUBIT_CAP + 6,
-) -> float:
+):
     """Tr[rho A(t)] by evolving the full region exactly.
 
     ``rho`` may be anything with a ``state_vector(region)`` method (pure
     product states evolve as vectors, cheap), anything with a
     ``marginal(region)`` method, or an explicit density matrix on region.
+
+    ``t`` is a time, giving a float, or a grid of times in any order,
+    giving a list in grid order.  On the vector path the sparse region
+    Hamiltonian is assembled once and the state is stepped from t = 0
+    through the sorted grid.
     """
+    times, scalar = time_grid(t)
     region = tuple(sorted(region if region is not None else H.vertices()))
     if not set(A.support) <= set(region):
         raise ValueError("region must contain the observable support")
@@ -454,20 +487,29 @@ def exact_expectation(
     if n > cap:
         raise CapExceededError(f"region of {n} qubits exceeds cap {cap}")
     positions = [region.index(s) for s in A.support]
+    values = [0j] * len(times)
     if hasattr(rho, "state_vector"):
         psi = rho.state_vector(region)
-        if t != 0.0:
-            H_sp = hamiltonian_matrix(H, region, sparse=True)
-            psi = expm_multiply(-1j * t * H_sp, psi)
-        val = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
+        H_sp = None
+        now = 0.0
+        for i in sorted(range(len(times)), key=times.__getitem__):
+            if times[i] != now:
+                if H_sp is None:
+                    H_sp = hamiltonian_matrix(H, region, sparse=True)
+                psi = expm_multiply(-1j * (times[i] - now) * H_sp, psi)
+                now = times[i]
+            values[i] = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
     else:
         dm = rho.marginal(region) if hasattr(rho, "marginal") else np.asarray(rho, dtype=complex)
-        U = evolution_unitary(H, region, t)
         A_emb = embed(A.matrix, A.support, region)
-        val = np.trace(U.conj().T @ dm @ U @ A_emb)
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation has stray imaginary part {val.imag:.2e}")
-    return float(val.real)
+        for i, t_i in enumerate(times):
+            U = evolution_unitary(H, region, t_i)
+            values[i] = np.trace(U.conj().T @ dm @ U @ A_emb)
+    for val in values:
+        if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
+            raise ValueError(f"expectation has stray imaginary part {val.imag:.2e}")
+    out = [float(val.real) for val in values]
+    return out[0] if scalar else out
 
 
 @dataclass(frozen=True)

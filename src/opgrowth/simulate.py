@@ -21,9 +21,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.sparse.linalg import expm_multiply
-
 from .bounds import BoundParams, truncation_error_bound
 from .errors import CapExceededError, ValidityWindowError
 from .lattice import BoxTiling, FactorGraph, enumerate_connected_subsets, tile_boxes
@@ -31,10 +28,10 @@ from .operators import (
     DEFAULT_QUBIT_CAP,
     HamiltonianSpec,
     LocalOperator,
-    apply_local,
     embed,
     evolution_unitary,
-    hamiltonian_matrix,
+    exact_expectation,
+    time_grid,
 )
 
 Cluster = tuple  # canonical (sorted) tuple of box ids
@@ -65,10 +62,6 @@ class ClusterTable:
 
     raw: dict[Cluster, float] = field(default_factory=dict)
     corrected: dict[Cluster, float] = field(default_factory=dict)
-    status: dict[Cluster, str] = field(default_factory=dict)
-
-    def level(self, m: int) -> list[Cluster]:
-        return sorted(c for c in self.corrected if len(c) == m)
 
 
 def plan(
@@ -138,35 +131,18 @@ def raw_cluster_expectation(
     marginals,
     cluster: Cluster,
     tiling: BoxTiling,
-    t: float,
+    t,
     cap: int = DEFAULT_QUBIT_CAP + 6,
-    _sparse_cache: dict | None = None,
-) -> float:
-    """Tr[rho_region e^{iHt} A e^{-iHt}] with H cut down to terms inside the cluster."""
+):
+    """Tr[rho_region e^{iHt} A e^{-iHt}] with H cut down to terms inside the cluster.
+
+    ``t`` is a time or a grid of times, as for ``exact_expectation``.
+    """
     region = cluster_region(tiling, cluster)
-    if not set(A.support) <= set(region):
-        raise ValueError("cluster region must contain the observable support")
-    n = len(region)
-    if n > cap:
+    if len(region) > cap:
         raise CapExceededError(
-            f"cluster {cluster} needs {n} qubits, above cap {cap}; shrink the plan")
-    positions = [region.index(s) for s in A.support]
-    if hasattr(marginals, "state_vector"):
-        psi = marginals.state_vector(region)
-        if t != 0.0:
-            if _sparse_cache is not None and region in _sparse_cache:
-                H_sp = _sparse_cache[region]
-            else:
-                H_sp = hamiltonian_matrix(H, region, sparse=True)
-                if _sparse_cache is not None:
-                    _sparse_cache[region] = H_sp
-            psi = expm_multiply(-1j * t * H_sp, psi)
-        val = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
-    else:
-        dm = marginals.marginal(region)
-        U = evolution_unitary(H, region, t)
-        val = np.trace(U.conj().T @ dm @ U @ embed(A.matrix, A.support, region))
-    return float(val.real)
+            f"cluster {cluster} needs {len(region)} qubits, above cap {cap}; shrink the plan")
+    return exact_expectation(H, A, marginals, t, region=region, cap=cap)
 
 
 def anchored_proper_subclusters(cluster: Cluster, adjacency: dict, anchor) -> list[Cluster]:
@@ -212,71 +188,79 @@ def simulate_expectation(
     H: HamiltonianSpec,
     A: LocalOperator,
     marginals,
-    t: float,
+    t,
     sim_plan: SimPlan,
     params: BoundParams | None = None,
     threads: int = 1,
     qubit_cap: int = DEFAULT_QUBIT_CAP + 6,
-) -> tuple[float, dict]:
+):
     """Run the level-by-level cluster expansion and return (estimate, diagnostics).
 
     Clusters of each size are evaluated independently (optionally on a
     thread pool) and merged in canonical order, so the result is
     deterministic for any thread count.  Diagnostics include per-level sums
-    and running estimates; the running estimate at level m is exactly what
-    a plan with m_star = m would return.
+    and running estimates, with the running cluster counts beside them; the
+    running values at level m are exactly what a plan with m_star = m would
+    return.
+
+    ``t`` may also be a grid of times: each cluster is then evolved once
+    along the whole grid, and the result is a list of (estimate,
+    diagnostics) pairs in grid order.
     """
+    times, scalar = time_grid(t)
     tiling = sim_plan.tiling
     if tiling is None:
         raise ValueError("plan carries no tiling; pass graph= when building it")
     anchor = tiling.anchor_box
     if not set(A.support) <= set(tiling.box_vertices[anchor]):
         raise ValueError("observable support must sit inside the anchor box")
-    table = ClusterTable()
-    sparse_cache: dict = {}
-    level_sums: list[float] = []
-    running: list[float] = []
-    clusters_evaluated = 0
-    total = 0.0
+
+    def raw_values(cluster: Cluster) -> list[float]:
+        return raw_cluster_expectation(H, A, marginals, cluster, tiling, times, cap=qubit_cap)
+
+    tables = [ClusterTable() for _ in times]
+    levels: list[list[Cluster]] = []
     for m in range(1, sim_plan.m_star + 1):
         clusters = enumerate_connected_subsets(tiling.adjacency, anchor, m)
-
-        def raw_value(cluster: Cluster) -> float:
-            return raw_cluster_expectation(
-                H, A, marginals, cluster, tiling, t,
-                cap=qubit_cap, _sparse_cache=sparse_cache)
-
         if threads > 1 and len(clusters) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                raw_vals = list(pool.map(raw_value, clusters))
+                raw_vals = list(pool.map(raw_values, clusters))
         else:
-            raw_vals = [raw_value(c) for c in clusters]
-        for cluster, val in zip(clusters, raw_vals):
-            table.raw[cluster] = val
-            table.status[cluster] = "raw"
-        level_total = 0.0
-        for cluster in clusters:
-            corrected = cluster_correction(table, cluster, tiling.adjacency, anchor)
-            table.corrected[cluster] = corrected
-            table.status[cluster] = "done"
-            level_total += corrected
-        clusters_evaluated += len(clusters)
-        total += level_total
-        level_sums.append(level_total)
-        running.append(total)
-    diagnostics = {
-        "clusters_evaluated": clusters_evaluated,
-        "level_sums": level_sums,
-        "running_estimates": running,
-        "table": table,
-    }
-    if params is not None:
-        try:
-            diagnostics["truncation_bound"] = truncation_error_bound(
-                params, t, sim_plan.m_star * sim_plan.r**tiling.dimension)
-        except (ValidityWindowError, ValueError):
-            diagnostics["truncation_bound"] = None
-    return total, diagnostics
+            raw_vals = [raw_values(c) for c in clusters]
+        for cluster, vals in zip(clusters, raw_vals):
+            for table, val in zip(tables, vals):
+                table.raw[cluster] = val
+        levels.append(clusters)
+    running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
+    results = []
+    for t_k, table in zip(times, tables):
+        level_sums: list[float] = []
+        running: list[float] = []
+        total = 0.0
+        for clusters in levels:
+            level_total = 0.0
+            for cluster in clusters:
+                corrected = cluster_correction(table, cluster, tiling.adjacency, anchor)
+                table.corrected[cluster] = corrected
+                level_total += corrected
+            total += level_total
+            level_sums.append(level_total)
+            running.append(total)
+        diagnostics = {
+            "clusters_evaluated": running_clusters[-1],
+            "running_clusters": running_clusters,
+            "level_sums": level_sums,
+            "running_estimates": running,
+            "table": table,
+        }
+        if params is not None:
+            try:
+                diagnostics["truncation_bound"] = truncation_error_bound(
+                    params, t_k, sim_plan.m_star * sim_plan.r**tiling.dimension)
+            except ValidityWindowError:
+                diagnostics["truncation_bound"] = None
+        results.append((total, diagnostics))
+    return results[0] if scalar else results
 
 
 def operator_piece(

@@ -39,17 +39,82 @@ def test_simulate_csv_schema_and_rows(tmp_path):
     assert "config_sha256" in manifest and not manifest["truncated"]
 
 
+SIM_2D_CONFIG = dict(SIM_CONFIG, lattice={"d": 2, "L": 4}, t_grid=[0.3, 0.6, 0.45])
+
+
 def test_simulate_determinism_across_runs_and_threads(tmp_path):
-    cfg = write_config(tmp_path, SIM_CONFIG)
-    outs = []
-    for name, threads in (("a", None), ("b", None), ("c", 4)):
-        out = tmp_path / name
-        argv = ["--config", cfg, "--out", str(out)]
-        if threads:
-            argv += ["--threads", str(threads)]
-        assert main(argv) == 0
-        outs.append((out / "results.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    # the 2D grid run has several clusters per level, so threads share work
+    for label, config in (("chain", SIM_CONFIG), ("grid", SIM_2D_CONFIG)):
+        cfg = write_config(tmp_path, config, name=f"{label}.json")
+        outs = []
+        for name, threads in (("a", None), ("b", None), ("c", 4)):
+            out = tmp_path / label / name
+            argv = ["--config", cfg, "--out", str(out)]
+            if threads:
+                argv += ["--threads", str(threads)]
+            assert main(argv) == 0
+            outs.append((out / "results.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+
+def read_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_simulate_clusters_evaluated_is_running_count(tmp_path):
+    cfg = write_config(tmp_path, dict(SIM_2D_CONFIG, t_grid=[0.4]))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "results.csv")
+    # row m reports what a run with m_star = m evaluates: 1, 1+3, 1+3+3 clusters
+    assert [(r[1], r[6]) for r in rows] == [("1", "1"), ("2", "4"), ("3", "7")]
+
+
+def test_paper_formula_grid_over_two_plans_matches_single_runs(tmp_path):
+    base = {
+        "command": "simulate",
+        "mode": "paper-formula",
+        "lattice": {"d": 1, "L": 6},
+        "model": {"name": "tfim", "J": 1.0, "g": 0.9},
+        "observable": {"pauli": "Z", "sites": [0]},
+        "plan": {"epsilon": 0.05},
+        "params": {"lr_velocity": 1.0, "decay_rate": 1.0, "sim_prefactor": 1.0,
+                   "box_offset": 1e-9, "dimension": 1},
+    }
+    grid = [0.3, 0.1, 0.25, 0.2]  # box side 2, 1, 2, 1: two interleaved plans
+    cfg = write_config(tmp_path, dict(base, t_grid=grid))
+    assert main(["--config", cfg, "--out", str(tmp_path / "grid")]) == 0
+    together = read_rows(tmp_path / "grid" / "results.csv")
+    apart = []
+    for i, t in enumerate(grid):
+        cfg = write_config(tmp_path, dict(base, t_grid=[t]), name=f"t{i}.json")
+        assert main(["--config", cfg, "--out", str(tmp_path / f"t{i}")]) == 0
+        apart += read_rows(tmp_path / f"t{i}" / "results.csv")
+    assert len(together) == len(apart)
+    assert len({r[1] for r in together if r[0] == "0.3"}) != len(
+        {r[1] for r in together if r[0] == "0.1"})  # the plans differ in m_star
+    for row, ref in zip(together, apart):
+        assert [row[i] for i in (0, 1, 5, 6, 7)] == [ref[i] for i in (0, 1, 5, 6, 7)]
+        for i in (2, 3, 4):
+            assert float(row[i]) == pytest.approx(float(ref[i]), abs=1e-12)
+
+
+def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path):
+    # t = 5 asks for 21-site boxes: one box covers the 21-site chain, above the cap
+    cfg = write_config(tmp_path, {
+        "command": "simulate",
+        "mode": "paper-formula",
+        "lattice": {"d": 1, "L": 21},
+        "model": {"name": "tfim", "J": 1.0, "g": 0.9},
+        "plan": {"epsilon": 0.05},
+        "params": {"lr_velocity": 1.0, "box_offset": 1e-9, "dimension": 1},
+        "t_grid": [5.0, 6.0],
+    })
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="clamping"):
+        assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert len((out / "results.csv").read_text().splitlines()) == 1
+    assert json.loads((out / "manifest.json").read_text())["truncated"]
 
 
 def test_invalid_epsilon_exits_2_without_csv(tmp_path):

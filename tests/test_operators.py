@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opgrowth.errors import CapExceededError
-from opgrowth.lattice import build_square_lattice
+from opgrowth.lattice import build_square_lattice, tile_boxes
 from opgrowth.operators import (
     PAULI,
     HamTerm,
@@ -206,9 +206,37 @@ def test_exact_expectation_vector_and_dense_paths_agree():
 
 
 def test_sparse_assembly_matches_dense():
-    dense = hamiltonian_matrix(TFIM5, REGION5)
-    sparse = hamiltonian_matrix(TFIM5, REGION5, sparse=True)
-    assert np.allclose(dense, sparse.toarray())
+    grid = build_square_lattice(2, 3)
+    box = tile_boxes(grid, 2, 0)
+    regions = [
+        tuple(grid.vertices),                  # full lattice
+        (0, 1, 3, 4, 8),                       # non-contiguous, one isolated site
+        box.box_vertices[box.anchor_box],      # a single box
+    ]
+    models = [("tfim", {"J": 1.0, "g": 0.7}), ("heisenberg", {"Jz": 0.5}),
+              ("random2local", {"seed": 4}), ("quasilocal", {"s_max": 3, "seed": 1})]
+    for name, params in models:
+        H = build_named_hamiltonian(name, grid, params)
+        for region in regions:
+            dense = hamiltonian_matrix(H, region)
+            sparse = hamiltonian_matrix(H, region, sparse=True)
+            assert np.array_equal(sparse.toarray(), dense), (name, region)
+            # no explicit zeros, e.g. Heisenberg XX+YY on parallel spins
+            assert sparse.nnz == np.count_nonzero(dense), (name, region)
+
+
+def test_exact_expectation_grid_matches_scalar_calls():
+    grid = [0.9, 0.0, 0.35, 0.9, -0.2]  # unsorted, repeated point, t = 0, t < 0
+    A = pauli_operator("X", (2,))
+    plus = ProductState.all_plus(REGION5)
+    dense = DenseState(REGION5, np.outer(plus.state_vector(REGION5),
+                                         plus.state_vector(REGION5).conj()))
+    for rho in (ProductState.all_zero(), plus, dense):
+        values = exact_expectation(TFIM5, A, rho, grid)
+        assert isinstance(values, list) and len(values) == len(grid)
+        for t, value in zip(grid, values):
+            assert value == pytest.approx(exact_expectation(TFIM5, A, rho, t), abs=1e-12)
+    assert exact_expectation(TFIM5, A, plus, []) == []
 
 
 def test_quasilocal_envelope_and_kappa():
