@@ -57,7 +57,6 @@ from .simulate import (
 from .ssb import (
     DisorderRegion,
     RKState,
-    ball_region,
     disorder_bound_compare,
     ghz_splitting,
     nested_identity_check,

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CapExceededError, ValidityWindowError
-from .lattice import FactorGraph, boundary_size, factor_distance
+from .lattice import FactorGraph, boundary_vertices
 from .causal import enumerate_irreducible_paths
 from .operators import HamiltonianSpec
 
@@ -239,20 +239,10 @@ def matrix_exp_bound(
     for B, S in region_pairs:
         if not frozenset(S) <= frozenset(B):
             raise ValueError("each S must be contained in its B")
-        dB = [index[v] for v in _boundary_vertices(g, frozenset(B))]
-        dS = [index[v] for v in _boundary_vertices(g, frozenset(S))]
+        dB = [index[v] for v in boundary_vertices(g, B)]
+        dS = [index[v] for v in boundary_vertices(g, S)]
         total *= float(sum(E[u, v] for u in dB for v in dS))
     return total
-
-
-def _boundary_vertices(g: FactorGraph, region: frozenset[int]) -> list[int]:
-    out = []
-    for u in region:
-        for fi in g.factors_at(u):
-            if any(w not in region for w in g.factors[fi]):
-                out.append(u)
-                break
-    return sorted(out)
 
 
 def volume_bound(params: BoundParams, R: float, t: float, d: int | None = None) -> float:
@@ -357,13 +347,3 @@ def truncation_error_bound(params: BoundParams, t: float, M: float, d: int | Non
     vt = params.lr_velocity * abs(t)
     return params.sim_prefactor * math.exp(
         4 * mu * vt - params.sim_decay * mu * M / (vt + params.box_offset) ** (d - 1))
-
-
-def standard_pair_distance(g: FactorGraph, R: set[int], S: set[int]) -> int:
-    """Factor-metric distance between two vertex sets (convenience wrapper)."""
-    return factor_distance(g, set(R), set(S))
-
-
-def region_boundaries(g: FactorGraph, region: set[int]) -> int:
-    """Boundary size of a region (convenience wrapper)."""
-    return boundary_size(g, frozenset(region))

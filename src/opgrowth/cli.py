@@ -20,6 +20,7 @@ import traceback
 
 import numpy as np
 
+from . import __version__
 from . import simulate as simulate_mod
 from .bounds import (
     BoundParams,
@@ -28,15 +29,18 @@ from .bounds import (
     path_sum_bound,
     quasilocal_nested_bound,
     quasilocal_pair_bound,
-    region_boundaries,
-    standard_pair_distance,
     truncation_error_bound,
     volume_bound,
 )
 from .operators import nested_commutator_norm
 from .causal import term_vanishing_check
 from .errors import CapExceededError, ConfigError, ValidityWindowError
-from .lattice import build_square_lattice, enumerate_connected_subsets
+from .lattice import (
+    boundary_size,
+    build_square_lattice,
+    enumerate_connected_subsets,
+    factor_distance,
+)
 from .operators import (
     build_named_hamiltonian,
     exact_expectation,
@@ -55,8 +59,6 @@ from .ssb import (
     symmetric_unitary,
 )
 from .states import ProductState
-
-VERSION = "0.1.0"
 
 COMMANDS = ("lattice", "bound", "simulate", "oracle", "ssb", "verify", "bench")
 
@@ -144,7 +146,7 @@ def _run(config: dict, out_dir: str) -> int:
         "seed": config["seed"],
         "threads": config["threads"],
         "mode": config["mode"],
-        "version": VERSION,
+        "version": __version__,
         "outputs": outputs,
         "truncated": truncated,
         "wall_time_s": round(time.time() - start, 3),
@@ -311,7 +313,7 @@ def _run_sweep(name, sweep, params, graph, model):
         R = set(sweep["R"])
         S_list = [set(s) for s in sweep["S"]]
         B_list = [set(b) for b in sweep["B"]]
-        dist = min(standard_pair_distance(graph, R, S) for S in S_list)
+        dist = min(factor_distance(graph, R, S) for S in S_list)
         for t in _grid(sweep.get("t", [0.5])):
             rows.append(_bound_row(
                 "path_sum", t, dist,
@@ -320,7 +322,7 @@ def _run_sweep(name, sweep, params, graph, model):
         if graph is None or model is None:
             raise ConfigError("matrix_exp sweep needs lattice and model sections")
         pairs = [(set(b), set(s)) for b, s in zip(sweep["B"], sweep["S"])]
-        dist = min(standard_pair_distance(graph, set(b), set(s)) for b, s in pairs)
+        dist = min(factor_distance(graph, b, s) for b, s in pairs)
         for t in _grid(sweep.get("t", [0.5])):
             rows.append(_bound_row(
                 "matrix_exp", t, dist,
@@ -344,9 +346,9 @@ def _dominance_sweep(sweep, params, graph, model):
         pauli_operator(p.get("pauli", "X"), tuple(p["sites"]))
         for p in sweep.get("probes", [{"pauli": "X", "sites": sorted(S)} for S in S_list])
     ]
-    r_list = [standard_pair_distance(graph, R, S) for S in S_list]
+    r_list = [factor_distance(graph, R, S) for S in S_list]
     regions = [
-        (region_boundaries(graph, B), region_boundaries(graph, S), r)
+        (boundary_size(graph, B), boundary_size(graph, S), r)
         for B, S, r in zip(B_list, S_list, r_list)
     ]
     rows = []
@@ -365,7 +367,7 @@ def _dominance_sweep(sweep, params, graph, model):
 def _bound_row(name, t, r, thunk, exact=None):
     try:
         return [float(r), float(t), name, float(thunk()), True, exact]
-    except (ValidityWindowError, ValueError):
+    except ValidityWindowError:
         return [float(r), float(t), name, None, False, exact]
 
 
@@ -600,7 +602,7 @@ def _suite_cluster_counts(seed: int, mutate):
             found = enumerate_connected_subsets(adj, root, m)
             brute = [
                 sub for sub in itertools.combinations(sorted(adj), m)
-                if root in sub and _brute_connected(sub, adj)
+                if root in sub and simulate_mod._connected(sub, adj)
             ]
             if list(found) != sorted(brute):
                 ok = False
@@ -608,19 +610,6 @@ def _suite_cluster_counts(seed: int, mutate):
                 ok = False
             worst = max(worst, len(found))
     return {"passed": ok, "largest_count": worst}
-
-
-def _brute_connected(sub, adj) -> bool:
-    sub_set = set(sub)
-    seen = {sub[0]}
-    stack = [sub[0]]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u in sub_set and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(sub_set)
 
 
 def _suite_completeness(seed: int, mutate):

@@ -257,16 +257,18 @@ def ball_and_boundary(g: FactorGraph, v: int, R: int) -> tuple[frozenset[int], i
     return ball, boundary_size(g, ball)
 
 
+def boundary_vertices(g: FactorGraph, region: frozenset[int] | set[int]) -> list[int]:
+    """Region vertices sharing a factor with an outside vertex, sorted."""
+    region = frozenset(region)
+    return sorted(
+        u for u in region
+        if any(w not in region for fi in g.factors_at(u) for w in g.factors[fi])
+    )
+
+
 def boundary_size(g: FactorGraph, region: frozenset[int] | set[int]) -> int:
     """Number of region vertices sharing a factor with an outside vertex."""
-    region = frozenset(region)
-    count = 0
-    for u in region:
-        for fi in g.factors_at(u):
-            if any(w not in region for w in g.factors[fi]):
-                count += 1
-                break
-    return count
+    return len(boundary_vertices(g, region))
 
 
 def enumerate_connected_subsets(

@@ -501,10 +501,9 @@ def exact_expectation(
             values[i] = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
     else:
         dm = rho.marginal(region) if hasattr(rho, "marginal") else np.asarray(rho, dtype=complex)
-        A_emb = embed(A.matrix, A.support, region)
         for i, t_i in enumerate(times):
-            U = evolution_unitary(H, region, t_i)
-            values[i] = np.trace(U.conj().T @ dm @ U @ A_emb)
+            A_t = heisenberg_evolve(H, A, t_i, region, cap=cap, shrink=False)
+            values[i] = np.trace(dm @ A_t.matrix)
     for val in values:
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             raise ValueError(f"expectation has stray imaginary part {val.imag:.2e}")

@@ -29,8 +29,8 @@ from .operators import (
     HamiltonianSpec,
     LocalOperator,
     embed,
-    evolution_unitary,
     exact_expectation,
+    heisenberg_evolve,
     time_grid,
 )
 
@@ -293,8 +293,7 @@ def operator_piece(
         raise CapExceededError(f"cluster region needs {len(region)} qubits, above cap {cap}")
     if not set(A.support) <= set(tiling.box_vertices[anchor]):
         raise ValueError("observable support must sit inside the anchor box")
-    U = evolution_unitary(H, region, t)
-    evolved = U @ embed(A.matrix, A.support, region) @ U.conj().T
+    evolved = heisenberg_evolve(H, A, t, region, cap=cap, shrink=False).matrix
     for sub in anchored_proper_subclusters(cluster, tiling.adjacency, anchor):
         piece = operator_piece(H, A, sub, tiling, t, cap=cap, _memo=memo)
         evolved -= embed(piece.matrix, piece.support, region)

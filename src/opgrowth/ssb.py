@@ -20,17 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ValidityWindowError
 from .lattice import FactorGraph, build_square_lattice
 from .operators import (
     HamiltonianSpec,
     LocalOperator,
     PAULI,
     embed,
+    evolution_unitary,
     hamiltonian_matrix,
-    kron_all,
     operator_norm,
 )
 
@@ -71,13 +70,6 @@ class DisorderRegion:
         return cls(region, crossing)
 
 
-def ball_region(g: FactorGraph, center: int, radius: int) -> DisorderRegion:
-    from .lattice import ball_and_boundary
-
-    ball, _ = ball_and_boundary(g, center, radius)
-    return DisorderRegion.from_graph(g, ball)
-
-
 def square_region(g: FactorGraph, corner: tuple[int, ...], side: int) -> DisorderRegion:
     """Axis-aligned cube of vertices with the given corner coordinate."""
     if not g.coords:
@@ -89,19 +81,22 @@ def square_region(g: FactorGraph, corner: tuple[int, ...], side: int) -> Disorde
     return DisorderRegion.from_graph(g, members)
 
 
-def _total_flip(n: int) -> np.ndarray:
-    return kron_all([PAULI["X"]] * n)
+def _check_flip_symmetric(M: np.ndarray, what: str) -> None:
+    """Raise ValueError unless M commutes with the global flip D (X on every qubit).
+
+    D sends basis state x to dim-1-x, so D M = M[::-1], M D = M[:, ::-1]
+    and ||M D - D M|| = ||M - M[::-1, ::-1]||.
+    """
+    gap = operator_norm(M - M[::-1, ::-1])
+    if gap > SYMMETRY_TOL:
+        raise ValueError(f"{what} is not symmetric under the global flip (gap {gap:.2e})")
 
 
 def symmetric_unitary(H: HamiltonianSpec, t: float, region=None) -> np.ndarray:
     """exp(-iHt) with a hard check that it commutes with the global spin flip."""
     region = tuple(sorted(region if region is not None else H.vertices()))
-    mat = hamiltonian_matrix(H, region)
-    U = expm(-1j * t * mat)
-    D = _total_flip(len(region))
-    gap = operator_norm(U @ D - D @ U)
-    if gap > SYMMETRY_TOL:
-        raise ValueError(f"evolution is not symmetric under the global flip (gap {gap:.2e})")
+    U = evolution_unitary(H, region, -t)
+    _check_flip_symmetric(U, "evolution")
     return U
 
 
@@ -119,44 +114,35 @@ def nested_identity_check(
     commutes with D.
     """
     region = tuple(sorted(region))
-    n = len(region)
-    D = _total_flip(n)
-    gap = operator_norm(U @ D - D @ U)
-    if gap > SYMMETRY_TOL:
-        raise ValueError(f"evolution is not symmetric under the global flip (gap {gap:.2e})")
-    zero = np.zeros(2**n, dtype=complex)
-    zero[0] = 1.0
+    _check_flip_symmetric(U, "evolution")
     O_emb = embed(O.matrix, O.support, region)
-    psi = U @ zero
-    lhs = complex(np.vdot(psi, D @ (O_emb @ psi)))
+    psi = U[:, 0]
+    lhs = complex(np.vdot(psi, (O_emb @ psi)[::-1]))
     C = U.conj().T @ O_emb @ U
     for v in v_list:
         Z_emb = embed(PAULI["Z"], (v,), region)
         C = C @ Z_emb - Z_emb @ C
-    rhs = complex(np.vdot(zero, D @ (C @ zero))) / 2 ** len(tuple(v_list))
+    # <0...0| D C |0...0> is the entry of C at row D|0...0> = |1...1>, column 0
+    rhs = complex(C[-1, 0]) / 2 ** len(tuple(v_list))
     return lhs, rhs, abs(lhs - rhs)
 
 
 def parity_sectors(H_mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Block-diagonalize a flip-symmetric Hamiltonian into even/odd sectors.
 
-    Basis pairs |x>, |x_flipped> combine into (|x> +- |x_bar>)/sqrt(2);
-    returns the two sector Hamiltonians.
+    Basis pairs |x>, |x_bar> with x < 2^{n-1} combine into
+    (|x> +- |x_bar>)/sqrt(2); returns the two sector Hamiltonians in that
+    basis, in the order of x.
     """
     dim = 2**n
-    D = _total_flip(n)
-    if operator_norm(H_mat @ D - D @ H_mat) > SYMMETRY_TOL:
-        raise ValueError("Hamiltonian does not commute with the global flip")
-    mask = dim - 1
-    reps = [x for x in range(dim) if x <= (~x) & mask]
-    iso_even = np.zeros((dim, len(reps)), dtype=complex)
-    iso_odd = np.zeros((dim, len(reps)), dtype=complex)
-    for j, x in enumerate(reps):
-        xb = (~x) & mask
-        iso_even[x, j] = iso_even[xb, j] = 1 / np.sqrt(2)
-        iso_odd[x, j] = 1 / np.sqrt(2)
-        iso_odd[xb, j] = -1 / np.sqrt(2)
-    return iso_even.conj().T @ H_mat @ iso_even, iso_odd.conj().T @ H_mat @ iso_odd
+    if H_mat.shape != (dim, dim):
+        raise ValueError(f"matrix shape {H_mat.shape} does not match {n} qubits")
+    _check_flip_symmetric(H_mat, "Hamiltonian")
+    half = dim // 2
+    # <x+-|H|y+-> = (H[x, y] + H[x_bar, y_bar] +- (H[x, y_bar] + H[x_bar, y])) / 2
+    same = H_mat[:half, :half] + H_mat[::-1, ::-1][:half, :half]
+    cross = H_mat[:half, ::-1][:, :half] + H_mat[::-1, :half][:half]
+    return 0.5 * (same + cross), 0.5 * (same - cross)
 
 
 def ghz_splitting(hamiltonian, L: int, g: float, J: float = 1.0, periodic: bool = False) -> float:
@@ -302,7 +288,7 @@ def disorder_bound_compare(results, params, t: float, d: int | None = None) -> d
         try:
             bound = volume_bound(params, R, t, d)
             valid = True
-        except Exception:
+        except ValidityWindowError:
             bound, valid = None, False
         violates = bool(valid and value > bound)
         any_violation |= violates

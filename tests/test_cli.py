@@ -166,6 +166,21 @@ def test_bound_sweep_window_flip(tmp_path):
     assert vol == sorted(vol, reverse=True)  # decreasing in R
 
 
+def test_bound_evaluator_error_exits_1(tmp_path, monkeypatch):
+    # only a validity-window miss becomes valid_flag=false; other errors are bugs
+    import opgrowth.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug in the evaluator")
+
+    monkeypatch.setattr(opgrowth.cli, "volume_bound", broken)
+    cfg = write_config(tmp_path, {
+        "command": "bound",
+        "sweeps": [{"bound": "volume", "t": [2.0], "R": [3.0]}],
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
 def test_bound_dominance_sweep_pairs_oracle(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "bound",

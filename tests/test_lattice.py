@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opgrowth.errors import CapExceededError
 from opgrowth.lattice import (
@@ -170,6 +172,31 @@ def test_connected_subsets_match_brute_force():
                 found = enumerate_connected_subsets(adj, root, m)
                 assert found == brute_connected_subsets(adj, root, m)
                 assert len(found) <= (degree * math.e) ** m
+
+
+@st.composite
+def connected_graphs(draw):
+    """Adjacency of a random connected graph: a random tree plus extra edges."""
+    n = draw(st.integers(1, 10))
+    adj = {v: set() for v in range(n)}
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        adj[u].add(v)
+        adj[v].add(u)
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=n)):
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True)
+@given(adj=connected_graphs(), data=st.data())
+def test_connected_subsets_match_brute_force_random_graphs(adj, data):
+    root = data.draw(st.integers(0, len(adj) - 1))
+    m = data.draw(st.integers(1, len(adj)))
+    assert enumerate_connected_subsets(adj, root, m) == brute_connected_subsets(adj, root, m)
 
 
 def test_connected_subsets_cap():

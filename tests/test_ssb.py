@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import opgrowth.bounds
 from opgrowth.bounds import BoundParams
 from opgrowth.lattice import build_square_lattice
 from opgrowth.operators import build_named_hamiltonian, pauli_operator
@@ -68,6 +70,62 @@ def test_identity_rejects_asymmetric_evolution():
     H = HamiltonianSpec((HamTerm(frozenset((0,)), PAULI["Z"], 1.0),), graph=g)
     with pytest.raises(ValueError):
         symmetric_unitary(H, 0.5, (0, 1, 2))
+
+
+def _random_flip_symmetric(n, rng):
+    """Random Hermitian G plus its flip conjugate X^n G X^n, built from Pauli X."""
+    from opgrowth.operators import PAULI, kron_all
+
+    dim = 2**n
+    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    G = G + G.conj().T
+    D = kron_all([PAULI["X"]] * n)
+    return G + D @ G @ D
+
+
+def test_parity_sectors_match_isometry_construction():
+    rng = np.random.default_rng(11)
+    for n in range(2, 6):
+        H = _random_flip_symmetric(n, rng)
+        dim, mask = 2**n, 2**n - 1
+        reps = [x for x in range(dim) if x <= (~x) & mask]
+        iso_even = np.zeros((dim, len(reps)), dtype=complex)
+        iso_odd = np.zeros((dim, len(reps)), dtype=complex)
+        for j, x in enumerate(reps):
+            xb = (~x) & mask
+            iso_even[x, j] = iso_even[xb, j] = 1 / np.sqrt(2)
+            iso_odd[x, j] = 1 / np.sqrt(2)
+            iso_odd[xb, j] = -1 / np.sqrt(2)
+        He, Ho = parity_sectors(H, n)
+        assert np.max(np.abs(He - iso_even.conj().T @ H @ iso_even)) <= 1e-12
+        assert np.max(np.abs(Ho - iso_odd.conj().T @ H @ iso_odd)) <= 1e-12
+
+
+def test_symmetric_unitary_matches_expm():
+    from opgrowth.operators import hamiltonian_matrix
+
+    rng = np.random.default_rng(5)
+    for n in (2, 4, 6):
+        g = build_square_lattice(1, n)
+        H = build_named_hamiltonian(
+            "tfim", g, {"J": float(rng.uniform(0.4, 1.4)), "g": float(rng.uniform(0.2, 1.1))})
+        t = float(rng.uniform(0.1, 1.5))
+        U = symmetric_unitary(H, t, tuple(range(n)))
+        reference = expm(-1j * t * hamiltonian_matrix(H, tuple(range(n))))
+        assert np.max(np.abs(U - reference)) <= 1e-12
+
+
+def test_flip_check_rejects_asymmetric_input():
+    from opgrowth.operators import PAULI, kron_all
+
+    rng = np.random.default_rng(3)
+    H = _random_flip_symmetric(3, rng) + kron_all([PAULI["Z"], PAULI["I"], PAULI["I"]])
+    with pytest.raises(ValueError, match="global flip"):
+        parity_sectors(H, 3)
+    w, V = np.linalg.eigh(H)
+    U = (V * np.exp(-0.4j * w)) @ V.conj().T
+    with pytest.raises(ValueError, match="global flip"):
+        nested_identity_check(U, pauli_operator("X", (1,)), [0], (0, 1, 2))
 
 
 def test_parity_sector_dimensions():
@@ -212,3 +270,21 @@ def test_disorder_compare_short_time_evolved_state():
     report = disorder_bound_compare(rows, params, t=t, d=2)
     assert all(not r["violates_bound"] for r in report["rows"] if r["valid"])
     assert any(r["valid"] for r in report["rows"])
+
+
+def test_disorder_compare_window_miss_is_invalid():
+    # R below lr_velocity * t lies outside the volume bound's window
+    params = BoundParams(prefactor=1.0, lr_velocity=1.0, volume_decay=1.0, dimension=2)
+    report = disorder_bound_compare([{"R": 1.5, "value": 0.5}], params, t=2.0, d=2)
+    assert report["rows"][0]["valid"] is False and report["rows"][0]["bound"] is None
+    assert not report["violates_volume_law"]
+
+
+def test_disorder_compare_propagates_other_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the bound")
+
+    monkeypatch.setattr(opgrowth.bounds, "volume_bound", broken)
+    params = BoundParams(prefactor=1.0, lr_velocity=1.0, volume_decay=1.0, dimension=2)
+    with pytest.raises(RuntimeError, match="bug in the bound"):
+        disorder_bound_compare([{"R": 3.0, "value": 0.1}], params, t=1.05, d=2)
