@@ -24,7 +24,6 @@ from scipy.sparse.linalg import expm_multiply
 from .errors import CapExceededError
 from .lattice import FactorGraph, enumerate_connected_subsets
 
-DENSE_NORM_DIM = 1 << 10      # dense SVD below, power iteration above
 DEFAULT_QUBIT_CAP = 14
 HERMITICITY_TOL = 1e-12
 
@@ -157,28 +156,12 @@ def apply_local(matrix: np.ndarray, positions: list[int], psi: np.ndarray, n: in
     return np.moveaxis(t, range(k), positions).reshape(-1)
 
 
-def operator_norm(op: LocalOperator | np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Spectral norm: dense singular values for small matrices, power iteration above."""
+def operator_norm(op: LocalOperator | np.ndarray) -> float:
+    """Spectral norm: the largest singular value, from a dense SVD."""
     mat = op.matrix if isinstance(op, LocalOperator) else np.asarray(op)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    if mat.shape[0] <= DENSE_NORM_DIM:
-        return float(np.linalg.norm(mat, 2))
-    rng = np.random.default_rng(7)
-    v = rng.normal(size=mat.shape[1]) + 1j * rng.normal(size=mat.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = mat.conj().T @ (mat @ v)
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        new_sigma = math.sqrt(lam)
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+    return float(np.linalg.norm(mat, 2))
 
 
 @dataclass(frozen=True)
@@ -273,28 +256,17 @@ def hamiltonian_matrix(
     region: tuple[int, ...],
     sparse: bool = False,
 ):
-    """Assemble the Hamiltonian restricted to terms fully inside ``region``."""
-    region = tuple(sorted(region))
-    n = len(region)
-    terms = H.terms_within(set(region))
-    if not sparse:
-        out = np.zeros((2**n, 2**n), dtype=complex)
-        for t in terms:
-            out += embed(t.matrix, tuple(sorted(t.support)), region)
-        return out
-    return _sparse_assemble(terms, region)
+    """The Hamiltonian restricted to terms fully inside ``region``.
 
-
-def _sparse_assemble(terms: tuple[HamTerm, ...], region: tuple[int, ...]) -> sp.csr_matrix:
-    """CSR matrix of a sum of terms, built in one pass over flip masks.
-
-    A term entry M[a, b] connects basis states x and x ^ mask, where mask is
-    the bit flip a ^ b placed on the term's region bits.  So every term adds
-    one value per row to a handful of global masks; the row values of each
-    mask are summed in term order (the dense sum's order, so entries agree
-    exactly) and written straight into CSR arrays.  Values that vanish are
-    not stored.
+    Built in one pass over flip masks.  A term entry M[a, b] connects basis
+    states x and x ^ mask, where mask is the bit flip a ^ b placed on the
+    term's region bits.  So every term adds one value per row to a handful
+    of global masks; the row values of each mask are summed in term order
+    and written straight into CSR arrays.  Values that vanish are not
+    stored.  Returns the CSR matrix if ``sparse``, else its dense array.
     """
+    region = tuple(sorted(region))
+    terms = H.terms_within(set(region))
     n = len(region)
     dim = 1 << n
     shift = {v: n - 1 - i for i, v in enumerate(region)}
@@ -323,7 +295,7 @@ def _sparse_assemble(terms: tuple[HamTerm, ...], region: tuple[int, ...]) -> sp.
     indices = (rows[:, None] ^ np.array(masks, dtype=idx))[stored]
     out = sp.csr_matrix((data[stored], indices, indptr), shape=(dim, dim))
     out.sort_indices()
-    return out
+    return out if sparse else out.toarray()
 
 
 def evolution_unitary(H: HamiltonianSpec, region: tuple[int, ...], t: float) -> np.ndarray:

@@ -257,6 +257,15 @@ def test_ssb_fit_summary(tmp_path):
     assert fits[rk_key]["relative_spread"] < 0.01
 
 
+def test_ssb_ghz_above_qubit_cap_exits_2(tmp_path):
+    # refused before any 2^L x 2^L matrix is allocated
+    cfg = write_config(tmp_path, {
+        "command": "ssb",
+        "experiments": [{"kind": "ghz", "L": [40]}],
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_verify_default_suites_pass(tmp_path):
     cfg = write_config(tmp_path, {"command": "verify", "seed": 3})
     out = tmp_path / "out"

@@ -36,18 +36,16 @@ def test_operator_norm_examples():
     assert operator_norm(xz) == pytest.approx(math.sqrt(2), abs=1e-10)
 
 
-def test_operator_norm_power_iteration_matches_dense():
+def test_operator_norm_is_exact_above_1024_dims():
+    # max |eigenvalue| of a normal matrix is its spectral norm
     rng = np.random.default_rng(5)
-    M = rng.normal(size=(80, 80)) + 1j * rng.normal(size=(80, 80))
-    import opgrowth.operators as ops
-
-    dense = float(np.linalg.norm(M, 2))
-    old = ops.DENSE_NORM_DIM
-    ops.DENSE_NORM_DIM = 4
-    try:
-        assert operator_norm(M) == pytest.approx(dense, rel=1e-8)
-    finally:
-        ops.DENSE_NORM_DIM = old
+    G = rng.normal(size=(1100, 1100)) + 1j * rng.normal(size=(1100, 1100))
+    herm = G + G.conj().T
+    anti = G - G.conj().T
+    assert operator_norm(herm) == pytest.approx(
+        np.max(np.abs(np.linalg.eigvalsh(herm))), rel=1e-12)
+    assert operator_norm(anti) == pytest.approx(
+        np.max(np.abs(np.linalg.eigvalsh(1j * anti))), rel=1e-12)
 
 
 def test_embed_matches_kron():
@@ -218,11 +216,15 @@ def test_sparse_assembly_matches_dense():
     for name, params in models:
         H = build_named_hamiltonian(name, grid, params)
         for region in regions:
-            dense = hamiltonian_matrix(H, region)
+            # reference: one embedded term at a time, summed in term order
+            reference = np.zeros((2 ** len(region),) * 2, dtype=complex)
+            for term in H.terms_within(set(region)):
+                reference += embed(term.matrix, tuple(sorted(term.support)), region)
             sparse = hamiltonian_matrix(H, region, sparse=True)
-            assert np.array_equal(sparse.toarray(), dense), (name, region)
+            assert np.array_equal(sparse.toarray(), reference), (name, region)
+            assert np.array_equal(hamiltonian_matrix(H, region), reference), (name, region)
             # no explicit zeros, e.g. Heisenberg XX+YY on parallel spins
-            assert sparse.nnz == np.count_nonzero(dense), (name, region)
+            assert sparse.nnz == np.count_nonzero(reference), (name, region)
 
 
 def test_exact_expectation_grid_matches_scalar_calls():

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opgrowth.bounds import BoundParams
 from opgrowth.errors import CapExceededError, ValidityWindowError
-from opgrowth.lattice import build_square_lattice, tile_boxes
+from opgrowth.lattice import build_rectangular_lattice, build_square_lattice, tile_boxes
 from opgrowth.operators import (
     HamTerm,
     HamiltonianSpec,
@@ -156,6 +158,38 @@ def test_simulate_converges_to_exact():
     errors = [abs(r - exact) for r in diag["running_estimates"]]
     assert errors[-1] < 1e-12  # m_star covers the whole chain
     assert errors[0] > errors[-1]
+
+
+@st.composite
+def small_lattices(draw):
+    """A chain or a two- or three-row rectangle of at most 10 qubits."""
+    if draw(st.booleans()):
+        return build_square_lattice(1, draw(st.integers(2, 10)))
+    rows = draw(st.integers(2, 3))
+    return build_rectangular_lattice((rows, draw(st.integers(2, 10 // rows))))
+
+
+@settings(max_examples=20, deadline=5000, derandomize=True)
+@given(g=small_lattices(), data=st.data())
+def test_simulate_at_full_cutoff_equals_exact(g, data):
+    # with m_star = number of boxes every anchored cluster is summed, so the
+    # inclusion-exclusion telescopes to the full-lattice evolution
+    model = data.draw(st.sampled_from(["tfim", "random2local"]))
+    params = {"g": 0.9} if model == "tfim" else {"seed": data.draw(st.integers(0, 99))}
+    H = build_named_hamiltonian(model, g, params)
+    state = data.draw(st.sampled_from(
+        [ProductState.all_zero(), ProductState.all_plus(g.vertices)]))
+    anchor = data.draw(st.sampled_from(g.vertices))
+    A = pauli_operator(data.draw(st.sampled_from("XYZ")), (anchor,))
+    r = data.draw(st.integers(1, 2))
+    boxes = tile_boxes(g, r, anchor).boxes
+    p = plan(None, 1.0, 1e-6, mode="desk", graph=g, anchor_vertex=anchor,
+             r=r, m_star=len(boxes))
+    grid = [data.draw(st.floats(0.0, 1.0)) for _ in range(2)]
+    results = simulate_expectation(H, A, state, grid, p)
+    exact = exact_expectation(H, A, state, grid)
+    for (est, _), value in zip(results, exact):
+        assert abs(est - value) <= 1e-12
 
 
 def test_simulate_anchor_only_hamiltonian():
