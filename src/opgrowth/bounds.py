@@ -300,20 +300,17 @@ def verify_reproducing(
     g: FactorGraph,
     mu: float,
     alpha: float,
-    sample_pairs=None,
 ) -> float:
     """Empirical reproducing constant of G(l) = exp(-mu l) / l^alpha.
 
-    Returns the max over sampled vertex pairs (u, v) of
+    Returns the max over vertex pairs (u, v) of
     sum_{k != u,v} G(d(u,k)) G(d(k,v)) / G(d(u,v)), with geodesic distances.
     """
 
     def G(dist: int) -> float:
         return math.exp(-mu * dist) / dist**alpha
 
-    if sample_pairs is None:
-        vs = list(g.vertices)
-        sample_pairs = [(u, v) for u in vs for v in vs if u < v]
+    vs = list(g.vertices)
     dist_cache: dict[int, dict[int, int]] = {}
 
     def dists(u: int) -> dict[int, int]:
@@ -322,7 +319,7 @@ def verify_reproducing(
         return dist_cache[u]
 
     worst = 0.0
-    for u, v in sample_pairs:
+    for u, v in ((u, v) for u in vs for v in vs if u < v):
         du, dv = dists(u), dists(v)
         num = sum(
             G(du[k]) * G(dv[k])

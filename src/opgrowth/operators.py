@@ -447,9 +447,10 @@ def exact_expectation(
     ``marginal(region)`` method, or an explicit density matrix on region.
 
     ``t`` is a time, giving a float, or a grid of times in any order,
-    giving a list in grid order.  On the vector path the sparse region
-    Hamiltonian is assembled once and the state is stepped from t = 0
-    through the sorted grid.
+    giving a list in grid order.  The region Hamiltonian is assembled once
+    per call.  On the vector path the state is stepped from t = 0 through
+    the sorted grid; on the density-matrix path one diagonalization gives
+    A(t) at every grid point.
     """
     times, scalar = time_grid(t)
     region = tuple(sorted(region if region is not None else H.vertices()))
@@ -473,9 +474,11 @@ def exact_expectation(
             values[i] = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
     else:
         dm = rho.marginal(region) if hasattr(rho, "marginal") else np.asarray(rho, dtype=complex)
+        w, V = np.linalg.eigh(hamiltonian_matrix(H, region))
+        A_emb = embed(A.matrix, A.support, region)
         for i, t_i in enumerate(times):
-            A_t = heisenberg_evolve(H, A, t_i, region, cap=cap, shrink=False)
-            values[i] = np.trace(dm @ A_t.matrix)
+            U = (V * np.exp(1j * w * t_i)) @ V.conj().T
+            values[i] = np.trace(dm @ (U @ A_emb @ U.conj().T))
     for val in values:
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             raise ValueError(f"expectation has stray imaginary part {val.imag:.2e}")

@@ -115,13 +115,11 @@ def cluster_region(tiling: BoxTiling, cluster: Cluster) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def anchored_clusters(tiling: BoxTiling, m_star: int, cap: int | None = None) -> list[Cluster]:
+def anchored_clusters(tiling: BoxTiling, m_star: int) -> list[Cluster]:
     """All connected box clusters containing the anchor, up to size m_star."""
-    kwargs = {"cap": cap} if cap is not None else {}
     out: list[Cluster] = []
     for m in range(1, m_star + 1):
-        out.extend(enumerate_connected_subsets(
-            tiling.adjacency, tiling.anchor_box, m, **kwargs))
+        out.extend(enumerate_connected_subsets(tiling.adjacency, tiling.anchor_box, m))
     return out
 
 

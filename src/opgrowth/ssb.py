@@ -28,6 +28,7 @@ from .operators import (
     HamiltonianSpec,
     LocalOperator,
     PAULI,
+    build_named_hamiltonian,
     embed,
     evolution_unitary,
     hamiltonian_matrix,
@@ -146,28 +147,22 @@ def parity_sectors(H_mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (same + cross), 0.5 * (same - cross)
 
 
-def ghz_splitting(hamiltonian, L: int, g: float, J: float = 1.0, periodic: bool = False) -> float:
+def ghz_splitting(hamiltonian: str, L: int, g: float, J: float = 1.0) -> float:
     """Energy splitting between the lowest levels of the even and odd flip sectors.
 
-    ``hamiltonian`` is either "tfim" or a callable (L, g) -> (matrix, n).
+    ``hamiltonian`` names the model; only "tfim", the open chain of L
+    sites, is supported.
     """
-    if callable(hamiltonian):
-        H_mat, n = hamiltonian(L, g)
-    elif hamiltonian == "tfim":
-        if L > DEFAULT_QUBIT_CAP:
-            raise CapExceededError(f"chain of {L} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
-        n = L
-        if L == 1:
-            H_mat = -g * PAULI["X"].copy()
-        else:
-            graph = build_square_lattice(1, L, periodic=periodic)
-            from .operators import build_named_hamiltonian
-
-            spec = build_named_hamiltonian("tfim", graph, {"J": J, "g": g})
-            H_mat = hamiltonian_matrix(spec, tuple(range(L)))
-    else:
+    if hamiltonian != "tfim":
         raise ValueError(f"unknown Hamiltonian {hamiltonian!r}")
-    H_even, H_odd = parity_sectors(H_mat, n)
+    if L > DEFAULT_QUBIT_CAP:
+        raise CapExceededError(f"chain of {L} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
+    if L == 1:
+        H_mat = -g * PAULI["X"].copy()
+    else:
+        spec = build_named_hamiltonian("tfim", build_square_lattice(1, L), {"J": J, "g": g})
+        H_mat = hamiltonian_matrix(spec, tuple(range(L)))
+    H_even, H_odd = parity_sectors(H_mat, L)
     e0 = np.linalg.eigvalsh(H_even)[0]
     o0 = np.linalg.eigvalsh(H_odd)[0]
     return float(abs(e0 - o0))
@@ -178,9 +173,8 @@ def rk_disorder_parameter(state: RKState, region: DisorderRegion, method: str = 
 
     method "enumerate" sums all 2^N spin configurations (N <= 20);
     "transfer" uses the ring transfer matrix (1d periodic chains only);
-    "direct" builds the quantum state vector and applies the flip
-    (N <= 20, validation path); "auto" picks enumeration, falling back to
-    the transfer matrix for long rings.
+    "auto" picks enumeration, falling back to the transfer matrix for long
+    rings.
     """
     g = state.graph
     n = len(g.vertices)
@@ -192,10 +186,6 @@ def rk_disorder_parameter(state: RKState, region: DisorderRegion, method: str = 
         return _rk_enumerate(state, region)
     if method == "transfer":
         return _rk_transfer(state, region)
-    if method == "direct":
-        if n > RK_ENUM_CAP:
-            raise CapExceededError(f"{n} sites exceeds the direct-evaluation cap")
-        return _rk_direct(state, region)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -224,7 +214,7 @@ def _rk_enumerate(state: RKState, region: DisorderRegion) -> float:
 
 
 def _rk_direct(state: RKState, region: DisorderRegion) -> float:
-    """<psi| D_R |psi> evaluated on the explicit state vector."""
+    """<psi| D_R |psi> evaluated on the explicit state vector; the tests' reference."""
     g = state.graph
     n = len(g.vertices)
     spins = _spin_table(n)

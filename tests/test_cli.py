@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from opgrowth.cli import main
+from opgrowth.cli import fit_summary, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -257,6 +257,15 @@ def test_ssb_fit_summary(tmp_path):
     assert fits[rk_key]["relative_spread"] < 0.01
 
 
+def test_fit_summary_values():
+    fit = fit_summary([0, 1, 2], [0.0, 2.0, 1.0])
+    assert fit["slope"] == pytest.approx(0.5) and fit["intercept"] == pytest.approx(0.5)
+    assert fit["r_squared"] == pytest.approx(0.25)  # residual 1.5 over total 2
+    assert fit["points"] == 3
+    flat = fit_summary([0, 1, 2], [3.0, 3.0, 3.0])
+    assert flat["slope"] == pytest.approx(0.0, abs=1e-12) and flat["r_squared"] == 1.0
+
+
 def test_ssb_ghz_above_qubit_cap_exits_2(tmp_path):
     # refused before any 2^L x 2^L matrix is allocated
     cfg = write_config(tmp_path, {
@@ -285,6 +294,25 @@ def test_verify_mutation_detected(tmp_path):
     assert main(["--config", cfg, "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert not report["completeness"]["passed"]
+
+
+def test_verify_mutation_without_completeness_exits_2(tmp_path):
+    # the mutation acts on the completeness suite only; without it the run proves nothing
+    cfg = write_config(tmp_path, {
+        "command": "verify", "suites": ["vanishing"], "mutate": "cluster_correction_sign",
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_non_integer_thread_count_exits_2(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {"command": "lattice", "lattice": {"d": 1, "L": 4}})
+    monkeypatch.setenv("OPGROWTH_THREADS", "abc")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o1")]) == 2
+    monkeypatch.delenv("OPGROWTH_THREADS")
+    for threads in ("abc", 2.5, True):
+        cfg = write_config(tmp_path, {"command": "lattice", "threads": threads,
+                                      "lattice": {"d": 1, "L": 4}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o2")]) == 2
 
 
 def test_env_var_thread_override(tmp_path, monkeypatch):

@@ -1,13 +1,13 @@
 """Geometry, enumeration and tiling tests."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opgrowth.cli import brute_connected_subsets
 from opgrowth.errors import CapExceededError
 from opgrowth.lattice import (
     ball_and_boundary,
@@ -19,25 +19,6 @@ from opgrowth.lattice import (
     minimal_cluster_order,
     tile_boxes,
 )
-
-
-def brute_connected_subsets(adj, root, m):
-    out = []
-    for sub in itertools.combinations(sorted(adj), m):
-        if root not in sub:
-            continue
-        sub_set = set(sub)
-        seen = {sub[0]}
-        stack = [sub[0]]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u in sub_set and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) == m:
-            out.append(tuple(sorted(sub)))
-    return sorted(out)
 
 
 def test_chain_counts():
@@ -156,22 +137,6 @@ def test_connected_subsets_examples():
     assert len(enumerate_connected_subsets(chain, 4, 3)) == 3
     grid = build_square_lattice(2, 5).vertex_adjacency()
     assert len(enumerate_connected_subsets(grid, 12, 2)) == 4
-
-
-def test_connected_subsets_match_brute_force():
-    graphs = [
-        build_square_lattice(1, 10),
-        build_rectangular_lattice((3, 4)),
-        build_square_lattice(2, 4),
-    ]
-    for g in graphs:
-        adj = g.vertex_adjacency()
-        degree = max(len(n) for n in adj.values())
-        for root in (g.vertices[0], g.vertices[len(g.vertices) // 2]):
-            for m in range(1, 5):
-                found = enumerate_connected_subsets(adj, root, m)
-                assert found == brute_connected_subsets(adj, root, m)
-                assert len(found) <= (degree * math.e) ** m
 
 
 @st.composite

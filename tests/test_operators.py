@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from opgrowth import operators
 from opgrowth.errors import CapExceededError
 from opgrowth.lattice import build_square_lattice, tile_boxes
 from opgrowth.operators import (
@@ -239,6 +240,30 @@ def test_exact_expectation_grid_matches_scalar_calls():
         for t, value in zip(grid, values):
             assert value == pytest.approx(exact_expectation(TFIM5, A, rho, t), abs=1e-12)
     assert exact_expectation(TFIM5, A, plus, []) == []
+
+
+def test_dense_state_grid_assembles_once(monkeypatch):
+    chain6 = build_square_lattice(1, 6)
+    H = build_named_hamiltonian("random2local", chain6, {"seed": 5})
+    region = tuple(range(6))
+    rng = np.random.default_rng(11)
+    G = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    rho = DenseState(region, G @ G.conj().T / np.trace(G @ G.conj().T))
+    A = pauli_operator("ZX", (1, 2))
+    grid = [0.2, 0.7, 1.3]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return hamiltonian_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "hamiltonian_matrix", counting)
+    values = exact_expectation(H, A, rho, grid)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for t, value in zip(grid, values):
+        A_t = heisenberg_evolve(H, A, t, region, shrink=False).matrix
+        assert value == pytest.approx(np.trace(rho.rho @ A_t).real, abs=1e-12)
 
 
 def test_quasilocal_envelope_and_kappa():

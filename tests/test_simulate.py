@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opgrowth.bounds import BoundParams
+from opgrowth.cli import brute_connected_subsets
 from opgrowth.errors import CapExceededError, ValidityWindowError
-from opgrowth.lattice import build_rectangular_lattice, build_square_lattice, tile_boxes
+from opgrowth.lattice import (
+    build_rectangular_lattice,
+    build_square_lattice,
+    enumerate_connected_subsets,
+    tile_boxes,
+)
 from opgrowth.operators import (
     HamTerm,
     HamiltonianSpec,
@@ -232,29 +238,10 @@ def test_simulate_2d_diagonal_cluster_contributes_zero():
 
 
 def test_coarse_graph_enumeration_matches_brute_force():
-    import itertools
-
     tiling = tile_boxes(build_square_lattice(2, 6), 2, 0)  # 3x3 boxes, degree 8
-    adjacency = tiling.adjacency
-    from opgrowth.lattice import enumerate_connected_subsets
-
     for m in range(1, 5):
-        found = enumerate_connected_subsets(adjacency, (0, 0), m)
-        brute = []
-        for sub in itertools.combinations(sorted(adjacency), m):
-            if (0, 0) not in sub:
-                continue
-            seen = {sub[0]}
-            stack = [sub[0]]
-            while stack:
-                v = stack.pop()
-                for u in adjacency[v]:
-                    if u in sub and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) == m:
-                brute.append(tuple(sorted(sub)))
-        assert found == sorted(brute)
+        found = enumerate_connected_subsets(tiling.adjacency, (0, 0), m)
+        assert found == brute_connected_subsets(tiling.adjacency, (0, 0), m)
 
 
 def test_simulate_thread_determinism():
