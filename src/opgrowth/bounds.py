@@ -151,7 +151,6 @@ def path_sum_bound(
     S_list,
     B_list,
     t: float,
-    max_len: int | None = None,
 ) -> float:
     """Product over regions of the weighted sum over irreducible paths.
 
@@ -178,8 +177,7 @@ def path_sum_bound(
     norms = {k: H.terms[k].norm for k in range(len(H.terms))}
     total = 1.0
     for S, B in zip(S_list, B_list):
-        cap = max_len if max_len is not None else len(B)
-        paths = enumerate_irreducible_paths(gH, R, S, B, cap, norms=norms)
+        paths = enumerate_irreducible_paths(gH, R, S, B, len(B), norms=norms)
         total *= sum(
             (2 * abs(t)) ** len(p) / math.factorial(len(p)) * p.weight for p in paths
         )
@@ -267,7 +265,7 @@ def quasilocal_pair_bound(params: BoundParams, dB: float, dS: float, dist: float
     )
 
 
-def quasilocal_nested_bound(params: BoundParams, regions, t: float, m: int | None = None) -> float:
+def quasilocal_nested_bound(params: BoundParams, regions, t: float) -> float:
     """Nested-commutator bound for quasilocal interactions over boxed regions.
 
     ``regions`` lists (boundary of B_i, boundary of S_i, distance to R) for
@@ -275,9 +273,7 @@ def quasilocal_nested_bound(params: BoundParams, regions, t: float, m: int | Non
     """
     d = params.dimension
     mu = params.decay_rate
-    m = m if m is not None else len(regions)
-    if m != len(regions):
-        raise ValueError("m must match the number of regions")
+    m = len(regions)
     if m < 1:
         raise ValueError("need at least one region")
     mu_chi = mu * params.box_margin

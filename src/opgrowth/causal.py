@@ -20,6 +20,7 @@ from .operators import HamiltonianSpec, LocalOperator, embed, operator_norm
 
 ROOT = ("R",)
 PATH_CAP = 2_000_000
+VANISHING_QUBIT_CAP = 12  # term_vanishing_check multiplies dense 2^n x 2^n matrices
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,6 @@ class CausalForest:
     def factor_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(n[1] for n in self.parent if n[0] == "M"))
 
-    def attached_targets(self) -> tuple[int, ...]:
-        return tuple(sorted(n[1] for n in self.parent if n[0] == "S"))
-
     def to_json(self) -> str:
         """Id-list form of the forest, for fixtures and debugging."""
         payload = {
@@ -97,7 +95,6 @@ def build_causal_forest(
     M,
     R: set[int] | frozenset[int],
     S_list,
-    graph: FactorGraph | None = None,
 ) -> CausalForest | None:
     """Run the forest construction on a factor sequence.
 
@@ -235,21 +232,21 @@ def term_vanishing_check(
     S_list,
     A: LocalOperator,
     O_list: list[LocalOperator],
-    region: tuple[int, ...] | None = None,
-    cap: int = 12,
 ) -> tuple[CausalForest | None, float]:
     """Evaluate one expansion term densely and pair it with the forest verdict.
 
     The term is ad_{O_m} ... ad_{O_1} L_{M_n} ... L_{M_1} |A) with
-    L_X = i ad_{H_X}.  A missing forest must force the norm to zero.
+    L_X = i ad_{H_X}, on the register of all of H's sites.  A missing forest
+    must force the norm to zero.
     """
     if isinstance(M, FactorSequence):
         ids = M.ids
     else:
         ids = tuple(M)
-    region = tuple(sorted(region if region is not None else H.vertices()))
-    if len(region) > cap:
-        raise CapExceededError(f"region of {len(region)} qubits exceeds cap {cap}")
+    region = tuple(sorted(H.vertices()))
+    if len(region) > VANISHING_QUBIT_CAP:
+        raise CapExceededError(
+            f"region of {len(region)} qubits exceeds cap {VANISHING_QUBIT_CAP}")
     term_by_support = {t.support: t for t in H.terms}
     cur = embed(A.matrix, A.support, region)
     for i in ids:

@@ -71,7 +71,7 @@ from .ssb import (
 )
 from .states import ProductState
 
-COMMANDS = ("lattice", "bound", "simulate", "oracle", "ssb", "verify", "bench")
+COMMANDS = ("lattice", "bound", "simulate", "oracle", "ssb", "verify")
 
 _TOP_KEYS = {
     "lattice": {"command", "seed", "threads", "mode", "lattice"},
@@ -82,7 +82,6 @@ _TOP_KEYS = {
                "observable", "t_grid"},
     "ssb": {"command", "seed", "threads", "mode", "experiments"},
     "verify": {"command", "seed", "threads", "mode", "suites", "mutate"},
-    "bench": {"command", "seed", "threads", "mode"},
 }
 
 
@@ -103,7 +102,8 @@ def main(argv=None) -> int:
         env_threads = os.environ.get("OPGROWTH_THREADS")
         if args.threads is None and env_threads is not None:
             config["threads"] = env_threads
-        config["threads"] = _thread_count(config["threads"])
+        config["threads"] = _integer(config["threads"], "thread count")
+        config["seed"] = _integer(config["seed"], "seed")
         if args.mode is not None:
             config["mode"] = args.mode
         return _run(config, args.out)
@@ -137,8 +137,8 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _thread_count(value) -> int:
-    """The thread count from the config or OPGROWTH_THREADS, which must be an integer."""
+def _integer(value, what: str) -> int:
+    """An integer from the config, a flag or OPGROWTH_THREADS; a string must spell one."""
     if isinstance(value, str):
         try:
             return int(value)
@@ -146,7 +146,7 @@ def _thread_count(value) -> int:
             pass
     elif isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ConfigError(f"thread count must be an integer, got {value!r}")
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _run(config: dict, out_dir: str) -> int:
@@ -159,7 +159,6 @@ def _run(config: dict, out_dir: str) -> int:
         "oracle": _cmd_oracle,
         "ssb": _cmd_ssb,
         "verify": _cmd_verify,
-        "bench": _cmd_bench,
     }[config["command"]]
     outputs, truncated, exit_code = runner(config, out_dir)
     manifest = {
@@ -551,7 +550,7 @@ def _cmd_verify(config: dict, out_dir: str):
         raise ConfigError(f"unknown mutation {mutate!r}")
     if mutate is not None and "completeness" not in suites:
         raise ConfigError("mutation corrupts only the 'completeness' suite; list it in suites")
-    seed = int(config["seed"])
+    seed = config["seed"]
     correction = _sign_flipped_correction if mutate else cluster_correction
     checks = {
         "vanishing": lambda: check_vanishing(seed),
@@ -605,7 +604,7 @@ def check_completeness(correction=cluster_correction) -> dict:
     region = tuple(range(6))
     worst = 0.0
     for t in (0.25, 0.6, 1.0):
-        full = heisenberg_evolve(model, A, t, region, shrink=False).matrix
+        full = heisenberg_evolve(model, A, t, region).matrix
         total = np.zeros_like(full)
         memo = {}
         for cluster in anchored_clusters(tiling, 2):
@@ -618,16 +617,16 @@ def check_completeness(correction=cluster_correction) -> dict:
     table = ClusterTable(raw=diag["table"].raw)
     adjacency, anchor = sim_plan.tiling.adjacency, sim_plan.tiling.anchor_box
     for cluster in sorted(table.raw, key=len):
-        table.corrected[cluster] = correction(table, cluster, adjacency, anchor)
+        table.corrected[cluster] = correction(
+            table, cluster, anchored_proper_subclusters(cluster, adjacency, anchor))
     exact = exact_expectation(model, A, state, 0.7)
     worst = max(worst, abs(estimate - exact), abs(sum(table.corrected.values()) - exact))
     return {"passed": worst <= 1e-10, "worst_gap": worst}
 
 
-def _sign_flipped_correction(table, cluster, adjacency, anchor) -> float:
+def _sign_flipped_correction(table, cluster, subclusters) -> float:
     """``cluster_correction`` with the sub-cluster sign flipped: the verify mutation."""
-    return table.raw[cluster] + sum(
-        table.corrected[sub] for sub in anchored_proper_subclusters(cluster, adjacency, anchor))
+    return table.raw[cluster] + sum(table.corrected[sub] for sub in subclusters)
 
 
 def check_flip_identity(seed: int) -> dict:
@@ -680,23 +679,6 @@ def fit_summary(xs, ys) -> dict:
     r2 = 1.0 if ss_tot == 0 else 1 - float(np.sum((ys - pred) ** 2)) / ss_tot
     return {"slope": float(slope), "intercept": float(intercept),
             "r_squared": r2, "points": len(xs)}
-
-
-def _cmd_bench(config: dict, out_dir: str):
-    timings = {}
-    start = time.time()
-    graph = build_square_lattice(1, 10)
-    model = build_named_hamiltonian("tfim", graph, {"J": 1.0, "g": 1.0})
-    sim_plan = plan(None, 0.5, 1e-6, mode="desk", graph=graph, r=2, m_star=5)
-    simulate_expectation(model, pauli_operator("Z", (0,)), ProductState.all_zero(),
-                         0.5, sim_plan, threads=int(config["threads"]))
-    timings["simulate_L10_s"] = round(time.time() - start, 4)
-    start = time.time()
-    exact_expectation(model, pauli_operator("Z", (0,)), ProductState.all_zero(), 0.5)
-    timings["oracle_L10_s"] = round(time.time() - start, 4)
-    _write_atomic(os.path.join(out_dir, "bench.json"),
-                  json.dumps(timings, indent=2, sort_keys=True) + "\n")
-    return ["bench.json"], False, 0
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceededError
 
-# Default guard: refuse lattices with more than 2**MAX_VERTEX_BITS sites.
+# Guard: refuse square lattices with more than 2**MAX_VERTEX_BITS sites.
 MAX_VERTEX_BITS = 20
 
 # Default guard for connected-subset enumeration.
@@ -73,11 +73,6 @@ class FactorGraph:
     def factors_at(self, v: int) -> tuple[int, ...]:
         """Indices of the factors containing vertex v."""
         return self._vertex_factors[v]
-
-    @property
-    def few_body_bound(self) -> int:
-        """Largest factor size."""
-        return max((len(X) for X in self.factors), default=0)
 
     @property
     def degree_bound(self) -> int:
@@ -136,7 +131,6 @@ def build_square_lattice(
     L: int,
     interaction_range: int = 1,
     periodic: bool = False,
-    max_vertex_bits: int = MAX_VERTEX_BITS,
 ) -> FactorGraph:
     """Hypercubic lattice of side L in d dimensions with pair factors.
 
@@ -145,9 +139,9 @@ def build_square_lattice(
     """
     if d < 1 or L < 2 or interaction_range < 1:
         raise ValueError("require d >= 1, L >= 2, interaction_range >= 1")
-    if d * math.log2(L) > max_vertex_bits:
+    if d * math.log2(L) > MAX_VERTEX_BITS:
         raise CapExceededError(
-            f"lattice with L**d = {L}**{d} sites exceeds the 2**{max_vertex_bits} guard"
+            f"lattice with L**d = {L}**{d} sites exceeds the 2**{MAX_VERTEX_BITS} guard"
         )
     return build_rectangular_lattice((L,) * d, interaction_range, periodic)
 

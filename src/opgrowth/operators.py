@@ -24,7 +24,8 @@ from scipy.sparse.linalg import expm_multiply
 from .errors import CapExceededError
 from .lattice import FactorGraph, enumerate_connected_subsets
 
-DEFAULT_QUBIT_CAP = 14
+DEFAULT_QUBIT_CAP = 14  # dense 2^n x 2^n matrices
+VECTOR_QUBIT_CAP = DEFAULT_QUBIT_CAP + 6  # 2^n state vectors and sparse region Hamiltonians
 HERMITICITY_TOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
@@ -38,24 +39,18 @@ PAULI = {
 
 @dataclass(frozen=True)
 class LocalOperator:
-    """Dense operator on a small set of sites with onsite dimension q.
-
-    The type admits any q; the evolution and embedding routines here only
-    ship q = 2 paths.
-    """
+    """Dense operator on a small set of qubits."""
 
     support: tuple[int, ...]
     matrix: np.ndarray
-    q: int = 2
 
     def __post_init__(self):
         support = tuple(sorted(self.support))
         object.__setattr__(self, "support", support)
         mat = np.asarray(self.matrix, dtype=complex)
-        dim = self.q ** len(support)
+        dim = 2 ** len(support)
         if mat.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match {self.q}**{len(support)}")
+            raise ValueError(f"matrix shape {mat.shape} does not match 2**{len(support)}")
         object.__setattr__(self, "matrix", mat)
 
     def to_json(self) -> str:
@@ -73,17 +68,15 @@ class LocalOperator:
                            for row in payload["matrix"]])
         return cls(tuple(payload["support"]), matrix)
 
-    def shrink(self, tol: float = 1e-12) -> "LocalOperator":
-        """Drop sites the operator acts on as the identity."""
-        if self.q != 2:
-            raise ValueError("support minimization only ships for q = 2")
+    def shrink(self) -> "LocalOperator":
+        """Drop sites the operator acts on as the identity (to 1e-12 per entry)."""
         support = list(self.support)
         mat = self.matrix
         changed = True
         while changed and support:
             changed = False
             for i in range(len(support)):
-                reduced = _strip_site(mat, i, len(support), tol)
+                reduced = _strip_site(mat, i, len(support))
                 if reduced is not None:
                     mat = reduced
                     support.pop(i)
@@ -92,14 +85,14 @@ class LocalOperator:
         return LocalOperator(tuple(support), mat)
 
 
-def _strip_site(mat: np.ndarray, axis: int, n: int, tol: float) -> np.ndarray | None:
+def _strip_site(mat: np.ndarray, axis: int, n: int) -> np.ndarray | None:
     """Return the matrix with qubit ``axis`` removed if it acts as identity there."""
     t = mat.reshape((2,) * (2 * n))
     rest = 0.5 * (np.take(np.take(t, 0, axis=n + axis), 0, axis=axis)
                   + np.take(np.take(t, 1, axis=n + axis), 1, axis=axis))
     rest_mat = rest.reshape(2 ** (n - 1), 2 ** (n - 1))
     rebuilt = embed(rest_mat, tuple(j for j in range(n) if j != axis), tuple(range(n)))
-    if np.max(np.abs(rebuilt - mat)) <= tol:
+    if np.max(np.abs(rebuilt - mat)) <= 1e-12:
         return rest_mat
     return None
 
@@ -310,19 +303,17 @@ def heisenberg_evolve(
     A: LocalOperator,
     t: float,
     region: tuple[int, ...] | list[int],
-    cap: int = DEFAULT_QUBIT_CAP,
-    shrink: bool = True,
 ) -> LocalOperator:
-    """A(t) = exp(iHt) A exp(-iHt) with H restricted to terms inside region."""
+    """A(t) = exp(iHt) A exp(-iHt) on ``region``, with H restricted to terms inside it."""
     region = tuple(sorted(region))
     if not set(A.support) <= set(region):
         raise ValueError("region must contain the operator support")
-    if len(region) > cap:
-        raise CapExceededError(f"region of {len(region)} qubits exceeds cap {cap}")
+    if len(region) > DEFAULT_QUBIT_CAP:
+        raise CapExceededError(
+            f"region of {len(region)} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     U = evolution_unitary(H, region, t)
     A_emb = embed(A.matrix, A.support, region)
-    out = LocalOperator(region, U @ A_emb @ U.conj().T)
-    return out.shrink() if shrink else out
+    return LocalOperator(region, U @ A_emb @ U.conj().T)
 
 
 def nested_commutator_norm(
@@ -331,7 +322,6 @@ def nested_commutator_norm(
     O_list: list[LocalOperator],
     t: float,
     region: tuple[int, ...] | list[int],
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> float:
     """(1/2^m) * norm of [O_m, [..., [O_1, A(t)]]] computed densely in region."""
     region = tuple(sorted(region))
@@ -346,7 +336,7 @@ def nested_commutator_norm(
             raise ValueError(f"probe operator norm {norm} is not 1")
     if not taken <= set(region):
         raise ValueError("region must contain all supports")
-    At = heisenberg_evolve(H, A, t, region, cap=cap, shrink=False)
+    At = heisenberg_evolve(H, A, t, region)
     C = At.matrix
     for O in O_list:
         O_emb = embed(O.matrix, O.support, region)
@@ -438,7 +428,6 @@ def exact_expectation(
     rho,
     t,
     region: tuple[int, ...] | None = None,
-    cap: int = DEFAULT_QUBIT_CAP + 6,
 ):
     """Tr[rho A(t)] by evolving the full region exactly.
 
@@ -457,8 +446,8 @@ def exact_expectation(
     if not set(A.support) <= set(region):
         raise ValueError("region must contain the observable support")
     n = len(region)
-    if n > cap:
-        raise CapExceededError(f"region of {n} qubits exceeds cap {cap}")
+    if n > VECTOR_QUBIT_CAP:
+        raise CapExceededError(f"region of {n} qubits exceeds cap {VECTOR_QUBIT_CAP}")
     positions = [region.index(s) for s in A.support]
     values = [0j] * len(times)
     if hasattr(rho, "state_vector"):
@@ -495,21 +484,21 @@ class QuasilocalReport:
     failures: tuple[int, ...]
 
 
-def check_quasilocal(H: HamiltonianSpec, degree: int | None = None, tol: float = 1e-12) -> QuasilocalReport:
+def check_quasilocal(H: HamiltonianSpec) -> QuasilocalReport:
     """Per-term envelope slack h*exp(-kappa*|S|) - norm, plus the kappa condition.
 
     The decay rate must exceed 1 + log(degree) for the tail resummations to
-    converge; degree defaults to the base graph's vertex degree.
+    converge; degree is the base graph's vertex degree, or the coupling
+    degree of the terms when no graph is attached.
     """
     if H.envelope is None:
         raise ValueError("Hamiltonian declares no quasilocal envelope")
     h, kappa = H.envelope
-    if degree is None:
-        if H.graph is not None:
-            degree = max(len(n) for n in H.graph.vertex_adjacency().values())
-        else:
-            degree = H.coupling_degree()
+    if H.graph is not None:
+        degree = max(len(n) for n in H.graph.vertex_adjacency().values())
+    else:
+        degree = H.coupling_degree()
     slack = tuple(h * math.exp(-kappa * len(t.support)) - t.norm for t in H.terms)
-    failures = tuple(i for i, s in enumerate(slack) if s < -tol)
+    failures = tuple(i for i, s in enumerate(slack) if s < -1e-12)
     kappa_ok = kappa > 1 + math.log(degree)
     return QuasilocalReport(slack, not failures, kappa_ok, degree, failures)

@@ -16,16 +16,15 @@ restriction is what keeps the cluster count manageable.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .bounds import BoundParams, truncation_error_bound
-from .errors import CapExceededError, ValidityWindowError
+from .errors import ValidityWindowError
 from .lattice import BoxTiling, FactorGraph, enumerate_connected_subsets, tile_boxes
 from .operators import (
-    DEFAULT_QUBIT_CAP,
     HamiltonianSpec,
     LocalOperator,
     embed,
@@ -36,24 +35,20 @@ from .operators import (
 
 Cluster = tuple  # canonical (sorted) tuple of box ids
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Box side, cluster-size cutoff and target error for one simulation."""
+    """Box side and cluster-size cutoff for one simulation."""
 
     r: int
     m_star: int
-    epsilon: float
-    mode: str = "desk"
     tiling: BoxTiling | None = None
 
     def __post_init__(self):
         if self.r < 1 or self.m_star < 1:
             raise ValueError("require r >= 1 and m_star >= 1")
-
-    @property
-    def anchor_box(self):
-        return self.tiling.anchor_box if self.tiling else None
 
 
 @dataclass
@@ -100,12 +95,12 @@ def plan(
         extent = graph.side if graph.side is not None else max(
             max(c) for c in graph.coords.values()) + 1
         if r_val > extent:
-            warnings.warn(f"box side {r_val} exceeds lattice extent {extent}; clamping")
+            log.warning("box side %d exceeds lattice extent %d; clamping", r_val, extent)
             r_val = extent
         tiling = tile_boxes(graph, r_val, anchor_vertex)
         if r_val < graph.interaction_range:
             raise ValueError("box side must be at least the interaction range")
-    return SimPlan(r=r_val, m_star=m_val, epsilon=epsilon, mode=mode, tiling=tiling)
+    return SimPlan(r=r_val, m_star=m_val, tiling=tiling)
 
 
 def cluster_region(tiling: BoxTiling, cluster: Cluster) -> tuple[int, ...]:
@@ -130,17 +125,12 @@ def raw_cluster_expectation(
     cluster: Cluster,
     tiling: BoxTiling,
     t,
-    cap: int = DEFAULT_QUBIT_CAP + 6,
 ):
     """Tr[rho_region e^{iHt} A e^{-iHt}] with H cut down to terms inside the cluster.
 
     ``t`` is a time or a grid of times, as for ``exact_expectation``.
     """
-    region = cluster_region(tiling, cluster)
-    if len(region) > cap:
-        raise CapExceededError(
-            f"cluster {cluster} needs {len(region)} qubits, above cap {cap}; shrink the plan")
-    return exact_expectation(H, A, marginals, t, region=region, cap=cap)
+    return exact_expectation(H, A, marginals, t, region=cluster_region(tiling, cluster))
 
 
 def anchored_proper_subclusters(cluster: Cluster, adjacency: dict, anchor) -> list[Cluster]:
@@ -172,10 +162,13 @@ def _connected(nodes: Cluster, adjacency: dict) -> bool:
     return len(seen) == len(node_set)
 
 
-def cluster_correction(table: ClusterTable, cluster: Cluster, adjacency: dict, anchor) -> float:
-    """Corrected value: raw minus the corrected values of all anchored sub-clusters."""
+def cluster_correction(table: ClusterTable, cluster: Cluster, subclusters: list[Cluster]) -> float:
+    """Corrected value: raw minus the corrected values of the cluster's anchored sub-clusters.
+
+    ``subclusters`` is ``anchored_proper_subclusters`` of the cluster.
+    """
     total = table.raw[cluster]
-    for sub in anchored_proper_subclusters(cluster, adjacency, anchor):
+    for sub in subclusters:
         if sub not in table.corrected:
             raise RuntimeError(f"dependency {sub} missing; levels were built out of order")
         total -= table.corrected[sub]
@@ -190,7 +183,6 @@ def simulate_expectation(
     sim_plan: SimPlan,
     params: BoundParams | None = None,
     threads: int = 1,
-    qubit_cap: int = DEFAULT_QUBIT_CAP + 6,
 ):
     """Run the level-by-level cluster expansion and return (estimate, diagnostics).
 
@@ -214,7 +206,7 @@ def simulate_expectation(
         raise ValueError("observable support must sit inside the anchor box")
 
     def raw_values(cluster: Cluster) -> list[float]:
-        return raw_cluster_expectation(H, A, marginals, cluster, tiling, times, cap=qubit_cap)
+        return raw_cluster_expectation(H, A, marginals, cluster, tiling, times)
 
     tables = [ClusterTable() for _ in times]
     levels: list[list[Cluster]] = []
@@ -230,6 +222,8 @@ def simulate_expectation(
                 table.raw[cluster] = val
         levels.append(clusters)
     running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
+    subclusters = {cluster: anchored_proper_subclusters(cluster, tiling.adjacency, anchor)
+                   for clusters in levels for cluster in clusters}
     results = []
     for t_k, table in zip(times, tables):
         level_sums: list[float] = []
@@ -238,7 +232,7 @@ def simulate_expectation(
         for clusters in levels:
             level_total = 0.0
             for cluster in clusters:
-                corrected = cluster_correction(table, cluster, tiling.adjacency, anchor)
+                corrected = cluster_correction(table, cluster, subclusters[cluster])
                 table.corrected[cluster] = corrected
                 level_total += corrected
             total += level_total
@@ -267,7 +261,6 @@ def operator_piece(
     cluster: Cluster,
     tiling: BoxTiling,
     t: float,
-    cap: int = DEFAULT_QUBIT_CAP,
     _memo: dict | None = None,
 ) -> LocalOperator:
     """The operator-valued cluster contribution A(cluster; t).
@@ -287,13 +280,11 @@ def operator_piece(
     if cluster in memo:
         return memo[cluster]
     region = cluster_region(tiling, cluster)
-    if len(region) > cap:
-        raise CapExceededError(f"cluster region needs {len(region)} qubits, above cap {cap}")
     if not set(A.support) <= set(tiling.box_vertices[anchor]):
         raise ValueError("observable support must sit inside the anchor box")
-    evolved = heisenberg_evolve(H, A, t, region, cap=cap, shrink=False).matrix
+    evolved = heisenberg_evolve(H, A, t, region).matrix
     for sub in anchored_proper_subclusters(cluster, tiling.adjacency, anchor):
-        piece = operator_piece(H, A, sub, tiling, t, cap=cap, _memo=memo)
+        piece = operator_piece(H, A, sub, tiling, t, _memo=memo)
         evolved -= embed(piece.matrix, piece.support, region)
     out = LocalOperator(region, evolved)
     memo[cluster] = out

@@ -186,3 +186,12 @@ def test_sequences_missing_target_factors_vanish():
     forest, norm = term_vanishing_check(gH, H, (0, 1, 2), {0}, [{4}], A, [O1])
     assert norm <= 1e-12
     assert forest is None or not forest.causal
+
+
+def test_term_vanishing_check_cap(trips_before_allocating):
+    # 13 sites, one over the cap: refused before any dense 2^13 x 2^13 operator
+    H = build_named_hamiltonian("tfim", build_square_lattice(1, 13), {"g": 1.0})
+    gH = H.factor_graph()
+    A = pauli_operator("Z", (0,))
+    O1 = pauli_operator("X", (12,))
+    trips_before_allocating(lambda: term_vanishing_check(gH, H, (0, 1), {0}, [{12}], A, [O1]))

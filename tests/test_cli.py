@@ -1,6 +1,7 @@
 """CLI contract: schemas, exit codes, determinism, golden headers."""
 
 import json
+import logging
 import math
 
 import pytest
@@ -99,7 +100,7 @@ def test_paper_formula_grid_over_two_plans_matches_single_runs(tmp_path):
             assert float(row[i]) == pytest.approx(float(ref[i]), abs=1e-12)
 
 
-def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path):
+def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path, caplog):
     # t = 5 asks for 21-site boxes: one box covers the 21-site chain, above the cap
     cfg = write_config(tmp_path, {
         "command": "simulate",
@@ -111,8 +112,9 @@ def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path):
         "t_grid": [5.0, 6.0],
     })
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="clamping"):
+    with caplog.at_level(logging.WARNING, logger="opgrowth.simulate"):
         assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert "clamping" in caplog.text
     assert len((out / "results.csv").read_text().splitlines()) == 1
     assert json.loads((out / "manifest.json").read_text())["truncated"]
 
@@ -315,6 +317,14 @@ def test_non_integer_thread_count_exits_2(tmp_path, monkeypatch):
         assert main(["--config", cfg, "--out", str(tmp_path / "o2")]) == 2
 
 
+@pytest.mark.parametrize("seed", ["abc", 1.5, True])
+def test_non_integer_seed_exits_2(tmp_path, seed):
+    cfg = write_config(tmp_path, {"command": "verify", "seed": seed, "suites": ["vanishing"]})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
 def test_env_var_thread_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, SIM_CONFIG)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -350,14 +360,6 @@ def test_paper_formula_mode_end_to_end(tmp_path):
     assert len(rows) == int(27 / 2 * math.log(2 / 0.05)) + 28
     final = rows[-1]
     assert abs(float(final[2]) - float(final[3])) < 1e-9  # estimate vs oracle
-
-
-def test_bench_command(tmp_path):
-    cfg = write_config(tmp_path, {"command": "bench"})
-    out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out)]) == 0
-    timings = json.loads((out / "bench.json").read_text())
-    assert set(timings) == {"simulate_L10_s", "oracle_L10_s"}
 
 
 def test_paper_formula_mode_requires_params(tmp_path):

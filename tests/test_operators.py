@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from opgrowth import operators
-from opgrowth.errors import CapExceededError
 from opgrowth.lattice import build_square_lattice, tile_boxes
 from opgrowth.operators import (
     PAULI,
@@ -74,20 +73,23 @@ def test_bloch_precession():
 
 def test_evolution_t0_identity():
     A = pauli_operator("Z", (2,))
-    assert np.allclose(heisenberg_evolve(TFIM5, A, 0.0, REGION5).matrix, A.matrix)
+    At = heisenberg_evolve(TFIM5, A, 0.0, REGION5).shrink()
+    assert At.support == A.support
+    assert np.allclose(At.matrix, A.matrix)
 
 
 def test_commuting_hamiltonian_leaves_operator_fixed():
     g = build_square_lattice(1, 3)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.0})  # only ZZ terms
     A = pauli_operator("Z", (1,))
-    At = heisenberg_evolve(H, A, 1.3, (0, 1, 2))
+    At = heisenberg_evolve(H, A, 1.3, (0, 1, 2)).shrink()
+    assert At.support == A.support
     assert np.allclose(At.matrix, A.matrix, atol=1e-12)
 
 
 def test_evolution_norm_and_hermiticity_preserved():
     A = pauli_operator("Y", (1,))
-    At = heisenberg_evolve(TFIM5, A, 0.9, REGION5, shrink=False)
+    At = heisenberg_evolve(TFIM5, A, 0.9, REGION5)
     assert abs(operator_norm(At) - 1.0) <= 1e-9
     assert np.max(np.abs(At.matrix - At.matrix.conj().T)) <= 1e-12
 
@@ -95,16 +97,19 @@ def test_evolution_norm_and_hermiticity_preserved():
 def test_evolution_group_law():
     A = pauli_operator("Z", (0,))
     t1, t2 = 0.3, 0.5
-    once = heisenberg_evolve(TFIM5, A, t1 + t2, REGION5, shrink=False)
-    first = heisenberg_evolve(TFIM5, A, t1, REGION5, shrink=False)
-    second = heisenberg_evolve(TFIM5, first, t2, REGION5, shrink=False)
+    once = heisenberg_evolve(TFIM5, A, t1 + t2, REGION5)
+    first = heisenberg_evolve(TFIM5, A, t1, REGION5)
+    second = heisenberg_evolve(TFIM5, first, t2, REGION5)
     assert np.max(np.abs(once.matrix - second.matrix)) <= 1e-9
 
 
-def test_evolution_caps_and_region_check():
+def test_evolution_caps_and_region_check(trips_before_allocating):
     A = pauli_operator("Z", (0,))
-    with pytest.raises(CapExceededError):
-        heisenberg_evolve(TFIM5, A, 0.1, REGION5, cap=3)
+    # one site above each cap; the guards trip before any 2^n array exists
+    chain15 = build_named_hamiltonian("tfim", build_square_lattice(1, 15), {"g": 1.0})
+    trips_before_allocating(lambda: heisenberg_evolve(chain15, A, 0.1, tuple(range(15))))
+    chain21 = build_named_hamiltonian("tfim", build_square_lattice(1, 21), {"g": 1.0})
+    trips_before_allocating(lambda: exact_expectation(chain21, A, ProductState.all_zero(), 0.1))
     with pytest.raises(ValueError):
         heisenberg_evolve(TFIM5, A, 0.1, (1, 2))
 
@@ -262,7 +267,7 @@ def test_dense_state_grid_assembles_once(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     for t, value in zip(grid, values):
-        A_t = heisenberg_evolve(H, A, t, region, shrink=False).matrix
+        A_t = heisenberg_evolve(H, A, t, region).matrix
         assert value == pytest.approx(np.trace(rho.rho @ A_t).real, abs=1e-12)
 
 

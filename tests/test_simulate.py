@@ -1,7 +1,7 @@
 """Cluster-expansion simulator: planning, corrections, completeness, decay."""
 
+import logging
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from opgrowth.bounds import BoundParams
 from opgrowth.cli import brute_connected_subsets
-from opgrowth.errors import CapExceededError, ValidityWindowError
+from opgrowth.errors import ValidityWindowError
 from opgrowth.lattice import (
     build_rectangular_lattice,
     build_square_lattice,
@@ -71,12 +71,11 @@ def test_plan_desk_passthrough_and_errors():
         plan(None, 0.5, 1e-6, mode="desk")
 
 
-def test_plan_clamps_oversized_boxes():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def test_plan_clamps_oversized_boxes(caplog):
+    with caplog.at_level(logging.WARNING, logger="opgrowth.simulate"):
         p = plan(None, 0.5, 1e-6, mode="desk", graph=CHAIN6, r=50, m_star=2)
     assert p.r == 6
-    assert any("clamp" in str(w.message) for w in caught)
+    assert "clamping" in caplog.text
 
 
 def test_raw_cluster_rabi():
@@ -106,11 +105,14 @@ def test_raw_cluster_constant_when_no_terms_inside():
     assert all(v == pytest.approx(vals[0.0], abs=1e-12) for v in vals.values())
 
 
-def test_raw_cluster_cap():
-    tiling = tile_boxes(CHAIN6, 3, 0)
-    with pytest.raises(CapExceededError):
-        raw_cluster_expectation(TFIM6, pauli_operator("Z", (0,)), ZERO,
-                                ((0,), (1,)), tiling, 0.1, cap=3)
+def test_raw_cluster_cap(trips_before_allocating):
+    # r=3 on 5x5: boxes of 9, 6, 6 and 4 sites; three of them make 21 qubits, one over the cap
+    g = build_square_lattice(2, 5)
+    H = build_named_hamiltonian("tfim", g, {"g": 0.9})
+    tiling = tile_boxes(g, 3, 0)
+    cluster = ((0, 0), (0, 1), (1, 0))
+    trips_before_allocating(lambda: raw_cluster_expectation(
+        H, pauli_operator("Z", (0,)), ZERO, cluster, tiling, 0.1))
 
 
 def test_anchored_subclusters_restrict_to_connected():
@@ -122,26 +124,30 @@ def test_anchored_subclusters_restrict_to_connected():
     assert subs == [((0,),), ((0,), (1,))]
 
 
-def test_cluster_correction_examples():
+def _correct(table, cluster):
     adjacency = tile_boxes(build_square_lattice(1, 6), 2, 0).adjacency
+    subclusters = anchored_proper_subclusters(cluster, adjacency, (0,))
+    return cluster_correction(table, cluster, subclusters)
+
+
+def test_cluster_correction_examples():
     table = ClusterTable()
     table.raw[((0,),)] = 0.6
-    table.corrected[((0,),)] = cluster_correction(table, ((0,),), adjacency, (0,))
+    table.corrected[((0,),)] = _correct(table, ((0,),))
     assert table.corrected[((0,),)] == 0.6  # singleton: corrected equals raw
     table.raw[((0,), (1,))] = 0.5
-    table.corrected[((0,), (1,))] = cluster_correction(table, ((0,), (1,)), adjacency, (0,))
+    table.corrected[((0,), (1,))] = _correct(table, ((0,), (1,)))
     assert table.corrected[((0,), (1,))] == pytest.approx(-0.1)
     table.raw[((0,), (1,), (2,))] = 0.45
-    val = cluster_correction(table, ((0,), (1,), (2,)), adjacency, (0,))
+    val = _correct(table, ((0,), (1,), (2,)))
     assert val == pytest.approx(0.45 - 0.6 - (-0.1))
 
 
 def test_cluster_correction_missing_dependency():
-    adjacency = tile_boxes(build_square_lattice(1, 6), 2, 0).adjacency
     table = ClusterTable()
     table.raw[((0,), (1,))] = 0.5
     with pytest.raises(RuntimeError):
-        cluster_correction(table, ((0,), (1,)), adjacency, (0,))
+        _correct(table, ((0,), (1,)))
 
 
 def test_simulate_t0_exact():
@@ -258,7 +264,7 @@ def test_operator_piece_base_case_and_t0():
     tiling = tile_boxes(CHAIN6, 3, 0)
     A = pauli_operator("Z", (0,))
     base = operator_piece(TFIM6, A, ((0,),), tiling, 0.5)
-    direct = heisenberg_evolve(TFIM6, A, 0.5, tiling.box_vertices[(0,)], shrink=False)
+    direct = heisenberg_evolve(TFIM6, A, 0.5, tiling.box_vertices[(0,)])
     assert np.allclose(base.matrix, embed(direct.matrix, direct.support, base.support),
                        atol=1e-12)
     two_box = operator_piece(TFIM6, A, ((0,), (1,)), tiling, 0.0)
@@ -271,7 +277,7 @@ def test_operator_piece_completeness_three_boxes():
     A = pauli_operator("Z", (0,))
     region = tuple(range(6))
     for t in (0.4, 1.0):
-        full = heisenberg_evolve(TFIM6, A, t, region, shrink=False).matrix
+        full = heisenberg_evolve(TFIM6, A, t, region).matrix
         total = np.zeros_like(full)
         memo = {}
         for cluster in anchored_clusters(tiling, 3):
@@ -318,13 +324,9 @@ def test_truncation_error_monotone_above_float_floor():
 
 
 def test_local_operator_q_in_type():
-    # q = 3 operators are representable even though no constructor ships them
-    from opgrowth.operators import LocalOperator
-
-    qutrit = LocalOperator((0,), np.eye(3), q=3)
-    assert qutrit.matrix.shape == (3, 3)
+    # operators act on qubits only: a 3x3 matrix on one site is rejected
     with pytest.raises(ValueError):
-        LocalOperator((0,), np.eye(3))  # defaults to q=2
+        LocalOperator((0,), np.eye(3))
 
 
 def test_truncation_bound_reported_when_params_given():
