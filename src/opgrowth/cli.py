@@ -204,7 +204,7 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # numpy 2 reprs an np.float64 as "np.float64(...)"
     return str(x)
 
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
@@ -141,12 +142,21 @@ def embed(matrix: np.ndarray, support: tuple[int, ...], region: tuple[int, ...])
     return t.reshape(2**n, 2**n)
 
 
-def apply_local(matrix: np.ndarray, positions: list[int], psi: np.ndarray, n: int) -> np.ndarray:
-    """Apply a k-qubit matrix at the given qubit positions of an n-qubit vector."""
+def apply_local(matrix: np.ndarray, positions: list[int], X: np.ndarray, n: int) -> np.ndarray:
+    """Apply a k-qubit matrix at the given qubit positions of the first index of X.
+
+    X is a 2^n vector or a 2^n x M matrix.  The second index of a matrix is
+    reached through transposes, which are views:
+    ``apply_local(m.T, positions, X.T, n).T`` is X times m on that index.
+    """
     k = len(positions)
-    t = np.moveaxis(psi.reshape((2,) * n), positions, range(k))
-    t = (matrix @ t.reshape(2**k, -1)).reshape((2,) * n)
-    return np.moveaxis(t, range(k), positions).reshape(-1)
+    t = np.moveaxis(X.reshape((2,) * n + X.shape[1:]), positions, range(k))
+    t = (matrix @ t.reshape(2**k, -1)).reshape(t.shape)
+    return np.moveaxis(t, range(k), positions).reshape(X.shape)
+
+
+def _hermiticity_gap(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
 
 
 def operator_norm(op: LocalOperator | np.ndarray) -> float:
@@ -178,7 +188,7 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         for term in self.terms:
-            gap = np.max(np.abs(term.matrix - term.matrix.conj().T)) if term.matrix.size else 0.0
+            gap = _hermiticity_gap(term.matrix)
             if gap > HERMITICITY_TOL:
                 raise ValueError(f"non-Hermitian term on {sorted(term.support)} (gap {gap:.2e})")
 
@@ -291,11 +301,45 @@ def hamiltonian_matrix(
     return out if sparse else out.toarray()
 
 
+def _eigh(H: HamiltonianSpec, region: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the dense region Hamiltonian.
+
+    A Hamiltonian without imaginary entries (tfim, heisenberg) is
+    diagonalized as a real symmetric matrix, several times faster than as a
+    complex one, and gets real eigenvectors; numpy runs it on the same BLAS
+    threads as the products that follow.  (scipy links a second OpenBLAS,
+    whose idle threads spin against numpy's for a while after each call:
+    that made the many small evolutions of the ssb checks 40% slower.)
+
+    A complex Hamiltonian (random2local) goes to scipy, which overwrites
+    a Fortran-ordered dense copy in place; numpy's eigh would hold two
+    more 2^n x 2^n complex arrays, its own copy of the input and the output.
+
+    Both use LAPACK's divide-and-conquer driver, which keeps eigenvectors
+    orthogonal to about 1e-15.  The MRRR driver ("evr") is faster on complex
+    2^11 matrices but loses orthogonality there at the 1e-12 level, which
+    the oracle would report as a commutator norm.
+    """
+    mat = hamiltonian_matrix(H, region, sparse=True)
+    if not np.any(mat.data.imag):
+        return np.linalg.eigh(mat.real.toarray())
+    return scipy.linalg.eigh(mat.toarray(order="F"), driver="evd", overwrite_a=True,
+                             check_finite=False)
+
+
 def evolution_unitary(H: HamiltonianSpec, region: tuple[int, ...], t: float) -> np.ndarray:
     """exp(i t H_region) via diagonalization."""
-    mat = hamiltonian_matrix(H, region)
-    w, V = np.linalg.eigh(mat)
-    return (V * np.exp(1j * w * t)) @ V.conj().T
+    w, V = _eigh(H, region)
+    phase = np.exp(1j * t * w)
+    if np.isrealobj(V):
+        # two real products cost half of one complex product with V cast to complex
+        U = np.empty(V.shape, dtype=complex)
+        U.real = (V * phase.real) @ V.T
+        U.imag = (V * phase.imag) @ V.T
+        return U
+    scaled = V * phase
+    np.conj(V, out=V)
+    return scaled @ V.T
 
 
 def heisenberg_evolve(
@@ -312,8 +356,10 @@ def heisenberg_evolve(
         raise CapExceededError(
             f"region of {len(region)} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     U = evolution_unitary(H, region, t)
-    A_emb = embed(A.matrix, A.support, region)
-    return LocalOperator(region, U @ A_emb @ U.conj().T)
+    positions = [region.index(s) for s in A.support]
+    UA = apply_local(A.matrix.T, positions, U.T, len(region)).T
+    np.conj(U, out=U)  # U^dagger = conj(U).T without a second 2^n x 2^n array
+    return LocalOperator(region, UA @ U.T)
 
 
 def nested_commutator_norm(
@@ -323,7 +369,21 @@ def nested_commutator_norm(
     t: float,
     region: tuple[int, ...] | list[int],
 ) -> float:
-    """(1/2^m) * norm of [O_m, [..., [O_1, A(t)]]] computed densely in region."""
+    """(1/2^m) * norm of [O_m, [..., [O_1, A(t)]]] computed densely in region.
+
+    A and the probes O_i must be Hermitian, the probes of norm 1 on
+    disjoint supports, and O_m must have at most two distinct eigenvalues
+    (a Pauli string or any one-site operator has); otherwise ValueError,
+    raised before anything 2^n-sized is allocated, as is CapExceededError
+    for a region above DEFAULT_QUBIT_CAP.  The result is exact:
+
+    - with m = 0 it is ||A||, since unitary evolution keeps the norm;
+    - the inner commutators are applied on the probe sites only;
+    - for O_m = lam_- + (lam_+ - lam_-) P with P a spectral projector and
+      X the Hermitian or anti-Hermitian inner commutator,
+      ||[O_m, X]|| = |lam_+ - lam_-| ||P X (1 - P)||, and P X (1 - P)
+      is a 2^{n-1} x 2^{n-1} block for a Pauli string, taken by SVD.
+    """
     region = tuple(sorted(region))
     taken: set[int] = set(A.support)
     for O in O_list:
@@ -334,14 +394,62 @@ def nested_commutator_norm(
         norm = operator_norm(O)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"probe operator norm {norm} is not 1")
+    for op in [A, *O_list]:
+        gap = _hermiticity_gap(op.matrix)
+        if gap > HERMITICITY_TOL:
+            raise ValueError(f"operator on {list(op.support)} is not Hermitian (gap {gap:.2e})")
     if not taken <= set(region):
         raise ValueError("region must contain all supports")
-    At = heisenberg_evolve(H, A, t, region)
-    C = At.matrix
-    for O in O_list:
-        O_emb = embed(O.matrix, O.support, region)
-        C = O_emb @ C - C @ O_emb
-    return operator_norm(C) / 2 ** len(O_list)
+    if len(region) > DEFAULT_QUBIT_CAP:
+        raise CapExceededError(f"region of {len(region)} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
+    if not O_list:
+        return operator_norm(A)
+    last = O_list[-1]
+    lam, W = np.linalg.eigh(last.matrix)
+    split = np.nonzero(np.diff(lam) > HERMITICITY_TOL)[0] + 1
+    if len(split) > 1:
+        raise ValueError(f"last probe has {len(split) + 1} distinct eigenvalues, not at most 2")
+    if not len(split):
+        return 0.0  # O_m is a multiple of the identity
+    C = heisenberg_evolve(H, A, t, region).matrix
+    n = len(region)
+    for O in O_list[:-1]:
+        positions = [region.index(s) for s in O.support]
+        inner = apply_local(O.matrix, positions, C, n)
+        inner -= apply_local(O.matrix.T, positions, C.T, n).T
+        C = inner
+    lower = split[0]
+    block = _offdiagonal_block(C, W[:, :lower], W[:, lower:],
+                               [region.index(s) for s in last.support], n)
+    gap = lam[lower:].mean() - lam[:lower].mean()
+    return float(gap * operator_norm(block)) / 2 ** len(O_list)
+
+
+def _offdiagonal_block(X: np.ndarray, W_a: np.ndarray, W_b: np.ndarray,
+                       positions: list[int], n: int) -> np.ndarray:
+    """(W_a^dagger (x) 1) X (W_b (x) 1), with W_a, W_b isometries on the given qubits.
+
+    Built from strided views of X, one 2^{n-k} x 2^{n-k} view per entry of
+    the local 2^k x 2^k index pair, so no full-size copy of X is made.
+    """
+    k = len(positions)
+    rest = n - k
+    T = X.reshape((2,) * (2 * n))
+    block = np.zeros((W_a.shape[1],) + (2,) * rest + (W_b.shape[1],) + (2,) * rest,
+                     dtype=complex)
+    for a in range(2**k):
+        for b in range(2**k):
+            coef = np.outer(W_a[a].conj(), W_b[b])
+            if not np.any(coef):
+                continue
+            index = [slice(None)] * (2 * n)
+            for j, p in enumerate(positions):
+                index[p] = a >> (k - 1 - j) & 1
+                index[n + p] = b >> (k - 1 - j) & 1
+            view = T[tuple(index)]
+            for i, j in zip(*np.nonzero(coef)):
+                block[(i,) + (slice(None),) * rest + (j,)] += coef[i, j] * view
+    return block.reshape(W_a.shape[1] << rest, W_b.shape[1] << rest)
 
 
 def build_named_hamiltonian(name: str, g: FactorGraph, params: dict | None = None) -> HamiltonianSpec:
@@ -439,18 +547,21 @@ def exact_expectation(
     giving a list in grid order.  The region Hamiltonian is assembled once
     per call.  On the vector path the state is stepped from t = 0 through
     the sorted grid; on the density-matrix path one diagonalization gives
-    A(t) at every grid point.
+    every grid point: with H = V diag(w) V^dagger, rho~ = V^dagger rho V and
+    A~ = V^dagger A V, Tr[rho A(t)] = sum_jk e^{i(w_j - w_k)t} A~_jk rho~_kj.
     """
     times, scalar = time_grid(t)
     region = tuple(sorted(region if region is not None else H.vertices()))
     if not set(A.support) <= set(region):
         raise ValueError("region must contain the observable support")
     n = len(region)
-    if n > VECTOR_QUBIT_CAP:
-        raise CapExceededError(f"region of {n} qubits exceeds cap {VECTOR_QUBIT_CAP}")
+    dense = not hasattr(rho, "state_vector")
+    cap = DEFAULT_QUBIT_CAP if dense else VECTOR_QUBIT_CAP
+    if n > cap:
+        raise CapExceededError(f"region of {n} qubits exceeds cap {cap}")
     positions = [region.index(s) for s in A.support]
     values = [0j] * len(times)
-    if hasattr(rho, "state_vector"):
+    if not dense:
         psi = rho.state_vector(region)
         H_sp = None
         now = 0.0
@@ -463,11 +574,12 @@ def exact_expectation(
             values[i] = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
     else:
         dm = rho.marginal(region) if hasattr(rho, "marginal") else np.asarray(rho, dtype=complex)
-        w, V = np.linalg.eigh(hamiltonian_matrix(H, region))
-        A_emb = embed(A.matrix, A.support, region)
+        w, V = _eigh(H, region)
+        Vh = V.conj().T
+        weights = (Vh @ apply_local(A.matrix, positions, V, n)) * (Vh @ dm @ V).T
         for i, t_i in enumerate(times):
-            U = (V * np.exp(1j * w * t_i)) @ V.conj().T
-            values[i] = np.trace(dm @ (U @ A_emb @ U.conj().T))
+            phase = np.exp(1j * w * t_i)
+            values[i] = phase @ weights @ phase.conj()
     for val in values:
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             raise ValueError(f"expectation has stray imaginary part {val.imag:.2e}")

@@ -4,9 +4,10 @@ import json
 import logging
 import math
 
+import numpy as np
 import pytest
 
-from opgrowth.cli import fit_summary, main
+from opgrowth.cli import _fmt, fit_summary, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -204,6 +205,12 @@ def test_bound_dominance_sweep_pairs_oracle(tmp_path):
         assert r[5] != ""  # oracle column populated
         if r[4] == "true":
             assert float(r[5]) <= float(r[3]) + 1e-12
+
+
+def test_csv_floats_are_plain_reprs():
+    assert _fmt(np.float64(0.1)) == "0.1"
+    assert _fmt(np.float64(3.8e-15)) == "3.8e-15"
+    assert _fmt(0.1) == repr(0.1) and _fmt(-2.5e-300) == "-2.5e-300"
 
 
 def test_oracle_command(tmp_path):

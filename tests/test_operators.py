@@ -110,6 +110,15 @@ def test_evolution_caps_and_region_check(trips_before_allocating):
     trips_before_allocating(lambda: heisenberg_evolve(chain15, A, 0.1, tuple(range(15))))
     chain21 = build_named_hamiltonian("tfim", build_square_lattice(1, 21), {"g": 1.0})
     trips_before_allocating(lambda: exact_expectation(chain21, A, ProductState.all_zero(), 0.1))
+
+    class MarginalRaises:
+        def marginal(self, region):
+            raise AssertionError("marginal asked for before the dense cap check")
+
+    # the density-matrix branch diagonalizes a dense 2^n x 2^n Hamiltonian
+    trips_before_allocating(lambda: exact_expectation(chain15, A, MarginalRaises(), 0.1))
+    trips_before_allocating(lambda: nested_commutator_norm(
+        chain15, A, [pauli_operator("X", (14,))], 0.1, tuple(range(15))))
     with pytest.raises(ValueError):
         heisenberg_evolve(TFIM5, A, 0.1, (1, 2))
 
@@ -124,6 +133,7 @@ def test_nested_commutator_trivial_cases():
     A = pauli_operator("Z", (0,))
     assert nested_commutator_norm(TFIM5, A, [pauli_operator("X", (2,))], 0.0, REGION5) <= 1e-12
     assert nested_commutator_norm(TFIM5, A, [], 0.8, REGION5) == pytest.approx(1.0, abs=1e-9)
+    assert nested_commutator_norm(TFIM5, A, [pauli_operator("I", (2,))], 0.8, REGION5) == 0.0
 
 
 def test_nested_commutator_regression_fixtures():
@@ -158,6 +168,70 @@ def test_nested_commutator_input_validation():
     with pytest.raises(ValueError):
         nested_commutator_norm(
             TFIM5, A, [LocalOperator((2,), 2.0 * PAULI["X"])], 0.1, REGION5)
+    sigma_plus = LocalOperator((0,), np.array([[0, 1], [0, 0]]))  # unit norm, not Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        nested_commutator_norm(TFIM5, sigma_plus, [pauli_operator("X", (2,))], 0.1, REGION5)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        nested_commutator_norm(
+            TFIM5, A, [LocalOperator((2,), sigma_plus.matrix), pauli_operator("X", (4,))],
+            0.1, REGION5)
+    three_levels = LocalOperator((2, 3), np.diag([1.0, 0.5, 0.5, -1.0]))
+    with pytest.raises(ValueError, match="distinct eigenvalues"):
+        nested_commutator_norm(TFIM5, A, [three_levels], 0.1, REGION5)
+    # three levels are fine on an inner probe; the commutator with Z_4 is exact either way
+    assert isinstance(nested_commutator_norm(
+        TFIM5, A, [three_levels, pauli_operator("Z", (4,))], 0.1, REGION5), float)
+
+
+def _reference_nested_norm(H, A, O_list, t, region):
+    """The embed-based computation: complex eigh, dense products, full SVD."""
+    w, V = np.linalg.eigh(hamiltonian_matrix(H, region))
+    U = (V * np.exp(1j * w * t)) @ V.conj().T
+    C = U @ embed(A.matrix, A.support, region) @ U.conj().T
+    for O in O_list:
+        O_emb = embed(O.matrix, O.support, region)
+        C = O_emb @ C - C @ O_emb
+    return np.linalg.norm(C, 2) / 2 ** len(O_list)
+
+
+def _random_unit_hermitian(site, rng):
+    G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    M = G + G.conj().T
+    return LocalOperator((site,), M / np.linalg.norm(M, 2))
+
+
+def test_nested_commutator_matches_embed_reference():
+    rng = np.random.default_rng(2025)
+    # unit norm, eigenvalues -1 (three times) and +1: unequal projector ranks
+    projector = LocalOperator((1, 3), 2 * np.diag([1.0, 0, 0, 0]) - np.eye(4))
+    checked = 0
+    for n in range(4, 9):
+        g = build_square_lattice(1, n)
+        region = tuple(range(n))
+        models = [
+            build_named_hamiltonian("tfim", g, {"J": rng.uniform(0.5, 1.5),
+                                                "g": rng.uniform(0.2, 1.2)}),
+            build_named_hamiltonian("heisenberg", g, {"Jz": rng.uniform(0.2, 1.5)}),
+            build_named_hamiltonian("random2local", g, {"seed": int(rng.integers(2**31))}),
+        ]
+        for H in models:
+            A = _random_unit_hermitian(0, rng)
+            far = _random_unit_hermitian(n - 1, rng)
+            mid = _random_unit_hermitian(n // 2, rng)
+            probe_lists = [[], [far], [mid, far],
+                           [pauli_operator("XZ", (1, 3))], [projector]]
+            if n > 4:  # site n - 1 is free of the two-site probes
+                probe_lists += [[pauli_operator("XZ", (1, 3)), far],
+                                [far, pauli_operator("YX", (1, 3))], [far, projector]]
+            for O_list in probe_lists:
+                t = float(rng.uniform(0.2, 1.5))
+                got = nested_commutator_norm(H, A, O_list, t, region)
+                want = _reference_nested_norm(H, A, O_list, t, region)
+                assert type(got) is float
+                # both round at about 1e-15 absolute, so small values are held to 1e-14
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-14), (n, O_list, t)
+                checked += 1
+    assert checked == 3 * (5 + 4 * 8)
 
 
 def test_tfim_term_pruning_and_norms():
