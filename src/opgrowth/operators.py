@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import CapExceededError
 from .lattice import FactorGraph, enumerate_connected_subsets
 
 DEFAULT_QUBIT_CAP = 14  # dense 2^n x 2^n matrices
 VECTOR_QUBIT_CAP = DEFAULT_QUBIT_CAP + 6  # 2^n state vectors and sparse region Hamiltonians
+SPARSE_BYTES_CAP = 2 << 30  # peak bytes of assembling one sparse region Hamiltonian
 HERMITICITY_TOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
@@ -267,6 +267,11 @@ def hamiltonian_matrix(
     of global masks; the row values of each mask are summed in term order
     and written straight into CSR arrays.  Values that vanish are not
     stored.  Returns the CSR matrix if ``sparse``, else its dense array.
+
+    Raises CapExceededError, before anything 2^n-sized is allocated, when
+    the assembly would peak above SPARSE_BYTES_CAP: the dim x len(masks)
+    value block and its ``stored`` mask, the column indices, and the final
+    CSR, which holds at most as many values.
     """
     region = tuple(sorted(region))
     terms = H.terms_within(set(region))
@@ -285,7 +290,14 @@ def hamiltonian_matrix(
                 pieces.append((mask, values, shifts))
     masks = sorted({mask for mask, _, _ in pieces})
     column = {mask: j for j, mask in enumerate(masks)}
-    idx = np.int32 if dim * len(masks) < 2**31 else np.int64
+    entries = dim * len(masks)
+    idx = np.int32 if entries < 2**31 else np.int64
+    index_bytes = np.dtype(idx).itemsize
+    estimate = entries * (2 * (16 + index_bytes) + 1) + (dim + 1) * index_bytes
+    if estimate > SPARSE_BYTES_CAP:
+        raise CapExceededError(
+            f"assembling {n} qubits with {len(masks)} flip masks needs about {estimate} bytes,"
+            f" above the cap of {SPARSE_BYTES_CAP}")
     rows = np.arange(dim, dtype=idx)
     data = np.zeros((dim, len(masks)), dtype=complex)
     for mask, values, shifts in pieces:
@@ -530,6 +542,81 @@ def time_grid(t) -> tuple[list[float], bool]:
     return [float(x) for x in t], False
 
 
+# theta_m for the truncated Taylor method in double precision: m <= 30 from
+# Higham & Al-Mohy, "Computing matrix functions" (Acta Numerica 2010),
+# Table A.3; m = 35..55 from Al-Mohy & Higham, "Computing the action of the
+# matrix exponential" (SIAM J. Sci. Comput. 2011), Table 3.1.
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+TAYLOR_TOL = 2.0**-53
+
+
+def shift_and_norm(H_sp: sp.csr_matrix) -> tuple[float, float]:
+    """(mu, ||H - mu||_1) with mu = tr(H)/dim, from the CSR arrays without a matrix copy.
+
+    The 1-norm is the largest column sum of |H - mu|: the sums of |data|
+    over ``indices``, with each diagonal entry h replaced by h - mu.  They
+    are taken in chunks of 2^20 entries, so the temporaries stay far below
+    the assembly's own peak.
+    """
+    dim = H_sp.shape[0]
+    diag = H_sp.diagonal()
+    mu = float(diag.sum().real) / dim
+    sums = np.abs(diag - mu) - np.abs(diag)
+    chunk = 1 << 20
+    for start in range(0, H_sp.nnz, chunk):
+        part = slice(start, start + chunk)
+        sums += np.bincount(H_sp.indices[part], weights=np.abs(H_sp.data[part]), minlength=dim)
+    return mu, float(sums.max())
+
+
+def _taylor_degree(norm: float) -> tuple[int, int]:
+    """(m, s): s steps of m Taylor terms, the fewest m*s with norm / s <= theta_m."""
+    if norm == 0:
+        return 0, 1
+    return min(((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+
+
+def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, dt: float, mu: float,
+                  norm: float) -> np.ndarray:
+    """exp(-i dt H) psi by the truncated Taylor method of Al-Mohy & Higham (2011).
+
+    ``mu`` and ``norm`` are ``shift_and_norm(H_sp)``, taken once per region.
+    Each step multiplies the unscaled CSR by a vector; the factor
+    -i dt / (s (j+1)) and the shift by mu are applied to the vector, so no
+    matrix is copied.  The series stops once two consecutive terms are below
+    TAYLOR_TOL relative to the sum, in the infinity norm.
+    """
+    m, s = _taylor_degree(abs(dt) * norm)
+    F = np.array(psi, dtype=complex)
+    B = F
+    for _ in range(s):
+        c1 = np.max(np.abs(B))
+        for j in range(m):
+            term = H_sp @ B
+            if mu:
+                term -= mu * B
+            term *= -1j * (dt / (s * (j + 1)))
+            B = term
+            c2 = np.max(np.abs(B))
+            F += B
+            if c1 + c2 <= TAYLOR_TOL * np.max(np.abs(F)):
+                break
+            c1 = c2
+        if mu:
+            F *= np.exp(-1j * dt * mu / s)
+        B = F
+    return F
+
+
 def exact_expectation(
     H: HamiltonianSpec,
     A: LocalOperator,
@@ -562,14 +649,14 @@ def exact_expectation(
     positions = [region.index(s) for s in A.support]
     values = [0j] * len(times)
     if not dense:
+        if any(times):
+            H_sp = hamiltonian_matrix(H, region, sparse=True)
+            mu, norm = shift_and_norm(H_sp)
         psi = rho.state_vector(region)
-        H_sp = None
         now = 0.0
         for i in sorted(range(len(times)), key=times.__getitem__):
             if times[i] != now:
-                if H_sp is None:
-                    H_sp = hamiltonian_matrix(H, region, sparse=True)
-                psi = expm_multiply(-1j * (times[i] - now) * H_sp, psi)
+                psi = expm_multiply(H_sp, psi, times[i] - now, mu, norm)
                 now = times[i]
             values[i] = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
     else:

@@ -1,12 +1,14 @@
 """Dense operator algebra: evolution, norms, models, expectation values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from opgrowth import operators
-from opgrowth.lattice import build_square_lattice, tile_boxes
+from opgrowth.errors import CapExceededError
+from opgrowth.lattice import build_rectangular_lattice, build_square_lattice, tile_boxes
 from opgrowth.operators import (
     PAULI,
     HamTerm,
@@ -305,6 +307,93 @@ def test_sparse_assembly_matches_dense():
             assert np.array_equal(hamiltonian_matrix(H, region), reference), (name, region)
             # no explicit zeros, e.g. Heisenberg XX+YY on parallel spins
             assert sparse.nnz == np.count_nonzero(reference), (name, region)
+
+
+def test_expm_multiply_matches_scipy():
+    from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
+
+    rng = np.random.default_rng(8)
+    grid = build_square_lattice(2, 3)
+    models = [
+        ("tfim", {"J": 1.0, "g": 1.05}, build_square_lattice(1, 12)),
+        ("heisenberg", {"Jz": 0.5}, build_square_lattice(1, 10)),
+        ("random2local", {"seed": 3}, build_square_lattice(1, 8)),  # tr(H) != 0
+        ("quasilocal", {"s_max": 3, "seed": 1}, grid),
+        ("tfim", {"g": 0.7}, build_square_lattice(1, 4)),
+    ]
+    steps = 0
+    degrees = set()
+    for name, params, g in models:
+        H = build_named_hamiltonian(name, g, params)
+        region = tuple(g.vertices)
+        H_sp = hamiltonian_matrix(H, region, sparse=True)
+        mu, norm = operators.shift_and_norm(H_sp)
+        shifted = H_sp.toarray() - mu * np.eye(H_sp.shape[0])
+        assert mu == pytest.approx(np.trace(H_sp.toarray()).real / H_sp.shape[0], abs=1e-15)
+        assert norm == pytest.approx(np.abs(shifted).sum(axis=0).max(), rel=1e-14)
+        if name == "random2local":
+            assert abs(mu) > 0.1
+        psi = rng.normal(size=H_sp.shape[0]) + 1j * rng.normal(size=H_sp.shape[0])
+        psi /= np.linalg.norm(psi)
+        # non-dyadic, negative, s > 1, and ||dt H||_1 = 70, past scipy's switch
+        # to onenormest at 63.4
+        for dt in (0.3, -0.7, 1.9, 70.0 / norm):
+            got = operators.expm_multiply(H_sp, psi, dt, mu, norm)
+            want = scipy_expm_multiply(-1j * dt * H_sp, psi)
+            assert np.max(np.abs(got - want)) <= 1e-12, (name, dt)
+            degrees.add(operators._taylor_degree(abs(dt) * norm))
+            steps += 1
+    assert steps == 20
+    assert any(s > 1 for _, s in degrees)
+
+    # no terms: a zero norm, and the state comes back unchanged
+    empty = hamiltonian_matrix(HamiltonianSpec(()), (0, 1, 2), sparse=True)
+    assert operators.shift_and_norm(empty) == (0.0, 0.0)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    assert np.array_equal(operators.expm_multiply(empty, psi, 0.7, 0.0, 0.0), psi)
+    # a multiple of the identity: zero norm after the shift, only the phase
+    identity = HamiltonianSpec((HamTerm(frozenset((0,)), 0.5 * np.eye(2, dtype=complex), 0.5),))
+    H_sp = hamiltonian_matrix(identity, (0, 1, 2), sparse=True)
+    mu, norm = operators.shift_and_norm(H_sp)
+    assert (mu, norm) == (0.5, 0.0)
+    got = operators.expm_multiply(H_sp, psi, 0.7, mu, norm)
+    assert np.max(np.abs(got - np.exp(-0.35j) * psi)) <= 1e-15
+
+
+def test_expm_multiply_step_copies_no_matrix():
+    import tracemalloc
+
+    H = build_named_hamiltonian("tfim", build_square_lattice(1, 14), {"J": 1.0, "g": 1.05})
+    H_sp = hamiltonian_matrix(H, tuple(range(14)), sparse=True)
+    mu, norm = operators.shift_and_norm(H_sp)
+    psi = ProductState.all_plus(range(14)).state_vector(tuple(range(14)))
+    tracemalloc.start()
+    try:
+        operators.expm_multiply(H_sp, psi, 0.3, mu, norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few 2^14 vectors; any scaled or shifted copy of H alone would exceed this
+    assert peak < H_sp.data.nbytes, (peak, H_sp.data.nbytes)
+
+
+def test_sparse_assembly_budget(trips_before_allocating, monkeypatch):
+    A = pauli_operator("Z", (0,))
+    # 20 qubits with three-site Pauli strings: 64 flip masks, about 2.8 GB
+    patch = build_named_hamiltonian("quasilocal", build_rectangular_lattice((4, 5)),
+                                    {"s_max": 3})
+    region = tuple(range(20))
+    trips_before_allocating(lambda: hamiltonian_matrix(patch, region, sparse=True))
+    trips_before_allocating(lambda: exact_expectation(patch, A, ProductState.all_zero(), 0.1))
+    # the 20-qubit chains stay well under the budget; with it at 0 they report the estimate
+    monkeypatch.setattr(operators, "SPARSE_BYTES_CAP", 0)
+    chain20 = build_square_lattice(1, 20)
+    for name in ("tfim", "heisenberg"):
+        H = build_named_hamiltonian(name, chain20, {"g": 1.0} if name == "tfim" else {})
+        with pytest.raises(CapExceededError, match="bytes") as caught:
+            hamiltonian_matrix(H, region, sparse=True)
+        estimate = int(re.search(r"about (\d+) bytes", str(caught.value)).group(1))
+        assert 2 ** 28 < estimate < 10**9, (name, estimate)
 
 
 def test_exact_expectation_grid_matches_scalar_calls():
