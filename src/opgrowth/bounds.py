@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CapExceededError, ValidityWindowError
-from .lattice import FactorGraph, boundary_vertices
+from .lattice import FactorGraph, boundary_vertices, hop_distances
 from .causal import enumerate_irreducible_paths
 from .operators import HamiltonianSpec
 
@@ -311,7 +311,7 @@ def verify_reproducing(
 
     def dists(u: int) -> dict[int, int]:
         if u not in dist_cache:
-            dist_cache[u] = g.geodesic_distances({u})
+            dist_cache[u] = dict(hop_distances(g.vertex_adjacency(), [u]))
         return dist_cache[u]
 
     worst = 0.0

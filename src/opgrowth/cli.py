@@ -41,6 +41,7 @@ from .lattice import (
     build_square_lattice,
     enumerate_connected_subsets,
     factor_distance,
+    is_connected,
     tile_boxes,
 )
 from .operators import (
@@ -51,11 +52,9 @@ from .operators import (
     embed,
 )
 from .simulate import (
-    ClusterTable,
-    _connected,
     anchored_clusters,
-    anchored_proper_subclusters,
     cluster_correction,
+    inclusion_exclusion,
     operator_piece,
     plan,
     simulate_expectation,
@@ -72,6 +71,7 @@ from .ssb import (
 from .states import ProductState
 
 COMMANDS = ("lattice", "bound", "simulate", "oracle", "ssb", "verify")
+MODES = ("desk", "paper-formula")
 
 _TOP_KEYS = {
     "lattice": {"command", "seed", "threads", "mode", "lattice"},
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--threads", type=int, default=None, help="override thread count")
-    parser.add_argument("--mode", choices=("desk", "paper-formula"), default=None)
+    parser.add_argument("--mode", choices=MODES, default=None)
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
@@ -106,6 +106,8 @@ def main(argv=None) -> int:
         config["seed"] = _integer(config["seed"], "seed")
         if args.mode is not None:
             config["mode"] = args.mode
+        if config["mode"] not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {config['mode']!r}")
         return _run(config, args.out)
     except (ConfigError, ValidityWindowError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -212,9 +214,9 @@ def _build_lattice(spec: dict):
     spec = dict(spec)
     _reject_unknown(spec, {"d", "L", "range", "periodic"}, "lattice")
     return build_square_lattice(
-        d=int(spec.get("d", 1)),
-        L=int(spec["L"]),
-        interaction_range=int(spec.get("range", 1)),
+        d=_integer(spec.get("d", 1), "lattice.d"),
+        L=_integer(spec.get("L"), "lattice.L"),
+        interaction_range=_integer(spec.get("range", 1), "lattice.range"),
         periodic=bool(spec.get("periodic", False)),
     )
 
@@ -236,6 +238,7 @@ def _build_model(spec: dict, graph, seed: int):
 
 
 def _build_state(spec: dict | None, graph):
+    _reject_unknown(spec or {}, {"kind"}, "state")
     kind = (spec or {}).get("kind", "zero")
     if kind == "zero":
         return ProductState.all_zero()
@@ -244,18 +247,24 @@ def _build_state(spec: dict | None, graph):
     raise ConfigError(f"unknown state kind {kind!r}")
 
 
-def _build_observable(spec: dict):
+def _build_observable(spec: dict, graph):
     spec = dict(spec or {"pauli": "Z", "sites": [0]})
     _reject_unknown(spec, {"pauli", "sites"}, "observable")
-    return pauli_operator(spec["pauli"], tuple(spec["sites"]))
+    label, sites = str(spec.get("pauli", "")), tuple(spec.get("sites", ()))
+    on_lattice = set(sites) <= set(graph.vertex_adjacency())
+    if not label or len(label) != len(sites) or not set(label) <= set("IXYZ") or not on_lattice:
+        raise ConfigError(f"observable {label!r} on {list(sites)}: need one Pauli letter"
+                          " I, X, Y or Z per lattice site")
+    return pauli_operator(label, sites)
 
 
 def _grid(spec) -> list[float]:
     if isinstance(spec, list):
         return [float(x) for x in spec]
     if isinstance(spec, dict):
-        _reject_unknown(spec, {"start", "stop", "num"}, "grid")
-        return list(np.linspace(spec["start"], spec["stop"], int(spec["num"])))
+        if set(spec) != {"start", "stop", "num"}:
+            raise ConfigError(f"grid needs exactly start, stop and num, got {sorted(spec)}")
+        return list(np.linspace(spec["start"], spec["stop"], _integer(spec["num"], "grid num")))
     raise ConfigError("grid must be a list or {start, stop, num}")
 
 
@@ -265,7 +274,10 @@ def _bound_params(spec: dict | None) -> BoundParams:
     spec = dict(spec)
     allowed = {f for f in BoundParams.__dataclass_fields__}
     _reject_unknown(spec, allowed, "params")
-    return BoundParams(**spec)
+    try:
+        return BoundParams(**spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params: {exc}") from None
 
 
 # ---------------------------------------------------------------- commands
@@ -288,6 +300,9 @@ def _cmd_bound(config: dict, out_dir: str):
     for sweep in config.get("sweeps", []):
         sweep = dict(sweep)
         name = sweep.pop("bound", None)
+        if name not in _SWEEP_KEYS:
+            raise ConfigError(f"unknown bound {name!r}")
+        _reject_unknown(sweep, _SWEEP_KEYS[name], f"{name} sweep")
         try:
             rows.extend(_run_sweep(name, sweep, params, graph, model))
         except CapExceededError:
@@ -296,6 +311,14 @@ def _cmd_bound(config: dict, out_dir: str):
     _csv(os.path.join(out_dir, "bounds.csv"),
          ["R", "t", "bound_name", "value", "valid_flag", "exact"], rows)
     return ["bounds.csv"], truncated, 2 if truncated else 0
+
+
+_SWEEP_KEYS = {  # the keys each bound sweep reads
+    "volume": {"t", "R"}, "combinatorial": {"regions", "t"}, "truncation": {"t", "M"},
+    "quasilocal_pair": {"dB", "dS", "t", "dist"}, "quasilocal_nested": {"regions", "t"},
+    "path_sum": {"R", "S", "B", "t"}, "matrix_exp": {"B", "S", "t"},
+    "dominance": {"S", "B", "observable", "probes", "t"},
+}
 
 
 def _run_sweep(name, sweep, params, graph, model):
@@ -352,8 +375,6 @@ def _run_sweep(name, sweep, params, graph, model):
                 lambda: matrix_exp_bound(graph, model, pairs, t)))
     elif name == "dominance":
         rows.extend(_dominance_sweep(sweep, params, graph, model))
-    else:
-        raise ConfigError(f"unknown bound {name!r}")
     return rows
 
 
@@ -364,7 +385,7 @@ def _dominance_sweep(sweep, params, graph, model):
     S_list = [set(s) for s in sweep["S"]]
     B_list = [set(b) for b in sweep["B"]]
     R = set(graph.vertices) - set().union(*B_list)
-    observable = _build_observable(sweep.get("observable"))
+    observable = _build_observable(sweep.get("observable"), graph)
     probes = [
         pauli_operator(p.get("pauli", "X"), tuple(p["sites"]))
         for p in sweep.get("probes", [{"pauli": "X", "sites": sorted(S)} for S in S_list])
@@ -398,7 +419,7 @@ def _cmd_simulate(config: dict, out_dir: str):
     graph = _build_lattice(config["lattice"])
     model = _build_model(config["model"], graph, config["seed"])
     state = _build_state(config.get("state"), graph)
-    observable = _build_observable(config.get("observable"))
+    observable = _build_observable(config.get("observable"), graph)
     plan_spec = dict(config.get("plan") or {})
     _reject_unknown(plan_spec, {"r", "m_star", "epsilon", "anchor_vertex"}, "plan")
     epsilon = float(plan_spec.get("epsilon", 1e-6))
@@ -409,19 +430,35 @@ def _cmd_simulate(config: dict, out_dir: str):
         raise ConfigError("desk mode needs plan.r and plan.m_star")
     want_oracle = bool(config.get("oracle", True))
     grid = _grid(config.get("t_grid", [0.5]))
+    anchor_vertex = _integer(plan_spec.get("anchor_vertex", 0), "plan.anchor_vertex")
+    if anchor_vertex not in graph.vertex_adjacency():
+        raise ConfigError(f"plan.anchor_vertex {anchor_vertex} is not on the lattice")
     plans = [
-        plan(params, t, epsilon, mode=config["mode"], graph=graph,
-             anchor_vertex=int(plan_spec.get("anchor_vertex", 0)),
+        plan(params, t, epsilon, mode=config["mode"], graph=graph, anchor_vertex=anchor_vertex,
              r=plan_spec.get("r"), m_star=plan_spec.get("m_star"))
         for t in grid
     ]
+    if any(not set(observable.support) <= set(p.tiling.box_vertices[p.tiling.anchor_box])
+           for p in plans):
+        raise ConfigError(f"observable sites {list(observable.support)} leave the anchor box")
     # one simulate call per distinct plan; groups in order of first grid point
     groups: dict[tuple[int, int], list[int]] = {}
     for i, sim_plan in enumerate(plans):
         groups.setdefault((sim_plan.r, sim_plan.m_star), []).append(i)
     results: list = [None] * len(grid)
-    done = len(grid)  # the grid prefix whose plans all stay under the qubit cap
+    exact_values: list = [None] * len(grid)
+    done = len(grid)  # the grid prefix whose plans and oracle all stay under the caps
+    if want_oracle:
+        # The oracle goes first: no cluster region outgrows the lattice, so when
+        # the oracle passes its caps every cluster does, and when it trips no
+        # cluster has been evaluated in vain.
+        try:
+            exact_values = exact_expectation(model, observable, state, grid)
+        except CapExceededError:
+            done = 0
     for indices in groups.values():
+        if indices[0] >= done:
+            break
         try:
             group_results = simulate_expectation(
                 model, observable, state, [grid[i] for i in indices], plans[indices[0]],
@@ -431,9 +468,6 @@ def _cmd_simulate(config: dict, out_dir: str):
             break
         for i, result in zip(indices, group_results):
             results[i] = result
-    exact_values = [None] * done
-    if want_oracle and done:
-        exact_values = exact_expectation(model, observable, state, grid[:done])
     header = ["t", "m_star", "estimate", "exact", "error", "bound_value",
               "clusters_evaluated", "wall_time"]
     rows: list[list] = []
@@ -452,12 +486,18 @@ def _cmd_oracle(config: dict, out_dir: str):
     graph = _build_lattice(config["lattice"])
     model = _build_model(config["model"], graph, config["seed"])
     state = _build_state(config.get("state"), graph)
-    observable = _build_observable(config.get("observable"))
+    observable = _build_observable(config.get("observable"), graph)
     grid = _grid(config.get("t_grid", [0.5]))
     exact_values = exact_expectation(model, observable, state, grid)
     rows = [[float(t), exact] for t, exact in zip(grid, exact_values)]
     _csv(os.path.join(out_dir, "oracle.csv"), ["t", "exact"], rows)
     return ["oracle.csv"], False, 0
+
+
+_EXPERIMENT_KEYS = {  # the keys each ssb experiment reads
+    "rk": {"lattice", "beta", "sizes", "region"}, "ghz": {"g", "L"},
+    "compare": {"params", "t", "d"},
+}
 
 
 def _cmd_ssb(config: dict, out_dir: str):
@@ -466,6 +506,9 @@ def _cmd_ssb(config: dict, out_dir: str):
     for experiment in config.get("experiments", []):
         experiment = dict(experiment)
         kind = experiment.pop("kind", None)
+        if kind not in _EXPERIMENT_KEYS:
+            raise ConfigError(f"unknown ssb experiment {kind!r}")
+        _reject_unknown(experiment, _EXPERIMENT_KEYS[kind], f"{kind} experiment")
         if kind == "rk":
             graph = _build_lattice(experiment["lattice"])
             for beta in _grid(experiment.get("beta", [0.5])):
@@ -478,7 +521,7 @@ def _cmd_ssb(config: dict, out_dir: str):
             g_val = float(experiment.get("g", 0.1))
             for L in experiment.get("L", [4, 6, 8]):
                 ghz_rows.append([int(L), g_val, ghz_splitting("tfim", int(L), g_val)])
-        elif kind == "compare":
+        else:  # compare
             params = _bound_params(experiment.get("params"))
             results = [
                 {"R": float(row[1]), "value": float(row[3]), "beta": float(row[0])}
@@ -489,8 +532,6 @@ def _cmd_ssb(config: dict, out_dir: str):
             compare_reports.append(disorder_bound_compare(
                 results, params, float(experiment.get("t", 1.0)),
                 int(experiment.get("d", 2))))
-        else:
-            raise ConfigError(f"unknown ssb experiment {kind!r}")
     if rk_rows:
         _csv(os.path.join(out_dir, "rk.csv"),
              ["beta", "R", "boundary_bonds", "disorder_value"], rk_rows)
@@ -606,19 +647,14 @@ def check_completeness(correction=cluster_correction) -> dict:
     for t in (0.25, 0.6, 1.0):
         full = heisenberg_evolve(model, A, t, region).matrix
         total = np.zeros_like(full)
-        memo = {}
         for cluster in anchored_clusters(tiling, 2):
-            piece = operator_piece(model, A, cluster, tiling, t, _memo=memo)
+            piece = operator_piece(model, A, cluster, tiling, t)
             total += embed(piece.matrix, piece.support, region)
         worst = max(worst, float(np.linalg.norm(total - full, 2)))
     state = ProductState.all_zero()
     sim_plan = plan(None, 0.7, 1e-6, mode="desk", graph=graph, r=2, m_star=3)
     estimate, diag = simulate_expectation(model, A, state, 0.7, sim_plan)
-    table = ClusterTable(raw=diag["table"].raw)
-    adjacency, anchor = sim_plan.tiling.adjacency, sim_plan.tiling.anchor_box
-    for cluster in sorted(table.raw, key=len):
-        table.corrected[cluster] = correction(
-            table, cluster, anchored_proper_subclusters(cluster, adjacency, anchor))
+    table = inclusion_exclusion(diag["table"].raw, sim_plan.tiling, correction)
     exact = exact_expectation(model, A, state, 0.7)
     worst = max(worst, abs(estimate - exact), abs(sum(table.corrected.values()) - exact))
     return {"passed": worst <= 1e-10, "worst_gap": worst}
@@ -667,7 +703,7 @@ def check_cluster_counts() -> dict:
 def brute_connected_subsets(adj: dict, root, m: int) -> list[tuple]:
     """Reference for ``enumerate_connected_subsets``: every m-subset, kept if connected."""
     return [sub for sub in itertools.combinations(sorted(adj), m)
-            if root in sub and _connected(sub, adj)]
+            if root in sub and is_connected(adj, sub)]
 
 
 def fit_summary(xs, ys) -> dict:

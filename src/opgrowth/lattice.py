@@ -45,30 +45,19 @@ class FactorGraph:
         for X in self.factors:
             if not X or not X <= vset:
                 raise ValueError(f"factor {set(X)} is not a nonempty vertex subset")
-        object.__setattr__(self, "_vertex_factors", self._build_vertex_index())
-        if len(self.vertices) > 1 and not self._is_connected():
-            raise ValueError("factor graph must be connected")
-
-    def _build_vertex_index(self) -> dict[int, tuple[int, ...]]:
-        idx: dict[int, list[int]] = {v: [] for v in self.vertices}
+        vertex_factors: dict[int, list[int]] = {v: [] for v in self.vertices}
+        adjacency: dict[int, set[int]] = {v: set() for v in self.vertices}
         for i, X in enumerate(self.factors):
             for v in X:
-                idx[v].append(i)
-        return {v: tuple(f) for v, f in idx.items()}
-
-    def _is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for fi in self._vertex_factors[v]:
-                for u in self.factors[fi]:
-                    if u not in seen:
-                        seen.add(u)
-                        queue.append(u)
-        return len(seen) == len(self.vertices)
+                vertex_factors[v].append(i)
+                adjacency[v].update(X)
+        object.__setattr__(self, "_vertex_factors",
+                           {v: tuple(f) for v, f in vertex_factors.items()})
+        object.__setattr__(self, "_adjacency",
+                           {v: tuple(sorted(s - {v})) for v, s in adjacency.items()})
+        reached = dict(hop_distances(self._adjacency, self.vertices[:1]))
+        if len(reached) < len(vset):
+            raise ValueError("factor graph must be connected")
 
     def factors_at(self, v: int) -> tuple[int, ...]:
         """Indices of the factors containing vertex v."""
@@ -94,26 +83,8 @@ class FactorGraph:
         return max(per_vertex, per_factor)
 
     def vertex_adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Vertex graph: u ~ v when some factor contains both."""
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for X in self.factors:
-            for u, v in itertools.combinations(sorted(X), 2):
-                adj[u].add(v)
-                adj[v].add(u)
-        return {v: tuple(sorted(s)) for v, s in adj.items()}
-
-    def geodesic_distances(self, sources: set[int]) -> dict[int, int]:
-        """BFS distances on the vertex graph from a source set."""
-        adj = self.vertex_adjacency()
-        dist = {v: 0 for v in sources}
-        queue = deque(sources)
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        return dist
+        """Vertex graph, built once: u ~ v when some factor contains both."""
+        return self._adjacency
 
     def to_json(self) -> str:
         payload = {
@@ -202,28 +173,44 @@ def _l1_offsets(d: int, r: int):
             yield offset
 
 
+def hop_distances(adjacency: dict, sources, radius: int | None = None):
+    """Yield (node, hops) breadth-first from a source set, out to ``radius`` hops.
+
+    Each node within reach appears once, in nondecreasing hop order: ``dict()``
+    of it is the distance map, and a search for a target can stop at the first hit.
+    """
+    dist = dict.fromkeys(sources, 0)
+    yield from dist.items()
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        hops = dist[v] + 1
+        if radius is not None and hops > radius:
+            break
+        for u in adjacency[v]:
+            if u not in dist:
+                dist[u] = hops
+                queue.append(u)
+                yield u, hops
+
+
+def is_connected(adjacency: dict, nodes) -> bool:
+    """Whether ``nodes`` induce a connected subgraph of ``adjacency``."""
+    nodes = frozenset(nodes)
+    within = {v: nodes.intersection(adjacency[v]) for v in nodes}
+    return len(dict(hop_distances(within, list(nodes)[:1]))) == len(nodes)
+
+
 def factor_distance(g: FactorGraph, X: set[int], Y: set[int]) -> int:
     """Smallest number of factors in a connected path joining X to Y."""
     X, Y = set(X), set(Y)
     if not X or not Y:
         raise ValueError("vertex sets must be nonempty")
-    unknown = (X | Y) - set(g.vertices)
+    adjacency = g.vertex_adjacency()
+    unknown = {v for v in X | Y if v not in adjacency}
     if unknown:
         raise ValueError(f"unknown vertices: {sorted(unknown)}")
-    if X & Y:
-        return 0
-    dist = {v: 0 for v in X}
-    queue = deque(X)
-    while queue:
-        v = queue.popleft()
-        for fi in g.factors_at(v):
-            for u in g.factors[fi]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    if u in Y:
-                        return dist[u]
-                    queue.append(u)
-    raise ValueError("no path between sets on a connected graph (unreachable)")
+    return next(hops for v, hops in hop_distances(adjacency, X) if v in Y)
 
 
 def ball_and_boundary(g: FactorGraph, v: int, R: int) -> tuple[frozenset[int], int]:
@@ -234,30 +221,18 @@ def ball_and_boundary(g: FactorGraph, v: int, R: int) -> tuple[frozenset[int], i
     """
     if R < 0:
         raise ValueError("R must be nonnegative")
-    if v not in set(g.vertices):
+    adjacency = g.vertex_adjacency()
+    if v not in adjacency:
         raise ValueError(f"unknown vertex {v}")
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == R:
-            continue
-        for fi in g.factors_at(u):
-            for w in g.factors[fi]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-    ball = frozenset(dist)
+    ball = frozenset(dict(hop_distances(adjacency, [v], R)))
     return ball, boundary_size(g, ball)
 
 
 def boundary_vertices(g: FactorGraph, region: frozenset[int] | set[int]) -> list[int]:
     """Region vertices sharing a factor with an outside vertex, sorted."""
     region = frozenset(region)
-    return sorted(
-        u for u in region
-        if any(w not in region for fi in g.factors_at(u) for w in g.factors[fi])
-    )
+    adjacency = g.vertex_adjacency()
+    return sorted(u for u in region if any(w not in region for w in adjacency[u]))
 
 
 def boundary_size(g: FactorGraph, region: frozenset[int] | set[int]) -> int:
@@ -377,11 +352,10 @@ def minimal_cluster_order(tiling: BoxTiling, boxes: set) -> int:
     if len(terminals) == 1:
         return 1
     nodes = sorted(tiling.box_vertices)
-    dist = {b: _coarse_bfs(tiling, b) for b in terminals}
     k = len(terminals)
     full = (1 << k) - 1
     INF = float("inf")
-    dp = {1 << i: dict(dist[t]) for i, t in enumerate(terminals)}
+    dp = {1 << i: dict(hop_distances(tiling.adjacency, [t])) for i, t in enumerate(terminals)}
     for S in range(1, full + 1):
         if S & (S - 1) == 0:
             continue
@@ -408,14 +382,3 @@ def minimal_cluster_order(tiling: BoxTiling, boxes: set) -> int:
     best = min(dp[full][v] for v in nodes)
     return int(best) + 1
 
-
-def _coarse_bfs(tiling: BoxTiling, source) -> dict:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in tiling.adjacency[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist

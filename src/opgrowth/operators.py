@@ -1,10 +1,12 @@
-"""Dense operator algebra on small qubit registers.
+"""Operator algebra on qubit registers: dense for small regions, sparse up to 20 qubits.
 
 Everything here is exact up to floating point: Heisenberg evolution by
 diagonalizing the region Hamiltonian, expectation values by full state
-evolution, nested commutators by direct matrix algebra.  These routines are
-the oracle the closed-form bounds and the cluster simulator are checked
-against, so clarity beats cleverness.
+evolution (a truncated Taylor stepper on the sparse region Hamiltonian for
+state vectors of up to VECTOR_QUBIT_CAP qubits), nested commutators by
+direct matrix algebra.  These routines are the oracle the closed-form
+bounds and the cluster simulator are checked against, so clarity beats
+cleverness.
 
 Qubit ordering convention: a region is a sorted tuple of vertex ids and the
 first (smallest) vertex is the most significant kron factor.
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ConfigError
 from .lattice import FactorGraph, enumerate_connected_subsets
 
 DEFAULT_QUBIT_CAP = 14  # dense 2^n x 2^n matrices
@@ -519,13 +521,13 @@ def build_named_hamiltonian(name: str, g: FactorGraph, params: dict | None = Non
                 base = pauli_operator(letters, sub)
                 terms.append(_term(frozenset(sub), h * math.exp(-kappa * size) * base.matrix))
         if params:
-            raise ValueError(f"unknown parameters {sorted(params)}")
+            raise ConfigError(f"unknown parameters {sorted(params)} for model {name!r}")
         terms = [t for t in terms if t.norm > 1e-15]
         return HamiltonianSpec(tuple(terms), envelope=(h, kappa), graph=g)
     else:
-        raise ValueError(f"unknown model {name!r}")
+        raise ConfigError(f"unknown model {name!r}")
     if params:
-        raise ValueError(f"unknown parameters {sorted(params)}")
+        raise ConfigError(f"unknown parameters {sorted(params)} for model {name!r}")
     terms = [t for t in terms if t.norm > 1e-15]
     return HamiltonianSpec(tuple(terms), graph=g)
 

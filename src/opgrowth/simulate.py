@@ -21,9 +21,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bounds import BoundParams, truncation_error_bound
-from .errors import ValidityWindowError
-from .lattice import BoxTiling, FactorGraph, enumerate_connected_subsets, tile_boxes
+from .errors import ConfigError, ValidityWindowError
+from .lattice import BoxTiling, FactorGraph, enumerate_connected_subsets, is_connected, tile_boxes
 from .operators import (
     HamiltonianSpec,
     LocalOperator,
@@ -99,7 +101,7 @@ def plan(
             r_val = extent
         tiling = tile_boxes(graph, r_val, anchor_vertex)
         if r_val < graph.interaction_range:
-            raise ValueError("box side must be at least the interaction range")
+            raise ConfigError(f"box side {r_val} is below the interaction range")
     return SimPlan(r=r_val, m_star=m_val, tiling=tiling)
 
 
@@ -140,39 +142,44 @@ def anchored_proper_subclusters(cluster: Cluster, adjacency: dict, anchor) -> li
     anchor box, so their contribution is identically zero.
     """
     members = [b for b in cluster if b != anchor]
+    local = {b: set(adjacency[b]).intersection(cluster) for b in cluster}
     out: list[Cluster] = []
     for size in range(0, len(members)):
         for combo in itertools.combinations(members, size):
             sub = tuple(sorted(combo + (anchor,)))
-            if len(sub) < len(cluster) and _connected(sub, adjacency):
+            if len(sub) < len(cluster) and is_connected(local, sub):
                 out.append(sub)
     return sorted(out)
 
 
-def _connected(nodes: Cluster, adjacency: dict) -> bool:
-    node_set = set(nodes)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        v = stack.pop()
-        for u in adjacency[v]:
-            if u in node_set and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(node_set)
-
-
-def cluster_correction(table: ClusterTable, cluster: Cluster, subclusters: list[Cluster]) -> float:
+def cluster_correction(table: ClusterTable, cluster: Cluster, subclusters: list[Cluster]):
     """Corrected value: raw minus the corrected values of the cluster's anchored sub-clusters.
 
-    ``subclusters`` is ``anchored_proper_subclusters`` of the cluster.
+    ``subclusters`` is ``anchored_proper_subclusters`` of the cluster.  The
+    values in ``table`` are read, never updated in place.
     """
     total = table.raw[cluster]
     for sub in subclusters:
         if sub not in table.corrected:
             raise RuntimeError(f"dependency {sub} missing; levels were built out of order")
-        total -= table.corrected[sub]
+        total = total - table.corrected[sub]
     return total
+
+
+def inclusion_exclusion(raw: dict, tiling: BoxTiling, correction=None) -> ClusterTable:
+    """The table of corrected values for the clusters in ``raw``, smallest first.
+
+    Each cluster's anchored sub-clusters are listed once and handed to
+    ``correction`` (``cluster_correction`` unless given) with the table
+    filled so far.  Values may be floats, arrays over a t grid, or operator
+    matrices on one common region.
+    """
+    correction = correction or cluster_correction
+    table = ClusterTable(raw=raw)
+    for cluster in sorted(raw, key=len):
+        subclusters = anchored_proper_subclusters(cluster, tiling.adjacency, tiling.anchor_box)
+        table.corrected[cluster] = correction(table, cluster, subclusters)
+    return table
 
 
 def simulate_expectation(
@@ -208,7 +215,7 @@ def simulate_expectation(
     def raw_values(cluster: Cluster) -> list[float]:
         return raw_cluster_expectation(H, A, marginals, cluster, tiling, times)
 
-    tables = [ClusterTable() for _ in times]
+    raw: dict[Cluster, np.ndarray] = {}
     levels: list[list[Cluster]] = []
     for m in range(1, sim_plan.m_star + 1):
         clusters = enumerate_connected_subsets(tiling.adjacency, anchor, m)
@@ -217,32 +224,22 @@ def simulate_expectation(
                 raw_vals = list(pool.map(raw_values, clusters))
         else:
             raw_vals = [raw_values(c) for c in clusters]
-        for cluster, vals in zip(clusters, raw_vals):
-            for table, val in zip(tables, vals):
-                table.raw[cluster] = val
+        raw.update(zip(clusters, map(np.array, raw_vals)))
         levels.append(clusters)
     running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
-    subclusters = {cluster: anchored_proper_subclusters(cluster, tiling.adjacency, anchor)
-                   for clusters in levels for cluster in clusters}
+    corrected = inclusion_exclusion(raw, tiling).corrected
+    zero = np.zeros(len(times))
+    level_sums = [sum((corrected[cluster] for cluster in clusters), zero) for clusters in levels]
+    running = list(itertools.accumulate(level_sums, initial=zero))[1:]
     results = []
-    for t_k, table in zip(times, tables):
-        level_sums: list[float] = []
-        running: list[float] = []
-        total = 0.0
-        for clusters in levels:
-            level_total = 0.0
-            for cluster in clusters:
-                corrected = cluster_correction(table, cluster, subclusters[cluster])
-                table.corrected[cluster] = corrected
-                level_total += corrected
-            total += level_total
-            level_sums.append(level_total)
-            running.append(total)
+    for k, t_k in enumerate(times):
+        table = ClusterTable(raw={c: float(v[k]) for c, v in raw.items()},
+                             corrected={c: float(v[k]) for c, v in corrected.items()})
         diagnostics = {
             "clusters_evaluated": running_clusters[-1],
             "running_clusters": running_clusters,
-            "level_sums": level_sums,
-            "running_estimates": running,
+            "level_sums": [float(v[k]) for v in level_sums],
+            "running_estimates": [float(v[k]) for v in running],
             "table": table,
         }
         if params is not None:
@@ -251,7 +248,7 @@ def simulate_expectation(
                     params, t_k, sim_plan.m_star * sim_plan.r**tiling.dimension)
             except ValidityWindowError:
                 diagnostics["truncation_bound"] = None
-        results.append((total, diagnostics))
+        results.append((float(running[-1][k]), diagnostics))
     return results[0] if scalar else results
 
 
@@ -261,31 +258,27 @@ def operator_piece(
     cluster: Cluster,
     tiling: BoxTiling,
     t: float,
-    _memo: dict | None = None,
 ) -> LocalOperator:
     """The operator-valued cluster contribution A(cluster; t).
 
     Defined by evolving inside the cluster region and subtracting every
     anchored connected sub-cluster's piece; the size-1 base case is plain
-    evolution inside the anchor box.  Summing over all anchored connected
-    clusters reconstructs the full evolved operator.
+    evolution inside the anchor box.  The cluster and each sub-cluster are
+    evolved once, embedded in the cluster region and re-summed there.
+    Summing over all anchored connected clusters reconstructs the full
+    evolved operator.
     """
     cluster = tuple(sorted(cluster))
     anchor = tiling.anchor_box
     if anchor not in cluster:
         raise ValueError("cluster must contain the anchor box")
-    if not _connected(cluster, tiling.adjacency):
+    if not is_connected(tiling.adjacency, cluster):
         raise ValueError("cluster must be connected on the coarse graph")
-    memo = _memo if _memo is not None else {}
-    if cluster in memo:
-        return memo[cluster]
-    region = cluster_region(tiling, cluster)
     if not set(A.support) <= set(tiling.box_vertices[anchor]):
         raise ValueError("observable support must sit inside the anchor box")
-    evolved = heisenberg_evolve(H, A, t, region).matrix
-    for sub in anchored_proper_subclusters(cluster, tiling.adjacency, anchor):
-        piece = operator_piece(H, A, sub, tiling, t, _memo=memo)
-        evolved -= embed(piece.matrix, piece.support, region)
-    out = LocalOperator(region, evolved)
-    memo[cluster] = out
-    return out
+    region = cluster_region(tiling, cluster)
+    raw = {}
+    for sub in anchored_proper_subclusters(cluster, tiling.adjacency, anchor) + [cluster]:
+        evolved = heisenberg_evolve(H, A, t, cluster_region(tiling, sub))
+        raw[sub] = embed(evolved.matrix, evolved.support, region)
+    return LocalOperator(region, inclusion_exclusion(raw, tiling).corrected[cluster])

@@ -379,3 +379,61 @@ def test_paper_formula_mode_requires_params(tmp_path):
         "t_grid": [0.3],
     })
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+BOUND_CONFIG = {"command": "bound", "sweeps": [{"bound": "volume", "t": [2.0], "R": [3.0]}]}
+GHZ_CONFIG = {"command": "ssb", "experiments": [{"kind": "ghz", "L": [4]}]}
+
+
+@pytest.mark.parametrize("config", [
+    dict(SIM_CONFIG, model={"name": "tfim", "h": 1.0}),
+    dict(SIM_CONFIG, model={"name": "ising"}),
+    dict(SIM_CONFIG, observable={"pauli": "Q", "sites": [0]}),
+    dict(SIM_CONFIG, observable={"pauli": "ZZ", "sites": [0]}),
+    dict(SIM_CONFIG, observable={"pauli": "Z", "sites": [99]}),
+    dict(SIM_CONFIG, observable={"pauli": "Z", "sites": [5]}),
+    dict(SIM_CONFIG, mode="paper"),
+    dict(SIM_CONFIG, params={"degree": 0}),
+    dict(SIM_CONFIG, lattice={"d": 1, "L": "x"}),
+    dict(SIM_CONFIG, t_grid={"start": 0.1, "stop": 0.5}),
+    dict(SIM_CONFIG, plan={"r": 2, "m_star": 3, "anchor_vertex": 99}),
+    dict(SIM_CONFIG, lattice={"d": 1, "L": 8, "range": 2}, plan={"r": 1, "m_star": 3}),
+    dict(SIM_CONFIG, state={"kind": "zero", "x": 1}),
+    dict(BOUND_CONFIG, sweeps=[{"bound": "volume", "typo": 1}]),
+    dict(GHZ_CONFIG, experiments=[{"kind": "ghz", "gg": 0.3}]),
+], ids=["model-parameter", "model-name", "pauli-letter", "pauli-count", "site-off-lattice",
+        "site-outside-anchor-box", "mode", "params-degree", "lattice-L", "grid-without-num",
+        "anchor-vertex", "r-below-range", "state-key", "sweep-key", "ghz-key"])
+def test_config_errors_exit_2(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_stray_imaginary_part_stays_exit_1(tmp_path, monkeypatch):
+    # a non-Hermitian observable is a bug, not a configuration problem
+    import opgrowth.cli
+    from opgrowth.operators import LocalOperator
+
+    sigma_plus = LocalOperator((0,), np.array([[0, 1], [0, 0]]))
+    monkeypatch.setattr(opgrowth.cli, "pauli_operator", lambda label, sites: sigma_plus)
+    cfg = write_config(tmp_path, SIM_CONFIG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+def test_oracle_guard_trips_before_any_cluster(tmp_path, monkeypatch):
+    # 25 sites are above the oracle's vector cap: refuse before evaluating clusters
+    import opgrowth.cli
+
+    calls = []
+    monkeypatch.setattr(opgrowth.cli, "simulate_expectation",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, lattice={"d": 2, "L": 5}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert calls == []
+    assert len((out / "results.csv").read_text().splitlines()) == 1
+    assert json.loads((out / "manifest.json").read_text())["truncated"]

@@ -16,6 +16,8 @@ from opgrowth.lattice import (
     build_square_lattice,
     enumerate_connected_subsets,
     factor_distance,
+    hop_distances,
+    is_connected,
     minimal_cluster_order,
     tile_boxes,
 )
@@ -77,6 +79,48 @@ def _bipartite_bfs(g, x, y):
                     dist[u] = dist[v] + 1
                     queue.append(u)
     return dist[y]
+
+
+def test_hop_distances_match_bipartite_bfs():
+    # range 2 makes the factor graph differ from the nearest-neighbour grid
+    g = build_rectangular_lattice((3, 5), interaction_range=2)
+    adjacency = g.vertex_adjacency()
+    for x in g.vertices:
+        hops = list(hop_distances(adjacency, [x]))
+        assert [d for _, d in hops] == sorted(d for _, d in hops)
+        assert dict(hops) == {y: _bipartite_bfs(g, x, y) for y in g.vertices}
+        for radius in (0, 1, 2):
+            assert dict(hop_distances(adjacency, [x], radius)) == {
+                y: d for y, d in hops if d <= radius}
+    two = dict(hop_distances(adjacency, [0, 14]))
+    assert two == {y: min(_bipartite_bfs(g, 0, y), _bipartite_bfs(g, 14, y))
+                   for y in g.vertices}
+
+
+def test_ball_reads_only_the_ball():
+    # a ball costs O(ball), not O(lattice): count the adjacency rows it reads
+    g = build_square_lattice(2, 64)
+
+    class CountingRows(dict):
+        def __getitem__(self, v):
+            reads.add(v)
+            return super().__getitem__(v)
+
+    reads = set()
+    object.__setattr__(g, "_adjacency", CountingRows(g.vertex_adjacency()))
+    ball, _ = ball_and_boundary(g, 64 * 32 + 32, 3)
+    assert len(ball) == 25
+    assert reads <= ball
+    reads.clear()
+    assert factor_distance(g, {0}, {2}) == 2
+    assert len(reads) <= 6
+
+
+def test_is_connected_examples():
+    adjacency = build_square_lattice(1, 6).vertex_adjacency()
+    assert is_connected(adjacency, (1, 2, 3))
+    assert not is_connected(adjacency, (1, 3))
+    assert is_connected(adjacency, (4,)) and is_connected(adjacency, ())
 
 
 def test_factor_distance_rejects_unknown_vertices():

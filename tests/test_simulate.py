@@ -33,6 +33,7 @@ from opgrowth.simulate import (
     anchored_clusters,
     anchored_proper_subclusters,
     cluster_correction,
+    inclusion_exclusion,
     operator_piece,
     plan,
     raw_cluster_expectation,
@@ -279,9 +280,8 @@ def test_operator_piece_completeness_three_boxes():
     for t in (0.4, 1.0):
         full = heisenberg_evolve(TFIM6, A, t, region).matrix
         total = np.zeros_like(full)
-        memo = {}
         for cluster in anchored_clusters(tiling, 3):
-            piece = operator_piece(TFIM6, A, cluster, tiling, t, _memo=memo)
+            piece = operator_piece(TFIM6, A, cluster, tiling, t)
             total += embed(piece.matrix, piece.support, region)
         assert np.linalg.norm(total - full, 2) <= 1e-10
 
@@ -290,11 +290,10 @@ def test_operator_piece_norm_decays_with_cluster_size():
     tiling = tile_boxes(CHAIN6, 1, 0)
     A = pauli_operator("Z", (0,))
     t = 0.35
-    memo = {}
     norms = []
     for m in range(1, 6):
         cluster = tuple((k,) for k in range(m))
-        piece = operator_piece(TFIM6, A, cluster, tiling, t, _memo=memo)
+        piece = operator_piece(TFIM6, A, cluster, tiling, t)
         norms.append(float(np.linalg.norm(piece.matrix, 2)))
     assert all(a > b for a, b in zip(norms[1:], norms[2:]))  # decreasing beyond level 2
     logs = np.log(norms[1:])
@@ -356,6 +355,42 @@ def test_simulate_grid_matches_scalar_calls():
         assert diag["truncation_bound"] == diag1["truncation_bound"]
         for cluster, raw in diag1["table"].raw.items():
             assert diag["table"].raw[cluster] == pytest.approx(raw, abs=1e-12)
+
+
+def test_grid_resum_keeps_raw_values_and_matches_scalar_resums(monkeypatch):
+    import opgrowth.simulate as simulate_mod
+
+    g = build_square_lattice(2, 4)
+    H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.8})
+    A = pauli_operator("Z", (0,))
+    p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=1, m_star=4)
+    listed = []
+
+    def counting_subclusters(cluster, adjacency, anchor):
+        listed.append(cluster)
+        return anchored_proper_subclusters(cluster, adjacency, anchor)
+
+    monkeypatch.setattr(simulate_mod, "anchored_proper_subclusters", counting_subclusters)
+    grid = [0.9, 0.2, 0.5]
+    results = simulate_expectation(H, A, ZERO, grid, p)
+    clusters = anchored_clusters(p.tiling, 4)
+    assert sorted(listed) == sorted(clusters)  # once per cluster, not once per t
+    for cluster in clusters:
+        raw = raw_cluster_expectation(H, A, ZERO, cluster, p.tiling, grid)
+        for k, (_, diag) in enumerate(results):
+            assert diag["table"].raw[cluster] == raw[k]
+    for estimate, diag in results:
+        table = inclusion_exclusion(dict(diag["table"].raw), p.tiling)
+        assert table.corrected == diag["table"].corrected
+        total = 0.0
+        for m, running in enumerate(diag["running_estimates"], start=1):
+            level = 0.0
+            for cluster in clusters:
+                if len(cluster) == m:
+                    level += table.corrected[cluster]
+            total += level
+            assert running == total
+        assert estimate == total
 
 
 def test_raw_cluster_rejects_stray_imaginary_part():
