@@ -35,8 +35,6 @@ class BoundParams:
     prefactor         overall bound prefactor
     kappa             quasilocal decay per support site
     tail_norm         constant of the pairwise tail-sum bound (h')
-    reproducing_const empirical reproducing constant (K)
-    reproducing_power power-law sharpening exponent (alpha)
     box_margin        distance from each target region to its box wall (chi)
     box_offset        additive box-size constant of the truncation bound
     sim_prefactor     truncation-bound prefactor (c_d)
@@ -52,8 +50,6 @@ class BoundParams:
     prefactor: float = 1.0
     kappa: float = 2.0
     tail_norm: float = 1.0
-    reproducing_const: float = 1.0
-    reproducing_power: float = 2.0
     box_margin: float = 1.0
     box_offset: float = 0.0
     sim_prefactor: float = 1.0
@@ -62,9 +58,8 @@ class BoundParams:
     dimension: int = 1
 
     def __post_init__(self):
-        for name in ("term_norm_max", "decay_rate", "lr_velocity", "prefactor",
-                     "kappa", "tail_norm", "reproducing_const", "box_margin",
-                     "sim_prefactor", "sim_decay", "volume_decay"):
+        for name in ("term_norm_max", "decay_rate", "lr_velocity", "prefactor", "kappa",
+                     "tail_norm", "box_margin", "sim_prefactor", "sim_decay", "volume_decay"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.degree < 1 or self.dimension < 1:
@@ -93,7 +88,6 @@ class BoundParams:
             degree=degree,
             dimension=dimension,
             lr_velocity=2 * math.e * h * degree,
-            reproducing_power=dimension + 1,
         )
         return replace(params, **overrides) if overrides else params
 
@@ -136,8 +130,6 @@ class BoundParams:
             kappa=kappa,
             decay_rate=mu,
             tail_norm=tail_norm,
-            reproducing_const=K,
-            reproducing_power=alpha,
             lr_velocity=2 * K * tail_norm / mu,
             prefactor=1.0 / K,
         )
@@ -158,6 +150,10 @@ def path_sum_bound(
     prod_i sum_paths (2|t|)^len / len! * prod(term norms on the path).
     Paths are enumerated on the Hamiltonian's own factor graph with length
     capped at the region size.
+
+    R must contain every vertex outside the union of the B_i that shares a
+    factor with some B_i, as the full complement of the union does: paths
+    enter each B_i from R, so a smaller R drops paths and can undercount.
     """
     R = frozenset(R)
     S_list = [frozenset(s) for s in S_list]
@@ -212,7 +208,6 @@ def matrix_exp_bound(
     H: HamiltonianSpec,
     region_pairs,
     t: float,
-    cap: int = MATRIX_EXP_VERTEX_CAP,
 ) -> float:
     """Bound from the exponential of the vertex coupling-strength matrix.
 
@@ -221,8 +216,8 @@ def matrix_exp_bound(
     """
     vertices = tuple(g.vertices)
     n = len(vertices)
-    if n > cap:
-        raise CapExceededError(f"{n} vertices exceeds dense matrix-exponential cap {cap}")
+    if n > MATRIX_EXP_VERTEX_CAP:
+        raise CapExceededError(f"{n} vertices exceed the dense expm cap {MATRIX_EXP_VERTEX_CAP}")
     index = {v: i for i, v in enumerate(vertices)}
     W = np.zeros((n, n))
     for term in H.terms:
@@ -243,9 +238,9 @@ def matrix_exp_bound(
     return total
 
 
-def volume_bound(params: BoundParams, R: float, t: float, d: int | None = None) -> float:
-    """Volume-law tail bound c * exp(-gamma (R - vt)^d / (vt)^{d-1})."""
-    d = d if d is not None else params.dimension
+def volume_bound(params: BoundParams, R: float, t: float) -> float:
+    """Volume-law tail c * exp(-gamma (R - vt)^d / (vt)^{d-1}), d = params.dimension."""
+    d = params.dimension
     vt = params.lr_velocity * t
     if vt <= 1:
         raise ValidityWindowError(f"requires lr_velocity * t > 1, got {vt}")
@@ -331,11 +326,11 @@ def factor_tail_sum(H: HamiltonianSpec, u: int, v: int) -> float:
     return sum(t.norm for t in H.terms if u in t.support and v in t.support)
 
 
-def truncation_error_bound(params: BoundParams, t: float, M: float, d: int | None = None) -> float:
-    """Error of truncating the operator expansion at volume M."""
+def truncation_error_bound(params: BoundParams, t: float, M: float) -> float:
+    """Error of truncating the operator expansion at volume M in dimension params.dimension."""
     if M < 1:
         raise ValueError("volume cutoff M must be >= 1")
-    d = d if d is not None else params.dimension
+    d = params.dimension
     mu = params.decay_rate
     vt = params.lr_velocity * abs(t)
     return params.sim_prefactor * math.exp(

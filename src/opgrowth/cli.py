@@ -62,6 +62,7 @@ from .simulate import (
 from .ssb import (
     DisorderRegion,
     RKState,
+    disorder_bound_compare,
     ghz_splitting,
     nested_identity_check,
     rk_disorder_parameter,
@@ -70,19 +71,7 @@ from .ssb import (
 )
 from .states import ProductState
 
-COMMANDS = ("lattice", "bound", "simulate", "oracle", "ssb", "verify")
 MODES = ("desk", "paper-formula")
-
-_TOP_KEYS = {
-    "lattice": {"command", "seed", "threads", "mode", "lattice"},
-    "bound": {"command", "seed", "threads", "mode", "lattice", "model", "params", "sweeps"},
-    "simulate": {"command", "seed", "threads", "mode", "lattice", "model", "state",
-                 "observable", "plan", "t_grid", "params", "oracle"},
-    "oracle": {"command", "seed", "threads", "mode", "lattice", "model", "state",
-               "observable", "t_grid"},
-    "ssb": {"command", "seed", "threads", "mode", "experiments"},
-    "verify": {"command", "seed", "threads", "mode", "suites", "mutate"},
-}
 
 
 def main(argv=None) -> int:
@@ -129,8 +118,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     command = config.get("command")
     if command not in COMMANDS:
-        raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
-    unknown = set(config) - _TOP_KEYS[command]
+        raise ConfigError(f"command must be one of {tuple(COMMANDS)}, got {command!r}")
+    unknown = set(config) - _COMMON_KEYS - COMMANDS[command][1]
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)} for command {command!r}")
     config.setdefault("seed", 0)
@@ -151,17 +140,20 @@ def _integer(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
+def _number(value, what: str) -> float:
+    """A float from the config: an int, a float or a string that spells one."""
+    try:
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            return float(value)
+    except ValueError:
+        pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
 def _run(config: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
-    runner = {
-        "lattice": _cmd_lattice,
-        "bound": _cmd_bound,
-        "simulate": _cmd_simulate,
-        "oracle": _cmd_oracle,
-        "ssb": _cmd_ssb,
-        "verify": _cmd_verify,
-    }[config["command"]]
+    runner = COMMANDS[config["command"]][0]
     outputs, truncated, exit_code = runner(config, out_dir)
     manifest = {
         "command": config["command"],
@@ -212,7 +204,7 @@ def _fmt(x) -> str:
 
 def _build_lattice(spec: dict):
     spec = dict(spec)
-    _reject_unknown(spec, {"d", "L", "range", "periodic"}, "lattice")
+    _check_keys(spec, {"d", "L", "range", "periodic"}, "lattice")
     return build_square_lattice(
         d=_integer(spec.get("d", 1), "lattice.d"),
         L=_integer(spec.get("L"), "lattice.L"),
@@ -221,10 +213,27 @@ def _build_lattice(spec: dict):
     )
 
 
-def _reject_unknown(spec: dict, allowed: set, where: str) -> None:
+def _check_keys(spec: dict, allowed: set, where: str, required: set = frozenset()) -> None:
     unknown = set(spec) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where!r} section")
+    missing = required - set(spec)
+    if missing:
+        raise ConfigError(f"missing keys {sorted(missing)} in {where!r} section")
+
+
+def _entries(config: dict, key: str, tag: str, table: dict, what: str):
+    """(entry[tag], entry) per object under ``key``, its keys checked against ``table``."""
+    entries = config.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"{key} must be a list of objects")
+    for entry in map(dict, entries):
+        name = entry.pop(tag, None)
+        if name not in table:
+            raise ConfigError(f"unknown {what} {name!r}")
+        required, optional = table[name]
+        _check_keys(entry, required | optional, f"{name} {what}", required)
+        yield name, entry
 
 
 def _build_model(spec: dict, graph, seed: int):
@@ -234,11 +243,13 @@ def _build_model(spec: dict, graph, seed: int):
         raise ConfigError("model section needs a 'name'")
     if name == "random2local":
         spec.setdefault("seed", seed)
+    spec = {key: _integer(value, f"model.{key}") if key in ("seed", "s_max")
+            else _number(value, f"model.{key}") for key, value in spec.items()}
     return build_named_hamiltonian(name, graph, spec)
 
 
 def _build_state(spec: dict | None, graph):
-    _reject_unknown(spec or {}, {"kind"}, "state")
+    _check_keys(spec or {}, {"kind"}, "state")
     kind = (spec or {}).get("kind", "zero")
     if kind == "zero":
         return ProductState.all_zero()
@@ -249,22 +260,23 @@ def _build_state(spec: dict | None, graph):
 
 def _build_observable(spec: dict, graph):
     spec = dict(spec or {"pauli": "Z", "sites": [0]})
-    _reject_unknown(spec, {"pauli", "sites"}, "observable")
+    _check_keys(spec, {"pauli", "sites"}, "observable")
     label, sites = str(spec.get("pauli", "")), tuple(spec.get("sites", ()))
-    on_lattice = set(sites) <= set(graph.vertex_adjacency())
+    on_lattice = set(sites) <= set(graph.vertex_adjacency()) and len(set(sites)) == len(sites)
     if not label or len(label) != len(sites) or not set(label) <= set("IXYZ") or not on_lattice:
         raise ConfigError(f"observable {label!r} on {list(sites)}: need one Pauli letter"
-                          " I, X, Y or Z per lattice site")
+                          " I, X, Y or Z per distinct lattice site")
     return pauli_operator(label, sites)
 
 
 def _grid(spec) -> list[float]:
     if isinstance(spec, list):
-        return [float(x) for x in spec]
+        return [_number(x, "grid entry") for x in spec]
     if isinstance(spec, dict):
         if set(spec) != {"start", "stop", "num"}:
             raise ConfigError(f"grid needs exactly start, stop and num, got {sorted(spec)}")
-        return list(np.linspace(spec["start"], spec["stop"], _integer(spec["num"], "grid num")))
+        start, stop = (_number(spec[key], f"grid {key}") for key in ("start", "stop"))
+        return list(np.linspace(start, stop, _integer(spec["num"], "grid num")))
     raise ConfigError("grid must be a list or {start, stop, num}")
 
 
@@ -273,7 +285,7 @@ def _bound_params(spec: dict | None) -> BoundParams:
         return BoundParams()
     spec = dict(spec)
     allowed = {f for f in BoundParams.__dataclass_fields__}
-    _reject_unknown(spec, allowed, "params")
+    _check_keys(spec, allowed, "params")
     try:
         return BoundParams(**spec)
     except (TypeError, ValueError) as exc:
@@ -297,12 +309,9 @@ def _cmd_bound(config: dict, out_dir: str):
         model = _build_model(config["model"], graph, config["seed"])
     rows: list[list] = []
     truncated = False
-    for sweep in config.get("sweeps", []):
-        sweep = dict(sweep)
-        name = sweep.pop("bound", None)
-        if name not in _SWEEP_KEYS:
-            raise ConfigError(f"unknown bound {name!r}")
-        _reject_unknown(sweep, _SWEEP_KEYS[name], f"{name} sweep")
+    for name, sweep in _entries(config, "sweeps", "bound", _SWEEP_KEYS, "sweep"):
+        if name in ("path_sum", "matrix_exp", "dominance") and model is None:
+            raise ConfigError(f"{name} sweep needs lattice and model sections")
         try:
             rows.extend(_run_sweep(name, sweep, params, graph, model))
         except CapExceededError:
@@ -313,11 +322,11 @@ def _cmd_bound(config: dict, out_dir: str):
     return ["bounds.csv"], truncated, 2 if truncated else 0
 
 
-_SWEEP_KEYS = {  # the keys each bound sweep reads
-    "volume": {"t", "R"}, "combinatorial": {"regions", "t"}, "truncation": {"t", "M"},
-    "quasilocal_pair": {"dB", "dS", "t", "dist"}, "quasilocal_nested": {"regions", "t"},
-    "path_sum": {"R", "S", "B", "t"}, "matrix_exp": {"B", "S", "t"},
-    "dominance": {"S", "B", "observable", "probes", "t"},
+_SWEEP_KEYS = {  # the (required, optional) keys each bound sweep reads
+    "volume": (set(), {"t", "R"}), "combinatorial": ({"regions"}, {"t"}),
+    "truncation": (set(), {"t", "M"}), "quasilocal_pair": (set(), {"dB", "dS", "t", "dist"}),
+    "quasilocal_nested": ({"regions"}, {"t"}), "path_sum": ({"S", "B"}, {"t"}),
+    "matrix_exp": ({"B", "S"}, {"t"}), "dominance": ({"S", "B"}, {"observable", "probes", "t"}),
 }
 
 
@@ -327,26 +336,19 @@ def _run_sweep(name, sweep, params, graph, model):
         for t in _grid(sweep.get("t", [1.0])):
             for R in _grid(sweep.get("R", [2.0])):
                 rows.append(_bound_row("volume", t, R, lambda: volume_bound(params, R, t)))
-    elif name == "combinatorial":
+    elif name in ("combinatorial", "quasilocal_nested"):
         regions = [tuple(r) for r in sweep["regions"]]
         r_min = min(r for (_, _, r) in regions)
-        for t in _grid(sweep.get("t", [0.1])):
-            rows.append(_bound_row("combinatorial", t, r_min,
-                                   lambda: combinatorial_bound(params, regions, t)))
+        evaluate = combinatorial_bound if name == "combinatorial" else quasilocal_nested_bound
+        for t in _grid(sweep.get("t", [0.1] if name == "combinatorial" else [1.0])):
+            rows.append(_bound_row(name, t, r_min, lambda: evaluate(params, regions, t)))
     elif name == "quasilocal_pair":
-        dB, dS = float(sweep.get("dB", 1)), float(sweep.get("dS", 1))
+        dB, dS = _number(sweep.get("dB", 1), "dB"), _number(sweep.get("dS", 1), "dS")
         for t in _grid(sweep.get("t", [1.0])):
             for dist in _grid(sweep.get("dist", [1.0])):
                 rows.append(_bound_row(
                     "quasilocal_pair", t, dist,
                     lambda: quasilocal_pair_bound(params, dB, dS, dist, t)))
-    elif name == "quasilocal_nested":
-        regions = [tuple(r) for r in sweep["regions"]]
-        r_min = min(r for (_, _, r) in regions)
-        for t in _grid(sweep.get("t", [1.0])):
-            rows.append(_bound_row(
-                "quasilocal_nested", t, r_min,
-                lambda: quasilocal_nested_bound(params, regions, t)))
     elif name == "truncation":
         for t in _grid(sweep.get("t", [1.0])):
             for M in _grid(sweep.get("M", [8])):
@@ -354,19 +356,13 @@ def _run_sweep(name, sweep, params, graph, model):
                     "truncation", t, M,
                     lambda: truncation_error_bound(params, t, M)))
     elif name == "path_sum":
-        if graph is None or model is None:
-            raise ConfigError("path_sum sweep needs lattice and model sections")
-        R = set(sweep["R"])
-        S_list = [set(s) for s in sweep["S"]]
-        B_list = [set(b) for b in sweep["B"]]
+        R, S_list, B_list = _path_regions(sweep, graph)
         dist = min(factor_distance(graph, R, S) for S in S_list)
         for t in _grid(sweep.get("t", [0.5])):
             rows.append(_bound_row(
                 "path_sum", t, dist,
                 lambda: path_sum_bound(graph, model, R, S_list, B_list, t)))
     elif name == "matrix_exp":
-        if graph is None or model is None:
-            raise ConfigError("matrix_exp sweep needs lattice and model sections")
         pairs = [(set(b), set(s)) for b, s in zip(sweep["B"], sweep["S"])]
         dist = min(factor_distance(graph, b, s) for b, s in pairs)
         for t in _grid(sweep.get("t", [0.5])):
@@ -378,16 +374,19 @@ def _run_sweep(name, sweep, params, graph, model):
     return rows
 
 
-def _dominance_sweep(sweep, params, graph, model):
-    """Paired oracle run: bound values next to the exact nested commutator."""
-    if graph is None or model is None:
-        raise ConfigError("dominance sweep needs lattice and model sections")
+def _path_regions(sweep, graph):
+    """(R, S_i, B_i) for ``path_sum_bound``; R is every vertex outside the B_i, never fewer."""
     S_list = [set(s) for s in sweep["S"]]
     B_list = [set(b) for b in sweep["B"]]
-    R = set(graph.vertices) - set().union(*B_list)
+    return set(graph.vertices) - set().union(*B_list), S_list, B_list
+
+
+def _dominance_sweep(sweep, params, graph, model):
+    """Paired oracle run: bound values next to the exact nested commutator."""
+    R, S_list, B_list = _path_regions(sweep, graph)
     observable = _build_observable(sweep.get("observable"), graph)
     probes = [
-        pauli_operator(p.get("pauli", "X"), tuple(p["sites"]))
+        _build_observable({"pauli": "X", **p}, graph)
         for p in sweep.get("probes", [{"pauli": "X", "sites": sorted(S)} for S in S_list])
     ]
     r_list = [factor_distance(graph, R, S) for S in S_list]
@@ -421,8 +420,10 @@ def _cmd_simulate(config: dict, out_dir: str):
     state = _build_state(config.get("state"), graph)
     observable = _build_observable(config.get("observable"), graph)
     plan_spec = dict(config.get("plan") or {})
-    _reject_unknown(plan_spec, {"r", "m_star", "epsilon", "anchor_vertex"}, "plan")
-    epsilon = float(plan_spec.get("epsilon", 1e-6))
+    _check_keys(plan_spec, {"r", "m_star", "epsilon", "anchor_vertex"}, "plan")
+    sizes = {key: _integer(plan_spec[key], f"plan.{key}") for key in ("r", "m_star")
+             if key in plan_spec}
+    epsilon = _number(plan_spec.get("epsilon", 1e-6), "plan.epsilon")
     params = _bound_params(config.get("params")) if "params" in config else None
     if config["mode"] == "paper-formula" and params is None:
         raise ConfigError("paper-formula mode needs a params section")
@@ -435,7 +436,7 @@ def _cmd_simulate(config: dict, out_dir: str):
         raise ConfigError(f"plan.anchor_vertex {anchor_vertex} is not on the lattice")
     plans = [
         plan(params, t, epsilon, mode=config["mode"], graph=graph, anchor_vertex=anchor_vertex,
-             r=plan_spec.get("r"), m_star=plan_spec.get("m_star"))
+             r=sizes.get("r"), m_star=sizes.get("m_star"))
         for t in grid
     ]
     if any(not set(observable.support) <= set(p.tiling.box_vertices[p.tiling.anchor_box])
@@ -494,44 +495,36 @@ def _cmd_oracle(config: dict, out_dir: str):
     return ["oracle.csv"], False, 0
 
 
-_EXPERIMENT_KEYS = {  # the keys each ssb experiment reads
-    "rk": {"lattice", "beta", "sizes", "region"}, "ghz": {"g", "L"},
-    "compare": {"params", "t", "d"},
+_EXPERIMENT_KEYS = {  # the (required, optional) keys each ssb experiment reads
+    "rk": ({"lattice"}, {"beta", "sizes", "region"}), "ghz": (set(), {"g", "L"}),
+    "compare": (set(), {"params", "t"}),
 }
 
 
 def _cmd_ssb(config: dict, out_dir: str):
     outputs = []
     rk_rows, ghz_rows, compare_reports = [], [], []
-    for experiment in config.get("experiments", []):
-        experiment = dict(experiment)
-        kind = experiment.pop("kind", None)
-        if kind not in _EXPERIMENT_KEYS:
-            raise ConfigError(f"unknown ssb experiment {kind!r}")
-        _reject_unknown(experiment, _EXPERIMENT_KEYS[kind], f"{kind} experiment")
+    for kind, experiment in _entries(config, "experiments", "kind", _EXPERIMENT_KEYS, "experiment"):
         if kind == "rk":
             graph = _build_lattice(experiment["lattice"])
             for beta in _grid(experiment.get("beta", [0.5])):
                 state = RKState(beta=beta, graph=graph)
-                for size in experiment.get("sizes", [1]):
+                for size in (_integer(s, "rk size") for s in experiment.get("sizes", [1])):
                     region = _ssb_region(graph, experiment.get("region", "interval"), size)
                     value = rk_disorder_parameter(state, region)
                     rk_rows.append([beta, size, region.boundary_bonds, value])
         elif kind == "ghz":
-            g_val = float(experiment.get("g", 0.1))
-            for L in experiment.get("L", [4, 6, 8]):
-                ghz_rows.append([int(L), g_val, ghz_splitting("tfim", int(L), g_val)])
+            g_val = _number(experiment.get("g", 0.1), "ghz g")
+            for L in (_integer(x, "ghz L") for x in experiment.get("L", [4, 6, 8])):
+                ghz_rows.append([L, g_val, ghz_splitting("tfim", L, g_val)])
         else:  # compare
             params = _bound_params(experiment.get("params"))
             results = [
                 {"R": float(row[1]), "value": float(row[3]), "beta": float(row[0])}
                 for row in rk_rows
             ]
-            from .ssb import disorder_bound_compare
-
             compare_reports.append(disorder_bound_compare(
-                results, params, float(experiment.get("t", 1.0)),
-                int(experiment.get("d", 2))))
+                results, params, _number(experiment.get("t", 1.0), "compare t")))
     if rk_rows:
         _csv(os.path.join(out_dir, "rk.csv"),
              ["beta", "R", "boundary_bonds", "disorder_value"], rk_rows)
@@ -607,6 +600,18 @@ def _cmd_verify(config: dict, out_dir: str):
     _write_atomic(os.path.join(out_dir, "report.json"),
                   json.dumps(report, indent=2, sort_keys=True) + "\n")
     return ["report.json"], False, 0 if all_pass else 1
+
+
+_COMMON_KEYS = {"command", "seed", "threads", "mode"}
+COMMANDS = {  # each command's runner and the top-level keys it reads besides _COMMON_KEYS
+    "lattice": (_cmd_lattice, {"lattice"}),
+    "bound": (_cmd_bound, {"lattice", "model", "params", "sweeps"}),
+    "simulate": (_cmd_simulate, {"lattice", "model", "state", "observable", "plan", "t_grid",
+                                 "params", "oracle"}),
+    "oracle": (_cmd_oracle, {"lattice", "model", "state", "observable", "t_grid"}),
+    "ssb": (_cmd_ssb, {"experiments"}),
+    "verify": (_cmd_verify, {"suites", "mutate"}),
+}
 
 
 # The self-checks below are acceptance criteria 2, 4, 5 and 8 at their own

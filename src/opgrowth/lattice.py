@@ -294,13 +294,10 @@ class BoxTiling:
     every axis, so each box has at most 3**d - 1 neighbors.
     """
 
-    r: int
     dimension: int
-    box_of_vertex: dict[int, tuple[int, ...]]
     box_vertices: dict[tuple[int, ...], tuple[int, ...]]
     adjacency: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
     anchor_box: tuple[int, ...]
-    interaction_range: int = 1
 
     @property
     def boxes(self) -> tuple[tuple[int, ...], ...]:
@@ -327,13 +324,10 @@ def tile_boxes(g: FactorGraph, r: int, anchor_vertex: int) -> BoxTiling:
         for b in boxes
     }
     return BoxTiling(
-        r=r,
         dimension=g.dimension,
-        box_of_vertex=box_of_vertex,
         box_vertices={b: tuple(sorted(vs)) for b, vs in box_vertices.items()},
         adjacency=adjacency,
         anchor_box=box_of_vertex[anchor_vertex],
-        interaction_range=g.interaction_range,
     )
 
 

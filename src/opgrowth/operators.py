@@ -42,18 +42,29 @@ PAULI = {
 
 @dataclass(frozen=True)
 class LocalOperator:
-    """Dense operator on a small set of qubits."""
+    """Dense operator on qubits; kron factor i of ``matrix`` acts on ``support[i]``.
+
+    Stored with the support sorted, the factors of an unsorted one permuted to match.
+    """
 
     support: tuple[int, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        support = tuple(sorted(self.support))
-        object.__setattr__(self, "support", support)
+        support = tuple(self.support)
+        n = len(support)
+        if len(set(support)) != n:
+            raise ValueError(f"repeated site in support {list(support)}")
         mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** len(support)
+        dim = 2**n
         if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match 2**{len(support)}")
+            raise ValueError(f"matrix shape {mat.shape} does not match 2**{n}")
+        order = sorted(range(n), key=support.__getitem__)
+        if order != list(range(n)):
+            axes = order + [n + i for i in order]
+            mat = mat.reshape((2,) * (2 * n)).transpose(axes).reshape(dim, dim)
+            support = tuple(support[i] for i in order)
+        object.__setattr__(self, "support", support)
         object.__setattr__(self, "matrix", mat)
 
     def to_json(self) -> str:
@@ -105,9 +116,7 @@ def pauli_operator(label: str, sites: tuple[int, ...] | list[int]) -> LocalOpera
     sites = tuple(sites)
     if len(label) != len(sites):
         raise ValueError("one Pauli letter per site")
-    order = np.argsort(sites)
-    mats = [PAULI[label[i]] for i in order]
-    return LocalOperator(tuple(sites[i] for i in order), kron_all(mats))
+    return LocalOperator(sites, kron_all(PAULI[c] for c in label))
 
 
 def kron_all(mats) -> np.ndarray:
@@ -334,6 +343,8 @@ def _eigh(H: HamiltonianSpec, region: tuple[int, ...]) -> tuple[np.ndarray, np.n
     2^11 matrices but loses orthogonality there at the 1e-12 level, which
     the oracle would report as a commutator norm.
     """
+    if len(region) > DEFAULT_QUBIT_CAP:
+        raise CapExceededError(f"region of {len(region)} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     mat = hamiltonian_matrix(H, region, sparse=True)
     if not np.any(mat.data.imag):
         return np.linalg.eigh(mat.real.toarray())
@@ -366,9 +377,6 @@ def heisenberg_evolve(
     region = tuple(sorted(region))
     if not set(A.support) <= set(region):
         raise ValueError("region must contain the operator support")
-    if len(region) > DEFAULT_QUBIT_CAP:
-        raise CapExceededError(
-            f"region of {len(region)} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     U = evolution_unitary(H, region, t)
     positions = [region.index(s) for s in A.support]
     UA = apply_local(A.matrix.T, positions, U.T, len(region)).T

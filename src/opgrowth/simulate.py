@@ -141,14 +141,11 @@ def anchored_proper_subclusters(cluster: Cluster, adjacency: dict, anchor) -> li
     All other subsets carry no weight: support grows connectedly from the
     anchor box, so their contribution is identically zero.
     """
-    members = [b for b in cluster if b != anchor]
-    local = {b: set(adjacency[b]).intersection(cluster) for b in cluster}
+    members = set(cluster)
+    local = {b: [nb for nb in adjacency[b] if nb in members] for b in cluster}
     out: list[Cluster] = []
-    for size in range(0, len(members)):
-        for combo in itertools.combinations(members, size):
-            sub = tuple(sorted(combo + (anchor,)))
-            if len(sub) < len(cluster) and is_connected(local, sub):
-                out.append(sub)
+    for size in range(1, len(cluster)):
+        out.extend(enumerate_connected_subsets(local, anchor, size))
     return sorted(out)
 
 
@@ -236,7 +233,6 @@ def simulate_expectation(
         table = ClusterTable(raw={c: float(v[k]) for c, v in raw.items()},
                              corrected={c: float(v[k]) for c, v in corrected.items()})
         diagnostics = {
-            "clusters_evaluated": running_clusters[-1],
             "running_clusters": running_clusters,
             "level_sums": [float(v[k]) for v in level_sums],
             "running_estimates": [float(v[k]) for v in running],

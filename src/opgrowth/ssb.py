@@ -94,9 +94,9 @@ def _check_flip_symmetric(M: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not symmetric under the global flip (gap {gap:.2e})")
 
 
-def symmetric_unitary(H: HamiltonianSpec, t: float, region=None) -> np.ndarray:
-    """exp(-iHt) with a hard check that it commutes with the global spin flip."""
-    region = tuple(sorted(region if region is not None else H.vertices()))
+def symmetric_unitary(H: HamiltonianSpec, t: float, region) -> np.ndarray:
+    """exp(-iHt) on ``region`` with a hard check that it commutes with the global spin flip."""
+    region = tuple(sorted(region))
     U = evolution_unitary(H, region, -t)
     _check_flip_symmetric(U, "evolution")
     return U
@@ -267,8 +267,8 @@ def _contiguous_arc(members: list[int], n: int) -> list[int] | None:
     return members
 
 
-def disorder_bound_compare(results, params, t: float, d: int | None = None) -> dict:
-    """Tabulate measured disorder values against the volume-law envelope.
+def disorder_bound_compare(results, params, t: float) -> dict:
+    """Tabulate measured disorder values against the volume law in ``params.dimension``.
 
     ``results`` rows are dicts with keys "R" and "value" (extra keys pass
     through).  Rows outside the bound's validity window are marked
@@ -282,7 +282,7 @@ def disorder_bound_compare(results, params, t: float, d: int | None = None) -> d
     for row in results:
         R, value = row["R"], row["value"]
         try:
-            bound = volume_bound(params, R, t, d)
+            bound = volume_bound(params, R, t)
             valid = True
         except ValidityWindowError:
             bound, valid = None, False

@@ -15,12 +15,12 @@ from .operators import kron_all
 MARGINAL_TOL = 1e-10
 
 
-def _validate_density_matrix(dm: np.ndarray, tol: float = MARGINAL_TOL) -> np.ndarray:
+def _validate_density_matrix(dm: np.ndarray) -> np.ndarray:
     tr = np.trace(dm).real
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > MARGINAL_TOL:
         raise ValueError(f"marginal trace {tr} is not 1")
     eigs = np.linalg.eigvalsh(0.5 * (dm + dm.conj().T))
-    if eigs.min() < -tol:
+    if eigs.min() < -MARGINAL_TOL:
         raise ValueError(f"marginal has negative eigenvalue {eigs.min():.2e}")
     return dm
 

@@ -218,7 +218,7 @@ def test_criterion_6_rk_diagnostics():
     slope, r2 = fit["slope"], fit["r_squared"]
     assert slope < 0 and r2 >= 0.95
     params = BoundParams(prefactor=1.0, lr_velocity=1.0, volume_decay=1.0, dimension=2)
-    report = disorder_bound_compare(rows, params, t=1.05, d=2)
+    report = disorder_bound_compare(rows, params, t=1.05)
     assert report["violates_volume_law"]
     print(f"ACCEPTANCE 6: PASS - evaluator gap {worst_gap:.2e}, perimeter fit "
           f"R2={r2:.4f}, volume-law violation flagged")

@@ -117,22 +117,22 @@ def test_matrix_exp_bound_vs_taylor_oracle():
 def test_volume_bound_examples():
     params = BoundParams(prefactor=2.0, lr_velocity=1.0, volume_decay=1.0, dimension=2)
     # exponent vanishes as R approaches the light cone
-    assert volume_bound(params, 1.5 + 1e-9, 1.5, 2) == pytest.approx(2.0, rel=1e-6)
+    assert volume_bound(params, 1.5 + 1e-9, 1.5) == pytest.approx(2.0, rel=1e-6)
     # d = 1 reduces to the classic exponential form
     p1 = BoundParams(prefactor=1.0, lr_velocity=1.0, volume_decay=0.7, dimension=1)
-    assert volume_bound(p1, 4.0, 1.5, 1) == pytest.approx(math.exp(-0.7 * 2.5), rel=1e-12)
+    assert volume_bound(p1, 4.0, 1.5) == pytest.approx(math.exp(-0.7 * 2.5), rel=1e-12)
     # doubling the distance outside the cone quadruples the deficit in d=2
-    base = -math.log(volume_bound(params, 2.5, 1.5, 2) / 2.0)
-    far = -math.log(volume_bound(params, 3.5, 1.5, 2) / 2.0)
+    base = -math.log(volume_bound(params, 2.5, 1.5) / 2.0)
+    far = -math.log(volume_bound(params, 3.5, 1.5) / 2.0)
     assert far == pytest.approx(4 * base, rel=1e-9)
 
 
 def test_volume_bound_windows():
     params = BoundParams(lr_velocity=1.0)
     with pytest.raises(ValidityWindowError):
-        volume_bound(params, 5.0, 0.5, 1)  # vt <= 1
+        volume_bound(params, 5.0, 0.5)  # vt <= 1
     with pytest.raises(ValidityWindowError):
-        volume_bound(params, 1.0, 1.5, 1)  # R <= vt
+        volume_bound(params, 1.0, 1.5)  # R <= vt
 
 
 def test_quasilocal_pair_bound_values():
@@ -202,24 +202,25 @@ def test_factor_tail_sum():
     brute = sum(t.norm for t in Hq.terms if {1, 4} <= t.support)
     assert factor_tail_sum(Hq, 1, 4) == pytest.approx(brute, rel=1e-12)
     # tail-sum envelope h' exp(-mu d)/d^alpha from the fitted constants
-    params = BoundParams.quasilocal_model(g, 1.0, 2.0)
+    alpha = 2.0
+    params = BoundParams.quasilocal_model(g, 1.0, 2.0, alpha=alpha)
     for (u, v) in ((0, 2), (0, 3), (1, 4), (0, 5)):
         dist = abs(u - v)
-        envelope = params.tail_norm * math.exp(-params.decay_rate * dist) / dist**params.reproducing_power
+        envelope = params.tail_norm * math.exp(-params.decay_rate * dist) / dist**alpha
         assert factor_tail_sum(Hq, u, v) <= envelope + 1e-12
 
 
 def test_truncation_error_bound():
     params = BoundParams(decay_rate=1.0, lr_velocity=1.0, sim_prefactor=1.0,
                          sim_decay=1.0, box_offset=1e-12, dimension=2)
-    val = truncation_error_bound(params, 1.0, 8, 2)
+    val = truncation_error_bound(params, 1.0, 8)
     assert val == pytest.approx(math.exp(4 - 8), rel=1e-6)
-    vals = [truncation_error_bound(params, 1.0, M, 2) for M in range(1, 30, 3)]
+    vals = [truncation_error_bound(params, 1.0, M) for M in range(1, 30, 3)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # d=1: exponent does not feel the light-cone denominator
     p1 = BoundParams(decay_rate=1.0, lr_velocity=1.0, sim_prefactor=1.0,
                      sim_decay=1.0, box_offset=5.0, dimension=1)
-    assert truncation_error_bound(p1, 1.0, 8, 1) == pytest.approx(math.exp(4 - 8), rel=1e-12)
+    assert truncation_error_bound(p1, 1.0, 8) == pytest.approx(math.exp(4 - 8), rel=1e-12)
 
 
 def test_simplex_volume_identity():
@@ -255,7 +256,7 @@ def test_volume_bound_d1_matches_pair_bound_decay_rate():
     slopes_pair = []
     for R in (3.0, 4.0, 5.0):
         slopes_vol.append(math.log(
-            volume_bound(params, R, t, 1) / volume_bound(params, R + 1, t, 1)))
+            volume_bound(params, R, t) / volume_bound(params, R + 1, t)))
         slopes_pair.append(math.log(
             quasilocal_pair_bound(params, 1, 1, R, t)
             / quasilocal_pair_bound(params, 1, 1, R + 1, t)))
@@ -268,9 +269,10 @@ def test_quasilocal_model_constants():
     g = build_square_lattice(1, 12)
     params = BoundParams.quasilocal_model(g, 1.0, 2.5)
     assert params.decay_rate > 0 and params.tail_norm >= 1.0
-    assert params.lr_velocity == pytest.approx(
-        2 * params.reproducing_const * params.tail_norm / params.decay_rate)
-    assert params.prefactor == pytest.approx(1 / params.reproducing_const)
+    # K is measured on the graph with the default alpha = d + 1
+    K = max(verify_reproducing(g, params.decay_rate, 2), 1.0)
+    assert params.lr_velocity == pytest.approx(2 * K * params.tail_norm / params.decay_rate)
+    assert params.prefactor == pytest.approx(1 / K)
     with pytest.raises(ValidityWindowError):
         BoundParams.quasilocal_model(g, 1.0, 1.0)  # kappa below 1 + log(degree)
 
@@ -278,7 +280,6 @@ def test_quasilocal_model_constants():
 def test_local_model_velocity():
     params = BoundParams.local_model(h=0.5, degree=4, dimension=2)
     assert params.lr_velocity == pytest.approx(2 * math.e * 0.5 * 4)
-    assert params.reproducing_power == 3
 
 
 def test_bound_chain_on_sampled_instances():

@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from opgrowth.bounds import BoundParams, path_sum_bound, volume_bound
 from opgrowth.cli import _fmt, fit_summary, main
+from opgrowth.lattice import build_square_lattice
+from opgrowth.operators import build_named_hamiltonian
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -207,6 +210,27 @@ def test_bound_dominance_sweep_pairs_oracle(tmp_path):
             assert float(r[5]) <= float(r[3]) + 1e-12
 
 
+def test_bound_path_sum_sweep_takes_r_outside_the_b_regions(tmp_path):
+    # R = V minus the B_i, as in the dominance sweep: a smaller R could undercount
+    config = {
+        "command": "bound",
+        "lattice": {"d": 1, "L": 8},
+        "model": {"name": "tfim", "J": 1.0, "g": 0.7},
+        "sweeps": [{"bound": "path_sum", "S": [[7]], "B": [[5, 6, 7]], "t": [1.0]}],
+    }
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    row = (out / "bounds.csv").read_text().splitlines()[1].split(",")
+    graph = build_square_lattice(1, 8)
+    model = build_named_hamiltonian("tfim", graph, {"J": 1.0, "g": 0.7})
+    expected = path_sum_bound(graph, model, set(range(5)), [{7}], [{5, 6, 7}], 1.0)
+    assert row[:5] == ["3.0", "1.0", "path_sum", repr(expected), "true"]
+    assert expected > 1.0
+    config["sweeps"][0]["R"] = [0]
+    cfg = write_config(tmp_path, config, name="with_r.json")
+    assert main(["--config", cfg, "--out", str(tmp_path / "with_r")]) == 2
+
+
 def test_csv_floats_are_plain_reprs():
     assert _fmt(np.float64(0.1)) == "0.1"
     assert _fmt(np.float64(3.8e-15)) == "3.8e-15"
@@ -264,6 +288,28 @@ def test_ssb_fit_summary(tmp_path):
     (rk_key,) = [k for k in fits if k.startswith("rk_log_disorder")]
     # ring intervals share one boundary-bond count: reported as a plateau
     assert fits[rk_key]["relative_spread"] < 0.01
+
+
+def test_ssb_compare_uses_params_dimension(tmp_path):
+    params = {"prefactor": 1.0, "lr_velocity": 1.0, "volume_decay": 1.0, "dimension": 1}
+    config = {
+        "command": "ssb",
+        "experiments": [
+            {"kind": "rk", "lattice": {"d": 1, "L": 8, "periodic": True},
+             "beta": [0.4], "region": "interval", "sizes": [2, 3]},
+            {"kind": "compare", "params": params, "t": 1.05},
+        ],
+    }
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    rows = json.loads((out / "compare.json").read_text())[0]["rows"]
+    assert [row["R"] for row in rows] == [2.0, 3.0]
+    for row in rows:
+        assert row["bound"] == volume_bound(BoundParams(**params), row["R"], 1.05)
+    # params.dimension is the one source of d
+    config["experiments"][1]["d"] = 2
+    cfg = write_config(tmp_path, config, name="with_d.json")
+    assert main(["--config", cfg, "--out", str(tmp_path / "with_d")]) == 2
 
 
 def test_fit_summary_values():
@@ -401,9 +447,22 @@ GHZ_CONFIG = {"command": "ssb", "experiments": [{"kind": "ghz", "L": [4]}]}
     dict(SIM_CONFIG, state={"kind": "zero", "x": 1}),
     dict(BOUND_CONFIG, sweeps=[{"bound": "volume", "typo": 1}]),
     dict(GHZ_CONFIG, experiments=[{"kind": "ghz", "gg": 0.3}]),
+    dict(SIM_CONFIG, model={"name": "tfim", "J": "x"}),
+    dict(SIM_CONFIG, plan={"r": "x", "m_star": 3}),
+    dict(SIM_CONFIG, t_grid=["x"]),
+    dict(BOUND_CONFIG, sweeps=[{"bound": "combinatorial"}]),
+    dict(BOUND_CONFIG, sweeps=[{"bound": "quasilocal_pair", "dB": "x"}]),
+    dict(BOUND_CONFIG, sweeps={"bound": "volume"}),
+    dict(GHZ_CONFIG, experiments=[{"kind": "rk"}]),
+    dict(GHZ_CONFIG, experiments=[{"kind": "ghz", "L": [4], "g": "x"}]),
+    dict(GHZ_CONFIG, experiments=[{"kind": "rk", "lattice": {"d": 1, "L": 6}, "sizes": ["x"]}]),
+    dict(BOUND_CONFIG, lattice={"d": 1, "L": 8}, model={"name": "tfim"}, sweeps=[
+        {"bound": "dominance", "S": [[7]], "B": [[6, 7]], "probes": [{"pauli": "Q", "sites": [7]}]}]),
 ], ids=["model-parameter", "model-name", "pauli-letter", "pauli-count", "site-off-lattice",
         "site-outside-anchor-box", "mode", "params-degree", "lattice-L", "grid-without-num",
-        "anchor-vertex", "r-below-range", "state-key", "sweep-key", "ghz-key"])
+        "anchor-vertex", "r-below-range", "state-key", "sweep-key", "ghz-key", "model-value",
+        "plan-r", "grid-entry", "sweep-missing-key", "sweep-value", "sweeps-object",
+        "experiment-missing-key", "ghz-value", "rk-size", "probe-letter"])
 def test_config_errors_exit_2(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
     out = tmp_path / "out"

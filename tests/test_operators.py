@@ -20,6 +20,7 @@ from opgrowth.operators import (
     exact_expectation,
     hamiltonian_matrix,
     heisenberg_evolve,
+    kron_all,
     nested_commutator_norm,
     operator_norm,
     pauli_operator,
@@ -123,6 +124,37 @@ def test_evolution_caps_and_region_check(trips_before_allocating):
         chain15, A, [pauli_operator("X", (14,))], 0.1, tuple(range(15))))
     with pytest.raises(ValueError):
         heisenberg_evolve(TFIM5, A, 0.1, (1, 2))
+
+
+def test_dense_guard_trips_in_eigh(trips_before_allocating, monkeypatch):
+    # every dense evolution diagonalizes through _eigh, whose cap check comes
+    # before the region Hamiltonian is assembled
+    from opgrowth.ssb import symmetric_unitary
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly started before the dense cap check")
+
+    monkeypatch.setattr(operators, "hamiltonian_matrix", no_assembly)
+    chain15 = build_named_hamiltonian("tfim", build_square_lattice(1, 15), {"g": 1.0})
+    region = tuple(range(15))
+    trips_before_allocating(lambda: operators.evolution_unitary(chain15, region, 0.1))
+    trips_before_allocating(lambda: symmetric_unitary(chain15, 0.1, region))
+
+
+def test_local_operator_permutes_factors_with_support():
+    X, Y, Z = PAULI["X"], PAULI["Y"], PAULI["Z"]
+    op = LocalOperator((1, 0), np.kron(X, Z))  # X on site 1, Z on site 0
+    assert op.support == (0, 1)
+    assert np.array_equal(op.matrix, np.kron(Z, X))
+    op = LocalOperator((5, 2, 9), kron_all([X, Y, Z]))
+    assert op.support == (2, 5, 9)
+    assert np.array_equal(op.matrix, kron_all([Y, X, Z]))
+    assert np.array_equal(pauli_operator("XYZ", (5, 2, 9)).matrix, op.matrix)
+    with pytest.raises(ValueError, match="repeated site"):
+        LocalOperator((3, 3), np.kron(X, Z))
+    # a sorted support keeps the given array
+    big = np.zeros((2**8, 2**8), dtype=complex)
+    assert LocalOperator(tuple(range(8)), big).matrix is big
 
 
 def test_non_hermitian_term_rejected():

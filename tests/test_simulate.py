@@ -123,6 +123,15 @@ def test_anchored_subclusters_restrict_to_connected():
     # linear three-box cluster: the disconnected {b0, b2} subset is excluded
     subs = anchored_proper_subclusters(((0,), (1,), (2,)), adjacency, anchor)
     assert subs == [((0,),), ((0,), (1,))]
+    # 2D boxes have up to eight coarse neighbours: check against brute force
+    for anchor_vertex in (0, 5):
+        tiling = tile_boxes(build_square_lattice(2, 4), 1, anchor_vertex)
+        anchor = tiling.anchor_box
+        for cluster in anchored_clusters(tiling, 4):
+            local = {b: [nb for nb in tiling.adjacency[b] if nb in cluster] for b in cluster}
+            brute = sorted(sub for size in range(1, len(cluster))
+                           for sub in brute_connected_subsets(local, anchor, size))
+            assert anchored_proper_subclusters(cluster, tiling.adjacency, anchor) == brute
 
 
 def _correct(table, cluster):

@@ -224,7 +224,7 @@ def test_disorder_compare_flags_rk_violation():
         region = square_region(g, (0, 0), side)
         rows.append({"R": side, "value": rk_disorder_parameter(state, region)})
     params = BoundParams(prefactor=1.0, lr_velocity=1.0, volume_decay=1.0, dimension=2)
-    report = disorder_bound_compare(rows, params, t=1.05, d=2)
+    report = disorder_bound_compare(rows, params, t=1.05)
     assert report["violates_volume_law"]
     assert any(r["violates_bound"] for r in report["rows"])
 
@@ -233,7 +233,7 @@ def test_disorder_compare_product_state_consistent():
     # <D_R> of the fully polarized state vanishes, safely below any bound
     rows = [{"R": 2.0, "value": 0.0}, {"R": 3.0, "value": 0.0}]
     params = BoundParams(prefactor=1.0, lr_velocity=1.0, volume_decay=1.0, dimension=2)
-    report = disorder_bound_compare(rows, params, t=1.05, d=2)
+    report = disorder_bound_compare(rows, params, t=1.05)
     assert not report["violates_volume_law"]
 
 
@@ -254,7 +254,7 @@ def test_disorder_compare_short_time_evolved_state():
         D = kron_all(mats)
         rows.append({"R": side, "value": abs(float(np.real(np.vdot(psi, D @ psi))))})
     params = BoundParams(prefactor=1.0, lr_velocity=5.0, volume_decay=1.0, dimension=2)
-    report = disorder_bound_compare(rows, params, t=t, d=2)
+    report = disorder_bound_compare(rows, params, t=t)
     assert all(not r["violates_bound"] for r in report["rows"] if r["valid"])
     assert any(r["valid"] for r in report["rows"])
 
@@ -262,7 +262,7 @@ def test_disorder_compare_short_time_evolved_state():
 def test_disorder_compare_window_miss_is_invalid():
     # R below lr_velocity * t lies outside the volume bound's window
     params = BoundParams(prefactor=1.0, lr_velocity=1.0, volume_decay=1.0, dimension=2)
-    report = disorder_bound_compare([{"R": 1.5, "value": 0.5}], params, t=2.0, d=2)
+    report = disorder_bound_compare([{"R": 1.5, "value": 0.5}], params, t=2.0)
     assert report["rows"][0]["valid"] is False and report["rows"][0]["bound"] is None
     assert not report["violates_volume_law"]
 
@@ -274,4 +274,4 @@ def test_disorder_compare_propagates_other_errors(monkeypatch):
     monkeypatch.setattr(opgrowth.bounds, "volume_bound", broken)
     params = BoundParams(prefactor=1.0, lr_velocity=1.0, volume_decay=1.0, dimension=2)
     with pytest.raises(RuntimeError, match="bug in the bound"):
-        disorder_bound_compare([{"R": 3.0, "value": 0.1}], params, t=1.05, d=2)
+        disorder_bound_compare([{"R": 3.0, "value": 0.1}], params, t=1.05)
