@@ -23,7 +23,7 @@ from .operators import (
     operator_norm,
     pauli_operator,
 )
-from .states import DenseState, ProductState
+from .states import ProductState
 from .causal import (
     CausalForest,
     FactorSequence,

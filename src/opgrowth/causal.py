@@ -9,7 +9,6 @@ target contribute exactly zero, which is what the path-sum bounds exploit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +58,6 @@ class CausalForest:
     def factor_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(n[1] for n in self.parent if n[0] == "M"))
 
-    def to_json(self) -> str:
-        """Id-list form of the forest, for fixtures and debugging."""
-        payload = {
-            "root": sorted(self.R),
-            "targets": [sorted(s) for s in self.S_list],
-            "sequence": [sorted(x) for x in self.sequence],
-            "edges": sorted(["/".join(map(str, child)), "/".join(map(str, parent))]
-                            for child, parent in sorted(self.parent.items())),
-            "causal": self.causal,
-        }
-        return json.dumps(payload)
-
 
 @dataclass(frozen=True)
 class IrreduciblePath:
@@ -82,13 +69,6 @@ class IrreduciblePath:
 
     def __len__(self) -> int:
         return len(self.factors)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "factor_ids": list(self.factor_ids),
-            "factors": [sorted(x) for x in self.factors],
-            "weight": self.weight,
-        })
 
 
 def build_causal_forest(

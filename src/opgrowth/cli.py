@@ -337,8 +337,14 @@ def _run_sweep(name, sweep, params, graph, model):
             for R in _grid(sweep.get("R", [2.0])):
                 rows.append(_bound_row("volume", t, R, lambda: volume_bound(params, R, t)))
     elif name in ("combinatorial", "quasilocal_nested"):
-        regions = [tuple(r) for r in sweep["regions"]]
+        regions = sweep["regions"]
+        if not isinstance(regions, list) or not regions or not all(
+                isinstance(r, list) and len(r) == 3 for r in regions):
+            raise ConfigError(f"{name} regions must be a nonempty list of [dB, dS, r] triples")
+        regions = [tuple(_number(x, f"{name} region entry") for x in r) for r in regions]
         r_min = min(r for (_, _, r) in regions)
+        if name == "combinatorial" and r_min < 1:
+            raise ConfigError(f"combinatorial distances must be >= 1, got {r_min}")
         evaluate = combinatorial_bound if name == "combinatorial" else quasilocal_nested_bound
         for t in _grid(sweep.get("t", [0.1] if name == "combinatorial" else [1.0])):
             rows.append(_bound_row(name, t, r_min, lambda: evaluate(params, regions, t)))
@@ -356,14 +362,15 @@ def _run_sweep(name, sweep, params, graph, model):
                     "truncation", t, M,
                     lambda: truncation_error_bound(params, t, M)))
     elif name == "path_sum":
-        R, S_list, B_list = _path_regions(sweep, graph)
+        R, S_list, B_list = _path_regions(sweep, graph, model)
         dist = min(factor_distance(graph, R, S) for S in S_list)
         for t in _grid(sweep.get("t", [0.5])):
             rows.append(_bound_row(
                 "path_sum", t, dist,
                 lambda: path_sum_bound(graph, model, R, S_list, B_list, t)))
     elif name == "matrix_exp":
-        pairs = [(set(b), set(s)) for b, s in zip(sweep["B"], sweep["S"])]
+        _, S_list, B_list = _path_regions(sweep, graph, model)
+        pairs = list(zip(B_list, S_list))
         dist = min(factor_distance(graph, b, s) for b, s in pairs)
         for t in _grid(sweep.get("t", [0.5])):
             rows.append(_bound_row(
@@ -374,16 +381,44 @@ def _run_sweep(name, sweep, params, graph, model):
     return rows
 
 
-def _path_regions(sweep, graph):
-    """(R, S_i, B_i) for ``path_sum_bound``; R is every vertex outside the B_i, never fewer."""
-    S_list = [set(s) for s in sweep["S"]]
-    B_list = [set(b) for b in sweep["B"]]
-    return set(graph.vertices) - set().union(*B_list), S_list, B_list
+def _path_regions(sweep, graph, model):
+    """(R, S_i, B_i) of a region sweep; R is every vertex outside the B_i, never fewer.
+
+    The regions must meet ``path_sum_bound``'s preconditions, or ConfigError: one B_i
+    per S_i with S_i inside it, the B_i disjoint with no term of ``model``
+    touching two of them, and R nonempty.
+    """
+    vertices = set(graph.vertices)
+    S_list, B_list = (_site_sets(sweep[key], key, vertices) for key in ("S", "B"))
+    if len(S_list) != len(B_list):
+        raise ConfigError(f"{len(S_list)} S regions but {len(B_list)} B regions")
+    for i, (S, B) in enumerate(zip(S_list, B_list)):
+        if not S <= B:
+            raise ConfigError(f"S_{i} = {sorted(S)} is not inside B_{i} = {sorted(B)}")
+    for (i, B_i), (j, B_j) in itertools.combinations(enumerate(B_list), 2):
+        if B_i & B_j or any(term.support & B_i and term.support & B_j for term in model.terms):
+            raise ConfigError(f"B_{i} and B_{j} overlap or share a Hamiltonian term")
+    R = vertices - set().union(*B_list)
+    if not R:
+        raise ConfigError("the B regions cover the lattice, so R = V minus their union is empty")
+    return R, S_list, B_list
+
+
+def _site_sets(value, key: str, vertices: set) -> list[set]:
+    """A nonempty list of nonempty lattice site sets from the config."""
+    if not isinstance(value, list) or not value or not all(
+            isinstance(sites, list) and sites for sites in value):
+        raise ConfigError(f"{key} must be a nonempty list of nonempty site lists")
+    sets = [{_integer(v, f"{key} site") for v in sites} for sites in value]
+    off = set().union(*sets) - vertices
+    if off:
+        raise ConfigError(f"{key} sites {sorted(off)} are not on the lattice")
+    return sets
 
 
 def _dominance_sweep(sweep, params, graph, model):
     """Paired oracle run: bound values next to the exact nested commutator."""
-    R, S_list, B_list = _path_regions(sweep, graph)
+    R, S_list, B_list = _path_regions(sweep, graph, model)
     observable = _build_observable(sweep.get("observable"), graph)
     probes = [
         _build_observable({"pauli": "X", **p}, graph)

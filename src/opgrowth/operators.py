@@ -15,7 +15,6 @@ first (smallest) vertex is the most significant kron factor.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -66,21 +65,6 @@ class LocalOperator:
             support = tuple(support[i] for i in order)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "matrix", mat)
-
-    def to_json(self) -> str:
-        """Serialize as support plus a row-major [re, im] matrix."""
-        payload = {
-            "support": list(self.support),
-            "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LocalOperator":
-        payload = json.loads(text)
-        matrix = np.array([[complex(re, im) for re, im in row]
-                           for row in payload["matrix"]])
-        return cls(tuple(payload["support"]), matrix)
 
     def shrink(self) -> "LocalOperator":
         """Drop sites the operator acts on as the identity (to 1e-12 per entry)."""
@@ -237,32 +221,6 @@ class HamiltonianSpec:
                 adj[u].add(v)
                 adj[v].add(u)
         return max((len(s) for s in adj.values()), default=0)
-
-    def to_json(self) -> str:
-        """Serialize the term list (and envelope) in the LocalOperator format."""
-        payload = {
-            "terms": [
-                {
-                    "support": sorted(t.support),
-                    "matrix": [[[z.real, z.imag] for z in row] for row in t.matrix],
-                }
-                for t in self.terms
-            ],
-            "envelope": list(self.envelope) if self.envelope else None,
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str, graph: FactorGraph | None = None) -> "HamiltonianSpec":
-        payload = json.loads(text)
-        terms = tuple(
-            _term(frozenset(entry["support"]),
-                  np.array([[complex(re, im) for re, im in row]
-                            for row in entry["matrix"]]))
-            for entry in payload["terms"]
-        )
-        envelope = tuple(payload["envelope"]) if payload.get("envelope") else None
-        return cls(terms, envelope=envelope, graph=graph)
 
 
 def hamiltonian_matrix(
@@ -630,53 +588,39 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, dt: float, mu: float,
 def exact_expectation(
     H: HamiltonianSpec,
     A: LocalOperator,
-    rho,
+    state,
     t,
     region: tuple[int, ...] | None = None,
 ):
-    """Tr[rho A(t)] by evolving the full region exactly.
+    """<psi|A(t)|psi> by evolving the product state's vector on the full region.
 
-    ``rho`` may be anything with a ``state_vector(region)`` method (pure
-    product states evolve as vectors, cheap), anything with a
-    ``marginal(region)`` method, or an explicit density matrix on region.
+    ``state`` is a ``ProductState``; its vector on the region is stepped
+    with ``expm_multiply`` on the sparse region Hamiltonian, up to
+    VECTOR_QUBIT_CAP qubits.
 
     ``t`` is a time, giving a float, or a grid of times in any order,
     giving a list in grid order.  The region Hamiltonian is assembled once
-    per call.  On the vector path the state is stepped from t = 0 through
-    the sorted grid; on the density-matrix path one diagonalization gives
-    every grid point: with H = V diag(w) V^dagger, rho~ = V^dagger rho V and
-    A~ = V^dagger A V, Tr[rho A(t)] = sum_jk e^{i(w_j - w_k)t} A~_jk rho~_kj.
+    per call and the state is stepped from t = 0 through the sorted grid.
     """
     times, scalar = time_grid(t)
     region = tuple(sorted(region if region is not None else H.vertices()))
     if not set(A.support) <= set(region):
         raise ValueError("region must contain the observable support")
     n = len(region)
-    dense = not hasattr(rho, "state_vector")
-    cap = DEFAULT_QUBIT_CAP if dense else VECTOR_QUBIT_CAP
-    if n > cap:
-        raise CapExceededError(f"region of {n} qubits exceeds cap {cap}")
+    if n > VECTOR_QUBIT_CAP:
+        raise CapExceededError(f"region of {n} qubits exceeds cap {VECTOR_QUBIT_CAP}")
     positions = [region.index(s) for s in A.support]
+    if any(times):
+        H_sp = hamiltonian_matrix(H, region, sparse=True)
+        mu, norm = shift_and_norm(H_sp)
+    psi = state.state_vector(region)
+    now = 0.0
     values = [0j] * len(times)
-    if not dense:
-        if any(times):
-            H_sp = hamiltonian_matrix(H, region, sparse=True)
-            mu, norm = shift_and_norm(H_sp)
-        psi = rho.state_vector(region)
-        now = 0.0
-        for i in sorted(range(len(times)), key=times.__getitem__):
-            if times[i] != now:
-                psi = expm_multiply(H_sp, psi, times[i] - now, mu, norm)
-                now = times[i]
-            values[i] = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
-    else:
-        dm = rho.marginal(region) if hasattr(rho, "marginal") else np.asarray(rho, dtype=complex)
-        w, V = _eigh(H, region)
-        Vh = V.conj().T
-        weights = (Vh @ apply_local(A.matrix, positions, V, n)) * (Vh @ dm @ V).T
-        for i, t_i in enumerate(times):
-            phase = np.exp(1j * w * t_i)
-            values[i] = phase @ weights @ phase.conj()
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        if times[i] != now:
+            psi = expm_multiply(H_sp, psi, times[i] - now, mu, norm)
+            now = times[i]
+        values[i] = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
     for val in values:
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             raise ValueError(f"expectation has stray imaginary part {val.imag:.2e}")

@@ -1,4 +1,4 @@
-"""Cluster-expansion simulation of Tr[rho A(t)] over a box tiling.
+"""Cluster-expansion simulation of <psi|A(t)|psi> over a box tiling.
 
 The time-evolved observable is organized by the connected clusters of boxes
 its support has touched.  Evolving inside a cluster's region and
@@ -123,16 +123,16 @@ def anchored_clusters(tiling: BoxTiling, m_star: int) -> list[Cluster]:
 def raw_cluster_expectation(
     H: HamiltonianSpec,
     A: LocalOperator,
-    marginals,
+    state,
     cluster: Cluster,
     tiling: BoxTiling,
     t,
 ):
-    """Tr[rho_region e^{iHt} A e^{-iHt}] with H cut down to terms inside the cluster.
+    """<psi|e^{iHt} A e^{-iHt}|psi> on the cluster region, H cut down to terms inside it.
 
     ``t`` is a time or a grid of times, as for ``exact_expectation``.
     """
-    return exact_expectation(H, A, marginals, t, region=cluster_region(tiling, cluster))
+    return exact_expectation(H, A, state, t, region=cluster_region(tiling, cluster))
 
 
 def anchored_proper_subclusters(cluster: Cluster, adjacency: dict, anchor) -> list[Cluster]:
@@ -182,7 +182,7 @@ def inclusion_exclusion(raw: dict, tiling: BoxTiling, correction=None) -> Cluste
 def simulate_expectation(
     H: HamiltonianSpec,
     A: LocalOperator,
-    marginals,
+    state,
     t,
     sim_plan: SimPlan,
     params: BoundParams | None = None,
@@ -210,7 +210,7 @@ def simulate_expectation(
         raise ValueError("observable support must sit inside the anchor box")
 
     def raw_values(cluster: Cluster) -> list[float]:
-        return raw_cluster_expectation(H, A, marginals, cluster, tiling, times)
+        return raw_cluster_expectation(H, A, state, cluster, tiling, times)
 
     raw: dict[Cluster, np.ndarray] = {}
     levels: list[list[Cluster]] = []

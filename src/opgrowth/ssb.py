@@ -216,23 +216,6 @@ def _rk_enumerate(state: RKState, region: DisorderRegion) -> float:
     return float(np.sum(w * np.exp(-state.beta * crossing)) / np.sum(w))
 
 
-def _rk_direct(state: RKState, region: DisorderRegion) -> float:
-    """<psi| D_R |psi> evaluated on the explicit state vector; the tests' reference."""
-    g = state.graph
-    n = len(g.vertices)
-    spins = _spin_table(n)
-    energy = np.zeros(2**n)
-    for (u, v) in state.bonds:
-        energy += spins[:, u] * spins[:, v]
-    amp = np.exp(state.beta * (energy - energy.max()) / 2)
-    amp /= np.linalg.norm(amp)
-    flip_mask = 0
-    for v in region.vertices:
-        flip_mask |= 1 << (n - 1 - v)
-    codes = np.arange(2**n, dtype=np.int64)
-    return float(np.dot(amp, amp[codes ^ flip_mask]))
-
-
 def _rk_transfer(state: RKState, region: DisorderRegion) -> float:
     """Ring transfer matrix; region must be a contiguous arc of the ring."""
     g = state.graph

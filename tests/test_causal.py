@@ -166,15 +166,11 @@ def test_causal_sequence_gives_nonzero_term():
 
 
 def test_forest_and_path_json():
-    import json
-
     f = build_causal_forest([{0, 1}, {1, 2}, {2, 3}], {0}, [{3}])
-    payload = json.loads(f.to_json())
-    assert payload["causal"] is True
-    assert ["S/0", "M/3"] in payload["edges"]
+    assert f.causal is True
+    assert f.parent[("S", 0)] == ("M", 3)
     (path,) = irreducible_paths(f)
-    p = json.loads(path.to_json())
-    assert p["factors"] == [[0, 1], [1, 2], [2, 3]]
+    assert path.factors == (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}))
 
 
 def test_sequences_missing_target_factors_vanish():

@@ -429,6 +429,11 @@ def test_paper_formula_mode_requires_params(tmp_path):
 
 BOUND_CONFIG = {"command": "bound", "sweeps": [{"bound": "volume", "t": [2.0], "R": [3.0]}]}
 GHZ_CONFIG = {"command": "ssb", "experiments": [{"kind": "ghz", "L": [4]}]}
+CHAIN8_BOUND = dict(BOUND_CONFIG, lattice={"d": 1, "L": 8}, model={"name": "tfim", "g": 1.0})
+
+
+def region_sweep(bound, S, B):
+    return dict(CHAIN8_BOUND, sweeps=[{"bound": bound, "S": S, "B": B}])
 
 
 @pytest.mark.parametrize("config", [
@@ -458,11 +463,24 @@ GHZ_CONFIG = {"command": "ssb", "experiments": [{"kind": "ghz", "L": [4]}]}
     dict(GHZ_CONFIG, experiments=[{"kind": "rk", "lattice": {"d": 1, "L": 6}, "sizes": ["x"]}]),
     dict(BOUND_CONFIG, lattice={"d": 1, "L": 8}, model={"name": "tfim"}, sweeps=[
         {"bound": "dominance", "S": [[7]], "B": [[6, 7]], "probes": [{"pauli": "Q", "sites": [7]}]}]),
+    region_sweep("path_sum", [[4]], [[5, 6, 7]]),
+    region_sweep("dominance", [[4]], [list(range(8))]),
+    region_sweep("dominance", [[3], [6]], [[2, 3], [4, 5, 6]]),
+    region_sweep("dominance", [[4]], [[9, 4]]),
+    region_sweep("matrix_exp", [[4]], [[5, 6, 7]]),
+    region_sweep("matrix_exp", [[4], [7]], [[3, 4]]),
+    dict(BOUND_CONFIG, sweeps=[{"bound": "combinatorial", "regions": [["x", 1, 3]]}]),
+    dict(BOUND_CONFIG, sweeps=[{"bound": "combinatorial", "regions": []}]),
+    dict(BOUND_CONFIG, sweeps=[{"bound": "quasilocal_nested", "regions": []}]),
+    dict(BOUND_CONFIG, sweeps=[{"bound": "combinatorial", "regions": [[1, 1, 0]]}]),
 ], ids=["model-parameter", "model-name", "pauli-letter", "pauli-count", "site-off-lattice",
         "site-outside-anchor-box", "mode", "params-degree", "lattice-L", "grid-without-num",
         "anchor-vertex", "r-below-range", "state-key", "sweep-key", "ghz-key", "model-value",
         "plan-r", "grid-entry", "sweep-missing-key", "sweep-value", "sweeps-object",
-        "experiment-missing-key", "ghz-value", "rk-size", "probe-letter"])
+        "experiment-missing-key", "ghz-value", "rk-size", "probe-letter",
+        "path-sum-s-outside-b", "dominance-empty-r", "dominance-coupled-b",
+        "dominance-site-off-lattice", "matrix-exp-s-outside-b", "matrix-exp-target-count",
+        "regions-entry", "regions-empty", "nested-regions-empty", "regions-distance"])
 def test_config_errors_exit_2(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
     out = tmp_path / "out"

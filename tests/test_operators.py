@@ -25,7 +25,7 @@ from opgrowth.operators import (
     operator_norm,
     pauli_operator,
 )
-from opgrowth.states import DenseState, ProductState
+from opgrowth.states import ProductState
 
 CHAIN5 = build_square_lattice(1, 5)
 TFIM5 = build_named_hamiltonian("tfim", CHAIN5, {"J": 1.0, "g": 1.0})
@@ -114,12 +114,6 @@ def test_evolution_caps_and_region_check(trips_before_allocating):
     chain21 = build_named_hamiltonian("tfim", build_square_lattice(1, 21), {"g": 1.0})
     trips_before_allocating(lambda: exact_expectation(chain21, A, ProductState.all_zero(), 0.1))
 
-    class MarginalRaises:
-        def marginal(self, region):
-            raise AssertionError("marginal asked for before the dense cap check")
-
-    # the density-matrix branch diagonalizes a dense 2^n x 2^n Hamiltonian
-    trips_before_allocating(lambda: exact_expectation(chain15, A, MarginalRaises(), 0.1))
     trips_before_allocating(lambda: nested_commutator_norm(
         chain15, A, [pauli_operator("X", (14,))], 0.1, tuple(range(15))))
     with pytest.raises(ValueError):
@@ -299,22 +293,24 @@ def test_exact_expectation_examples():
         assert val == pytest.approx(math.cos(2 * t), abs=1e-10)
 
 
-def test_exact_expectation_maximally_mixed_traceless():
-    rho = DenseState(tuple(range(3)), np.eye(8) / 8)
-    g3 = build_square_lattice(1, 3)
-    H = build_named_hamiltonian("tfim", g3, {"J": 1, "g": 0.7})
-    val = exact_expectation(H, pauli_operator("Z", (0,)), rho, 0.0, region=(0, 1, 2))
-    assert val == pytest.approx(0.0, abs=1e-12)
+def _vector_reference(H, A, state, t, region):
+    """<psi|A(t)|psi> with A(t) from the dense Heisenberg evolution."""
+    psi = state.state_vector(region)
+    A_t = heisenberg_evolve(H, A, t, region)
+    return np.vdot(psi, embed(A_t.matrix, A_t.support, region) @ psi).real
 
 
 def test_exact_expectation_vector_and_dense_paths_agree():
-    ps = ProductState.all_plus(range(5))
-    dense = DenseState(REGION5, np.outer(ps.state_vector(REGION5),
-                                         ps.state_vector(REGION5).conj()))
+    # a real (tfim) and a complex (random2local) Hamiltonian: both _eigh branches
+    chain6 = build_square_lattice(1, 6)
+    region = tuple(range(6))
+    state = ProductState.all_plus(region)
     A = pauli_operator("X", (2,))
-    v1 = exact_expectation(TFIM5, A, ps, 0.7)
-    v2 = exact_expectation(TFIM5, A, dense, 0.7)
-    assert v1 == pytest.approx(v2, abs=1e-10)
+    for name, params in (("tfim", {"J": 1.0, "g": 1.0}), ("random2local", {"seed": 3})):
+        H = build_named_hamiltonian(name, chain6, params)
+        for t in (0.0, 0.7, 1.6):
+            value = exact_expectation(H, A, state, t)
+            assert value == pytest.approx(_vector_reference(H, A, state, t, region), abs=1e-12)
 
 
 def test_sparse_assembly_matches_dense():
@@ -432,23 +428,20 @@ def test_exact_expectation_grid_matches_scalar_calls():
     grid = [0.9, 0.0, 0.35, 0.9, -0.2]  # unsorted, repeated point, t = 0, t < 0
     A = pauli_operator("X", (2,))
     plus = ProductState.all_plus(REGION5)
-    dense = DenseState(REGION5, np.outer(plus.state_vector(REGION5),
-                                         plus.state_vector(REGION5).conj()))
-    for rho in (ProductState.all_zero(), plus, dense):
-        values = exact_expectation(TFIM5, A, rho, grid)
+    for state in (ProductState.all_zero(), plus):
+        values = exact_expectation(TFIM5, A, state, grid)
         assert isinstance(values, list) and len(values) == len(grid)
         for t, value in zip(grid, values):
-            assert value == pytest.approx(exact_expectation(TFIM5, A, rho, t), abs=1e-12)
+            assert value == pytest.approx(exact_expectation(TFIM5, A, state, t), abs=1e-12)
     assert exact_expectation(TFIM5, A, plus, []) == []
 
 
 def test_dense_state_grid_assembles_once(monkeypatch):
+    # one region Hamiltonian serves the whole grid; the state is stepped through it
     chain6 = build_square_lattice(1, 6)
     H = build_named_hamiltonian("random2local", chain6, {"seed": 5})
     region = tuple(range(6))
-    rng = np.random.default_rng(11)
-    G = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-    rho = DenseState(region, G @ G.conj().T / np.trace(G @ G.conj().T))
+    state = ProductState.all_plus(region)
     A = pauli_operator("ZX", (1, 2))
     grid = [0.2, 0.7, 1.3]
     calls = []
@@ -458,12 +451,11 @@ def test_dense_state_grid_assembles_once(monkeypatch):
         return hamiltonian_matrix(*args, **kwargs)
 
     monkeypatch.setattr(operators, "hamiltonian_matrix", counting)
-    values = exact_expectation(H, A, rho, grid)
+    values = exact_expectation(H, A, state, grid)
     assert len(calls) == 1
     monkeypatch.undo()
     for t, value in zip(grid, values):
-        A_t = heisenberg_evolve(H, A, t, region).matrix
-        assert value == pytest.approx(np.trace(rho.rho @ A_t).real, abs=1e-12)
+        assert value == pytest.approx(_vector_reference(H, A, state, t, region), abs=1e-12)
 
 
 def test_quasilocal_envelope_and_kappa():
@@ -491,23 +483,3 @@ def test_quasilocal_envelope_violation_reported():
     H = HamiltonianSpec((term,), envelope=(1.0, 2.0), graph=g)
     report = check_quasilocal(H)
     assert not report.envelope_ok and report.failures == (0,)
-
-
-def test_local_operator_json_roundtrip():
-    op = LocalOperator((1, 4), np.kron(PAULI["X"], PAULI["Y"]) + 0.3j * np.eye(4))
-    back = LocalOperator.from_json(op.to_json())
-    assert back.support == op.support
-    assert np.allclose(back.matrix, op.matrix)
-
-
-def test_hamiltonian_json_roundtrip():
-    back = HamiltonianSpec.from_json(TFIM5.to_json(), graph=CHAIN5)
-    assert len(back.terms) == len(TFIM5.terms)
-    assert back.envelope is None
-    for a, b in zip(back.terms, TFIM5.terms):
-        assert a.support == b.support
-        assert np.allclose(a.matrix, b.matrix)
-        assert a.norm == pytest.approx(b.norm)
-    g = build_square_lattice(1, 4)
-    Hq = build_named_hamiltonian("quasilocal", g, {"h": 1.0, "kappa": 2.0, "s_max": 2})
-    assert HamiltonianSpec.from_json(Hq.to_json()).envelope == (1.0, 2.0)

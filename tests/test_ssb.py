@@ -14,7 +14,7 @@ from opgrowth.operators import build_named_hamiltonian, pauli_operator
 from opgrowth.ssb import (
     DisorderRegion,
     RKState,
-    _rk_direct,
+    _spin_table,
     disorder_bound_compare,
     ghz_splitting,
     nested_identity_check,
@@ -25,6 +25,23 @@ from opgrowth.ssb import (
 )
 
 RING12 = build_square_lattice(1, 12, periodic=True)
+
+
+def _rk_direct(state: RKState, region: DisorderRegion) -> float:
+    """<psi| D_R |psi> evaluated on the explicit state vector: the RK reference."""
+    g = state.graph
+    n = len(g.vertices)
+    spins = _spin_table(n)
+    energy = np.zeros(2**n)
+    for (u, v) in state.bonds:
+        energy += spins[:, u] * spins[:, v]
+    amp = np.exp(state.beta * (energy - energy.max()) / 2)
+    amp /= np.linalg.norm(amp)
+    flip_mask = 0
+    for v in region.vertices:
+        flip_mask |= 1 << (n - 1 - v)
+    codes = np.arange(2**n, dtype=np.int64)
+    return float(np.dot(amp, amp[codes ^ flip_mask]))
 
 
 def test_identity_trivial_single_qubit():
