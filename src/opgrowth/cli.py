@@ -361,21 +361,14 @@ def _run_sweep(name, sweep, params, graph, model):
                 rows.append(_bound_row(
                     "truncation", t, M,
                     lambda: truncation_error_bound(params, t, M)))
-    elif name == "path_sum":
+    elif name in ("path_sum", "matrix_exp"):
         R, S_list, B_list = _path_regions(sweep, graph, model)
         dist = min(factor_distance(graph, R, S) for S in S_list)
-        for t in _grid(sweep.get("t", [0.5])):
-            rows.append(_bound_row(
-                "path_sum", t, dist,
-                lambda: path_sum_bound(graph, model, R, S_list, B_list, t)))
-    elif name == "matrix_exp":
-        _, S_list, B_list = _path_regions(sweep, graph, model)
         pairs = list(zip(B_list, S_list))
-        dist = min(factor_distance(graph, b, s) for b, s in pairs)
         for t in _grid(sweep.get("t", [0.5])):
-            rows.append(_bound_row(
-                "matrix_exp", t, dist,
-                lambda: matrix_exp_bound(graph, model, pairs, t)))
+            rows.append(_bound_row(name, t, dist, lambda: (
+                path_sum_bound(graph, model, R, S_list, B_list, t) if name == "path_sum"
+                else matrix_exp_bound(graph, model, pairs, t))))
     elif name == "dominance":
         rows.extend(_dominance_sweep(sweep, params, graph, model))
     return rows

@@ -2,11 +2,11 @@
 
 Everything here is exact up to floating point: Heisenberg evolution by
 diagonalizing the region Hamiltonian, expectation values by full state
-evolution (a truncated Taylor stepper on the sparse region Hamiltonian for
-state vectors of up to VECTOR_QUBIT_CAP qubits), nested commutators by
-direct matrix algebra.  These routines are the oracle the closed-form
-bounds and the cluster simulator are checked against, so clarity beats
-cleverness.
+evolution (one Chebyshev recurrence per region and time grid, on the sparse
+region Hamiltonian, for state vectors of up to VECTOR_QUBIT_CAP qubits),
+nested commutators by direct matrix algebra.  These routines are the oracle
+the closed-form bounds and the cluster simulator are checked against, so
+clarity beats cleverness.
 
 Qubit ordering convention: a region is a sorted tuple of vertex ids and the
 first (smallest) vertex is the most significant kron factor.
@@ -510,20 +510,7 @@ def time_grid(t) -> tuple[list[float], bool]:
     return [float(x) for x in t], False
 
 
-# theta_m for the truncated Taylor method in double precision: m <= 30 from
-# Higham & Al-Mohy, "Computing matrix functions" (Acta Numerica 2010),
-# Table A.3; m = 35..55 from Al-Mohy & Higham, "Computing the action of the
-# matrix exponential" (SIAM J. Sci. Comput. 2011), Table 3.1.
-TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
-TAYLOR_TOL = 2.0**-53
+CHEBYSHEV_TAIL = 2.0**-53  # bound on the dropped terms, relative to the state's norm
 
 
 def shift_and_norm(H_sp: sp.csr_matrix) -> tuple[float, float]:
@@ -545,44 +532,109 @@ def shift_and_norm(H_sp: sp.csr_matrix) -> tuple[float, float]:
     return mu, float(sums.max())
 
 
-def _taylor_degree(norm: float) -> tuple[int, int]:
-    """(m, s): s steps of m Taylor terms, the fewest m*s with norm / s <= theta_m."""
-    if norm == 0:
-        return 0, 1
-    return min(((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA.items()),
-               key=lambda ms: ms[0] * ms[1])
+def _chebyshev_degree(x: float) -> int:
+    """The least degree K whose dropped tail, the sum of 2|J_k(x)| over k > K, is small.
+
+    Small means at most CHEBYSHEV_TAIL, by the fixed a-priori bound
+    |J_k(x)| <= (|x|/2)^k / k!, not an estimate: once the ratio
+    q = (|x|/2) / (k+1) of consecutive bounds is below 1, the bounds from
+    term k on sum to at most term k / (1 - q).
+    """
+    half = abs(x) / 2
+    if half == 0:
+        return 0
+    K = max(0, math.floor(half) - 1)  # below this, q >= 1
+    while True:
+        k = K + 1
+        log_tail = (math.log(2) + k * math.log(half) - math.lgamma(k + 1)
+                    - math.log1p(-half / (k + 1)))
+        if log_tail <= math.log(CHEBYSHEV_TAIL):
+            return K
+        K += 1
 
 
-def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, dt: float, mu: float,
-                  norm: float) -> np.ndarray:
-    """exp(-i dt H) psi by the truncated Taylor method of Al-Mohy & Higham (2011).
+def _chebyshev_coefficients(x: float, K: int) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(x) for k = 0..K, the expansion of exp(-i x y) in T_k(y).
+
+    By Jacobi-Anger, exp(-i x cos tau) = sum over all integers k of
+    (-i)^k J_k(x) exp(i k tau), so the FFT of N >= 2K + 2 samples gives
+    (-i)^k J_k(x) plus aliased terms of order above K + 1, which the
+    tail bound of ``_chebyshev_degree`` already covers.
+    """
+    N = 1 << (2 * K + 1).bit_length()
+    samples = np.exp(-1j * x * np.cos(2 * np.pi * np.arange(N) / N))
+    coef = np.fft.fft(samples)[:K + 1] / N
+    coef[1:] *= 2
+    return coef
+
+
+def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, norm: float,
+                  observe=None):
+    """exp(-i t H) psi for every t of a grid: one Chebyshev recurrence (Tal-Ezer & Kosloff 1984).
 
     ``mu`` and ``norm`` are ``shift_and_norm(H_sp)``, taken once per region.
-    Each step multiplies the unscaled CSR by a vector; the factor
-    -i dt / (s (j+1)) and the shift by mu are applied to the vector, so no
-    matrix is copied.  The series stops once two consecutive terms are below
-    TAYLOR_TOL relative to the sum, in the infinity norm.
+    The spectrum of a Hermitian H lies in [mu - norm, mu + norm], so
+    G = (H - mu) / norm has its spectrum in [-1, 1] and
+
+        exp(-i t H) = exp(-i mu t) sum_k (2 - delta_k0) (-i)^k J_k(norm t) T_k(G).
+
+    The vectors T_k(G) psi do not depend on t, so one three-term recurrence
+    serves the whole grid, and each grid point keeps one accumulator.  Each
+    degree is one product of the unscaled CSR with a vector; the shift and
+    the scale act on the vector, so no matrix is copied.  A point's sum
+    stops at the degree ``_chebyshev_degree`` gives for it, and the
+    recurrence at the largest of them.
+
+    ``times`` is a time, giving one vector, or a grid in any order, with
+    zero, negative and repeated times allowed, giving a list in grid order.
+    ``observe``, if given, maps each vector to the value returned in its
+    place.  When the accumulators would take more bytes than the CSR
+    arrays, the sorted distinct times are split into segments of as many
+    as fit, each restarting from the previous segment's last state; with
+    ``observe``, one segment's vectors are alive at a time.
     """
-    m, s = _taylor_degree(abs(dt) * norm)
-    F = np.array(psi, dtype=complex)
-    B = F
-    for _ in range(s):
-        c1 = np.max(np.abs(B))
-        for j in range(m):
-            term = H_sp @ B
-            if mu:
-                term -= mu * B
-            term *= -1j * (dt / (s * (j + 1)))
-            B = term
-            c2 = np.max(np.abs(B))
-            F += B
-            if c1 + c2 <= TAYLOR_TOL * np.max(np.abs(F)):
-                break
-            c1 = c2
+    times, scalar = time_grid(times)
+    distinct = sorted(set(times))
+    csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
+    per_segment = max(1, csr_bytes // (16 * H_sp.shape[0]))  # complex vectors
+    found = {}
+    start, now = np.asarray(psi, dtype=complex), 0.0
+    for first in range(0, len(distinct), per_segment):
+        segment = distinct[first:first + per_segment]
+        vectors = _chebyshev_evolve(H_sp, start, [t - now for t in segment], mu, norm)
+        start, now = vectors[-1], segment[-1]
+        for t, vec in zip(segment, vectors):
+            found[t] = observe(vec) if observe else vec
+        del vectors, vec  # free this segment's accumulators before the next one's
+    out = [found[t] for t in times]
+    return out[0] if scalar else out
+
+
+def _chebyshev_evolve(H_sp, psi: np.ndarray, steps: list[float], mu: float,
+                      norm: float) -> list[np.ndarray]:
+    """exp(-i s H) psi for each s of ``steps``: the recurrence of ``expm_multiply``."""
+    degrees = [_chebyshev_degree(norm * s) for s in steps]
+    coefs = [_chebyshev_coefficients(norm * s, K) * np.exp(-1j * mu * s)
+             for s, K in zip(steps, degrees)]
+    sums = [c[0] * psi for c in coefs]
+    prev, cur = None, psi
+    scratch = np.empty_like(psi)
+    for k in range(1, max(degrees) + 1):
+        nxt = H_sp @ cur  # T_k = 2 G T_{k-1} - T_{k-2}, and T_1 = G T_0
         if mu:
-            F *= np.exp(-1j * dt * mu / s)
-        B = F
-    return F
+            np.multiply(cur, mu, out=scratch)
+            nxt -= scratch
+        if k == 1:
+            nxt /= norm
+        else:
+            nxt *= 2 / norm
+            nxt -= prev
+        prev, cur = cur, nxt
+        for acc, coef, K in zip(sums, coefs, degrees):
+            if k <= K:
+                np.multiply(cur, coef[k], out=scratch)
+                acc += scratch
+    return sums
 
 
 def exact_expectation(
@@ -594,13 +646,13 @@ def exact_expectation(
 ):
     """<psi|A(t)|psi> by evolving the product state's vector on the full region.
 
-    ``state`` is a ``ProductState``; its vector on the region is stepped
+    ``state`` is a ``ProductState``; its vector on the region is evolved
     with ``expm_multiply`` on the sparse region Hamiltonian, up to
     VECTOR_QUBIT_CAP qubits.
 
     ``t`` is a time, giving a float, or a grid of times in any order,
     giving a list in grid order.  The region Hamiltonian is assembled once
-    per call and the state is stepped from t = 0 through the sorted grid.
+    per call, and one ``expm_multiply`` call covers the whole grid.
     """
     times, scalar = time_grid(t)
     region = tuple(sorted(region if region is not None else H.vertices()))
@@ -610,17 +662,16 @@ def exact_expectation(
     if n > VECTOR_QUBIT_CAP:
         raise CapExceededError(f"region of {n} qubits exceeds cap {VECTOR_QUBIT_CAP}")
     positions = [region.index(s) for s in A.support]
+
+    def observe(vec):
+        return np.vdot(vec, apply_local(A.matrix, positions, vec, n))
+
     if any(times):
         H_sp = hamiltonian_matrix(H, region, sparse=True)
         mu, norm = shift_and_norm(H_sp)
-    psi = state.state_vector(region)
-    now = 0.0
-    values = [0j] * len(times)
-    for i in sorted(range(len(times)), key=times.__getitem__):
-        if times[i] != now:
-            psi = expm_multiply(H_sp, psi, times[i] - now, mu, norm)
-            now = times[i]
-        values[i] = np.vdot(psi, apply_local(A.matrix, positions, psi, n))
+        values = expm_multiply(H_sp, state.state_vector(region), times, mu, norm, observe)
+    else:
+        values = [observe(state.state_vector(region))] * len(times)
     for val in values:
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             raise ValueError(f"expectation has stray imaginary part {val.imag:.2e}")

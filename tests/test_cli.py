@@ -231,6 +231,21 @@ def test_bound_path_sum_sweep_takes_r_outside_the_b_regions(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "with_r")]) == 2
 
 
+def test_bound_matrix_exp_sweep_reports_the_distance_from_r(tmp_path):
+    # r is the distance from R = V minus the B_i to the S_i, never from B_i, which holds S_i
+    regions = {"S": [[7]], "B": [[5, 6, 7]], "t": [1.0]}
+    config = {
+        "command": "bound",
+        "lattice": {"d": 1, "L": 8},
+        "model": {"name": "tfim", "J": 1.0, "g": 0.7},
+        "sweeps": [dict(regions, bound="path_sum"), dict(regions, bound="matrix_exp")],
+    }
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[2]) for row in rows] == [("3.0", "path_sum"), ("3.0", "matrix_exp")]
+
+
 def test_csv_floats_are_plain_reprs():
     assert _fmt(np.float64(0.1)) == "0.1"
     assert _fmt(np.float64(3.8e-15)) == "3.8e-15"

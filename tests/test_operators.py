@@ -337,6 +337,20 @@ def test_sparse_assembly_matches_dense():
             assert sparse.nnz == np.count_nonzero(reference), (name, region)
 
 
+class CountingCSR:
+    """A CSR matrix that counts its products with vectors."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
+
+    def __matmul__(self, vec):
+        self.products += 1
+        return self.matrix @ vec
+
+
 def test_expm_multiply_matches_scipy():
     from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
@@ -349,8 +363,7 @@ def test_expm_multiply_matches_scipy():
         ("quasilocal", {"s_max": 3, "seed": 1}, grid),
         ("tfim", {"g": 0.7}, build_square_lattice(1, 4)),
     ]
-    steps = 0
-    degrees = set()
+    points = 0
     for name, params, g in models:
         H = build_named_hamiltonian(name, g, params)
         region = tuple(g.vertices)
@@ -363,16 +376,18 @@ def test_expm_multiply_matches_scipy():
             assert abs(mu) > 0.1
         psi = rng.normal(size=H_sp.shape[0]) + 1j * rng.normal(size=H_sp.shape[0])
         psi /= np.linalg.norm(psi)
-        # non-dyadic, negative, s > 1, and ||dt H||_1 = 70, past scipy's switch
-        # to onenormest at 63.4
-        for dt in (0.3, -0.7, 1.9, 70.0 / norm):
-            got = operators.expm_multiply(H_sp, psi, dt, mu, norm)
-            want = scipy_expm_multiply(-1j * dt * H_sp, psi)
-            assert np.max(np.abs(got - want)) <= 1e-12, (name, dt)
-            degrees.add(operators._taylor_degree(abs(dt) * norm))
-            steps += 1
-    assert steps == 20
-    assert any(s > 1 for _, s in degrees)
+        # unsorted, repeated, zero, negative and non-dyadic times, and ||t H||_1 = 70,
+        # past scipy's switch to onenormest at 63.4
+        times = [1.9, 0.3, -0.7, 0.0, 70.0 / norm, 0.3]
+        got = operators.expm_multiply(H_sp, psi, times, mu, norm)
+        assert len(got) == len(times)
+        for t, vec in zip(times, got):
+            want = scipy_expm_multiply(-1j * t * H_sp, psi)
+            assert np.max(np.abs(vec - want)) <= 1e-12, (name, t)
+            points += 1
+        single = operators.expm_multiply(H_sp, psi, -0.7, mu, norm)
+        assert np.max(np.abs(single - got[2])) <= 1e-12
+    assert points == 30
 
     # no terms: a zero norm, and the state comes back unchanged
     empty = hamiltonian_matrix(HamiltonianSpec(()), (0, 1, 2), sparse=True)
@@ -384,8 +399,45 @@ def test_expm_multiply_matches_scipy():
     H_sp = hamiltonian_matrix(identity, (0, 1, 2), sparse=True)
     mu, norm = operators.shift_and_norm(H_sp)
     assert (mu, norm) == (0.5, 0.0)
-    got = operators.expm_multiply(H_sp, psi, 0.7, mu, norm)
-    assert np.max(np.abs(got - np.exp(-0.35j) * psi)) <= 1e-15
+    for t, vec in zip((0.7, -1.2), operators.expm_multiply(H_sp, psi, [0.7, -1.2], mu, norm)):
+        assert np.max(np.abs(vec - np.exp(-0.5j * t) * psi)) <= 1e-15
+
+
+def test_expm_multiply_long_time_matches_dense_evolution():
+    # R t = 300 on 10 qubits: a degree in the hundreds, against exp(-itH) by diagonalization
+    g = build_square_lattice(1, 10)
+    H = build_named_hamiltonian("random2local", g, {"seed": 2})
+    region = tuple(g.vertices)
+    H_sp = hamiltonian_matrix(H, region, sparse=True)
+    mu, norm = operators.shift_and_norm(H_sp)
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+    psi /= np.linalg.norm(psi)
+    t = 300.0 / norm
+    assert operators._chebyshev_degree(norm * t) > 300
+    got = operators.expm_multiply(H_sp, psi, t, mu, norm)
+    want = operators.evolution_unitary(H, region, -t) @ psi
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_expm_multiply_grid_costs_one_recurrence():
+    g = build_square_lattice(1, 12)
+    H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 1.05})
+    region = tuple(g.vertices)
+    H_sp = hamiltonian_matrix(H, region, sparse=True)
+    mu, norm = operators.shift_and_norm(H_sp)
+    psi = ProductState.all_zero().state_vector(region)
+    times = [0.5, 1.0, 0.25]
+    counting = CountingCSR(H_sp)
+    got = operators.expm_multiply(counting, psi, times, mu, norm)
+    assert counting.products == operators._chebyshev_degree(norm * 1.0)
+    apart = 0
+    for t, vec in zip(times, got):
+        alone = CountingCSR(H_sp)
+        assert np.max(np.abs(operators.expm_multiply(alone, psi, t, mu, norm) - vec)) <= 1e-13
+        assert alone.products == operators._chebyshev_degree(norm * t)
+        apart += alone.products
+    assert apart > 1.5 * counting.products
 
 
 def test_expm_multiply_step_copies_no_matrix():
@@ -403,6 +455,40 @@ def test_expm_multiply_step_copies_no_matrix():
         tracemalloc.stop()
     # a few 2^14 vectors; any scaled or shifted copy of H alone would exceed this
     assert peak < H_sp.data.nbytes, (peak, H_sp.data.nbytes)
+
+
+def test_expm_multiply_long_grid_runs_in_segments():
+    import tracemalloc
+
+    from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
+
+    H = build_named_hamiltonian("tfim", build_square_lattice(1, 14), {"J": 1.0, "g": 1.05})
+    H_sp = hamiltonian_matrix(H, tuple(range(14)), sparse=True)
+    mu, norm = operators.shift_and_norm(H_sp)
+    psi = ProductState.all_plus(range(14)).state_vector(tuple(range(14)))
+    times = list(np.linspace(0.05, 3.2, 64))
+    csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
+    vector = psi.nbytes
+    per_segment = csr_bytes // vector
+    assert per_segment < 20  # so the grid takes four segments
+    counting = CountingCSR(H_sp)
+    tracemalloc.start()
+    try:
+        got = operators.expm_multiply(counting, psi, times[::-1], mu, norm,
+                                      observe=lambda vec: np.vdot(psi, vec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one segment's accumulators, the restart state and the recurrence's few vectors;
+    # all 64 accumulators at once would take three times the CSR
+    assert peak < csr_bytes + 6 * vector, (peak, csr_bytes, vector)
+    starts = [0.0] + times[per_segment - 1::per_segment]
+    ends = times[per_segment - 1::per_segment] + [times[-1]]
+    assert len(ends) == 4
+    assert counting.products == sum(operators._chebyshev_degree(norm * (end - start))
+                                    for start, end in zip(starts, ends))
+    want = scipy_expm_multiply(-1j * H_sp, psi, start=times[0], stop=times[-1], num=64)
+    assert np.max(np.abs(np.array(got[::-1]) - want @ psi.conj())) <= 1e-12
 
 
 def test_sparse_assembly_budget(trips_before_allocating, monkeypatch):
