@@ -4,7 +4,9 @@ Everything here is exact up to floating point: Heisenberg evolution by
 diagonalizing the region Hamiltonian, expectation values by full state
 evolution (one Chebyshev recurrence per region and time grid, on the sparse
 region Hamiltonian, for state vectors of up to VECTOR_QUBIT_CAP qubits),
-nested commutators by direct matrix algebra.  These routines are the oracle
+nested commutators by direct matrix algebra.  A Hamiltonian without
+imaginary entries is assembled, diagonalized and evolved in real
+arithmetic; a real state keeps real vectors under it.  These routines are the oracle
 the closed-form bounds and the cluster simulator are checked against, so
 clarity beats cleverness.
 
@@ -237,6 +239,11 @@ def hamiltonian_matrix(
     and written straight into CSR arrays.  Values that vanish are not
     stored.  Returns the CSR matrix if ``sparse``, else its dense array.
 
+    The matrix is float64 when no term entry has an imaginary part (tfim,
+    heisenberg: Y (x) Y is real), decided from the term entries before the
+    value block is allocated, so a real Hamiltonian takes 8 bytes per value
+    and ``expm_multiply`` evolves it in real arithmetic; otherwise complex.
+
     Raises CapExceededError, before anything 2^n-sized is allocated, when
     the assembly would peak above SPARSE_BYTES_CAP: the dim x len(masks)
     value block and its ``stored`` mask, the column indices, and the final
@@ -259,20 +266,23 @@ def hamiltonian_matrix(
                 pieces.append((mask, values, shifts))
     masks = sorted({mask for mask, _, _ in pieces})
     column = {mask: j for j, mask in enumerate(masks)}
+    real = not any(np.any(values.imag) for _, values, _ in pieces)
+    dtype = np.float64 if real else complex
     entries = dim * len(masks)
     idx = np.int32 if entries < 2**31 else np.int64
     index_bytes = np.dtype(idx).itemsize
-    estimate = entries * (2 * (16 + index_bytes) + 1) + (dim + 1) * index_bytes
+    value_bytes = np.dtype(dtype).itemsize
+    estimate = entries * (2 * (value_bytes + index_bytes) + 1) + (dim + 1) * index_bytes
     if estimate > SPARSE_BYTES_CAP:
         raise CapExceededError(
             f"assembling {n} qubits with {len(masks)} flip masks needs about {estimate} bytes,"
             f" above the cap of {SPARSE_BYTES_CAP}")
     rows = np.arange(dim, dtype=idx)
-    data = np.zeros((dim, len(masks)), dtype=complex)
+    data = np.zeros((dim, len(masks)), dtype=dtype)
     for mask, values, shifts in pieces:
         k = len(shifts)
         local_row = sum(((rows >> s) & 1) << (k - 1 - j) for j, s in enumerate(shifts))
-        data[:, column[mask]] += values[local_row]
+        data[:, column[mask]] += (values.real if real else values)[local_row]
     stored = data != 0
     indptr = np.zeros(dim + 1, dtype=idx)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
@@ -285,7 +295,7 @@ def hamiltonian_matrix(
 def _eigh(H: HamiltonianSpec, region: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the dense region Hamiltonian.
 
-    A Hamiltonian without imaginary entries (tfim, heisenberg) is
+    A real Hamiltonian (tfim, heisenberg; see ``hamiltonian_matrix``) is
     diagonalized as a real symmetric matrix, several times faster than as a
     complex one, and gets real eigenvectors; numpy runs it on the same BLAS
     threads as the products that follow.  (scipy links a second OpenBLAS,
@@ -304,8 +314,8 @@ def _eigh(H: HamiltonianSpec, region: tuple[int, ...]) -> tuple[np.ndarray, np.n
     if len(region) > DEFAULT_QUBIT_CAP:
         raise CapExceededError(f"region of {len(region)} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     mat = hamiltonian_matrix(H, region, sparse=True)
-    if not np.any(mat.data.imag):
-        return np.linalg.eigh(mat.real.toarray())
+    if not np.iscomplexobj(mat):
+        return np.linalg.eigh(mat.toarray())
     return scipy.linalg.eigh(mat.toarray(order="F"), driver="evd", overwrite_a=True,
                              check_finite=False)
 
@@ -596,9 +606,9 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, norm: 
     times, scalar = time_grid(times)
     distinct = sorted(set(times))
     csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
-    per_segment = max(1, csr_bytes // (16 * H_sp.shape[0]))  # complex vectors
+    per_segment = max(1, csr_bytes // (16 * H_sp.shape[0]))  # complex accumulators
     found = {}
-    start, now = np.asarray(psi, dtype=complex), 0.0
+    start, now = np.ascontiguousarray(psi, dtype=complex), 0.0
     for first in range(0, len(distinct), per_segment):
         segment = distinct[first:first + per_segment]
         vectors = _chebyshev_evolve(H_sp, start, [t - now for t in segment], mu, norm)
@@ -612,27 +622,43 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, norm: 
 
 def _chebyshev_evolve(H_sp, psi: np.ndarray, steps: list[float], mu: float,
                       norm: float) -> list[np.ndarray]:
-    """exp(-i s H) psi for each s of ``steps``: the recurrence of ``expm_multiply``."""
+    """exp(-i s H) psi for each s of ``steps``: the recurrence of ``expm_multiply``.
+
+    The vectors T_k(G) psi are kept in the matrix's arithmetic.  Under a
+    real H, a real psi gives real vectors, and a complex psi is viewed as a
+    dim x 2 real array of its real and imaginary parts, which scipy
+    multiplies column by column; a complex operand would make scipy cast
+    the matrix to complex in every product.  The accumulators are complex,
+    as the coefficients are.
+    """
     degrees = [_chebyshev_degree(norm * s) for s in steps]
     coefs = [_chebyshev_coefficients(norm * s, K) * np.exp(-1j * mu * s)
              for s, K in zip(steps, degrees)]
     sums = [c[0] * psi for c in coefs]
-    prev, cur = None, psi
+    if np.iscomplexobj(H_sp):
+        cur = psi
+    elif np.any(psi.imag):
+        cur = psi.view(np.float64).reshape(-1, 2)
+    else:
+        cur = np.ascontiguousarray(psi.real)
+    prev = None
     scratch = np.empty_like(psi)
+    shifted = scratch.view(cur.dtype)[:cur.size].reshape(cur.shape)  # shares scratch's bytes
     for k in range(1, max(degrees) + 1):
         nxt = H_sp @ cur  # T_k = 2 G T_{k-1} - T_{k-2}, and T_1 = G T_0
         if mu:
-            np.multiply(cur, mu, out=scratch)
-            nxt -= scratch
+            np.multiply(cur, mu, out=shifted)
+            nxt -= shifted
         if k == 1:
             nxt /= norm
         else:
             nxt *= 2 / norm
             nxt -= prev
         prev, cur = cur, nxt
+        vec = cur.view(complex).reshape(-1) if cur.ndim == 2 else cur
         for acc, coef, K in zip(sums, coefs, degrees):
             if k <= K:
-                np.multiply(cur, coef[k], out=scratch)
+                np.multiply(vec, coef[k], out=scratch)
                 acc += scratch
     return sums
 
@@ -664,7 +690,9 @@ def exact_expectation(
     positions = [region.index(s) for s in A.support]
 
     def observe(vec):
-        return np.vdot(vec, apply_local(A.matrix, positions, vec, n))
+        # not np.vdot: OpenBLAS sums that in per-thread chunks, so its last digits
+        # would depend on the BLAS thread count
+        return (vec.conj() * apply_local(A.matrix, positions, vec, n)).sum()
 
     if any(times):
         H_sp = hamiltonian_matrix(H, region, sparse=True)

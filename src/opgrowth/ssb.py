@@ -162,9 +162,9 @@ def ghz_splitting(hamiltonian: str, L: int, g: float, J: float = 1.0) -> float:
     else:
         spec = build_named_hamiltonian("tfim", build_square_lattice(1, L), {"J": J, "g": g})
         H_sp = hamiltonian_matrix(spec, tuple(range(L)), sparse=True)
-        if np.any(H_sp.data.imag):
-            raise ValueError("tfim chain Hamiltonian has imaginary entries")
-        H_mat = H_sp.real.toarray()  # real sectors diagonalize several times faster
+        if np.iscomplexobj(H_sp):
+            raise ValueError("tfim chain Hamiltonian is not real")
+        H_mat = H_sp.toarray()  # real sectors diagonalize several times faster
     H_even, H_odd = parity_sectors(H_mat, L)
     e0 = np.linalg.eigvalsh(H_even)[0]
     o0 = np.linalg.eigvalsh(H_odd)[0]

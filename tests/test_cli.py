@@ -3,6 +3,10 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,28 @@ def test_oracle_command(tmp_path):
     assert lines[0] == "t,exact"
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == pytest.approx(1.0)
+
+
+def test_oracle_is_identical_across_blas_thread_counts(tmp_path):
+    # 2^16 amplitudes: long enough for OpenBLAS to split a dot product across threads
+    cfg = write_config(tmp_path, {
+        "command": "oracle",
+        "lattice": {"d": 1, "L": 16},
+        "model": {"name": "tfim", "J": 1.0, "g": 1.05},
+        "observable": {"pauli": "X", "sites": [7]},
+        "t_grid": [0.25, 0.5, 1.0, 2.0],
+    })
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"blas{blas}"
+        subprocess.run([sys.executable, "-m", "opgrowth", "--config", cfg, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outs.append((out / "oracle.csv").read_bytes())
+    assert len(outs[0].splitlines()) == 5
+    assert outs[0] == outs[1]
 
 
 def test_ssb_command_headers(tmp_path):

@@ -325,29 +325,35 @@ def test_sparse_assembly_matches_dense():
               ("random2local", {"seed": 4}), ("quasilocal", {"s_max": 3, "seed": 1})]
     for name, params in models:
         H = build_named_hamiltonian(name, grid, params)
+        # heisenberg's Y (x) Y is real; the quasilocal draw has terms with an odd number of Ys
+        real = name in ("tfim", "heisenberg")
+        assert any(np.any(t.matrix.imag) for t in H.terms) != real, name
         for region in regions:
             # reference: one embedded term at a time, summed in term order
             reference = np.zeros((2 ** len(region),) * 2, dtype=complex)
             for term in H.terms_within(set(region)):
                 reference += embed(term.matrix, tuple(sorted(term.support)), region)
             sparse = hamiltonian_matrix(H, region, sparse=True)
+            dense = hamiltonian_matrix(H, region)
+            assert sparse.dtype == dense.dtype == (np.float64 if real else complex), name
             assert np.array_equal(sparse.toarray(), reference), (name, region)
-            assert np.array_equal(hamiltonian_matrix(H, region), reference), (name, region)
+            assert np.array_equal(dense, reference), (name, region)
             # no explicit zeros, e.g. Heisenberg XX+YY on parallel spins
             assert sparse.nnz == np.count_nonzero(reference), (name, region)
 
 
 class CountingCSR:
-    """A CSR matrix that counts its products with vectors."""
+    """A CSR matrix that counts its products and records each operand's dtype and shape."""
 
     def __init__(self, matrix):
-        self.matrix, self.products = matrix, 0
+        self.matrix, self.products, self.operands = matrix, 0, []
 
     def __getattr__(self, name):
         return getattr(self.matrix, name)
 
     def __matmul__(self, vec):
         self.products += 1
+        self.operands.append((vec.dtype, vec.shape))
         return self.matrix @ vec
 
 
@@ -401,6 +407,36 @@ def test_expm_multiply_matches_scipy():
     assert (mu, norm) == (0.5, 0.0)
     for t, vec in zip((0.7, -1.2), operators.expm_multiply(H_sp, psi, [0.7, -1.2], mu, norm)):
         assert np.max(np.abs(vec - np.exp(-0.5j * t) * psi)) <= 1e-15
+
+
+def test_expm_multiply_runs_in_the_matrix_arithmetic():
+    from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
+
+    g = build_square_lattice(1, 10)
+    region = tuple(g.vertices)
+    times = [0.4, 1.3, -0.6]
+    tilted = ProductState({v: np.array([1.0, 1j]) / math.sqrt(2) for v in region})
+    for name, params in (("tfim", {"J": 1.0, "g": 1.05}), ("heisenberg", {"Jz": 0.5}),
+                         ("random2local", {"seed": 3})):
+        H = build_named_hamiltonian(name, g, params)
+        H_sp = hamiltonian_matrix(H, region, sparse=True)
+        mu, norm = operators.shift_and_norm(H_sp)
+        for state in (ProductState.all_zero(), ProductState.all_plus(region), tilted):
+            psi = state.state_vector(region)
+            counting = CountingCSR(H_sp)
+            got = operators.expm_multiply(counting, psi, times, mu, norm)
+            assert counting.products == operators._chebyshev_degree(norm * 1.3)
+            dim = H_sp.shape[0]
+            if name == "random2local":  # a complex H: complex vectors, as before
+                operand = (np.dtype(complex), (dim,))
+            elif state is tilted:  # a complex state under a real H: its (re, im) pairs
+                operand = (np.dtype(np.float64), (dim, 2))
+            else:  # a real H and a real state: real vectors
+                operand = (np.dtype(np.float64), (dim,))
+            assert set(counting.operands) == {operand}, (name, state)
+            for t, vec in zip(times, got):
+                want = scipy_expm_multiply(-1j * t * H_sp, psi)
+                assert np.max(np.abs(vec - want)) <= 1e-12, (name, t)
 
 
 def test_expm_multiply_long_time_matches_dense_evolution():
@@ -470,7 +506,7 @@ def test_expm_multiply_long_grid_runs_in_segments():
     csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
     vector = psi.nbytes
     per_segment = csr_bytes // vector
-    assert per_segment < 20  # so the grid takes four segments
+    assert per_segment < 20  # so the grid takes several segments
     counting = CountingCSR(H_sp)
     tracemalloc.start()
     try:
@@ -484,7 +520,7 @@ def test_expm_multiply_long_grid_runs_in_segments():
     assert peak < csr_bytes + 6 * vector, (peak, csr_bytes, vector)
     starts = [0.0] + times[per_segment - 1::per_segment]
     ends = times[per_segment - 1::per_segment] + [times[-1]]
-    assert len(ends) == 4
+    assert len(ends) == -(-len(times) // per_segment) > 1
     assert counting.products == sum(operators._chebyshev_degree(norm * (end - start))
                                     for start, end in zip(starts, ends))
     want = scipy_expm_multiply(-1j * H_sp, psi, start=times[0], stop=times[-1], num=64)
