@@ -1,14 +1,16 @@
 """Operator algebra on qubit registers: dense for small regions, sparse up to 20 qubits.
 
-Everything here is exact up to floating point: Heisenberg evolution by
-diagonalizing the region Hamiltonian, expectation values by full state
-evolution (one Chebyshev recurrence per region and time grid, on the sparse
-region Hamiltonian, for state vectors of up to VECTOR_QUBIT_CAP qubits),
-nested commutators by direct matrix algebra.  A Hamiltonian without
-imaginary entries is assembled, diagonalized and evolved in real
-arithmetic; a real state keeps real vectors under it.  These routines are the oracle
-the closed-form bounds and the cluster simulator are checked against, so
-clarity beats cleverness.
+Everything here is exact up to floating point.  One vector propagator,
+``expm_multiply`` (one Chebyshev recurrence per region and time grid, on the
+sparse region Hamiltonian), serves both pictures: expectation values evolve
+the state vector, up to VECTOR_QUBIT_CAP qubits, and Heisenberg evolution
+evolves a block of columns whose Gram matrix is the operator, up to
+DEFAULT_QUBIT_CAP.  Nested commutators follow by direct matrix algebra.  A
+Hamiltonian without imaginary entries is assembled and evolved in real
+arithmetic; real vectors stay real under it.  Only ``ssb.symmetric_unitary``
+still diagonalizes a region Hamiltonian (``evolution_unitary``).  These
+routines are the oracle the closed-form bounds and the cluster simulator are
+checked against, so clarity beats cleverness.
 
 Qubit ordering convention: a region is a sorted tuple of vertex ids and the
 first (smallest) vertex is the most significant kron factor.
@@ -295,6 +297,8 @@ def hamiltonian_matrix(
 def _eigh(H: HamiltonianSpec, region: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the dense region Hamiltonian.
 
+    Its one caller is ``evolution_unitary``, behind ``ssb.symmetric_unitary``;
+    Heisenberg evolution and the commutator oracle evolve vectors instead.
     A real Hamiltonian (tfim, heisenberg; see ``hamiltonian_matrix``) is
     diagonalized as a real symmetric matrix, several times faster than as a
     complex one, and gets real eigenvectors; numpy runs it on the same BLAS
@@ -341,15 +345,80 @@ def heisenberg_evolve(
     t: float,
     region: tuple[int, ...] | list[int],
 ) -> LocalOperator:
-    """A(t) = exp(iHt) A exp(-iHt) on ``region``, with H restricted to terms inside it."""
+    """A(t) = exp(iHt) A exp(-iHt) on ``region``, with H restricted to terms inside it.
+
+    A is factored on its own k sites: with lam its eigenvalues, W its
+    eigenvectors and w = lam - lam_min, A - lam_min = F F^dagger for
+    F = W sqrt(w), keeping the columns of nonzero weight (r of them: 2^{k-1}
+    for a one-site operator or a Pauli string, none for a multiple of the
+    identity).  So A(t) = lam_min + Z Z^dagger with Z = exp(iHt) (F (x) 1),
+    a 2^n x r 2^{n-k} block evolved by ``expm_multiply`` on the sparse
+    region Hamiltonian.  No 2^n x 2^n matrix is diagonalized, and the
+    result is Hermitian to the last bit.
+
+    Raises ValueError for a non-Hermitian A or a support outside the
+    region, and CapExceededError for a region above DEFAULT_QUBIT_CAP,
+    before the region Hamiltonian is assembled.
+    """
     region = tuple(sorted(region))
     if not set(A.support) <= set(region):
         raise ValueError("region must contain the operator support")
-    U = evolution_unitary(H, region, t)
-    positions = [region.index(s) for s in A.support]
-    UA = apply_local(A.matrix.T, positions, U.T, len(region)).T
-    np.conj(U, out=U)  # U^dagger = conj(U).T without a second 2^n x 2^n array
-    return LocalOperator(region, UA @ U.T)
+    n = len(region)
+    if n > DEFAULT_QUBIT_CAP:
+        raise CapExceededError(f"region of {n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
+    gap = _hermiticity_gap(A.matrix)
+    if gap > HERMITICITY_TOL:
+        raise ValueError(f"operator on {list(A.support)} is not Hermitian (gap {gap:.2e})")
+    lam, W = np.linalg.eigh(A.matrix if np.any(A.matrix.imag) else A.matrix.real)
+    weight = lam - lam[0]
+    keep = weight > 0
+    F = W[:, keep] * np.sqrt(weight[keep])
+    Z = _place_columns(F, [region.index(s) for s in A.support], n)
+    H_sp = hamiltonian_matrix(H, region, sparse=True)
+    mu, norm = shift_and_norm(H_sp)
+    Z = expm_multiply(H_sp, Z, -t, mu, norm)
+    out = _gram(Z)
+    out.real[np.diag_indices(1 << n)] += lam[0]
+    return LocalOperator(region, out)
+
+
+def _place_columns(F: np.ndarray, positions: list[int], n: int) -> np.ndarray:
+    """F (x) 1 with F's rows on the qubits at ``positions``: a 2^n x r 2^{n-k} block.
+
+    Column (j, b) is column j of F on those qubits times basis state b of
+    the other n - k, so row x holds F[x on positions, j] when x agrees with
+    b on the other qubits, and zero otherwise.
+    """
+
+    def rows(qubits):  # the 2^n row index of each basis state of these qubits
+        local = np.arange(1 << len(qubits))
+        out = np.zeros_like(local)
+        for j, q in enumerate(qubits):
+            out |= ((local >> (len(qubits) - 1 - j)) & 1) << (n - 1 - q)
+        return out
+
+    other = rows([q for q in range(n) if q not in positions])
+    block = np.zeros((1 << n, F.shape[1], len(other)), dtype=F.dtype)
+    block[rows(positions)[:, None] | other, :, np.arange(len(other))] = F[:, None, :]
+    return block.reshape(1 << n, -1)
+
+
+def _gram(Z: np.ndarray) -> np.ndarray:
+    """Z Z^dagger from real products, Hermitian to the last bit.
+
+    With Z = X + iY, the real part X X^T + Y Y^T is the product of Z's
+    (re, im) column pairs with their own transpose, which numpy hands to
+    BLAS as a symmetric rank-k update (half a product, symmetric on
+    output), and the imaginary part is S - S^T with S = Y X^T.  Together
+    they cost half the complex product Z conj(Z)^T.
+    """
+    pairs = Z.view(np.float64)
+    out = np.empty((Z.shape[0],) * 2, dtype=complex)
+    out.real = pairs @ pairs.T
+    S = Z.imag @ Z.real.T
+    out.imag = S
+    out.imag -= S.T
+    return out
 
 
 def nested_commutator_norm(
@@ -361,8 +430,9 @@ def nested_commutator_norm(
 ) -> float:
     """(1/2^m) * norm of [O_m, [..., [O_1, A(t)]]] computed densely in region.
 
-    A and the probes O_i must be Hermitian, the probes of norm 1 on
-    disjoint supports, and O_m must have at most two distinct eigenvalues
+    A(t) comes from ``heisenberg_evolve``, so no region Hamiltonian is
+    diagonalized.  A and the probes O_i must be Hermitian, the probes of
+    norm 1 on disjoint supports, and O_m must have at most two distinct eigenvalues
     (a Pauli string or any one-site operator has); otherwise ValueError,
     raised before anything 2^n-sized is allocated, as is CapExceededError
     for a region above DEFAULT_QUBIT_CAP.  The result is exact:
@@ -595,23 +665,44 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, norm: 
     stops at the degree ``_chebyshev_degree`` gives for it, and the
     recurrence at the largest of them.
 
-    ``times`` is a time, giving one vector, or a grid in any order, with
-    zero, negative and repeated times allowed, giving a list in grid order.
-    ``observe``, if given, maps each vector to the value returned in its
-    place.  When the accumulators would take more bytes than the CSR
-    arrays, the sorted distinct times are split into segments of as many
-    as fit, each restarting from the previous segment's last state; with
-    ``observe``, one segment's vectors are alive at a time.
+    ``psi`` is a vector or a dim x M block of columns, each evolved alike;
+    a vector is the block's one-column case.  ``times`` is a time, giving
+    one vector (or block), or a grid in any order, with zero, negative and
+    repeated times allowed, giving a list in grid order.  ``observe``, if
+    given, maps each vector to the value returned in its place.
+
+    Memory is bounded by the CSR arrays: as many complex vectors as fit in
+    their bytes are accumulated at once.  A block's columns are evolved in
+    chunks of at most that many, which is also the width at which a
+    product runs fastest.  When one chunk's accumulators for the whole grid
+    would not fit, the sorted distinct times are split into segments of as
+    many as fit, each restarting from the previous segment's last state;
+    with ``observe``, one segment's vectors are alive at a time.
     """
     times, scalar = time_grid(times)
     distinct = sorted(set(times))
+    dim = H_sp.shape[0]
+    columns = psi.shape[1] if np.ndim(psi) == 2 else 1
     csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
-    per_segment = max(1, csr_bytes // (16 * H_sp.shape[0]))  # complex accumulators
+    fit = max(1, csr_bytes // (16 * dim))  # complex vectors in the CSR's bytes
+    chunks = max(1, -(-columns // fit))
+    width = -(-columns // chunks)
+    per_segment = max(1, fit // max(1, width))
     found = {}
-    start, now = np.ascontiguousarray(psi, dtype=complex), 0.0
+    start, now = psi, 0.0
     for first in range(0, len(distinct), per_segment):
         segment = distinct[first:first + per_segment]
-        vectors = _chebyshev_evolve(H_sp, start, [t - now for t in segment], mu, norm)
+        steps = [t - now for t in segment]
+        if chunks == 1:  # the accumulators are the results
+            vectors = _chebyshev_evolve(H_sp, np.ascontiguousarray(start, dtype=complex),
+                                        steps, mu, norm)
+        else:
+            vectors = [np.empty((dim, columns), dtype=complex) for _ in segment]
+            for j in range(0, columns, width):
+                chunk = np.ascontiguousarray(start[:, j:j + width], dtype=complex)
+                for vec, part in zip(vectors, _chebyshev_evolve(H_sp, chunk, steps, mu, norm)):
+                    vec[:, j:j + width] = part
+                del chunk, part
         start, now = vectors[-1], segment[-1]
         for t, vec in zip(segment, vectors):
             found[t] = observe(vec) if observe else vec
@@ -624,12 +715,15 @@ def _chebyshev_evolve(H_sp, psi: np.ndarray, steps: list[float], mu: float,
                       norm: float) -> list[np.ndarray]:
     """exp(-i s H) psi for each s of ``steps``: the recurrence of ``expm_multiply``.
 
-    The vectors T_k(G) psi are kept in the matrix's arithmetic.  Under a
-    real H, a real psi gives real vectors, and a complex psi is viewed as a
-    dim x 2 real array of its real and imaginary parts, which scipy
-    multiplies column by column; a complex operand would make scipy cast
-    the matrix to complex in every product.  The accumulators are complex,
-    as the coefficients are.
+    ``psi`` is a complex vector or dim x w block.  The vectors T_k(G) psi
+    are kept in the matrix's arithmetic.  Under a real H, a real psi gives
+    real vectors, and a complex psi is viewed as a real array of its (re,
+    im) column pairs, which scipy multiplies column by column; a complex
+    operand would make scipy cast the matrix to complex in every product.
+    The accumulators are complex, as the coefficients are.  With mu = 0 and
+    real vectors, the coefficient (-i)^k J_k is real for even k and
+    imaginary for odd k, so each degree adds one real multiple of T_k(G) psi
+    into the real or the imaginary part of each accumulator.
     """
     degrees = [_chebyshev_degree(norm * s) for s in steps]
     coefs = [_chebyshev_coefficients(norm * s, K) * np.exp(-1j * mu * s)
@@ -638,26 +732,34 @@ def _chebyshev_evolve(H_sp, psi: np.ndarray, steps: list[float], mu: float,
     if np.iscomplexobj(H_sp):
         cur = psi
     elif np.any(psi.imag):
-        cur = psi.view(np.float64).reshape(-1, 2)
+        cur = psi.view(np.float64).reshape(len(psi), -1)
     else:
         cur = np.ascontiguousarray(psi.real)
+    paired = cur.shape != psi.shape
+    split = not mu and not paired and cur.dtype == np.float64
     prev = None
     scratch = np.empty_like(psi)
-    shifted = scratch.view(cur.dtype)[:cur.size].reshape(cur.shape)  # shares scratch's bytes
+    work = scratch.reshape(-1).view(cur.dtype)[:cur.size].reshape(cur.shape)  # scratch's bytes
     for k in range(1, max(degrees) + 1):
         nxt = H_sp @ cur  # T_k = 2 G T_{k-1} - T_{k-2}, and T_1 = G T_0
         if mu:
-            np.multiply(cur, mu, out=shifted)
-            nxt -= shifted
+            np.multiply(cur, mu, out=work)
+            nxt -= work
         if k == 1:
             nxt /= norm
         else:
             nxt *= 2 / norm
             nxt -= prev
         prev, cur = cur, nxt
-        vec = cur.view(complex).reshape(-1) if cur.ndim == 2 else cur
+        vec = cur.view(complex).reshape(psi.shape) if paired else cur
         for acc, coef, K in zip(sums, coefs, degrees):
-            if k <= K:
+            if k > K:
+                continue
+            if split:
+                np.multiply(cur, coef[k].imag if k % 2 else coef[k].real, out=work)
+                part = acc.imag if k % 2 else acc.real
+                part += work
+            else:
                 np.multiply(vec, coef[k], out=scratch)
                 acc += scratch
     return sums

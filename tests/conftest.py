@@ -9,12 +9,13 @@ from opgrowth.errors import CapExceededError
 
 @pytest.fixture
 def trips_before_allocating():
-    """Check that ``fn()`` raises CapExceededError while allocating under 1 MB in total."""
+    """Check that ``fn()`` raises ``error`` (CapExceededError unless given) while
+    allocating under 1 MB in total."""
 
-    def check(fn):
+    def check(fn, error=CapExceededError):
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceededError):
+            with pytest.raises(error):
                 fn()
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -262,6 +262,74 @@ def test_nested_commutator_matches_embed_reference():
     assert checked == 3 * (5 + 4 * 8)
 
 
+def _reference_evolved(H, A, t, region):
+    """exp(iHt) A exp(-iHt) from a dense eigh of the region Hamiltonian."""
+    w, V = np.linalg.eigh(hamiltonian_matrix(H, region))
+    U = (V * np.exp(1j * w * t)) @ V.conj().T
+    return U @ embed(A.matrix, A.support, region) @ U.conj().T
+
+
+def test_heisenberg_evolve_matches_dense_reference(monkeypatch):
+    rng = np.random.default_rng(15)
+    n = 6
+    g = build_square_lattice(1, n)
+    region = tuple(range(n))
+    G = rng.normal(size=(2**n,) * 2) + 1j * rng.normal(size=(2**n,) * 2)
+    # (A, columns of the evolved block): r 2^{n-k} with r the nonzero weights of A - lam_min
+    cases = [
+        (_random_unit_hermitian(2, rng), 2 ** (n - 1)),
+        (pauli_operator("XY", (1, 4)), 2 * 2 ** (n - 2)),
+        # eigenvalues -1 (three times) and +1: one column of nonzero weight
+        (LocalOperator((1, 3), 2 * np.diag([1.0, 0, 0, 0]) - np.eye(4)), 2 ** (n - 2)),
+        (LocalOperator(region, G + G.conj().T), 2**n - 1),
+        (LocalOperator((3,), -0.7 * np.eye(2)), 0),
+    ]
+    widths = []
+    expm_multiply = operators.expm_multiply
+
+    def recording(H_sp, psi, *args, **kwargs):
+        widths.append(psi.shape[1])
+        return expm_multiply(H_sp, psi, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "expm_multiply", recording)
+    models = [("tfim", {"J": 1.0, "g": 0.8}), ("heisenberg", {"Jz": 0.5}),
+              ("random2local", {"seed": 6}), ("quasilocal", {"s_max": 3, "seed": 2})]
+    for name, params in models:
+        H = build_named_hamiltonian(name, g, params)
+        for A, columns in cases:
+            for t in (0.0, -0.9, 1.4):
+                widths.clear()
+                got = heisenberg_evolve(H, A, t, region)
+                assert widths == [columns], (name, A.support)
+                assert got.support == region
+                want = _reference_evolved(H, A, t, region)
+                assert np.max(np.abs(got.matrix - want)) <= 1e-12, (name, A.support, t)
+                assert np.array_equal(got.matrix, got.matrix.conj().T)
+
+
+def test_heisenberg_evolve_rejects_non_hermitian_before_allocating(trips_before_allocating):
+    # the 2^10 x 2^9 block alone would take 8 MB, the region Hamiltonian 0.2 MB
+    chain10 = build_named_hamiltonian("tfim", build_square_lattice(1, 10), {"g": 1.0})
+    # upper triangular: eigh would read only its diagonal and go on
+    skew = LocalOperator((3,), np.array([[1, 1], [0, -1]]))
+    trips_before_allocating(
+        lambda: heisenberg_evolve(chain10, skew, 0.1, tuple(range(10))), ValueError)
+
+
+def test_heisenberg_evolution_never_diagonalizes(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a region Hamiltonian was diagonalized")
+
+    monkeypatch.setattr(operators, "_eigh", no_eigh)
+    H = build_named_hamiltonian("random2local", CHAIN5, {"seed": 11})
+    A = pauli_operator("Z", (0,))
+    got = heisenberg_evolve(H, A, 0.5, REGION5)
+    assert np.max(np.abs(got.matrix - _reference_evolved(H, A, 0.5, REGION5))) <= 1e-12
+    probes = [pauli_operator("X", (2,)), pauli_operator("X", (4,))]
+    assert nested_commutator_norm(H, A, probes, 0.5, REGION5) == pytest.approx(
+        _reference_nested_norm(H, A, probes, 0.5, REGION5), rel=1e-10, abs=1e-14)
+
+
 def test_tfim_term_pruning_and_norms():
     chain3 = build_square_lattice(1, 3)
     H0 = build_named_hamiltonian("tfim", chain3, {"J": 1, "g": 0})
@@ -525,6 +593,58 @@ def test_expm_multiply_long_grid_runs_in_segments():
                                     for start, end in zip(starts, ends))
     want = scipy_expm_multiply(-1j * H_sp, psi, start=times[0], stop=times[-1], num=64)
     assert np.max(np.abs(np.array(got[::-1]) - want @ psi.conj())) <= 1e-12
+
+
+def test_expm_multiply_block_matches_columns():
+    rng = np.random.default_rng(21)
+    g = build_square_lattice(1, 8)
+    region = tuple(g.vertices)
+    times = [0.4, -0.9]
+    for name, params in (("tfim", {"J": 1.0, "g": 1.05}), ("random2local", {"seed": 4})):
+        H_sp = hamiltonian_matrix(build_named_hamiltonian(name, g, params), region, sparse=True)
+        mu, norm = operators.shift_and_norm(H_sp)
+        dim = H_sp.shape[0]
+        csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
+        fit = csr_bytes // (16 * dim)
+        for columns in (3, 3 * fit + 1):  # one chunk, and chunks narrower than the block
+            real = rng.normal(size=(dim, columns))
+            for block in (real, real + 1j * rng.normal(size=(dim, columns))):
+                counting = CountingCSR(H_sp)
+                got = operators.expm_multiply(counting, block, times, mu, norm)
+                if name == "tfim":  # a real H meets no complex operand
+                    assert {dtype for dtype, _ in counting.operands} == {np.dtype(np.float64)}
+                assert max(shape[1] for _, shape in counting.operands) <= 2 * fit
+                for j in range(columns):
+                    alone = operators.expm_multiply(H_sp, block[:, j], times, mu, norm)
+                    for vec, want in zip(got, alone):
+                        assert np.max(np.abs(vec[:, j] - want)) <= 1e-13, (name, columns, j)
+                single = operators.expm_multiply(H_sp, block, -0.9, mu, norm)
+                assert np.max(np.abs(single - got[1])) <= 1e-13
+
+
+def test_expm_multiply_block_memory_stays_flat():
+    import tracemalloc
+
+    H = build_named_hamiltonian("tfim", build_square_lattice(1, 12), {"J": 1.0, "g": 1.05})
+    H_sp = hamiltonian_matrix(H, tuple(range(12)), sparse=True)
+    mu, norm = operators.shift_and_norm(H_sp)
+    dim = H_sp.shape[0]
+    csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
+    chunk = csr_bytes // (16 * dim)
+    columns = 96
+    assert chunk < columns / 4  # so the block takes several chunks
+    rng = np.random.default_rng(9)
+    block = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+    tracemalloc.start()
+    try:
+        got = operators.expm_multiply(H_sp, block, 0.6, mu, norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, and one chunk's input, accumulator, scratch and three recurrence
+    # vectors (measured: 6.0 chunks over the output); the whole block at once would
+    # take six outputs
+    assert peak < got.nbytes + csr_bytes + 6 * 16 * dim * chunk, (peak, got.nbytes, csr_bytes)
 
 
 def test_sparse_assembly_budget(trips_before_allocating, monkeypatch):
