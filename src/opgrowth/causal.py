@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import CapExceededError
 from .lattice import FactorGraph
-from .operators import HamiltonianSpec, LocalOperator, embed, operator_norm
+from .operators import HamiltonianSpec, LocalOperator, commutator, embed, operator_norm
 
 ROOT = ("R",)
 PATH_CAP = 2_000_000
-VANISHING_QUBIT_CAP = 12  # term_vanishing_check multiplies dense 2^n x 2^n matrices
+VANISHING_QUBIT_CAP = 12  # term_vanishing_check holds dense 2^n x 2^n matrices
 
 
 @dataclass(frozen=True)
@@ -216,17 +216,21 @@ def term_vanishing_check(
     """Evaluate one expansion term densely and pair it with the forest verdict.
 
     The term is ad_{O_m} ... ad_{O_1} L_{M_n} ... L_{M_1} |A) with
-    L_X = i ad_{H_X}, on the register of all of H's sites.  A missing forest
-    must force the norm to zero.
+    L_X = i ad_{H_X}, on the register of all of H's sites; each term and
+    probe enters through ``operators.commutator``, never embedded.  A
+    missing forest must force the norm to zero.
     """
     if isinstance(M, FactorSequence):
         ids = M.ids
     else:
         ids = tuple(M)
     region = tuple(sorted(H.vertices()))
-    if len(region) > VANISHING_QUBIT_CAP:
-        raise CapExceededError(
-            f"region of {len(region)} qubits exceeds cap {VANISHING_QUBIT_CAP}")
+    n = len(region)
+    if n > VANISHING_QUBIT_CAP:
+        raise CapExceededError(f"region of {n} qubits exceeds cap {VANISHING_QUBIT_CAP}")
+    off = sorted({s for O in O_list for s in O.support} - set(region))
+    if off:
+        raise ValueError(f"probe sites {off} are not sites of the Hamiltonian")
     term_by_support = {t.support: t for t in H.terms}
     cur = embed(A.matrix, A.support, region)
     for i in ids:
@@ -234,10 +238,8 @@ def term_vanishing_check(
         term = term_by_support.get(X)
         if term is None:
             raise ValueError(f"Hamiltonian has no term on factor {sorted(X)}")
-        h_emb = embed(term.matrix, tuple(sorted(X)), region)
-        cur = 1j * (h_emb @ cur - cur @ h_emb)
+        cur = 1j * commutator(term.matrix, [region.index(v) for v in sorted(X)], cur, n)
     for O in O_list:
-        o_emb = embed(O.matrix, O.support, region)
-        cur = o_emb @ cur - cur @ o_emb
+        cur = commutator(O.matrix, [region.index(v) for v in O.support], cur, n)
     forest = build_causal_forest([g.factors[i] for i in ids], R, S_list)
     return forest, operator_norm(np.asarray(cur))

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 for configuration or validity-window problems
 (science errors), 1 for anything unexpected (engineering errors).  Result
 files are deterministic for a fixed config and seed; wall-clock timings go
-to the manifest only, so repeated runs stay byte-identical.
+to the manifest only, so repeated runs stay byte-identical.  The thread
+count (``--threads``, ``OPGROWTH_THREADS`` or the config) is validated and
+recorded in the manifest; it does not change the computation.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--threads", type=int, default=None, help="override thread count")
+    parser.add_argument("--threads", type=int, default=None, help="thread count, recorded only")
     parser.add_argument("--mode", choices=MODES, default=None)
     args = parser.parse_args(argv)
     try:
@@ -150,6 +152,13 @@ def _number(value, what: str) -> float:
     raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
+def _flag(value, what: str) -> bool:
+    """A JSON true or false from the config; a string such as "false" is not one."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{what} must be true or false, got {value!r}")
+
+
 def _run(config: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
@@ -209,7 +218,7 @@ def _build_lattice(spec: dict):
         d=_integer(spec.get("d", 1), "lattice.d"),
         L=_integer(spec.get("L"), "lattice.L"),
         interaction_range=_integer(spec.get("range", 1), "lattice.range"),
-        periodic=bool(spec.get("periodic", False)),
+        periodic=_flag(spec.get("periodic", False), "lattice.periodic"),
     )
 
 
@@ -457,7 +466,7 @@ def _cmd_simulate(config: dict, out_dir: str):
         raise ConfigError("paper-formula mode needs a params section")
     if config["mode"] == "desk" and ("r" not in plan_spec or "m_star" not in plan_spec):
         raise ConfigError("desk mode needs plan.r and plan.m_star")
-    want_oracle = bool(config.get("oracle", True))
+    want_oracle = _flag(config.get("oracle", True), "oracle")
     grid = _grid(config.get("t_grid", [0.5]))
     anchor_vertex = _integer(plan_spec.get("anchor_vertex", 0), "plan.anchor_vertex")
     if anchor_vertex not in graph.vertex_adjacency():
@@ -490,8 +499,7 @@ def _cmd_simulate(config: dict, out_dir: str):
             break
         try:
             group_results = simulate_expectation(
-                model, observable, state, [grid[i] for i in indices], plans[indices[0]],
-                params=params, threads=int(config["threads"]))
+                model, observable, state, [grid[i] for i in indices], plans[indices[0]], params)
         except CapExceededError:
             done = indices[0]
             break

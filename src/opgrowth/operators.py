@@ -5,12 +5,13 @@ Everything here is exact up to floating point.  One vector propagator,
 sparse region Hamiltonian), serves both pictures: expectation values evolve
 the state vector, up to VECTOR_QUBIT_CAP qubits, and Heisenberg evolution
 evolves a block of columns whose Gram matrix is the operator, up to
-DEFAULT_QUBIT_CAP.  Nested commutators follow by direct matrix algebra.  A
-Hamiltonian without imaginary entries is assembled and evolved in real
-arithmetic; real vectors stay real under it.  Only ``ssb.symmetric_unitary``
-still diagonalizes a region Hamiltonian (``evolution_unitary``).  These
-routines are the oracle the closed-form bounds and the cluster simulator are
-checked against, so clarity beats cleverness.
+DEFAULT_QUBIT_CAP.  ``commutator`` takes [M, C] for a few-qubit M by
+applying M on its own qubits, never embedded.  A Hamiltonian without
+imaginary entries is assembled and evolved in real arithmetic; real vectors
+stay real under it.  Only ``ssb.symmetric_unitary`` still diagonalizes a
+region Hamiltonian (``evolution_unitary``).  These routines are the oracle
+the closed-form bounds and the cluster simulator are checked against, so
+clarity beats cleverness.
 
 Qubit ordering convention: a region is a sorted tuple of vertex ids and the
 first (smallest) vertex is the most significant kron factor.
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import CapExceededError, ConfigError
@@ -152,6 +152,17 @@ def apply_local(matrix: np.ndarray, positions: list[int], X: np.ndarray, n: int)
     t = np.moveaxis(X.reshape((2,) * n + X.shape[1:]), positions, range(k))
     t = (matrix @ t.reshape(2**k, -1)).reshape(t.shape)
     return np.moveaxis(t, range(k), positions).reshape(X.shape)
+
+
+def commutator(matrix: np.ndarray, positions: list[int], C: np.ndarray, n: int) -> np.ndarray:
+    """[M, C] for a k-qubit matrix M at the given qubit positions and a 2^n x 2^n C.
+
+    M is applied on its own qubits by ``apply_local``, from the left and,
+    through transposes, from the right, so M is never embedded.
+    """
+    out = apply_local(matrix, positions, C, n)
+    out -= apply_local(matrix.T, positions, C.T, n).T
+    return out
 
 
 def _hermiticity_gap(mat: np.ndarray) -> float:
@@ -294,39 +305,18 @@ def hamiltonian_matrix(
     return out if sparse else out.toarray()
 
 
-def _eigh(H: HamiltonianSpec, region: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the dense region Hamiltonian.
+def evolution_unitary(H: HamiltonianSpec, region: tuple[int, ...], t: float) -> np.ndarray:
+    """exp(i t H_region) by numpy's ``eigh`` of the dense region Hamiltonian, for ``ssb``.
 
-    Its one caller is ``evolution_unitary``, behind ``ssb.symmetric_unitary``;
-    Heisenberg evolution and the commutator oracle evolve vectors instead.
-    A real Hamiltonian (tfim, heisenberg; see ``hamiltonian_matrix``) is
-    diagonalized as a real symmetric matrix, several times faster than as a
-    complex one, and gets real eigenvectors; numpy runs it on the same BLAS
-    threads as the products that follow.  (scipy links a second OpenBLAS,
-    whose idle threads spin against numpy's for a while after each call:
-    that made the many small evolutions of the ssb checks 40% slower.)
-
-    A complex Hamiltonian (random2local) goes to scipy, which overwrites
-    a Fortran-ordered dense copy in place; numpy's eigh would hold two
-    more 2^n x 2^n complex arrays, its own copy of the input and the output.
-
-    Both use LAPACK's divide-and-conquer driver, which keeps eigenvectors
-    orthogonal to about 1e-15.  The MRRR driver ("evr") is faster on complex
-    2^11 matrices but loses orthogonality there at the 1e-12 level, which
-    the oracle would report as a commutator norm.
+    A real Hamiltonian (tfim, heisenberg) is diagonalized as a real
+    symmetric matrix, several times faster than a complex one, and its real
+    eigenvectors make U from two real products.  LAPACK's divide-and-conquer
+    driver keeps the eigenvectors orthogonal to about 1e-15.  A region above
+    DEFAULT_QUBIT_CAP raises CapExceededError before anything is assembled.
     """
     if len(region) > DEFAULT_QUBIT_CAP:
         raise CapExceededError(f"region of {len(region)} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
-    mat = hamiltonian_matrix(H, region, sparse=True)
-    if not np.iscomplexobj(mat):
-        return np.linalg.eigh(mat.toarray())
-    return scipy.linalg.eigh(mat.toarray(order="F"), driver="evd", overwrite_a=True,
-                             check_finite=False)
-
-
-def evolution_unitary(H: HamiltonianSpec, region: tuple[int, ...], t: float) -> np.ndarray:
-    """exp(i t H_region) via diagonalization."""
-    w, V = _eigh(H, region)
+    w, V = np.linalg.eigh(hamiltonian_matrix(H, region, sparse=True).toarray())
     phase = np.exp(1j * t * w)
     if np.isrealobj(V):
         # two real products cost half of one complex product with V cast to complex
@@ -438,7 +428,7 @@ def nested_commutator_norm(
     for a region above DEFAULT_QUBIT_CAP.  The result is exact:
 
     - with m = 0 it is ||A||, since unitary evolution keeps the norm;
-    - the inner commutators are applied on the probe sites only;
+    - the inner commutators are applied on the probe sites only (``commutator``);
     - for O_m = lam_- + (lam_+ - lam_-) P with P a spectral projector and
       X the Hermitian or anti-Hermitian inner commutator,
       ||[O_m, X]|| = |lam_+ - lam_-| ||P X (1 - P)||, and P X (1 - P)
@@ -474,10 +464,7 @@ def nested_commutator_norm(
     C = heisenberg_evolve(H, A, t, region).matrix
     n = len(region)
     for O in O_list[:-1]:
-        positions = [region.index(s) for s in O.support]
-        inner = apply_local(O.matrix, positions, C, n)
-        inner -= apply_local(O.matrix.T, positions, C.T, n).T
-        C = inner
+        C = commutator(O.matrix, [region.index(s) for s in O.support], C, n)
     lower = split[0]
     block = _offdiagonal_block(C, W[:, :lower], W[:, lower:],
                                [region.index(s) for s in last.support], n)

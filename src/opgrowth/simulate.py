@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,16 +185,13 @@ def simulate_expectation(
     t,
     sim_plan: SimPlan,
     params: BoundParams | None = None,
-    threads: int = 1,
 ):
     """Run the level-by-level cluster expansion and return (estimate, diagnostics).
 
-    Clusters of each size are evaluated independently (optionally on a
-    thread pool) and merged in canonical order, so the result is
-    deterministic for any thread count.  Diagnostics include per-level sums
-    and running estimates, with the running cluster counts beside them; the
-    running values at level m are exactly what a plan with m_star = m would
-    return.
+    Clusters are evaluated level by level, in canonical order.  Diagnostics
+    include per-level sums and running estimates, with the running cluster
+    counts beside them; the running values at level m are exactly what a
+    plan with m_star = m would return.
 
     ``t`` may also be a grid of times: each cluster is then evolved once
     along the whole grid, and the result is a list of (estimate,
@@ -209,19 +205,12 @@ def simulate_expectation(
     if not set(A.support) <= set(tiling.box_vertices[anchor]):
         raise ValueError("observable support must sit inside the anchor box")
 
-    def raw_values(cluster: Cluster) -> list[float]:
-        return raw_cluster_expectation(H, A, state, cluster, tiling, times)
-
     raw: dict[Cluster, np.ndarray] = {}
     levels: list[list[Cluster]] = []
     for m in range(1, sim_plan.m_star + 1):
         clusters = enumerate_connected_subsets(tiling.adjacency, anchor, m)
-        if threads > 1 and len(clusters) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                raw_vals = list(pool.map(raw_values, clusters))
-        else:
-            raw_vals = [raw_values(c) for c in clusters]
-        raw.update(zip(clusters, map(np.array, raw_vals)))
+        for cluster in clusters:
+            raw[cluster] = np.array(raw_cluster_expectation(H, A, state, cluster, tiling, times))
         levels.append(clusters)
     running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
     corrected = inclusion_exclusion(raw, tiling).corrected

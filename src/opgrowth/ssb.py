@@ -28,8 +28,9 @@ from .operators import (
     HamiltonianSpec,
     LocalOperator,
     PAULI,
+    apply_local,
     build_named_hamiltonian,
-    embed,
+    commutator,
     evolution_unitary,
     hamiltonian_matrix,
 )
@@ -113,19 +114,29 @@ def nested_identity_check(
     lhs = <psi| D O |psi> with |psi> = U |0...0> and D the global flip;
     rhs = 2^{-m} <0...0| D [[...[O(t), Z_{v1}], ...], Z_{vm}] |0...0>
     with O(t) = U^dag O U.  The two agree for any sites v_i whenever U
-    commutes with D.
+    commutes with D.  O and every Z_v act on their own qubits
+    (``apply_local``, ``commutator``), so the one dense product is U^dag (O U).
+
+    Raises ValueError, before any product, when U is not 2^n x 2^n for the
+    region's n sites, when O's sites or some v leave the region, or when U
+    does not commute with D.
     """
-    region = tuple(sorted(region))
+    region, v_list = tuple(sorted(region)), list(v_list)
+    n = len(region)
+    if np.shape(U) != (1 << n, 1 << n):
+        raise ValueError(f"evolution of shape {np.shape(U)} does not act on {n} qubits")
+    off = sorted(set(O.support).union(v_list) - set(region))
+    if off:
+        raise ValueError(f"sites {off} of O or v_list leave the region {list(region)}")
     _check_flip_symmetric(U, "evolution")
-    O_emb = embed(O.matrix, O.support, region)
-    psi = U[:, 0]
-    lhs = complex(np.vdot(psi, (O_emb @ psi)[::-1]))
-    C = U.conj().T @ O_emb @ U
+    OU = apply_local(O.matrix, [region.index(s) for s in O.support], U, n)
+    lhs = complex(np.vdot(U[:, 0], OU[::-1, 0]))
+    C = U.conj().T @ OU
     for v in v_list:
-        Z_emb = embed(PAULI["Z"], (v,), region)
-        C = C @ Z_emb - Z_emb @ C
-    # <0...0| D C |0...0> is the entry of C at row D|0...0> = |1...1>, column 0
-    rhs = complex(C[-1, 0]) / 2 ** len(tuple(v_list))
+        C = commutator(PAULI["Z"], [region.index(v)], C, n)
+    # <0...0| D C |0...0> is the entry of C at row D|0...0> = |1...1>, column 0;
+    # each step took [Z_v, C] = -[C, Z_v]
+    rhs = complex(C[-1, 0]) * (-0.5) ** len(v_list)
     return lhs, rhs, abs(lhs - rhs)
 
 

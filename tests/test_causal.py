@@ -184,6 +184,14 @@ def test_sequences_missing_target_factors_vanish():
     assert forest is None or not forest.causal
 
 
+def test_term_vanishing_check_rejects_probe_off_the_register():
+    H = build_named_hamiltonian("tfim", CHAIN4, {"g": 1.0})
+    A = pauli_operator("Z", (0,))
+    with pytest.raises(ValueError, match=r"probe sites \[7\]"):
+        term_vanishing_check(H.factor_graph(), H, (0,), {0}, [{3}], A,
+                             [pauli_operator("X", (7,))])
+
+
 def test_term_vanishing_check_cap(trips_before_allocating):
     # 13 sites, one over the cap: refused before any dense 2^13 x 2^13 operator
     H = build_named_hamiltonian("tfim", build_square_lattice(1, 13), {"g": 1.0})

@@ -52,7 +52,8 @@ SIM_2D_CONFIG = dict(SIM_CONFIG, lattice={"d": 2, "L": 4}, t_grid=[0.3, 0.6, 0.4
 
 
 def test_simulate_determinism_across_runs_and_threads(tmp_path):
-    # the 2D grid run has several clusters per level, so threads share work
+    # the thread count is validated and recorded but changes no result; the 2D grid
+    # run has several clusters per level, each evaluated in canonical order
     for label, config in (("chain", SIM_CONFIG), ("grid", SIM_2D_CONFIG)):
         cfg = write_config(tmp_path, config, name=f"{label}.json")
         outs = []
@@ -151,6 +152,32 @@ def test_lattice_command(tmp_path):
     assert main(["--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "lattice.json").read_text())
     assert len(payload["factors"]) == 12
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_non_boolean_periodic_exits_2(tmp_path, value):
+    # bool("false") is True: a string would silently build a ring
+    cfg = write_config(tmp_path, {"command": "lattice",
+                                  "lattice": {"d": 1, "L": 4, "periodic": value}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "lattice.json").exists()
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, None])
+def test_non_boolean_oracle_exits_2(tmp_path, value):
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, oracle=value))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "results.csv").exists()
+
+
+def test_oracle_false_leaves_exact_empty(tmp_path):
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, oracle=False))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "results.csv")
+    assert rows and all(r[3] == "" and r[4] == "" for r in rows)
 
 
 def test_bound_sweep_window_flip(tmp_path):

@@ -59,6 +59,22 @@ def test_embed_matches_kron():
     assert np.allclose(got, want)
 
 
+def test_commutator_matches_embedded_product():
+    rng = np.random.default_rng(16)
+    n = 5
+    dim = 2**n
+    C = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))  # not Hermitian
+    before = C.copy()
+    # one site, two adjacent sites, and unsorted non-adjacent sites
+    for positions in ([0], [2], [4], [1, 2], [3, 0], [4, 1, 2]):
+        k = len(positions)
+        M = rng.normal(size=(2**k,) * 2) + 1j * rng.normal(size=(2**k,) * 2)
+        M_emb = embed(M, tuple(positions), tuple(range(n)))
+        got = operators.commutator(M, positions, C, n)
+        assert np.max(np.abs(got - (M_emb @ C - C @ M_emb))) <= 1e-12, positions
+        assert np.array_equal(C, before)
+
+
 def test_shrink_drops_identity_sites():
     wide = LocalOperator((0, 1, 2), embed(PAULI["Y"], (1,), (0, 1, 2)))
     small = wide.shrink()
@@ -121,8 +137,8 @@ def test_evolution_caps_and_region_check(trips_before_allocating):
 
 
 def test_dense_guard_trips_in_eigh(trips_before_allocating, monkeypatch):
-    # every dense evolution diagonalizes through _eigh, whose cap check comes
-    # before the region Hamiltonian is assembled
+    # the one dense evolution, evolution_unitary, checks the cap before its eigh
+    # and before the region Hamiltonian is assembled
     from opgrowth.ssb import symmetric_unitary
 
     def no_assembly(*args, **kwargs):
@@ -317,17 +333,28 @@ def test_heisenberg_evolve_rejects_non_hermitian_before_allocating(trips_before_
 
 
 def test_heisenberg_evolution_never_diagonalizes(monkeypatch):
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("a region Hamiltonian was diagonalized")
-
-    monkeypatch.setattr(operators, "_eigh", no_eigh)
     H = build_named_hamiltonian("random2local", CHAIN5, {"seed": 11})
     A = pauli_operator("Z", (0,))
-    got = heisenberg_evolve(H, A, 0.5, REGION5)
-    assert np.max(np.abs(got.matrix - _reference_evolved(H, A, 0.5, REGION5))) <= 1e-12
     probes = [pauli_operator("X", (2,)), pauli_operator("X", (4,))]
+    want_evolved = _reference_evolved(H, A, 0.5, REGION5)
+    want_norm = _reference_nested_norm(H, A, probes, 0.5, REGION5)
+
+    def no_dense_evolution(*args, **kwargs):
+        raise AssertionError("a region Hamiltonian was diagonalized")
+
+    eigh = np.linalg.eigh
+
+    def local_eigh(mat, *args, **kwargs):
+        # only A's and the last probe's own one-site matrices are diagonalized
+        assert np.shape(mat)[0] <= 2, f"eigh of a {np.shape(mat)} matrix"
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "evolution_unitary", no_dense_evolution)
+    monkeypatch.setattr(np.linalg, "eigh", local_eigh)
+    got = heisenberg_evolve(H, A, 0.5, REGION5)
+    assert np.max(np.abs(got.matrix - want_evolved)) <= 1e-12
     assert nested_commutator_norm(H, A, probes, 0.5, REGION5) == pytest.approx(
-        _reference_nested_norm(H, A, probes, 0.5, REGION5), rel=1e-10, abs=1e-14)
+        want_norm, rel=1e-10, abs=1e-14)
 
 
 def test_tfim_term_pruning_and_norms():
@@ -369,7 +396,8 @@ def _vector_reference(H, A, state, t, region):
 
 
 def test_exact_expectation_vector_and_dense_paths_agree():
-    # a real (tfim) and a complex (random2local) Hamiltonian: both _eigh branches
+    # a real (tfim) and a complex (random2local) Hamiltonian, each evolved in both
+    # pictures: the state vector and the Heisenberg block
     chain6 = build_square_lattice(1, 6)
     region = tuple(range(6))
     state = ProductState.all_plus(region)

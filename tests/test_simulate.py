@@ -260,14 +260,14 @@ def test_coarse_graph_enumeration_matches_brute_force():
         assert found == brute_connected_subsets(tiling.adjacency, (0, 0), m)
 
 
-def test_simulate_thread_determinism():
+def test_simulate_repeat_determinism():
     p = plan(None, 0.7, 1e-6, mode="desk", graph=CHAIN6, r=1, m_star=4)
     A = pauli_operator("Z", (0,))
-    est1, diag1 = simulate_expectation(TFIM6, A, ZERO, 0.7, p, threads=1)
-    est4, diag4 = simulate_expectation(TFIM6, A, ZERO, 0.7, p, threads=4)
-    assert est1 == est4  # bit identical
-    assert diag1["table"].raw == diag4["table"].raw
-    assert diag1["table"].corrected == diag4["table"].corrected
+    est1, diag1 = simulate_expectation(TFIM6, A, ZERO, 0.7, p)
+    est2, diag2 = simulate_expectation(TFIM6, A, ZERO, 0.7, p)
+    assert est1 == est2  # bit identical
+    assert diag1["table"].raw == diag2["table"].raw
+    assert diag1["table"].corrected == diag2["table"].corrected
 
 
 def test_operator_piece_base_case_and_t0():
@@ -354,7 +354,7 @@ def test_simulate_grid_matches_scalar_calls():
                          sim_decay=1.0, box_offset=1e-9, dimension=2)
     p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=2, m_star=3)
     grid = [0.6, 0.0, 0.3, 0.6]  # unsorted, repeated point, t = 0
-    results = simulate_expectation(H, A, ZERO, grid, p, params=params, threads=2)
+    results = simulate_expectation(H, A, ZERO, grid, p, params=params)
     assert len(results) == len(grid)
     for t, (est, diag) in zip(grid, results):
         est1, diag1 = simulate_expectation(H, A, ZERO, t, p, params=params)

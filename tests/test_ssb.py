@@ -137,6 +137,60 @@ def test_flip_check_rejects_asymmetric_input():
         nested_identity_check(U, pauli_operator("X", (1,)), [0], (0, 1, 2))
 
 
+def _embedded_identity_sides(U, O, v_list, region):
+    """The flip identity's two sides from embedded O and Z_v and dense products only."""
+    from opgrowth.operators import PAULI, embed
+
+    O_emb = embed(O.matrix, O.support, region)
+    psi = U[:, 0]
+    lhs = np.vdot(psi, (O_emb @ psi)[::-1])
+    C = U.conj().T @ O_emb @ U
+    for v in v_list:
+        Z_emb = embed(PAULI["Z"], (v,), region)
+        C = C @ Z_emb - Z_emb @ C
+    return lhs, C[-1, 0] / 2 ** len(v_list)
+
+
+def test_identity_matches_embedded_reference():
+    from opgrowth.operators import LocalOperator
+
+    rng = np.random.default_rng(16)
+    for n in (3, 4, 6):
+        region = tuple(range(n))
+        w, V = np.linalg.eigh(_random_flip_symmetric(n, rng))
+        U = (V * np.exp(-1j * float(rng.uniform(0.1, 1.5)) * w)) @ V.conj().T
+        for m in range(4):
+            for sites in ((int(rng.integers(n)),), (n - 1, 0)):
+                dim = 2 ** len(sites)
+                M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                O = LocalOperator(sites, M / np.linalg.norm(M, 2))
+                v_list = [int(v) for v in rng.choice(n, size=m, replace=False)]
+                lhs, rhs, gap = nested_identity_check(U, O, v_list, region)
+                want_lhs, want_rhs = _embedded_identity_sides(U, O, v_list, region)
+                assert abs(lhs - want_lhs) <= 1e-14 and abs(rhs - want_rhs) <= 1e-14
+                assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["shape", "operator", "site"])
+def test_identity_rejects_bad_arguments_before_any_product(monkeypatch, case):
+    import opgrowth.ssb
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("a product was taken before the arguments were checked")
+
+    monkeypatch.setattr(opgrowth.ssb, "apply_local", no_product)
+    monkeypatch.setattr(opgrowth.ssb, "commutator", no_product)
+    U, O, v_list = np.eye(8, dtype=complex), pauli_operator("X", (1,)), [0, 2]
+    if case == "shape":
+        U, match = np.eye(16, dtype=complex), "does not act on 3 qubits"
+    elif case == "operator":
+        O, match = pauli_operator("XZ", (0, 3)), r"sites \[3\] of O or v_list leave"
+    else:
+        v_list, match = [0, 5], r"sites \[5\] of O or v_list leave"
+    with pytest.raises(ValueError, match=match):
+        nested_identity_check(U, O, v_list, (0, 1, 2))
+
+
 def test_parity_sector_dimensions():
     g = build_square_lattice(1, 4)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.3})
