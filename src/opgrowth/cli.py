@@ -34,7 +34,6 @@ from .bounds import (
     truncation_error_bound,
     volume_bound,
 )
-from .operators import nested_commutator_norm
 from .causal import term_vanishing_check
 from .errors import CapExceededError, ConfigError, ValidityWindowError
 from .lattice import (
@@ -50,6 +49,8 @@ from .operators import (
     build_named_hamiltonian,
     exact_expectation,
     heisenberg_evolve,
+    nested_commutator_norm,
+    operator_norm,
     pauli_operator,
     embed,
 )
@@ -691,7 +692,7 @@ def check_completeness(correction=cluster_correction) -> dict:
         for cluster in anchored_clusters(tiling, 2):
             piece = operator_piece(model, A, cluster, tiling, t)
             total += embed(piece.matrix, piece.support, region)
-        worst = max(worst, float(np.linalg.norm(total - full, 2)))
+        worst = max(worst, operator_norm(total - full))
     state = ProductState.all_zero()
     sim_plan = plan(None, 0.7, 1e-6, mode="desk", graph=graph, r=2, m_star=3)
     estimate, diag = simulate_expectation(model, A, state, 0.7, sim_plan)

@@ -5,8 +5,11 @@ Everything here is exact up to floating point.  One vector propagator,
 sparse region Hamiltonian), serves both pictures: expectation values evolve
 the state vector, up to VECTOR_QUBIT_CAP qubits, and Heisenberg evolution
 evolves a block of columns whose Gram matrix is the operator, up to
-DEFAULT_QUBIT_CAP.  ``commutator`` takes [M, C] for a few-qubit M by
-applying M on its own qubits, never embedded.  A Hamiltonian without
+DEFAULT_QUBIT_CAP.  ``nested_commutator_norm`` keeps that block as factors
+of the commutator, so for up to two probes on a one-site operator it
+makes no 2^n x 2^n array.  ``commutator`` takes [M, C] for a few-qubit M by
+applying M on its own qubits, never embedded.  ``operator_norm`` takes the
+largest eigenvalue of a Gram matrix, never an SVD.  A Hamiltonian without
 imaginary entries is assembled and evolved in real arithmetic; real vectors
 stay real under it.  Only ``ssb.symmetric_unitary`` still diagonalizes a
 region Hamiltonian (``evolution_unitary``).  These routines are the oracle
@@ -170,11 +173,24 @@ def _hermiticity_gap(mat: np.ndarray) -> float:
 
 
 def operator_norm(op: LocalOperator | np.ndarray) -> float:
-    """Spectral norm: the largest singular value, from a dense SVD."""
+    """Spectral norm of a matrix M: scale * sqrt(lam_max(G)), with no SVD.
+
+    G is the Gram matrix of M / scale on its shorter side: M M^dagger, or
+    M^T conj(M) for a tall M, which has the eigenvalues of M^dagger M.  It is
+    one BLAS product (``_gram``), and ``eigvalsh`` takes its eigenvalues
+    without vectors.  The scale, the largest |entry|, keeps the squares
+    from underflowing or overflowing.
+    """
     mat = op.matrix if isinstance(op, LocalOperator) else np.asarray(op)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.norm(mat, 2))
+    scale = float(np.max(np.abs(mat), initial=0.0))
+    if scale == 0.0:
+        return 0.0
+    side = np.divide(mat.T if mat.shape[0] > mat.shape[1] else mat, scale, order="C")
+    gram = _gram(side)
+    del side
+    return scale * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 @dataclass(frozen=True)
@@ -337,20 +353,37 @@ def heisenberg_evolve(
 ) -> LocalOperator:
     """A(t) = exp(iHt) A exp(-iHt) on ``region``, with H restricted to terms inside it.
 
+    A(t) = lam_min + Z Z^dagger with (lam_min, Z) from ``_evolved_factor``,
+    so no 2^n x 2^n matrix is diagonalized, and the result is Hermitian to
+    the last bit.  Raises as ``_evolved_factor`` does.
+    """
+    region = tuple(sorted(region))
+    lam_min, Z = _evolved_factor(H, A, t, region)
+    out = _gram(Z)
+    del Z
+    out.real[np.diag_indices(len(out))] += lam_min
+    return LocalOperator(region, out)
+
+
+def _evolved_factor(
+    H: HamiltonianSpec,
+    A: LocalOperator,
+    t: float,
+    region: tuple[int, ...],
+) -> tuple[float, np.ndarray]:
+    """(lam_min, Z) with A(t) = lam_min + Z Z^dagger on the sorted ``region``.
+
     A is factored on its own k sites: with lam its eigenvalues, W its
     eigenvectors and w = lam - lam_min, A - lam_min = F F^dagger for
     F = W sqrt(w), keeping the columns of nonzero weight (r of them: 2^{k-1}
     for a one-site operator or a Pauli string, none for a multiple of the
-    identity).  So A(t) = lam_min + Z Z^dagger with Z = exp(iHt) (F (x) 1),
-    a 2^n x r 2^{n-k} block evolved by ``expm_multiply`` on the sparse
-    region Hamiltonian.  No 2^n x 2^n matrix is diagonalized, and the
-    result is Hermitian to the last bit.
+    identity).  Z = exp(iHt) (F (x) 1) is a 2^n x r 2^{n-k} block evolved by
+    ``expm_multiply`` on the sparse region Hamiltonian.
 
     Raises ValueError for a non-Hermitian A or a support outside the
     region, and CapExceededError for a region above DEFAULT_QUBIT_CAP,
     before the region Hamiltonian is assembled.
     """
-    region = tuple(sorted(region))
     if not set(A.support) <= set(region):
         raise ValueError("region must contain the operator support")
     n = len(region)
@@ -366,10 +399,7 @@ def heisenberg_evolve(
     Z = _place_columns(F, [region.index(s) for s in A.support], n)
     H_sp = hamiltonian_matrix(H, region, sparse=True)
     mu, norm = shift_and_norm(H_sp)
-    Z = expm_multiply(H_sp, Z, -t, mu, norm)
-    out = _gram(Z)
-    out.real[np.diag_indices(1 << n)] += lam[0]
-    return LocalOperator(region, out)
+    return float(lam[0]), expm_multiply(H_sp, Z, -t, mu, norm)
 
 
 def _place_columns(F: np.ndarray, positions: list[int], n: int) -> np.ndarray:
@@ -418,21 +448,26 @@ def nested_commutator_norm(
     t: float,
     region: tuple[int, ...] | list[int],
 ) -> float:
-    """(1/2^m) * norm of [O_m, [..., [O_1, A(t)]]] computed densely in region.
+    """(1/2^m) * norm of [O_m, [..., [O_1, A(t)]]], exact, on the region.
 
-    A(t) comes from ``heisenberg_evolve``, so no region Hamiltonian is
-    diagonalized.  A and the probes O_i must be Hermitian, the probes of
-    norm 1 on disjoint supports, and O_m must have at most two distinct eigenvalues
-    (a Pauli string or any one-site operator has); otherwise ValueError,
-    raised before anything 2^n-sized is allocated, as is CapExceededError
-    for a region above DEFAULT_QUBIT_CAP.  The result is exact:
+    A and the probes O_i must be Hermitian, the probes of norm 1 on disjoint
+    supports, and O_m must have at most two distinct eigenvalues (a Pauli
+    string or any one-site operator has); otherwise ValueError, raised
+    before anything 2^n-sized is allocated, as is CapExceededError for a
+    region above DEFAULT_QUBIT_CAP.  With m = 0 it is ||A||.
 
-    - with m = 0 it is ||A||, since unitary evolution keeps the norm;
-    - the inner commutators are applied on the probe sites only (``commutator``);
-    - for O_m = lam_- + (lam_+ - lam_-) P with P a spectral projector and
-      X the Hermitian or anti-Hermitian inner commutator,
-      ||[O_m, X]|| = |lam_+ - lam_-| ||P X (1 - P)||, and P X (1 - P)
-      is a 2^{n-1} x 2^{n-1} block for a Pauli string, taken by SVD.
+    A(t) = lam_min + Z Z^dagger (``_evolved_factor``), and lam_min drops
+    out of every commutator.  The probes commute, so the j = m - 1 inner
+    ones give C = i^-j sum_s L_s L_{s^c}^dagger over the subsets s of them,
+    with L_s = i^|s| O_s Z applied on the probe sites (``apply_local``).
+    With O_m = lam_- + (lam_+ - lam_-) P, P = W_b W_b^dagger and
+    1 - P = W_a W_a^dagger on its sites, ||[O_m, C]|| = |lam_+ - lam_-| ||B||
+    for B = (W_a^dagger (x) 1) C (W_b (x) 1) = sum_s X_s Y_{s^c}^dagger,
+    where X_s and Y_s are the row projections of L_s (``_project_rows``).
+    The blocks L_s are kept while they have at most 2^n columns in all, as
+    for m <= 2 with a one-site A, so no 2^n x 2^n array is made; a longer
+    list multiplies Z Z^dagger out once and takes the inner probes with
+    ``commutator``, so no m needs more memory than that dense C.
     """
     region = tuple(sorted(region))
     taken: set[int] = set(A.support)
@@ -454,49 +489,74 @@ def nested_commutator_norm(
         raise CapExceededError(f"region of {len(region)} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     if not O_list:
         return operator_norm(A)
-    last = O_list[-1]
+    *inner, last = O_list
     lam, W = np.linalg.eigh(last.matrix)
     split = np.nonzero(np.diff(lam) > HERMITICITY_TOL)[0] + 1
     if len(split) > 1:
         raise ValueError(f"last probe has {len(split) + 1} distinct eigenvalues, not at most 2")
     if not len(split):
         return 0.0  # O_m is a multiple of the identity
-    C = heisenberg_evolve(H, A, t, region).matrix
     n = len(region)
-    for O in O_list[:-1]:
-        C = commutator(O.matrix, [region.index(s) for s in O.support], C, n)
+    *inner_at, last_at = [[region.index(s) for s in O.support] for O in O_list]
     lower = split[0]
-    block = _offdiagonal_block(C, W[:, :lower], W[:, lower:],
-                               [region.index(s) for s in last.support], n)
+    W_a, W_b = W[:, :lower], W[:, lower:]
+    _, Z = _evolved_factor(H, A, t, region)
+    if Z.shape[1] << len(inner) <= 1 << n:
+        L = [Z]
+        del Z
+        for O, at in zip(inner, inner_at):
+            L += [apply_local(1j * O.matrix, at, block, n) for block in L]
+        X, Y = [], []
+        while L:  # each block is freed once projected
+            block = L.pop(0)
+            X.append(_project_rows(W_a, last_at, block, n))
+            Y.append(_project_rows(W_b, last_at, block, n))
+            np.conjugate(Y[-1], out=Y[-1])
+            del block
+        B = X[0] @ Y[-1].T
+        for x, y in zip(X[1:], Y[-2::-1]):
+            B += x @ y.T
+        del X, Y
+    else:  # the blocks would outgrow a dense C: multiply it out once
+        C = _gram(Z)
+        del Z
+        for O, at in zip(inner, inner_at):
+            C = commutator(O.matrix, at, C, n)
+        X = _project_rows(W_a, last_at, C, n)
+        del C
+        B = _project_rows(W_b.conj(), last_at, X.T, n)  # B^T, of the same norm
+        del X
     gap = lam[lower:].mean() - lam[:lower].mean()
-    return float(gap * operator_norm(block)) / 2 ** len(O_list)
+    return float(gap * operator_norm(B)) / 2 ** len(O_list)
 
 
-def _offdiagonal_block(X: np.ndarray, W_a: np.ndarray, W_b: np.ndarray,
-                       positions: list[int], n: int) -> np.ndarray:
-    """(W_a^dagger (x) 1) X (W_b (x) 1), with W_a, W_b isometries on the given qubits.
+def _project_rows(W: np.ndarray, positions: list[int], M: np.ndarray, n: int) -> np.ndarray:
+    """(W^dagger (x) 1) M for W with orthonormal columns on the qubits at ``positions``.
 
-    Built from strided views of X, one 2^{n-k} x 2^{n-k} view per entry of
-    the local 2^k x 2^k index pair, so no full-size copy of X is made.
+    M has 2^n rows and any strides.  Each basis state a of those qubits
+    picks a strided view of M's rows, and row block i of the result is the
+    sum over a of conj(W[a, i]) times that view, so M is never copied.  The
+    result has r 2^{n-k} rows for W's r columns, ordered (i, other qubits).
     """
     k = len(positions)
-    rest = n - k
-    T = X.reshape((2,) * (2 * n))
-    block = np.zeros((W_a.shape[1],) + (2,) * rest + (W_b.shape[1],) + (2,) * rest,
-                     dtype=complex)
-    for a in range(2**k):
-        for b in range(2**k):
-            coef = np.outer(W_a[a].conj(), W_b[b])
-            if not np.any(coef):
-                continue
-            index = [slice(None)] * (2 * n)
-            for j, p in enumerate(positions):
-                index[p] = a >> (k - 1 - j) & 1
-                index[n + p] = b >> (k - 1 - j) & 1
-            view = T[tuple(index)]
-            for i, j in zip(*np.nonzero(coef)):
-                block[(i,) + (slice(None),) * rest + (j,)] += coef[i, j] * view
-    return block.reshape(W_a.shape[1] << rest, W_b.shape[1] << rest)
+    T = M.reshape((2,) * n + M.shape[1:])
+    views = []
+    for a in range(1 << k):
+        index = [slice(None)] * n
+        for j, p in enumerate(positions):
+            index[p] = a >> (k - 1 - j) & 1
+        views.append(T[tuple(index)])
+    out = np.empty((W.shape[1],) + views[0].shape, dtype=complex)
+    scratch = None
+    for row, weights in zip(out, W.conj().T):
+        (w, view), *rest = [(w, view) for w, view in zip(weights, views) if w]
+        np.multiply(view, w, out=row)
+        for w, view in rest:
+            if scratch is None:
+                scratch = np.empty_like(row)
+            np.multiply(view, w, out=scratch)
+            row += scratch
+    return out.reshape((W.shape[1] << (n - k),) + M.shape[1:])
 
 
 def build_named_hamiltonian(name: str, g: FactorGraph, params: dict | None = None) -> HamiltonianSpec:

@@ -51,6 +51,40 @@ def test_operator_norm_is_exact_above_1024_dims():
         np.max(np.abs(np.linalg.eigvalsh(1j * anti))), rel=1e-12)
 
 
+
+def test_operator_norm_matches_svd():
+    rng = np.random.default_rng(17)
+
+    def complex_normal(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    G = complex_normal(40, 40)
+    u, v = complex_normal(30, 1), complex_normal(1, 25)
+    cases = {
+        "tall": complex_normal(60, 17),
+        "wide": complex_normal(9, 70),
+        "square": complex_normal(33, 33),
+        "hermitian": G + G.conj().T,
+        "anti-hermitian": G - G.conj().T,
+        "rank one": u @ v,
+        "real": rng.normal(size=(23, 41)),
+        "tiny": 1e-200 * complex_normal(12, 20),
+        "huge": 1e150 * complex_normal(20, 12),
+        "huger": 1e154 * complex_normal(20, 12),
+    }
+    for name, mat in cases.items():
+        want = np.linalg.norm(mat, 2)
+        assert operator_norm(mat) == pytest.approx(want, rel=1e-13), name
+    # unscaled, these Gram matrices would underflow to 0 and overflow to inf
+    with np.errstate(under="ignore", over="ignore"):
+        assert not np.any(np.abs(cases["tiny"]) ** 2)
+        assert np.isinf(np.sum(np.abs(cases["huger"]) ** 2))
+    assert operator_norm(np.zeros((5, 3), dtype=complex)) == 0.0
+    bad = complex_normal(4, 4)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        operator_norm(bad)
+
 def test_embed_matches_kron():
     assert np.allclose(embed(PAULI["X"], (1,), (0, 1)), np.kron(np.eye(2), PAULI["X"]))
     assert np.allclose(embed(PAULI["X"], (0,), (0, 1)), np.kron(PAULI["X"], np.eye(2)))
@@ -248,6 +282,11 @@ def test_nested_commutator_matches_embed_reference():
     rng = np.random.default_rng(2025)
     # unit norm, eigenvalues -1 (three times) and +1: unequal projector ranks
     projector = LocalOperator((1, 3), 2 * np.diag([1.0, 0, 0, 0]) - np.eye(4))
+    extra = np.random.default_rng(2026)  # the three-probe cases draw from their own stream
+    V = np.linalg.qr(extra.normal(size=(4, 4)) + 1j * extra.normal(size=(4, 4)))[0]
+    four_levels = LocalOperator((1, 2), (V * [1.0, 0.4, -0.3, -1.0]) @ V.conj().T)
+    # one column of nonzero weight: the factor stays within 2^n columns for m = 3
+    thin = LocalOperator((0, 1), 2 * np.diag([1.0, 0, 0, 0]) - np.eye(4))
     checked = 0
     for n in range(4, 9):
         g = build_square_lattice(1, n)
@@ -262,21 +301,43 @@ def test_nested_commutator_matches_embed_reference():
             A = _random_unit_hermitian(0, rng)
             far = _random_unit_hermitian(n - 1, rng)
             mid = _random_unit_hermitian(n // 2, rng)
-            probe_lists = [[], [far], [mid, far],
-                           [pauli_operator("XZ", (1, 3))], [projector]]
+            cases = [(A, O_list) for O_list in [[], [far], [mid, far],
+                                                [pauli_operator("XZ", (1, 3))], [projector]]]
             if n > 4:  # site n - 1 is free of the two-site probes
-                probe_lists += [[pauli_operator("XZ", (1, 3)), far],
-                                [far, pauli_operator("YX", (1, 3))], [far, projector]]
-            for O_list in probe_lists:
+                cases += [(A, [pauli_operator("XZ", (1, 3)), far]),
+                          (A, [far, pauli_operator("YX", (1, 3))]), (A, [far, projector])]
+            if n > 5:  # three probes: sites 1, 2, mid and n - 1 are distinct
+                near = _random_unit_hermitian(1, extra)
+                cases += [(A, [near, mid, far]), (A, [four_levels, far, mid]),
+                          (thin, [_random_unit_hermitian(2, extra), mid, far])]
+            for op, O_list in cases:
                 t = float(rng.uniform(0.2, 1.5))
-                got = nested_commutator_norm(H, A, O_list, t, region)
-                want = _reference_nested_norm(H, A, O_list, t, region)
+                got = nested_commutator_norm(H, op, O_list, t, region)
+                want = _reference_nested_norm(H, op, O_list, t, region)
                 assert type(got) is float
                 # both round at about 1e-15 absolute, so small values are held to 1e-14
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-14), (n, O_list, t)
                 checked += 1
-    assert checked == 3 * (5 + 4 * 8)
+    assert checked == 3 * (5 + 4 * 8 + 3 * 3)
 
+
+
+def test_nested_commutator_memory_stays_below_three_blocks():
+    import tracemalloc
+
+    n = 10
+    H = build_named_hamiltonian("random2local", build_square_lattice(1, n), {"seed": 3})
+    A, probe = pauli_operator("Z", (0,)), pauli_operator("X", (n - 1,))
+    block = 2**n * 2 ** (n - 1) * 16  # the evolved factor Z of a one-site A
+    tracemalloc.start()
+    try:
+        nested_commutator_norm(H, A, [probe], 0.5, tuple(range(n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Z, its two row projections and one projection's scratch (measured: 2.52 blocks);
+    # a dense 2^n x 2^n A(t) next to Z alone takes three
+    assert peak < 3 * block, peak / block
 
 def _reference_evolved(H, A, t, region):
     """exp(iHt) A exp(-iHt) from a dense eigh of the region Hamiltonian."""
