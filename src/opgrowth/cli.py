@@ -510,9 +510,9 @@ def _cmd_simulate(config: dict, out_dir: str):
               "clusters_evaluated", "wall_time"]
     rows: list[list] = []
     for t, (_, diag), exact in zip(grid[:done], results, exact_values):
-        bound_value = diag.get("truncation_bound")
-        for m, (running, clusters) in enumerate(
-                zip(diag["running_estimates"], diag["running_clusters"]), start=1):
+        bounds = diag.get("level_bounds") or [None] * len(diag["running_estimates"])
+        for m, (running, clusters, bound_value) in enumerate(
+                zip(diag["running_estimates"], diag["running_clusters"], bounds), start=1):
             error = abs(running - exact) if exact is not None else None
             rows.append([float(t), m, running, exact, error, bound_value, clusters, None])
     _csv(os.path.join(out_dir, "results.csv"), header, rows)

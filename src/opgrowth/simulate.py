@@ -11,6 +11,14 @@ Only clusters that are connected on the coarse box graph and contain the
 anchor box can contribute: support spreads through shared Hamiltonian
 terms, so a cluster with a gap is never touched as a whole.  That
 restriction is what keeps the cluster count manageable.
+
+Inside a cluster, only the connected component of the observable's support
+matters, taken in the graph of the terms that lie wholly inside the region.
+Every other term of the region commutes with that component's terms, and
+the state is a product state, so the region's A(t) is the component's A(t)
+tensored with the identity and <A(t)> is the component's.  Clusters with
+the same component (boxes that touch only at a corner, say) share one
+evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +32,14 @@ import numpy as np
 
 from .bounds import BoundParams, truncation_error_bound
 from .errors import ConfigError, ValidityWindowError
-from .lattice import BoxTiling, FactorGraph, enumerate_connected_subsets, is_connected, tile_boxes
+from .lattice import (
+    BoxTiling,
+    FactorGraph,
+    enumerate_connected_subsets,
+    hop_distances,
+    is_connected,
+    tile_boxes,
+)
 from .operators import (
     HamiltonianSpec,
     LocalOperator,
@@ -119,6 +134,19 @@ def anchored_clusters(tiling: BoxTiling, m_star: int) -> list[Cluster]:
     return out
 
 
+def support_component(H: HamiltonianSpec, region, support) -> tuple[int, ...]:
+    """Sorted sites of ``region`` joined to ``support`` by chains of H's terms inside it.
+
+    A term that leaves the region joins nothing: it is not part of the
+    region's Hamiltonian.
+    """
+    adjacency: dict[int, set[int]] = {v: set() for v in region}
+    for term in H.terms_within(region):
+        for v in term.support:
+            adjacency[v].update(term.support)
+    return tuple(sorted(v for v, _ in hop_distances(adjacency, support)))
+
+
 def raw_cluster_expectation(
     H: HamiltonianSpec,
     A: LocalOperator,
@@ -129,9 +157,11 @@ def raw_cluster_expectation(
 ):
     """<psi|e^{iHt} A e^{-iHt}|psi> on the cluster region, H cut down to terms inside it.
 
-    ``t`` is a time or a grid of times, as for ``exact_expectation``.
+    Evaluated on the support component of the region, which gives the same
+    value.  ``t`` is a time or a grid of times, as for ``exact_expectation``.
     """
-    return exact_expectation(H, A, state, t, region=cluster_region(tiling, cluster))
+    region = support_component(H, cluster_region(tiling, cluster), A.support)
+    return exact_expectation(H, A, state, t, region=region)
 
 
 def anchored_proper_subclusters(cluster: Cluster, adjacency: dict, anchor) -> list[Cluster]:
@@ -188,12 +218,15 @@ def simulate_expectation(
 ):
     """Run the level-by-level cluster expansion and return (estimate, diagnostics).
 
-    Clusters are evaluated level by level, in canonical order.  Diagnostics
-    include per-level sums and running estimates, with the running cluster
-    counts beside them; the running values at level m are exactly what a
-    plan with m_star = m would return.
+    Clusters are evaluated level by level, in canonical order, and each
+    distinct support component once: clusters that share it share one raw
+    array.  Diagnostics include per-level sums and running estimates, with
+    the running counts of clusters and of evaluated components beside them;
+    the running values at level m are exactly what a plan with m_star = m
+    would return.  With ``params``, ``level_bounds`` holds the truncation
+    bound at each level's volume m r^d, None outside its validity window.
 
-    ``t`` may also be a grid of times: each cluster is then evolved once
+    ``t`` may also be a grid of times: each component is then evolved once
     along the whole grid, and the result is a list of (estimate,
     diagnostics) pairs in grid order.
     """
@@ -206,13 +239,22 @@ def simulate_expectation(
         raise ValueError("observable support must sit inside the anchor box")
 
     raw: dict[Cluster, np.ndarray] = {}
+    by_component: dict[tuple[int, ...], np.ndarray] = {}
     levels: list[list[Cluster]] = []
+    running_components = []
     for m in range(1, sim_plan.m_star + 1):
         clusters = enumerate_connected_subsets(tiling.adjacency, anchor, m)
         for cluster in clusters:
-            raw[cluster] = np.array(raw_cluster_expectation(H, A, state, cluster, tiling, times))
+            component = support_component(H, cluster_region(tiling, cluster), A.support)
+            if component not in by_component:
+                by_component[component] = np.array(
+                    raw_cluster_expectation(H, A, state, cluster, tiling, times))
+            raw[cluster] = by_component[component]
         levels.append(clusters)
+        running_components.append(len(by_component))
     running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
+    log.info("simulate: %d clusters, %d components evaluated",
+             running_clusters[-1], running_components[-1])
     corrected = inclusion_exclusion(raw, tiling).corrected
     zero = np.zeros(len(times))
     level_sums = [sum((corrected[cluster] for cluster in clusters), zero) for clusters in levels]
@@ -223,18 +265,24 @@ def simulate_expectation(
                              corrected={c: float(v[k]) for c, v in corrected.items()})
         diagnostics = {
             "running_clusters": running_clusters,
+            "running_components": running_components,
             "level_sums": [float(v[k]) for v in level_sums],
             "running_estimates": [float(v[k]) for v in running],
             "table": table,
         }
         if params is not None:
-            try:
-                diagnostics["truncation_bound"] = truncation_error_bound(
-                    params, t_k, sim_plan.m_star * sim_plan.r**tiling.dimension)
-            except ValidityWindowError:
-                diagnostics["truncation_bound"] = None
+            diagnostics["level_bounds"] = [
+                _level_bound(params, t_k, m * sim_plan.r**tiling.dimension)
+                for m in range(1, sim_plan.m_star + 1)]
         results.append((float(running[-1][k]), diagnostics))
     return results[0] if scalar else results
+
+
+def _level_bound(params: BoundParams, t: float, M: int) -> float | None:
+    try:
+        return truncation_error_bound(params, t, M)
+    except ValidityWindowError:
+        return None
 
 
 def operator_piece(
@@ -248,8 +296,9 @@ def operator_piece(
 
     Defined by evolving inside the cluster region and subtracting every
     anchored connected sub-cluster's piece; the size-1 base case is plain
-    evolution inside the anchor box.  The cluster and each sub-cluster are
-    evolved once, embedded in the cluster region and re-summed there.
+    evolution inside the anchor box.  Each distinct support component of the
+    cluster and its sub-clusters is evolved once, embedded in the cluster
+    region and re-summed there.
     Summing over all anchored connected clusters reconstructs the full
     evolved operator.
     """
@@ -263,7 +312,11 @@ def operator_piece(
         raise ValueError("observable support must sit inside the anchor box")
     region = cluster_region(tiling, cluster)
     raw = {}
+    embedded: dict[tuple[int, ...], np.ndarray] = {}
     for sub in anchored_proper_subclusters(cluster, tiling.adjacency, anchor) + [cluster]:
-        evolved = heisenberg_evolve(H, A, t, cluster_region(tiling, sub))
-        raw[sub] = embed(evolved.matrix, evolved.support, region)
+        component = support_component(H, cluster_region(tiling, sub), A.support)
+        if component not in embedded:
+            evolved = heisenberg_evolve(H, A, t, component)
+            embedded[component] = embed(evolved.matrix, evolved.support, region)
+        raw[sub] = embedded[component]
     return LocalOperator(region, inclusion_exclusion(raw, tiling).corrected[cluster])

@@ -36,8 +36,10 @@ from opgrowth.simulate import (
     inclusion_exclusion,
     operator_piece,
     plan,
+    cluster_region,
     raw_cluster_expectation,
     simulate_expectation,
+    support_component,
 )
 from opgrowth.states import ProductState
 
@@ -250,7 +252,108 @@ def test_simulate_2d_diagonal_cluster_contributes_zero():
     A = pauli_operator("Z", (0,))
     diagonal = ((0, 0), (1, 1))
     piece = operator_piece(H, A, diagonal, tiling, 0.6)
-    assert np.max(np.abs(piece.matrix)) <= 1e-12
+    assert np.max(np.abs(piece.matrix)) <= 1e-15
+    # the scalar side: every cluster whose component misses part of its region
+    # re-sums to zero, at r = 2 (corner boxes) and at r = 1 (detours)
+    for r, m_star in ((2, 4), (1, 6)):
+        p = plan(None, 0.6, 1e-6, mode="desk", graph=g, r=r, m_star=m_star)
+        _, diag = simulate_expectation(H, A, ZERO, 0.6, p)
+        decoupled = [c for c in diag["table"].corrected
+                     if len(support_component(H, cluster_region(p.tiling, c), A.support))
+                     < len(cluster_region(p.tiling, c))]
+        assert decoupled
+        assert max(abs(diag["table"].corrected[c]) for c in decoupled) <= 1e-15
+
+
+def _random_product_state(vertices, rng):
+    local = {}
+    for v in vertices:
+        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
+        local[v] = vec / np.linalg.norm(vec)
+    return ProductState(local)
+
+
+@pytest.mark.parametrize("model, params", [("random2local", {"seed": 3}),
+                                           ("quasilocal", {"s_max": 3, "seed": 4})])
+def test_component_evaluation_matches_full_region(model, params):
+    # quasilocal carries three-site terms, some of which leave a cluster region:
+    # they must join nothing
+    g = build_square_lattice(2, 4)
+    H = build_named_hamiltonian(model, g, params)
+    state = _random_product_state(g.vertices, np.random.default_rng(11))
+    A = pauli_operator("Z", (5,))
+    grid = [0.4, 1.0]
+    p = plan(None, 1.0, 1e-6, mode="desk", graph=g, anchor_vertex=5, r=1, m_star=5)
+    results = simulate_expectation(H, A, state, grid, p)
+    full = {}
+    smaller = 0
+    for cluster in anchored_clusters(p.tiling, 5):
+        region = cluster_region(p.tiling, cluster)
+        smaller += len(support_component(H, region, A.support)) < len(region)
+        full[cluster] = np.array(exact_expectation(H, A, state, grid, region=region))
+        for k, (_, diag) in enumerate(results):
+            assert abs(diag["table"].raw[cluster] - full[cluster][k]) <= 1e-12
+    assert smaller > 0
+    table = inclusion_exclusion(full, p.tiling)
+    for k, (estimate, _) in enumerate(results):
+        assert abs(estimate - sum(v[k] for v in table.corrected.values())) <= 1e-12
+
+
+@pytest.mark.parametrize("L, r, m_star, clusters, components", [
+    (6, 2, 3, 16, 8),  # the benchmark's sim_2d_tgrid configuration
+    (4, 1, 7, 2514, 369),
+])
+def test_component_evaluations_counted_once(monkeypatch, caplog, L, r, m_star,
+                                            clusters, components):
+    import opgrowth.simulate as simulate_mod
+
+    g = build_square_lattice(2, L)
+    H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 1.05})
+    A = pauli_operator("Z", (0,))
+    regions = []
+
+    def counting_expectation(H, A, state, t, region=None):
+        regions.append(region)
+        return exact_expectation(H, A, state, t, region=region)
+
+    monkeypatch.setattr(simulate_mod, "exact_expectation", counting_expectation)
+    p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=r, m_star=m_star)
+    with caplog.at_level(logging.INFO, logger="opgrowth.simulate"):
+        _, diag = simulate_expectation(H, A, ZERO, [0.25, 1.0], p)[0]
+    assert len(regions) == len(set(regions)) == components
+    assert diag["running_clusters"][-1] == clusters
+    assert diag["running_components"][-1] == components
+    assert all(a <= b for a, b in zip(diag["running_components"], diag["running_components"][1:]))
+    assert f"{clusters} clusters, {components} components evaluated" in caplog.text
+
+
+def test_component_shared_raw_values_are_identical():
+    g = build_square_lattice(2, 4)
+    H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 1.05})
+    A = pauli_operator("Z", (0,))
+    p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=1, m_star=5)
+    results = simulate_expectation(H, A, ZERO, [0.3, 0.9], p)
+    groups: dict = {}
+    for cluster in anchored_clusters(p.tiling, 5):
+        groups.setdefault(support_component(H, cluster_region(p.tiling, cluster), A.support),
+                          []).append(cluster)
+    assert max(len(members) for members in groups.values()) > 1
+    for _, diag in results:
+        for members in groups.values():
+            assert len({diag["table"].raw[c] for c in members}) == 1  # bit for bit
+
+
+def test_support_component_ignores_terms_leaving_the_region():
+    g = build_square_lattice(1, 4)
+    # one three-site term over 0..2 and one pair term on 2, 3
+    H = HamiltonianSpec((
+        HamTerm(frozenset({0, 1, 2}), np.kron(PAULI["Z"], np.kron(PAULI["Z"], PAULI["Z"])), 1.0),
+        HamTerm(frozenset({2, 3}), np.kron(PAULI["X"], PAULI["X"]), 1.0),
+    ), graph=g)
+    assert support_component(H, (0, 1, 2, 3), (0,)) == (0, 1, 2, 3)
+    assert support_component(H, (0, 1, 3), (0,)) == (0,)  # the term leaves the region
+    assert support_component(H, (1, 2, 3), (3,)) == (2, 3)
+    assert support_component(H, (0, 1, 3), (0, 3)) == (0, 3)  # both support sites are kept
 
 
 def test_coarse_graph_enumeration_matches_brute_force():
@@ -343,7 +446,8 @@ def test_truncation_bound_reported_when_params_given():
     p = plan(None, 0.5, 1e-6, mode="desk", graph=CHAIN6, r=2, m_star=2)
     _, diag = simulate_expectation(TFIM6, pauli_operator("Z", (0,)), ZERO, 0.5, p,
                                    params=params)
-    assert diag["truncation_bound"] is not None and diag["truncation_bound"] > 0
+    assert len(diag["level_bounds"]) == 2
+    assert all(bound is not None and bound > 0 for bound in diag["level_bounds"])
 
 
 def test_simulate_grid_matches_scalar_calls():
@@ -361,7 +465,7 @@ def test_simulate_grid_matches_scalar_calls():
         assert est == pytest.approx(est1, abs=1e-12)
         assert diag["running_estimates"] == pytest.approx(diag1["running_estimates"], abs=1e-12)
         assert diag["running_clusters"] == diag1["running_clusters"] == [1, 4, 7]
-        assert diag["truncation_bound"] == diag1["truncation_bound"]
+        assert diag["level_bounds"] == diag1["level_bounds"]
         for cluster, raw in diag1["table"].raw.items():
             assert diag["table"].raw[cluster] == pytest.approx(raw, abs=1e-12)
 
@@ -424,7 +528,7 @@ def test_truncation_bound_only_swallows_validity_window_errors(monkeypatch):
     monkeypatch.setattr(simulate_mod, "truncation_error_bound",
                         raise_(ValidityWindowError("outside window")))
     _, diag = simulate_expectation(TFIM6, A, ZERO, 0.5, p, params=BoundParams())
-    assert diag["truncation_bound"] is None
+    assert diag["level_bounds"] == [None, None]
     monkeypatch.setattr(simulate_mod, "truncation_error_bound", raise_(ValueError("bug")))
     with pytest.raises(ValueError, match="bug"):
         simulate_expectation(TFIM6, A, ZERO, 0.5, p, params=BoundParams())
