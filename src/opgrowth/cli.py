@@ -696,7 +696,7 @@ def check_completeness(correction=cluster_correction) -> dict:
     state = ProductState.all_zero()
     sim_plan = plan(None, 0.7, 1e-6, mode="desk", graph=graph, r=2, m_star=3)
     estimate, diag = simulate_expectation(model, A, state, 0.7, sim_plan)
-    table = inclusion_exclusion(diag["table"].raw, sim_plan.tiling, correction)
+    table = inclusion_exclusion(diag["table"].raw, correction)
     exact = exact_expectation(model, A, state, 0.7)
     worst = max(worst, abs(estimate - exact), abs(sum(table.corrected.values()) - exact))
     return {"passed": worst <= 1e-10, "worst_gap": worst}

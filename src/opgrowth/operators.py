@@ -2,12 +2,13 @@
 
 Everything here is exact up to floating point.  One vector propagator,
 ``expm_multiply`` (one Chebyshev recurrence per region and time grid, on the
-sparse region Hamiltonian), serves both pictures: expectation values evolve
-the state vector, up to VECTOR_QUBIT_CAP qubits, and Heisenberg evolution
-evolves a block of columns whose Gram matrix is the operator, up to
-DEFAULT_QUBIT_CAP.  ``nested_commutator_norm`` keeps that block as factors
-of the commutator, so for up to two probes on a one-site operator it
-makes no 2^n x 2^n array.  ``commutator`` takes [M, C] for a few-qubit M by
+sparse region Hamiltonian, scaled by ``shift_and_radius`` from the terms),
+serves both pictures: expectation values evolve the state vector, up to
+VECTOR_QUBIT_CAP qubits, and Heisenberg evolution evolves a block of
+columns whose Gram matrix is the operator, up to DEFAULT_QUBIT_CAP.
+``nested_commutator_norm`` keeps that block as factors of the commutator,
+so for up to two probes on a one-site operator it makes no 2^n x 2^n
+array.  ``commutator`` takes [M, C] for a few-qubit M by
 applying M on its own qubits, never embedded.  ``operator_norm`` takes the
 largest eigenvalue of a Gram matrix, never an SVD.  A Hamiltonian without
 imaginary entries is assembled and evolved in real arithmetic; real vectors
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,6 +247,45 @@ class HamiltonianSpec:
             coords=dict(self.graph.coords) if self.graph else {},
         )
 
+    @cached_property
+    def spectral_groups(self) -> tuple[tuple[float, ...], tuple[float, ...],
+                                       dict[int, tuple[int, float]]]:
+        """(centers, radii, shares): the pieces of ``shift_and_radius``, taken once.
+
+        ``centers[i]`` is tr(h)/2^k of term i.  A group is one multi-site
+        term plus an even share h_v / d_v of the single-site terms h_v on
+        each of its sites v, where d_v counts the multi-site terms on v;
+        ``radii[i]`` is ||h_g - tr(h_g)/2^k||, from ``eigvalsh``, for the
+        group of a multi-site term i, else 0.  ``shares[v]`` is
+        (max(d_v, 1), ||h_v - tr(h_v)/2|| / max(d_v, 1)): a site on no
+        multi-site term is one group of its own.
+        """
+        single: dict[int, np.ndarray] = {}
+        degree: Counter = Counter()
+        for term in self.terms:
+            if len(term.support) == 1:
+                (v,) = term.support
+                single[v] = single[v] + term.matrix if v in single else term.matrix
+            elif len(term.support) > 1:
+                degree.update(term.support)
+        centers, radii = [], []
+        for term in self.terms:
+            centers.append(float(np.trace(term.matrix).real) / len(term.matrix))
+            if len(term.support) > 1:
+                sites = tuple(sorted(term.support))
+                group = term.matrix.copy()
+                for v in sites:
+                    if v in single:
+                        group += embed(single[v] / degree[v], (v,), sites)
+                radii.append(_centered_radius(group))
+            else:
+                radii.append(0.0)
+        shares = {}
+        for v, h in single.items():
+            count = max(degree[v], 1)
+            shares[v] = (count, _centered_radius(h) / count)
+        return tuple(centers), tuple(radii), shares
+
     def coupling_degree(self) -> int:
         """Max vertex degree of the graph where u ~ v if a term contains both."""
         adj: dict[int, set[int]] = {v: set() for v in self.vertices()}
@@ -264,9 +306,14 @@ def hamiltonian_matrix(
     Built in one pass over flip masks.  A term entry M[a, b] connects basis
     states x and x ^ mask, where mask is the bit flip a ^ b placed on the
     term's region bits.  So every term adds one value per row to a handful
-    of global masks; the row values of each mask are summed in term order
-    and written straight into CSR arrays.  Values that vanish are not
-    stored.  Returns the CSR matrix if ``sparse``, else its dense array.
+    of global masks.  Each mask has one contiguous row of 2^n values, and a
+    term's 2^k values are added into it, in term order, by broadcasting
+    over a (2^a, 2, 2^b, ...) view that gives each of the term's qubits an
+    axis of its own, so no row is gathered through an index array.  One
+    transpose puts the values in CSR row order, and the column indices are
+    rows ^ masks in one broadcast.  Values that vanish are not stored.
+    Returns the CSR matrix, with sorted indices, if ``sparse``, else its
+    dense array.
 
     The matrix is float64 when no term entry has an imaginary part (tfim,
     heisenberg: Y (x) Y is real), decided from the term entries before the
@@ -274,25 +321,27 @@ def hamiltonian_matrix(
     and ``expm_multiply`` evolves it in real arithmetic; otherwise complex.
 
     Raises CapExceededError, before anything 2^n-sized is allocated, when
-    the assembly would peak above SPARSE_BYTES_CAP: the dim x len(masks)
-    value block and its ``stored`` mask, the column indices, and the final
-    CSR, which holds at most as many values.
+    the assembly would peak above SPARSE_BYTES_CAP.  The estimate counts
+    two dim x len(masks) value blocks, two index blocks and the ``stored``
+    mask, more than are ever alive at once: the blocks before and after the
+    transpose, then the values, the column indices, the mask and one
+    compacted copy.
     """
     region = tuple(sorted(region))
     terms = H.terms_within(set(region))
     n = len(region)
     dim = 1 << n
-    shift = {v: n - 1 - i for i, v in enumerate(region)}
-    pieces = []  # (global mask, value per local row, bit shifts of the term's sites)
+    position = {v: i for i, v in enumerate(region)}
+    pieces = []  # (global mask, the term's value per local row, its sites' region positions)
     for term in terms:
-        shifts = [shift[v] for v in sorted(term.support)]
-        k = len(shifts)
+        at = [position[v] for v in sorted(term.support)]
+        k = len(at)
         local = np.arange(1 << k)
         for f in range(1 << k):
             values = term.matrix[local, local ^ f]
             if np.any(values):
-                mask = sum(1 << s for j, s in enumerate(shifts) if f >> (k - 1 - j) & 1)
-                pieces.append((mask, values, shifts))
+                mask = sum(1 << (n - 1 - p) for j, p in enumerate(at) if f >> (k - 1 - j) & 1)
+                pieces.append((mask, values, at))
     masks = sorted({mask for mask, _, _ in pieces})
     column = {mask: j for j, mask in enumerate(masks)}
     real = not any(np.any(values.imag) for _, values, _ in pieces)
@@ -306,19 +355,41 @@ def hamiltonian_matrix(
         raise CapExceededError(
             f"assembling {n} qubits with {len(masks)} flip masks needs about {estimate} bytes,"
             f" above the cap of {SPARSE_BYTES_CAP}")
+    data = np.zeros((len(masks), dim), dtype=dtype)
+    for mask, values, at in pieces:
+        _add_on_qubits(data[column[mask]], values.real if real else values, at, n)
+    data = np.ascontiguousarray(data.T)  # row x holds its values for every mask
     rows = np.arange(dim, dtype=idx)
-    data = np.zeros((dim, len(masks)), dtype=dtype)
-    for mask, values, shifts in pieces:
-        k = len(shifts)
-        local_row = sum(((rows >> s) & 1) << (k - 1 - j) for j, s in enumerate(shifts))
-        data[:, column[mask]] += (values.real if real else values)[local_row]
-    stored = data != 0
-    indptr = np.zeros(dim + 1, dtype=idx)
-    np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    indices = (rows[:, None] ^ np.array(masks, dtype=idx))[stored]
-    out = sp.csr_matrix((data[stored], indices, indptr), shape=(dim, dim))
+    indices = rows[:, None] ^ np.array(masks, dtype=idx)
+    if np.count_nonzero(data) < entries:  # compact the zeros away
+        stored = data != 0
+        indptr = np.zeros(dim + 1, dtype=idx)
+        np.cumsum(stored.sum(axis=1), out=indptr[1:])
+        data = data[stored]
+        indices = indices[stored]
+        del stored
+    else:
+        indptr = np.arange(dim + 1, dtype=idx) * len(masks)
+    out = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim))
     out.sort_indices()
     return out if sparse else out.toarray()
+
+
+def _add_on_qubits(row: np.ndarray, values: np.ndarray, positions: list[int], n: int):
+    """Add a term's 2^k values, one per state of its sorted qubit ``positions``, to a 2^n row.
+
+    The row is viewed as (2^a, 2, 2^b, 2, ..., 2^c), which gives each of
+    those qubits an axis of its own and merges the runs of other qubits
+    between them, and the values, shaped (1, 2, 1, 2, ..., 1), broadcast
+    over it in place.
+    """
+    shape, value_shape, prev = [], [], -1
+    for p in positions:
+        shape += [1 << (p - prev - 1), 2]
+        value_shape += [1, 2]
+        prev = p
+    view = row.reshape(shape + [1 << (n - 1 - prev)])
+    view += values.reshape(value_shape + [1])
 
 
 def evolution_unitary(H: HamiltonianSpec, region: tuple[int, ...], t: float) -> np.ndarray:
@@ -378,7 +449,8 @@ def _evolved_factor(
     F = W sqrt(w), keeping the columns of nonzero weight (r of them: 2^{k-1}
     for a one-site operator or a Pauli string, none for a multiple of the
     identity).  Z = exp(iHt) (F (x) 1) is a 2^n x r 2^{n-k} block evolved by
-    ``expm_multiply`` on the sparse region Hamiltonian.
+    ``expm_multiply`` on the sparse region Hamiltonian, with its shift and
+    radius from ``shift_and_radius``.
 
     Raises ValueError for a non-Hermitian A or a support outside the
     region, and CapExceededError for a region above DEFAULT_QUBIT_CAP,
@@ -398,8 +470,8 @@ def _evolved_factor(
     F = W[:, keep] * np.sqrt(weight[keep])
     Z = _place_columns(F, [region.index(s) for s in A.support], n)
     H_sp = hamiltonian_matrix(H, region, sparse=True)
-    mu, norm = shift_and_norm(H_sp)
-    return float(lam[0]), expm_multiply(H_sp, Z, -t, mu, norm)
+    mu, radius = shift_and_radius(H, region)
+    return float(lam[0]), expm_multiply(H_sp, Z, -t, mu, radius)
 
 
 def _place_columns(F: np.ndarray, positions: list[int], n: int) -> np.ndarray:
@@ -640,23 +712,39 @@ def time_grid(t) -> tuple[list[float], bool]:
 CHEBYSHEV_TAIL = 2.0**-53  # bound on the dropped terms, relative to the state's norm
 
 
-def shift_and_norm(H_sp: sp.csr_matrix) -> tuple[float, float]:
-    """(mu, ||H - mu||_1) with mu = tr(H)/dim, from the CSR arrays without a matrix copy.
+def shift_and_radius(H: HamiltonianSpec, region) -> tuple[float, float]:
+    """(mu, R) with the spectrum of H on ``region`` inside [mu - R, mu + R], from its terms.
 
-    The 1-norm is the largest column sum of |H - mu|: the sums of |data|
-    over ``indices``, with each diagonal entry h replaced by h - mu.  They
-    are taken in chunks of 2^20 entries, so the temporaries stay far below
-    the assembly's own peak.
+    mu = tr(H)/dim is the sum of tr(h)/2^k over the terms inside the region.
+    R is the sum of ||h_g - tr(h_g)/2^k|| over the groups of
+    ``HamiltonianSpec.spectral_groups``, a bound by the triangle inequality:
+    each multi-site term inside the region is a group with its sites'
+    shares, and a site's share for a multi-site term outside the region is
+    a group of its own.  The group radii are taken once per Hamiltonian, so
+    a region costs one pass over its terms and no pass over the matrix.
     """
-    dim = H_sp.shape[0]
-    diag = H_sp.diagonal()
-    mu = float(diag.sum().real) / dim
-    sums = np.abs(diag - mu) - np.abs(diag)
-    chunk = 1 << 20
-    for start in range(0, H_sp.nnz, chunk):
-        part = slice(start, start + chunk)
-        sums += np.bincount(H_sp.indices[part], weights=np.abs(H_sp.data[part]), minlength=dim)
-    return mu, float(sums.max())
+    region = frozenset(region)
+    centers, radii, shares = H.spectral_groups
+    mu = radius = 0.0
+    grouped: Counter = Counter()  # multi-site terms inside the region, per site
+    for term, center, group in zip(H.terms, centers, radii):
+        if term.support <= region:
+            mu += center
+            if len(term.support) > 1:
+                radius += group
+                grouped.update(term.support)
+    for v in sorted(region):
+        if v in shares:
+            count, share = shares[v]
+            radius += (count - grouped[v]) * share
+    return mu, radius
+
+
+def _centered_radius(h: np.ndarray) -> float:
+    """||h - tr(h)/dim|| for a Hermitian h: the larger distance of its spectrum from its mean."""
+    w = np.linalg.eigvalsh(h)
+    center = float(np.trace(h).real) / len(h)
+    return float(max(w[-1] - center, center - w[0]))
 
 
 def _chebyshev_degree(x: float) -> int:
@@ -695,15 +783,18 @@ def _chebyshev_coefficients(x: float, K: int) -> np.ndarray:
     return coef
 
 
-def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, norm: float,
+def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius: float,
                   observe=None):
     """exp(-i t H) psi for every t of a grid: one Chebyshev recurrence (Tal-Ezer & Kosloff 1984).
 
-    ``mu`` and ``norm`` are ``shift_and_norm(H_sp)``, taken once per region.
-    The spectrum of a Hermitian H lies in [mu - norm, mu + norm], so
-    G = (H - mu) / norm has its spectrum in [-1, 1] and
+    ``mu`` and ``radius`` are ``shift_and_radius(H, region)``: the spectrum
+    of the Hermitian H lies in [mu - radius, mu + radius], so
+    G = (H - mu) / radius has its spectrum in [-1, 1] and
 
-        exp(-i t H) = exp(-i mu t) sum_k (2 - delta_k0) (-i)^k J_k(norm t) T_k(G).
+        exp(-i t H) = exp(-i mu t) sum_k (2 - delta_k0) (-i)^k J_k(radius t) T_k(G).
+
+    The degree grows with radius * t, so a tighter radius means fewer
+    products.
 
     The vectors T_k(G) psi do not depend on t, so one three-term recurrence
     serves the whole grid, and each grid point keeps one accumulator.  Each
@@ -742,12 +833,12 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, norm: 
         steps = [t - now for t in segment]
         if chunks == 1:  # the accumulators are the results
             vectors = _chebyshev_evolve(H_sp, np.ascontiguousarray(start, dtype=complex),
-                                        steps, mu, norm)
+                                        steps, mu, radius)
         else:
             vectors = [np.empty((dim, columns), dtype=complex) for _ in segment]
             for j in range(0, columns, width):
                 chunk = np.ascontiguousarray(start[:, j:j + width], dtype=complex)
-                for vec, part in zip(vectors, _chebyshev_evolve(H_sp, chunk, steps, mu, norm)):
+                for vec, part in zip(vectors, _chebyshev_evolve(H_sp, chunk, steps, mu, radius)):
                     vec[:, j:j + width] = part
                 del chunk, part
         start, now = vectors[-1], segment[-1]
@@ -759,7 +850,7 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, norm: 
 
 
 def _chebyshev_evolve(H_sp, psi: np.ndarray, steps: list[float], mu: float,
-                      norm: float) -> list[np.ndarray]:
+                      radius: float) -> list[np.ndarray]:
     """exp(-i s H) psi for each s of ``steps``: the recurrence of ``expm_multiply``.
 
     ``psi`` is a complex vector or dim x w block.  The vectors T_k(G) psi
@@ -772,8 +863,8 @@ def _chebyshev_evolve(H_sp, psi: np.ndarray, steps: list[float], mu: float,
     imaginary for odd k, so each degree adds one real multiple of T_k(G) psi
     into the real or the imaginary part of each accumulator.
     """
-    degrees = [_chebyshev_degree(norm * s) for s in steps]
-    coefs = [_chebyshev_coefficients(norm * s, K) * np.exp(-1j * mu * s)
+    degrees = [_chebyshev_degree(radius * s) for s in steps]
+    coefs = [_chebyshev_coefficients(radius * s, K) * np.exp(-1j * mu * s)
              for s, K in zip(steps, degrees)]
     sums = [c[0] * psi for c in coefs]
     if np.iscomplexobj(H_sp):
@@ -793,9 +884,9 @@ def _chebyshev_evolve(H_sp, psi: np.ndarray, steps: list[float], mu: float,
             np.multiply(cur, mu, out=work)
             nxt -= work
         if k == 1:
-            nxt /= norm
+            nxt /= radius
         else:
-            nxt *= 2 / norm
+            nxt *= 2 / radius
             nxt -= prev
         prev, cur = cur, nxt
         vec = cur.view(complex).reshape(psi.shape) if paired else cur
@@ -822,8 +913,8 @@ def exact_expectation(
     """<psi|A(t)|psi> by evolving the product state's vector on the full region.
 
     ``state`` is a ``ProductState``; its vector on the region is evolved
-    with ``expm_multiply`` on the sparse region Hamiltonian, up to
-    VECTOR_QUBIT_CAP qubits.
+    with ``expm_multiply`` on the sparse region Hamiltonian, with its shift
+    and radius from ``shift_and_radius``, up to VECTOR_QUBIT_CAP qubits.
 
     ``t`` is a time, giving a float, or a grid of times in any order,
     giving a list in grid order.  The region Hamiltonian is assembled once
@@ -845,8 +936,8 @@ def exact_expectation(
 
     if any(times):
         H_sp = hamiltonian_matrix(H, region, sparse=True)
-        mu, norm = shift_and_norm(H_sp)
-        values = expm_multiply(H_sp, state.state_vector(region), times, mu, norm, observe)
+        mu, radius = shift_and_radius(H, region)
+        values = expm_multiply(H_sp, state.state_vector(region), times, mu, radius, observe)
     else:
         values = [observe(state.state_vector(region))] * len(times)
     for val in values:

@@ -181,8 +181,9 @@ def anchored_proper_subclusters(cluster: Cluster, adjacency: dict, anchor) -> li
 def cluster_correction(table: ClusterTable, cluster: Cluster, subclusters: list[Cluster]):
     """Corrected value: raw minus the corrected values of the cluster's anchored sub-clusters.
 
-    ``subclusters`` is ``anchored_proper_subclusters`` of the cluster.  The
-    values in ``table`` are read, never updated in place.
+    ``subclusters`` is ``anchored_proper_subclusters`` of the cluster, in
+    its sorted order.  The values in ``table`` are read, never updated in
+    place.
     """
     total = table.raw[cluster]
     for sub in subclusters:
@@ -192,19 +193,32 @@ def cluster_correction(table: ClusterTable, cluster: Cluster, subclusters: list[
     return total
 
 
-def inclusion_exclusion(raw: dict, tiling: BoxTiling, correction=None) -> ClusterTable:
+def inclusion_exclusion(raw: dict, correction=None) -> ClusterTable:
     """The table of corrected values for the clusters in ``raw``, smallest first.
 
-    Each cluster's anchored sub-clusters are listed once and handed to
-    ``correction`` (``cluster_correction`` unless given) with the table
-    filled so far.  Values may be floats, arrays over a t grid, or operator
-    matrices on one common region.
+    ``raw`` holds every anchored connected sub-cluster of each of its
+    clusters, as ``simulate_expectation`` and ``operator_piece`` build it.
+    So a cluster's anchored sub-clusters are read off the clusters already
+    seen, with no enumeration: they are the C minus {b} in ``raw`` and
+    their own sub-clusters, since every anchored connected proper subset of
+    C grows to C one box at a time.  They are handed, sorted as
+    ``anchored_proper_subclusters`` lists them, to ``correction``
+    (``cluster_correction`` unless given) with the table filled so far.
+    Values may be floats, arrays over a t grid, or operator matrices on one
+    common region.
     """
     correction = correction or cluster_correction
     table = ClusterTable(raw=raw)
+    below: dict[Cluster, set[Cluster]] = {}
     for cluster in sorted(raw, key=len):
-        subclusters = anchored_proper_subclusters(cluster, tiling.adjacency, tiling.anchor_box)
-        table.corrected[cluster] = correction(table, cluster, subclusters)
+        subclusters: set[Cluster] = set()
+        for b in cluster:
+            sub = tuple(x for x in cluster if x != b)
+            if sub in raw:
+                subclusters.add(sub)
+                subclusters |= below[sub]
+        below[cluster] = subclusters
+        table.corrected[cluster] = correction(table, cluster, sorted(subclusters))
     return table
 
 
@@ -255,7 +269,7 @@ def simulate_expectation(
     running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
     log.info("simulate: %d clusters, %d components evaluated",
              running_clusters[-1], running_components[-1])
-    corrected = inclusion_exclusion(raw, tiling).corrected
+    corrected = inclusion_exclusion(raw).corrected
     zero = np.zeros(len(times))
     level_sums = [sum((corrected[cluster] for cluster in clusters), zero) for clusters in levels]
     running = list(itertools.accumulate(level_sums, initial=zero))[1:]
@@ -319,4 +333,4 @@ def operator_piece(
             evolved = heisenberg_evolve(H, A, t, component)
             embedded[component] = embed(evolved.matrix, evolved.support, region)
         raw[sub] = embedded[component]
-    return LocalOperator(region, inclusion_exclusion(raw, tiling).corrected[cluster])
+    return LocalOperator(region, inclusion_exclusion(raw).corrected[cluster])

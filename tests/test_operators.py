@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from opgrowth import operators
 from opgrowth.errors import CapExceededError
@@ -497,6 +498,93 @@ def test_sparse_assembly_matches_dense():
             assert np.array_equal(dense, reference), (name, region)
             # no explicit zeros, e.g. Heisenberg XX+YY on parallel spins
             assert sparse.nnz == np.count_nonzero(reference), (name, region)
+            # sorted column indices, recomputed from the arrays, not the flag alone
+            fresh = sp.csr_matrix((sparse.data, sparse.indices, sparse.indptr), shape=sparse.shape)
+            assert sparse.has_sorted_indices and fresh.has_sorted_indices, (name, region)
+
+
+def test_sparse_assembly_peak_stays_under_the_estimate(monkeypatch):
+    import tracemalloc
+
+    chain = build_square_lattice(1, 14)
+    region = tuple(chain.vertices)
+    cases = [  # every entry stored, and half of each XX+YY mask's row dropped as zero
+        ("tfim", {"J": 1.0, "g": 1.05}, True),
+        ("heisenberg", {"Jz": 0.5}, False),
+    ]
+    for name, params, all_stored in cases:
+        H = build_named_hamiltonian(name, chain, params)
+        monkeypatch.setattr(operators, "SPARSE_BYTES_CAP", 0)
+        with pytest.raises(CapExceededError) as caught:
+            hamiltonian_matrix(H, region, sparse=True)
+        monkeypatch.undo()
+        message = str(caught.value)
+        estimate = int(re.search(r"about (\d+) bytes", message).group(1))
+        masks = int(re.search(r"with (\d+) flip masks", message).group(1))
+        tracemalloc.start()
+        try:
+            out = hamiltonian_matrix(H, region, sparse=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.nnz == masks << len(region)) == all_stored, name
+        assert peak <= estimate, (name, peak, estimate)
+
+
+def test_shift_and_radius_bounds_the_spectrum():
+    grid = build_square_lattice(2, 3)
+    box = tile_boxes(grid, 2, 0)
+    regions = [
+        tuple(grid.vertices),                  # full lattice
+        (0, 1, 3, 4, 8),                       # non-contiguous, one isolated site
+        box.box_vertices[box.anchor_box],      # a single box: terms leave it at its boundary
+    ]
+    models = [("tfim", {"J": 1.0, "g": 0.7}), ("heisenberg", {"Jz": 0.5}),
+              ("random2local", {"seed": 4}), ("quasilocal", {"s_max": 3, "seed": 1})]
+    for name, params in models:
+        H = build_named_hamiltonian(name, grid, params)
+        for region in regions:
+            mu, radius = operators.shift_and_radius(H, region)
+            dense = hamiltonian_matrix(H, region)
+            dim = len(dense)
+            assert mu == pytest.approx(np.trace(dense).real / dim, abs=1e-14), (name, region)
+            w = np.linalg.eigvalsh(dense)
+            assert mu - radius - 1e-12 <= w[0] and w[-1] <= mu + radius + 1e-12, (name, region)
+            if name in ("tfim", "quasilocal"):
+                one_norm = np.abs(dense - mu * np.eye(dim)).sum(axis=0).max()
+                assert radius <= one_norm, (name, region, radius, one_norm)
+        if name in ("tfim", "heisenberg"):
+            assert operators.shift_and_radius(H, regions[0])[0] == 0.0  # real split path
+
+
+def test_shift_and_radius_takes_eigenvalues_once_per_hamiltonian(monkeypatch):
+    H = build_named_hamiltonian("quasilocal", build_square_lattice(2, 3), {"s_max": 3})
+    calls = []
+    radius_of = operators._centered_radius
+
+    def counting(h):
+        calls.append(len(h))
+        return radius_of(h)
+
+    monkeypatch.setattr(operators, "_centered_radius", counting)
+    first = operators.shift_and_radius(H, (0, 1, 3, 4))
+    taken = len(calls)
+    assert taken > 0
+    operators.shift_and_radius(H, tuple(range(9)))
+    assert operators.shift_and_radius(H, (0, 1, 3, 4)) == first
+    assert len(calls) == taken
+
+
+def test_shift_and_radius_lowers_the_l18_degree():
+    # tfim, J = 1, g = 1.05 on the open 18-site chain: the CSR 1-norm is
+    # 17 J + 18 g = 35.9, degree 76 at t = 1; the group bound is 25.5
+    chain = build_square_lattice(1, 18)
+    H = build_named_hamiltonian("tfim", chain, {"J": 1.0, "g": 1.05})
+    mu, radius = operators.shift_and_radius(H, tuple(chain.vertices))
+    assert mu == 0.0
+    assert radius == pytest.approx(25.48, abs=0.01)
+    assert operators._chebyshev_degree(radius * 1.0) == 61
+    assert operators._chebyshev_degree(17 + 18 * 1.05) == 76
 
 
 class CountingCSR:
@@ -531,16 +619,17 @@ def test_expm_multiply_matches_scipy():
         H = build_named_hamiltonian(name, g, params)
         region = tuple(g.vertices)
         H_sp = hamiltonian_matrix(H, region, sparse=True)
-        mu, norm = operators.shift_and_norm(H_sp)
+        mu, norm = operators.shift_and_radius(H, region)
         shifted = H_sp.toarray() - mu * np.eye(H_sp.shape[0])
         assert mu == pytest.approx(np.trace(H_sp.toarray()).real / H_sp.shape[0], abs=1e-15)
-        assert norm == pytest.approx(np.abs(shifted).sum(axis=0).max(), rel=1e-14)
+        assert np.max(np.abs(np.linalg.eigvalsh(shifted))) <= norm + 1e-12
+        # R t = 70 below puts ||t H||_1 past scipy's switch to onenormest at 63.4
+        assert 70.0 / norm * np.abs(H_sp).sum(axis=0).max() > 63.4
         if name == "random2local":
             assert abs(mu) > 0.1
         psi = rng.normal(size=H_sp.shape[0]) + 1j * rng.normal(size=H_sp.shape[0])
         psi /= np.linalg.norm(psi)
-        # unsorted, repeated, zero, negative and non-dyadic times, and ||t H||_1 = 70,
-        # past scipy's switch to onenormest at 63.4
+        # unsorted, repeated, zero, negative and non-dyadic times, and R t = 70
         times = [1.9, 0.3, -0.7, 0.0, 70.0 / norm, 0.3]
         got = operators.expm_multiply(H_sp, psi, times, mu, norm)
         assert len(got) == len(times)
@@ -554,13 +643,13 @@ def test_expm_multiply_matches_scipy():
 
     # no terms: a zero norm, and the state comes back unchanged
     empty = hamiltonian_matrix(HamiltonianSpec(()), (0, 1, 2), sparse=True)
-    assert operators.shift_and_norm(empty) == (0.0, 0.0)
+    assert operators.shift_and_radius(HamiltonianSpec(()), (0, 1, 2)) == (0.0, 0.0)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
     assert np.array_equal(operators.expm_multiply(empty, psi, 0.7, 0.0, 0.0), psi)
     # a multiple of the identity: zero norm after the shift, only the phase
     identity = HamiltonianSpec((HamTerm(frozenset((0,)), 0.5 * np.eye(2, dtype=complex), 0.5),))
     H_sp = hamiltonian_matrix(identity, (0, 1, 2), sparse=True)
-    mu, norm = operators.shift_and_norm(H_sp)
+    mu, norm = operators.shift_and_radius(identity, (0, 1, 2))
     assert (mu, norm) == (0.5, 0.0)
     for t, vec in zip((0.7, -1.2), operators.expm_multiply(H_sp, psi, [0.7, -1.2], mu, norm)):
         assert np.max(np.abs(vec - np.exp(-0.5j * t) * psi)) <= 1e-15
@@ -577,7 +666,7 @@ def test_expm_multiply_runs_in_the_matrix_arithmetic():
                          ("random2local", {"seed": 3})):
         H = build_named_hamiltonian(name, g, params)
         H_sp = hamiltonian_matrix(H, region, sparse=True)
-        mu, norm = operators.shift_and_norm(H_sp)
+        mu, norm = operators.shift_and_radius(H, region)
         for state in (ProductState.all_zero(), ProductState.all_plus(region), tilted):
             psi = state.state_vector(region)
             counting = CountingCSR(H_sp)
@@ -602,7 +691,7 @@ def test_expm_multiply_long_time_matches_dense_evolution():
     H = build_named_hamiltonian("random2local", g, {"seed": 2})
     region = tuple(g.vertices)
     H_sp = hamiltonian_matrix(H, region, sparse=True)
-    mu, norm = operators.shift_and_norm(H_sp)
+    mu, norm = operators.shift_and_radius(H, region)
     rng = np.random.default_rng(3)
     psi = rng.normal(size=1024) + 1j * rng.normal(size=1024)
     psi /= np.linalg.norm(psi)
@@ -618,7 +707,7 @@ def test_expm_multiply_grid_costs_one_recurrence():
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 1.05})
     region = tuple(g.vertices)
     H_sp = hamiltonian_matrix(H, region, sparse=True)
-    mu, norm = operators.shift_and_norm(H_sp)
+    mu, norm = operators.shift_and_radius(H, region)
     psi = ProductState.all_zero().state_vector(region)
     times = [0.5, 1.0, 0.25]
     counting = CountingCSR(H_sp)
@@ -638,7 +727,7 @@ def test_expm_multiply_step_copies_no_matrix():
 
     H = build_named_hamiltonian("tfim", build_square_lattice(1, 14), {"J": 1.0, "g": 1.05})
     H_sp = hamiltonian_matrix(H, tuple(range(14)), sparse=True)
-    mu, norm = operators.shift_and_norm(H_sp)
+    mu, norm = operators.shift_and_radius(H, tuple(range(14)))
     psi = ProductState.all_plus(range(14)).state_vector(tuple(range(14)))
     tracemalloc.start()
     try:
@@ -657,7 +746,7 @@ def test_expm_multiply_long_grid_runs_in_segments():
 
     H = build_named_hamiltonian("tfim", build_square_lattice(1, 14), {"J": 1.0, "g": 1.05})
     H_sp = hamiltonian_matrix(H, tuple(range(14)), sparse=True)
-    mu, norm = operators.shift_and_norm(H_sp)
+    mu, norm = operators.shift_and_radius(H, tuple(range(14)))
     psi = ProductState.all_plus(range(14)).state_vector(tuple(range(14)))
     times = list(np.linspace(0.05, 3.2, 64))
     csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
@@ -690,8 +779,9 @@ def test_expm_multiply_block_matches_columns():
     region = tuple(g.vertices)
     times = [0.4, -0.9]
     for name, params in (("tfim", {"J": 1.0, "g": 1.05}), ("random2local", {"seed": 4})):
-        H_sp = hamiltonian_matrix(build_named_hamiltonian(name, g, params), region, sparse=True)
-        mu, norm = operators.shift_and_norm(H_sp)
+        H = build_named_hamiltonian(name, g, params)
+        H_sp = hamiltonian_matrix(H, region, sparse=True)
+        mu, norm = operators.shift_and_radius(H, region)
         dim = H_sp.shape[0]
         csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
         fit = csr_bytes // (16 * dim)
@@ -716,7 +806,7 @@ def test_expm_multiply_block_memory_stays_flat():
 
     H = build_named_hamiltonian("tfim", build_square_lattice(1, 12), {"J": 1.0, "g": 1.05})
     H_sp = hamiltonian_matrix(H, tuple(range(12)), sparse=True)
-    mu, norm = operators.shift_and_norm(H_sp)
+    mu, norm = operators.shift_and_radius(H, tuple(range(12)))
     dim = H_sp.shape[0]
     csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
     chunk = csr_bytes // (16 * dim)

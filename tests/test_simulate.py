@@ -136,6 +136,38 @@ def test_anchored_subclusters_restrict_to_connected():
             assert anchored_proper_subclusters(cluster, tiling.adjacency, anchor) == brute
 
 
+def test_inclusion_exclusion_reads_subclusters_off_the_table(monkeypatch):
+    import opgrowth.simulate as simulate_mod
+
+    tiling = tile_boxes(build_square_lattice(2, 4), 1, 5)
+    clusters = anchored_clusters(tiling, 5)
+    rng = np.random.default_rng(11)
+    raw = {cluster: rng.normal(size=3) for cluster in clusters}
+    handed = {}
+
+    def recording(table, cluster, subclusters):
+        handed[cluster] = subclusters
+        return cluster_correction(table, cluster, subclusters)
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_connected_subsets(*args)
+
+    monkeypatch.setattr(simulate_mod, "enumerate_connected_subsets", counting)
+    table = inclusion_exclusion(raw, recording)
+    assert calls == []
+    monkeypatch.undo()
+    # the enumerated sub-clusters, in their order, so the corrected values are bit-identical
+    enumerated = ClusterTable(raw=raw)
+    for cluster in sorted(clusters, key=len):
+        subs = anchored_proper_subclusters(cluster, tiling.adjacency, tiling.anchor_box)
+        assert handed[cluster] == subs, cluster
+        enumerated.corrected[cluster] = cluster_correction(enumerated, cluster, subs)
+        assert np.array_equal(table.corrected[cluster], enumerated.corrected[cluster]), cluster
+
+
 def _correct(table, cluster):
     adjacency = tile_boxes(build_square_lattice(1, 6), 2, 0).adjacency
     subclusters = anchored_proper_subclusters(cluster, adjacency, (0,))
@@ -294,7 +326,7 @@ def test_component_evaluation_matches_full_region(model, params):
         for k, (_, diag) in enumerate(results):
             assert abs(diag["table"].raw[cluster] - full[cluster][k]) <= 1e-12
     assert smaller > 0
-    table = inclusion_exclusion(full, p.tiling)
+    table = inclusion_exclusion(full)
     for k, (estimate, _) in enumerate(results):
         assert abs(estimate - sum(v[k] for v in table.corrected.values())) <= 1e-12
 
@@ -479,13 +511,14 @@ def test_grid_resum_keeps_raw_values_and_matches_scalar_resums(monkeypatch):
     p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=1, m_star=4)
     listed = []
 
-    def counting_subclusters(cluster, adjacency, anchor):
+    def counting_correction(table, cluster, subclusters):
         listed.append(cluster)
-        return anchored_proper_subclusters(cluster, adjacency, anchor)
+        return cluster_correction(table, cluster, subclusters)
 
-    monkeypatch.setattr(simulate_mod, "anchored_proper_subclusters", counting_subclusters)
+    monkeypatch.setattr(simulate_mod, "cluster_correction", counting_correction)
     grid = [0.9, 0.2, 0.5]
     results = simulate_expectation(H, A, ZERO, grid, p)
+    monkeypatch.undo()
     clusters = anchored_clusters(p.tiling, 4)
     assert sorted(listed) == sorted(clusters)  # once per cluster, not once per t
     for cluster in clusters:
@@ -493,7 +526,7 @@ def test_grid_resum_keeps_raw_values_and_matches_scalar_resums(monkeypatch):
         for k, (_, diag) in enumerate(results):
             assert diag["table"].raw[cluster] == raw[k]
     for estimate, diag in results:
-        table = inclusion_exclusion(dict(diag["table"].raw), p.tiling)
+        table = inclusion_exclusion(dict(diag["table"].raw))
         assert table.corrected == diag["table"].corrected
         total = 0.0
         for m, running in enumerate(diag["running_estimates"], start=1):
