@@ -507,14 +507,15 @@ def _cmd_simulate(config: dict, out_dir: str):
         for i, result in zip(indices, group_results):
             results[i] = result
     header = ["t", "m_star", "estimate", "exact", "error", "bound_value",
-              "clusters_evaluated", "wall_time"]
+              "clusters_evaluated", "classes_evaluated", "wall_time"]
     rows: list[list] = []
     for t, (_, diag), exact in zip(grid[:done], results, exact_values):
         bounds = diag.get("level_bounds") or [None] * len(diag["running_estimates"])
-        for m, (running, clusters, bound_value) in enumerate(
-                zip(diag["running_estimates"], diag["running_clusters"], bounds), start=1):
+        for m, (running, clusters, classes, bound_value) in enumerate(
+                zip(diag["running_estimates"], diag["running_clusters"],
+                    diag["running_classes"], bounds), start=1):
             error = abs(running - exact) if exact is not None else None
-            rows.append([float(t), m, running, exact, error, bound_value, clusters, None])
+            rows.append([float(t), m, running, exact, error, bound_value, clusters, classes, None])
     _csv(os.path.join(out_dir, "results.csv"), header, rows)
     truncated = done < len(grid)
     return ["results.csv"], truncated, 2 if truncated else 0

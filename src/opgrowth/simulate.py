@@ -19,6 +19,15 @@ the state is a product state, so the region's A(t) is the component's A(t)
 tensored with the identity and <A(t)> is the component's.  Clusters with
 the same component (boxes that touch only at a corner, say) share one
 evaluation.
+
+Components that are relabelings of each other share one evaluation too,
+the device of the numerical linked-cluster expansion.  Two components fall
+in one class only when a site map phi from one onto the other is found and
+checked exactly (``ComponentClasses``): every term T of the first, moved to
+LocalOperator(phi(T.support), T.matrix), is a term of the second, entry for
+entry; the state's vector at each site v is the one at phi(v); and phi
+carries the observable onto itself.  The first component met in canonical
+cluster order is evaluated for its class.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +157,209 @@ def support_component(H: HamiltonianSpec, region, support) -> tuple[int, ...]:
     return tuple(sorted(v for v, _ in hop_distances(adjacency, support)))
 
 
+@dataclass
+class _Labelled:
+    """A component with its terms and refined site colours, ready to be matched."""
+
+    sites: tuple[int, ...]
+    terms: list[tuple[int, tuple[int, ...]]]  # (index in H.terms, sorted support) inside it
+    term_counts: Counter | None  # (support, matrix bytes) -> multiplicity, once matched onto
+    colour: dict[int, int]
+    key: tuple  # (term count, sorted colours): equal for relabelings
+    order: list[int]  # sites in search order
+    closing: list[list[int]]  # per search step, the terms whose last site it places
+
+
+class ComponentClasses:
+    """Support components of one (H, A, state) sorted into classes of relabelings.
+
+    A site map phi from a component onto another is accepted only when it is
+    checked exactly: every term of the first, moved to
+    LocalOperator(phi(T.support), T.matrix), is a term of the second, with
+    multiplicity; the state's vector at v is the one at phi(v); and
+    LocalOperator(phi(A.support), A.matrix) is A.  Equal means equal bytes
+    once the sign of zero is cleared, so entry for entry with no tolerance.
+    H, state and A on the first are then H, state and A on the second,
+    relabeled, so <A(t)> is the same.
+
+    Colour refinement only prunes the search.  A site's colour starts from
+    its state vector, its view of A and its distance from A's sites, and
+    then takes in every term on it, read from that site, with the colours of
+    the term's other sites, until the partition stops splitting.  Colours
+    are interned in one table, so they compare across components: a
+    component is tried only against the representatives with its multiset
+    of colours, and a backtracking search maps sites of one colour onto each
+    other, checking each term once its sites are placed.
+    """
+
+    def __init__(self, H: HamiltonianSpec, A: LocalOperator, state):
+        self.H, self.A, self.state = H, A, state
+        self._ids: dict = {}  # signature -> colour, one table for every component
+        # terms with equal matrices share a kind, and with it their views and reorderings
+        self._term_data: dict[int, tuple] = {}  # term index -> ``_term``
+        self._views: dict[int, list[int]] = {}  # kind -> colour of the view from each factor
+        self._reorders: dict[tuple[int, tuple], bytes] = {}  # (kind, factor order) -> bytes
+        self._vectors: dict[int, bytes] = {}
+        self._terms_at: dict[int, list[int]] = {}
+        for i, term in enumerate(H.terms):
+            for v in term.support:
+                self._terms_at.setdefault(v, []).append(i)
+        self._a_views = {v: self._id(view) for v, view in zip(A.support, _views(A.matrix))}
+        self._representatives: dict[tuple, list[_Labelled]] = {}
+
+    def classify(self, component) -> tuple[int, ...]:
+        """The first component given of ``component``'s class: itself if it opens one."""
+        labelled = self._label(component)
+        candidates = self._representatives.setdefault(labelled.key, [])
+        for rep in candidates:
+            if self._search(labelled, rep) is not None:
+                return rep.sites
+        candidates.append(labelled)
+        return labelled.sites
+
+    def site_map(self, component, other) -> dict[int, int] | None:
+        """A checked site map from ``component`` onto ``other``, or None when there is none."""
+        first, second = self._label(component), self._label(other)
+        return self._search(first, second) if first.key == second.key else None
+
+    def _id(self, signature) -> int:
+        return self._ids.setdefault(signature, len(self._ids))
+
+    def _vector(self, v: int) -> bytes:
+        if v not in self._vectors:
+            self._vectors[v] = _exact_bytes(self.state.vector_at(v))
+        return self._vectors[v]
+
+    def _term(self, i: int) -> tuple:
+        """(sorted support, kind, [(site, view from it, other sites)]) of term i."""
+        if i not in self._term_data:
+            matrix = self.H.terms[i].matrix
+            support = tuple(sorted(self.H.terms[i].support))
+            kind = self._id((matrix.shape, _exact_bytes(matrix)))
+            if kind not in self._views:
+                self._views[kind] = [self._id(view) for view in _views(matrix)]
+            incidences = [(v, view, support[:p] + support[p + 1:])
+                          for p, (v, view) in enumerate(zip(support, self._views[kind]))]
+            self._term_data[i] = (support, kind, incidences)
+        return self._term_data[i]
+
+    def _moved(self, i: int, support: tuple[int, ...], phi: dict[int, int]) -> tuple:
+        """(support, matrix bytes) of term i, on its sorted ``support``, moved by phi."""
+        images = [phi[v] for v in support]
+        order = tuple(sorted(range(len(images)), key=images.__getitem__))
+        key = (self._term(i)[1], order)
+        if key not in self._reorders:
+            self._reorders[key] = _reordered(self.H.terms[i].matrix, order)
+        return tuple(images[j] for j in order), self._reorders[key]
+
+    def _term_counts(self, labelled: _Labelled) -> Counter:
+        if labelled.term_counts is None:
+            identity = {v: v for v in labelled.sites}
+            labelled.term_counts = Counter(self._moved(*term, identity) for term in labelled.terms)
+        return labelled.term_counts
+
+    def _label(self, component) -> _Labelled:
+        sites = tuple(sorted(component))
+        inside = frozenset(sites)
+        if not set(self.A.support) <= inside:
+            raise ValueError("component must contain the observable support")
+        indices = sorted({i for v in sites for i in self._terms_at.get(v, ())
+                          if self.H.terms[i].support <= inside})
+        terms = [(i, self._term(i)[0]) for i in indices]
+        incident: dict[int, list] = {v: [] for v in sites}
+        neighbours: dict[int, list[int]] = {v: [] for v in sites}
+        for i in indices:
+            for v, view, others in self._term(i)[2]:
+                incident[v].append((view, others))
+                neighbours[v].extend(others)
+        # phi fixes A's sites as a set, so it keeps every site's distance from them
+        distance = dict(hop_distances(neighbours, self.A.support))
+        colour = {v: self._id((self._vector(v), self._a_views.get(v), distance.get(v)))
+                  for v in sites}
+        distinct = len(set(colour.values()))
+        while True:
+            colour = {v: self._id((colour[v], tuple(sorted(
+                [(view, tuple(sorted([colour[u] for u in others])))
+                 for view, others in incident[v]])))) for v in sites}
+            if len(set(colour.values())) == distinct:
+                break
+            distinct = len(set(colour.values()))
+        # search order: out from A's sites, so each site meets a placed neighbour, and
+        # the rarest colour first within a layer
+        size = Counter(colour.values())
+        order = sorted(sites, key=lambda v: (distance.get(v, len(sites)), size[colour[v]], v))
+        step = {v: k for k, v in enumerate(order)}
+        closing: list[list[int]] = [[] for _ in sites]
+        for j, (_, support) in enumerate(terms):
+            closing[max(step[v] for v in support)].append(j)
+        return _Labelled(sites, terms, None, colour,
+                         (len(terms), tuple(sorted(colour.values()))), order, closing)
+
+    def _search(self, first: _Labelled, second: _Labelled) -> dict[int, int] | None:
+        wanted = self._term_counts(second)
+        targets: dict[int, list[int]] = {}
+        for w in second.sites:
+            targets.setdefault(second.colour[w], []).append(w)
+        phi: dict[int, int] = {}
+        used: set[int] = set()
+        moved: list[tuple] = []  # first's terms moved by phi, each once all its sites are placed
+
+        def extend(k: int) -> bool:
+            if k == len(first.order):
+                return Counter(moved) == wanted and self._state_and_observable_kept(phi)
+            v = first.order[k]
+            for w in targets.get(first.colour[v], ()):
+                if w in used:
+                    continue
+                phi[v] = w
+                closed = [self._moved(*first.terms[j], phi) for j in first.closing[k]]
+                if all(term in wanted for term in closed):
+                    used.add(w)
+                    moved.extend(closed)
+                    if extend(k + 1):
+                        return True
+                    del moved[len(moved) - len(closed):]
+                    used.discard(w)
+                del phi[v]
+            return False
+
+        return dict(phi) if extend(0) else None
+
+    def _state_and_observable_kept(self, phi: dict[int, int]) -> bool:
+        if any(self._vector(v) != self._vector(w) for v, w in phi.items()):
+            return False
+        moved = LocalOperator(tuple(phi[v] for v in self.A.support), self.A.matrix)
+        return (moved.support == self.A.support
+                and _exact_bytes(moved.matrix) == _exact_bytes(self.A.matrix))
+
+
+def _exact_bytes(array: np.ndarray) -> bytes:
+    """The entries as complex bytes, the sign of zero cleared: equal bytes, equal entries."""
+    return (np.asarray(array, dtype=complex) + 0.0).tobytes()
+
+
+def _reordered(matrix: np.ndarray, order) -> bytes:
+    """``_exact_bytes`` of ``matrix`` with its kron factors reordered: factor order[j] at j."""
+    ranks = tuple(sorted(range(len(order)), key=order.__getitem__))  # factor f goes to ranks[f]
+    return _exact_bytes(LocalOperator(ranks, matrix).matrix)
+
+
+def _views(matrix: np.ndarray) -> list[tuple]:
+    """The view of a k-site operator from each of its factors, free of the site labels.
+
+    The view from factor i is the matrix with factor i first and the other
+    factors in the order whose bytes are least.  Past four sites, where that
+    order takes too many permutations, every factor gets the size and sorted
+    entries of the matrix: coarser, and as free of the labels.
+    """
+    k = len(matrix).bit_length() - 1
+    if k > 4:
+        return [(k, _exact_bytes(np.sort(np.asarray(matrix, dtype=complex) + 0.0, axis=None)))] * k
+    return [(k, min(_reordered(matrix, (i, *order))
+                    for order in itertools.permutations([j for j in range(k) if j != i])))
+            for i in range(k)]
+
+
 def raw_cluster_expectation(
     H: HamiltonianSpec,
     A: LocalOperator,
@@ -233,14 +446,17 @@ def simulate_expectation(
     """Run the level-by-level cluster expansion and return (estimate, diagnostics).
 
     Clusters are evaluated level by level, in canonical order, and each
-    distinct support component once: clusters that share it share one raw
-    array.  Diagnostics include per-level sums and running estimates, with
-    the running counts of clusters and of evaluated components beside them;
-    the running values at level m are exactly what a plan with m_star = m
-    would return.  With ``params``, ``level_bounds`` holds the truncation
+    class of support components once: clusters whose components are
+    relabelings of each other, under a site map that ``ComponentClasses``
+    checks exactly against H's terms, the state and A, share one raw array,
+    that of the first component of the class met.  Diagnostics include
+    per-level sums and running estimates, with the running counts of
+    clusters, distinct components and evaluated classes beside them; the
+    running values at level m are exactly what a plan with m_star = m would
+    return.  With ``params``, ``level_bounds`` holds the truncation
     bound at each level's volume m r^d, None outside its validity window.
 
-    ``t`` may also be a grid of times: each component is then evolved once
+    ``t`` may also be a grid of times: each class is then evolved once
     along the whole grid, and the result is a list of (estimate,
     diagnostics) pairs in grid order.
     """
@@ -253,22 +469,27 @@ def simulate_expectation(
         raise ValueError("observable support must sit inside the anchor box")
 
     raw: dict[Cluster, np.ndarray] = {}
-    by_component: dict[tuple[int, ...], np.ndarray] = {}
+    classes = ComponentClasses(H, A, state)
+    class_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # component -> its representative
+    by_class: dict[tuple[int, ...], np.ndarray] = {}  # representative -> raw array
     levels: list[list[Cluster]] = []
-    running_components = []
+    running_components, running_classes = [], []
     for m in range(1, sim_plan.m_star + 1):
         clusters = enumerate_connected_subsets(tiling.adjacency, anchor, m)
         for cluster in clusters:
             component = support_component(H, cluster_region(tiling, cluster), A.support)
-            if component not in by_component:
-                by_component[component] = np.array(
-                    raw_cluster_expectation(H, A, state, cluster, tiling, times))
-            raw[cluster] = by_component[component]
+            if component not in class_of:
+                class_of[component] = classes.classify(component)
+                if class_of[component] == component:
+                    by_class[component] = np.array(
+                        raw_cluster_expectation(H, A, state, cluster, tiling, times))
+            raw[cluster] = by_class[class_of[component]]
         levels.append(clusters)
-        running_components.append(len(by_component))
+        running_components.append(len(class_of))
+        running_classes.append(len(by_class))
     running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
-    log.info("simulate: %d clusters, %d components evaluated",
-             running_clusters[-1], running_components[-1])
+    log.info("simulate: %d clusters, %d components, %d classes evaluated",
+             running_clusters[-1], running_components[-1], running_classes[-1])
     corrected = inclusion_exclusion(raw).corrected
     zero = np.zeros(len(times))
     level_sums = [sum((corrected[cluster] for cluster in clusters), zero) for clusters in levels]
@@ -280,6 +501,7 @@ def simulate_expectation(
         diagnostics = {
             "running_clusters": running_clusters,
             "running_components": running_components,
+            "running_classes": running_classes,
             "level_sums": [float(v[k]) for v in level_sums],
             "running_estimates": [float(v[k]) for v in running],
             "table": table,

@@ -40,7 +40,8 @@ def test_simulate_csv_schema_and_rows(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
-    assert lines[0] == "t,m_star,estimate,exact,error,bound_value,clusters_evaluated,wall_time"
+    assert lines[0] == ("t,m_star,estimate,exact,error,bound_value,clusters_evaluated,"
+                        "classes_evaluated,wall_time")
     assert len(lines) == 1 + 2 * 3  # one row per (t, level)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
@@ -76,8 +77,11 @@ def test_simulate_clusters_evaluated_is_running_count(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 0
     rows = read_rows(out / "results.csv")
-    # row m reports what a run with m_star = m evaluates: 1, 1+3, 1+3+3 clusters
-    assert [(r[1], r[6]) for r in rows] == [("1", "1"), ("2", "4"), ("3", "7")]
+    # row m reports what a run with m_star = m evaluates: 1, 1+3, 1+3+3 clusters, and
+    # 1, 2, 4 classes: the anchor box with its right or its lower neighbour is one
+    # class (the diagonal mirror), and the corner box adds no site to the anchor's
+    assert [(r[1], r[6], r[7]) for r in rows] == [("1", "1", "1"), ("2", "4", "2"),
+                                                  ("3", "7", "4")]
 
 
 @pytest.mark.parametrize("config", [

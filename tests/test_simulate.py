@@ -1,5 +1,6 @@
 """Cluster-expansion simulator: planning, corrections, completeness, decay."""
 
+import itertools
 import logging
 import math
 
@@ -30,6 +31,7 @@ from opgrowth.operators import (
 )
 from opgrowth.simulate import (
     ClusterTable,
+    ComponentClasses,
     anchored_clusters,
     anchored_proper_subclusters,
     cluster_correction,
@@ -331,12 +333,12 @@ def test_component_evaluation_matches_full_region(model, params):
         assert abs(estimate - sum(v[k] for v in table.corrected.values())) <= 1e-12
 
 
-@pytest.mark.parametrize("L, r, m_star, clusters, components", [
-    (6, 2, 3, 16, 8),  # the benchmark's sim_2d_tgrid configuration
-    (4, 1, 7, 2514, 369),
+@pytest.mark.parametrize("L, r, m_star, clusters, components, classes", [
+    pytest.param(6, 2, 3, 16, 8, 5, id="6-2-3-16-8"),  # the benchmark's sim_2d_tgrid configuration
+    pytest.param(4, 1, 7, 2514, 369, 71, id="4-1-7-2514-369"),
 ])
 def test_component_evaluations_counted_once(monkeypatch, caplog, L, r, m_star,
-                                            clusters, components):
+                                            clusters, components, classes):
     import opgrowth.simulate as simulate_mod
 
     g = build_square_lattice(2, L)
@@ -352,11 +354,14 @@ def test_component_evaluations_counted_once(monkeypatch, caplog, L, r, m_star,
     p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=r, m_star=m_star)
     with caplog.at_level(logging.INFO, logger="opgrowth.simulate"):
         _, diag = simulate_expectation(H, A, ZERO, [0.25, 1.0], p)[0]
-    assert len(regions) == len(set(regions)) == components
+    assert len(regions) == len(set(regions)) == classes  # one evaluation per class
     assert diag["running_clusters"][-1] == clusters
     assert diag["running_components"][-1] == components
-    assert all(a <= b for a, b in zip(diag["running_components"], diag["running_components"][1:]))
-    assert f"{clusters} clusters, {components} components evaluated" in caplog.text
+    assert diag["running_classes"][-1] == classes
+    for counts in (diag["running_components"], diag["running_classes"]):
+        assert all(a <= b for a, b in zip(counts, counts[1:]))
+    assert f"{clusters} clusters, {components} components, {classes} classes evaluated" \
+        in caplog.text
 
 
 def test_component_shared_raw_values_are_identical():
@@ -373,6 +378,189 @@ def test_component_shared_raw_values_are_identical():
     for _, diag in results:
         for members in groups.values():
             assert len({diag["table"].raw[c] for c in members}) == 1  # bit for bit
+
+
+GRID3 = build_square_lattice(2, 3)  # site 3x + y at (x, y)
+
+
+def _pair_model(g, matrix):
+    """One ``matrix`` term per pair factor, its first factor on the lower site."""
+    return HamiltonianSpec(tuple(HamTerm(X, matrix, float(np.linalg.norm(matrix, 2)))
+                                 for X in g.factors if len(X) == 2), graph=g)
+
+
+def _outward_model(g, centre):
+    """X (x) Z on every pair factor, X on the site farther from ``centre``.
+
+    The mirrors of the square about ``centre`` keep it, and some of them
+    reverse a bond's site order, so the stored matrix of a term and of its
+    image differ: Z (x) X against X (x) Z.
+    """
+    hops = {v: abs(x - g.coords[centre][0]) + abs(y - g.coords[centre][1])
+            for v, (x, y) in g.coords.items()}
+    terms = []
+    for X in g.factors:
+        near, far = sorted(X, key=hops.get)
+        bond = LocalOperator((far, near), np.kron(PAULI["X"], PAULI["Z"]))
+        terms.append(HamTerm(X, bond.matrix, 1.0))
+    return HamiltonianSpec(tuple(terms), graph=g)
+
+
+def _value_bytes(array):
+    return (array + 0.0).tobytes()  # -0.0 + 0.0 is 0.0: equal bytes for equal values
+
+
+def _described(H, A, state, sites):
+    """(ops, vectors): the terms inside ``sites``, then A, and each site's state vector."""
+    inside = set(sites)
+    ops = [(i, tuple(sorted(t.support)), t.matrix) for i, t in enumerate(H.terms)
+           if t.support <= inside]
+    return ops + [("A", A.support, A.matrix)], {v: _value_bytes(state.vector_at(v)) for v in sites}
+
+
+def _relabelled(described, label, cache):
+    """The terms, state vectors and observable with the sites renamed by ``label``, as bytes."""
+    ops, vectors = described
+    moved = []
+    for key, support, matrix in ops:
+        images = [label[v] for v in support]
+        order = tuple(sorted(range(len(images)), key=images.__getitem__))
+        if (key, order) not in cache:
+            ranks = tuple(sorted(range(len(order)), key=order.__getitem__))
+            cache[(key, order)] = _value_bytes(LocalOperator(ranks, matrix).matrix)
+        moved.append((tuple(sorted(images)), cache[(key, order)]))
+    return (tuple(sorted(moved[:-1])), tuple(vectors[v] for v in sorted(vectors, key=label.get)),
+            moved[-1])
+
+
+def _brute_canonical_form(described, sites, cache):
+    """The least relabelled form over all n! namings of the sites by 0..n-1."""
+    return min(_relabelled(described, dict(zip(sites, perm)), cache)
+               for perm in itertools.permutations(range(len(sites))))
+
+
+def _state_with_plus_on_first_row(vertices):
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    return ProductState({v: plus for v in vertices if v < 3})
+
+
+CLASS_CASES = {
+    "tfim": (build_named_hamiltonian("tfim", GRID3, {"J": 1.0, "g": 0.9}), ("Z", (0,)), None),
+    "heisenberg-row-state": (build_named_hamiltonian("heisenberg", GRID3, {"Jz": 0.5}),
+                             ("Z", (0,)), _state_with_plus_on_first_row),
+    "random2local": (build_named_hamiltonian("random2local", GRID3, {"seed": 2}),
+                     ("Z", (0,)), None),
+    "quasilocal": (build_named_hamiltonian("quasilocal", GRID3, {"s_max": 3, "seed": 5}),
+                   ("Z", (0,)), None),
+    "xz-bond": (_pair_model(GRID3, np.kron(PAULI["X"], PAULI["Z"])), ("Z", (0,)), None),
+    "tfim-random-state": (build_named_hamiltonian("tfim", GRID3, {"J": 1.0, "g": 0.9}),
+                          ("Z", (0,)), lambda vs: _random_product_state(
+                              vs, np.random.default_rng(4))),
+    "tfim-xz-observable": (build_named_hamiltonian("tfim", GRID3, {"J": 1.0, "g": 0.9}),
+                           ("XZ", (0, 1)), None),
+    "xz-bond-zz-observable": (_pair_model(GRID3, np.kron(PAULI["X"], PAULI["Z"])),
+                              ("ZZ", (1, 3)), None),
+    "outward-xz-bond": (_outward_model(GRID3, 4), ("Z", (4,)), None),
+}
+
+
+@pytest.mark.parametrize("case", list(CLASS_CASES))
+def test_class_site_map_matches_brute_force(case):
+    # components of up to 6 sites are classed together exactly when some naming
+    # of their sites makes terms, state and observable equal entry for entry
+    H, (letters, sites), make_state = CLASS_CASES[case]
+    A = pauli_operator(letters, sites)
+    state = make_state(GRID3.vertices) if make_state else ZERO
+    adjacency = GRID3.vertex_adjacency()
+    components = [c for m in range(1, 7)
+                  for c in enumerate_connected_subsets(adjacency, sites[0], m)
+                  if set(A.support) <= set(c)]
+    cache: dict = {}
+    described = {c: _described(H, A, state, c) for c in components}
+    forms = {c: _brute_canonical_form(described[c], c, cache) for c in components}
+    first = {}
+    for c in components:
+        first.setdefault(forms[c], c)
+    classes = ComponentClasses(H, A, state)
+    assert [classes.classify(c) for c in components] == [first[forms[c]] for c in components]
+    for c in components:
+        for other in components:
+            if len(other) != len(c):
+                continue
+            phi = classes.site_map(c, other)
+            assert (phi is not None) == (forms[c] == forms[other])
+            if phi is not None:
+                assert _relabelled(described[c], phi, cache) == \
+                    _relabelled(described[other], {v: v for v in other}, cache)
+    # random terms or site vectors leave every component a class of its own
+    assert (len(first) == len(components)) == (
+        case in ("random2local", "quasilocal", "tfim-random-state"))
+
+
+@pytest.mark.parametrize("right_letters, merged", [("ZZZYX", True), ("XYZZZ", False)])
+def test_class_of_five_site_terms(right_letters, merged):
+    # terms past four sites get one coarse view per factor; the map is still checked
+    # exactly: a mirror fixing A at 3 carries XYZZZ on 0..4 to ZZZYX on 2..6, and
+    # no map fixing 3 carries it to XYZZZ on 2..6, which has Y at 3
+    chain = build_square_lattice(1, 7)
+    H = HamiltonianSpec(tuple(
+        HamTerm(frozenset(sites), pauli_operator(letters, sites).matrix, 1.0)
+        for letters, sites in (("XYZZZ", (0, 1, 2, 3, 4)), (right_letters, (2, 3, 4, 5, 6)))),
+        graph=chain)
+    classes = ComponentClasses(H, pauli_operator("Z", (3,)), ZERO)
+    left, right = (0, 1, 2, 3, 4), (2, 3, 4, 5, 6)
+    assert classes.classify(left) == left
+    assert classes.classify(right) == (left if merged else right)
+    phi = classes.site_map(right, left)
+    assert (phi is not None) == merged
+    if merged:
+        assert (phi[6], phi[5], phi[3]) == (0, 1, 3)
+
+
+@pytest.mark.parametrize("model, params, random_state", [
+    ("random2local", {"seed": 7}, False),
+    ("tfim", {"J": 1.0, "g": 1.05}, True),
+])
+def test_class_of_distinct_terms_or_states_is_its_component(model, params, random_state):
+    # with every term or every site vector distinct no relabeling fits: each component
+    # is its own class and keeps its own evaluation, bit for bit
+    g = build_square_lattice(2, 4)
+    H = build_named_hamiltonian(model, g, params)
+    state = _random_product_state(g.vertices, np.random.default_rng(9)) if random_state else ZERO
+    A = pauli_operator("Z", (5,))
+    grid = [0.3, 0.8]
+    p = plan(None, 0.8, 1e-6, mode="desk", graph=g, anchor_vertex=5, r=1, m_star=5)
+    results = simulate_expectation(H, A, state, grid, p)
+    diag = results[0][1]
+    assert diag["running_classes"] == diag["running_components"]
+    for cluster in anchored_clusters(p.tiling, 5):
+        component = support_component(H, cluster_region(p.tiling, cluster), A.support)
+        own = exact_expectation(H, A, state, grid, region=component)
+        for k, (_, diag) in enumerate(results):
+            assert diag["table"].raw[cluster] == own[k]
+
+
+def test_class_values_match_per_component_evaluation():
+    g = build_square_lattice(2, 4)
+    H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 1.05})
+    A = pauli_operator("Z", (0,))
+    grid = [0.25, 1.0]
+    p = plan(None, 1.0, 1e-6, mode="desk", graph=g, r=1, m_star=8)
+    results = simulate_expectation(H, A, ZERO, grid, p)
+    diag = results[-1][1]
+    assert (diag["running_components"][-1], diag["running_classes"][-1]) == (829, 158)
+    own: dict = {}
+    raw: dict = {}
+    for cluster in anchored_clusters(p.tiling, 8):
+        component = support_component(H, cluster_region(p.tiling, cluster), A.support)
+        if component not in own:
+            own[component] = np.array(exact_expectation(H, A, ZERO, grid, region=component))
+        raw[cluster] = own[component]
+        for k, (_, diag) in enumerate(results):
+            assert abs(diag["table"].raw[cluster] - own[component][k]) <= 1e-13
+    corrected = inclusion_exclusion(raw).corrected
+    for k, (estimate, _) in enumerate(results):
+        assert abs(estimate - sum(v[k] for v in corrected.values())) <= 1e-11
 
 
 def test_support_component_ignores_terms_leaving_the_region():
@@ -521,10 +709,17 @@ def test_grid_resum_keeps_raw_values_and_matches_scalar_resums(monkeypatch):
     monkeypatch.undo()
     clusters = anchored_clusters(p.tiling, 4)
     assert sorted(listed) == sorted(clusters)  # once per cluster, not once per t
+    # each cluster holds, bit for bit, the raw array of the first cluster of its class
+    classes = ComponentClasses(H, A, ZERO)
+    first: dict = {}
     for cluster in clusters:
-        raw = raw_cluster_expectation(H, A, ZERO, cluster, p.tiling, grid)
+        component = support_component(H, cluster_region(p.tiling, cluster), A.support)
+        rep = first.setdefault(classes.classify(component), cluster)
+        raw = raw_cluster_expectation(H, A, ZERO, rep, p.tiling, grid)
+        own = raw_cluster_expectation(H, A, ZERO, cluster, p.tiling, grid)
         for k, (_, diag) in enumerate(results):
             assert diag["table"].raw[cluster] == raw[k]
+            assert abs(raw[k] - own[k]) <= 1e-13
     for estimate, diag in results:
         table = inclusion_exclusion(dict(diag["table"].raw))
         assert table.corrected == diag["table"].corrected
