@@ -290,8 +290,8 @@ class BoxTiling:
     """Partition of a coordinate lattice into axis-aligned boxes of side r.
 
     Boxes at the lattice edge may be smaller than r**d.  Two boxes are
-    coarse-adjacent when their box coordinates differ by at most one in
-    every axis, so each box has at most 3**d - 1 neighbors.
+    coarse-adjacent when some factor of the graph has a site in each, so on
+    a periodic lattice the boxes on either side of the wrap are adjacent.
     """
 
     dimension: int
@@ -305,7 +305,15 @@ class BoxTiling:
 
 
 def tile_boxes(g: FactorGraph, r: int, anchor_vertex: int) -> BoxTiling:
-    """Cut a square lattice into boxes of side r anchored at a given vertex."""
+    """Cut a square lattice into boxes of side r anchored at a given vertex.
+
+    Boxes are joined by the factors of ``g``: two boxes are adjacent when
+    some factor has a site in each, across the wrap too on a periodic
+    lattice.  When every term of H is connected in g's factor graph, as
+    every bundled model's are, each term inside a cluster's region lies in
+    one connected part of the cluster, so a cluster that is not connected
+    here contributes nothing to the cluster expansion.
+    """
     if not g.coords:
         raise ValueError("graph lacks coordinates; build it with a lattice constructor")
     if r < 1:
@@ -314,19 +322,15 @@ def tile_boxes(g: FactorGraph, r: int, anchor_vertex: int) -> BoxTiling:
     box_vertices: dict[tuple[int, ...], list[int]] = {}
     for v, b in box_of_vertex.items():
         box_vertices.setdefault(b, []).append(v)
-    boxes = sorted(box_vertices)
-    adjacency = {
-        b: tuple(
-            nb
-            for nb in boxes
-            if nb != b and all(abs(x - y) <= 1 for x, y in zip(b, nb))
-        )
-        for b in boxes
-    }
+    neighbours: dict[tuple[int, ...], set] = {b: set() for b in box_vertices}
+    for X in g.factors:
+        touched = {box_of_vertex[v] for v in X}
+        for b in touched:
+            neighbours[b] |= touched - {b}
     return BoxTiling(
         dimension=g.dimension,
         box_vertices={b: tuple(sorted(vs)) for b, vs in box_vertices.items()},
-        adjacency=adjacency,
+        adjacency={b: tuple(sorted(neighbours[b])) for b in sorted(box_vertices)},
         anchor_box=box_of_vertex[anchor_vertex],
     )
 

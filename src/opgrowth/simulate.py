@@ -7,27 +7,23 @@ contribution; summing contributions over all clusters up to a size cutoff
 approximates the exact expectation with an error that shrinks
 exponentially in the cutoff volume.
 
-Only clusters that are connected on the coarse box graph and contain the
-anchor box can contribute: support spreads through shared Hamiltonian
-terms, so a cluster with a gap is never touched as a whole.  That
-restriction is what keeps the cluster count manageable.
+Only clusters that contain the anchor box and are connected on the coarse
+box graph can contribute.  ``tile_boxes`` joins two boxes when a factor of
+the lattice has a site in each, so when H's terms are connected in the
+factor graph, as every bundled model's are, a cluster that is not
+connected splits into parts no term inside its region joins: the
+observable never reaches the parts away from the anchor, and the
+inclusion-exclusion cancels the cluster exactly (the linked-cluster
+theorem).  That restriction is what keeps the cluster count manageable.
 
-Inside a cluster, only the connected component of the observable's support
-matters, taken in the graph of the terms that lie wholly inside the region.
-Every other term of the region commutes with that component's terms, and
-the state is a product state, so the region's A(t) is the component's A(t)
-tensored with the identity and <A(t)> is the component's.  Clusters with
-the same component (boxes that touch only at a corner, say) share one
-evaluation.
-
-Components that are relabelings of each other share one evaluation too,
-the device of the numerical linked-cluster expansion.  Two components fall
-in one class only when a site map phi from one onto the other is found and
-checked exactly (``ComponentClasses``): every term T of the first, moved to
-LocalOperator(phi(T.support), T.matrix), is a term of the second, entry for
-entry; the state's vector at each site v is the one at phi(v); and phi
-carries the observable onto itself.  The first component met in canonical
-cluster order is evaluated for its class.
+Cluster regions that are relabelings of each other share one evaluation,
+the device of the numerical linked-cluster expansion.  Two regions fall in
+one class only when a site map phi from one onto the other is found and
+checked exactly (``ComponentClasses``): every term T inside the first,
+moved to LocalOperator(phi(T.support), T.matrix), is a term inside the
+second, entry for entry; the state's vector at each site v is the one at
+phi(v); and phi carries the observable onto itself.  The first region met
+in canonical cluster order is evaluated for its class.
 """
 
 from __future__ import annotations
@@ -144,19 +140,6 @@ def anchored_clusters(tiling: BoxTiling, m_star: int) -> list[Cluster]:
     return out
 
 
-def support_component(H: HamiltonianSpec, region, support) -> tuple[int, ...]:
-    """Sorted sites of ``region`` joined to ``support`` by chains of H's terms inside it.
-
-    A term that leaves the region joins nothing: it is not part of the
-    region's Hamiltonian.
-    """
-    adjacency: dict[int, set[int]] = {v: set() for v in region}
-    for term in H.terms_within(region):
-        for v in term.support:
-            adjacency[v].update(term.support)
-    return tuple(sorted(v for v, _ in hop_distances(adjacency, support)))
-
-
 @dataclass
 class _Labelled:
     """A component with its terms and refined site colours, ready to be matched."""
@@ -171,13 +154,14 @@ class _Labelled:
 
 
 class ComponentClasses:
-    """Support components of one (H, A, state) sorted into classes of relabelings.
+    """Site sets of one (H, A, state) sorted into classes of relabelings.
 
-    A site map phi from a component onto another is accepted only when it is
-    checked exactly: every term of the first, moved to
-    LocalOperator(phi(T.support), T.matrix), is a term of the second, with
-    multiplicity; the state's vector at v is the one at phi(v); and
-    LocalOperator(phi(A.support), A.matrix) is A.  Equal means equal bytes
+    The site sets, components here, hold A's support; ``simulate_expectation``
+    hands in its cluster regions.  A site map phi from a component onto
+    another is accepted only when it is checked exactly: every term of the
+    first, moved to LocalOperator(phi(T.support), T.matrix), is a term of
+    the second, with multiplicity; the state's vector at v is the one at
+    phi(v); and LocalOperator(phi(A.support), A.matrix) is A.  Equal means equal bytes
     once the sign of zero is cleared, so entry for entry with no tolerance.
     H, state and A on the first are then H, state and A on the second,
     relabeled, so <A(t)> is the same.
@@ -370,11 +354,9 @@ def raw_cluster_expectation(
 ):
     """<psi|e^{iHt} A e^{-iHt}|psi> on the cluster region, H cut down to terms inside it.
 
-    Evaluated on the support component of the region, which gives the same
-    value.  ``t`` is a time or a grid of times, as for ``exact_expectation``.
+    ``t`` is a time or a grid of times, as for ``exact_expectation``.
     """
-    region = support_component(H, cluster_region(tiling, cluster), A.support)
-    return exact_expectation(H, A, state, t, region=region)
+    return exact_expectation(H, A, state, t, region=cluster_region(tiling, cluster))
 
 
 def anchored_proper_subclusters(cluster: Cluster, adjacency: dict, anchor) -> list[Cluster]:
@@ -446,15 +428,15 @@ def simulate_expectation(
     """Run the level-by-level cluster expansion and return (estimate, diagnostics).
 
     Clusters are evaluated level by level, in canonical order, and each
-    class of support components once: clusters whose components are
-    relabelings of each other, under a site map that ``ComponentClasses``
-    checks exactly against H's terms, the state and A, share one raw array,
-    that of the first component of the class met.  Diagnostics include
-    per-level sums and running estimates, with the running counts of
-    clusters, distinct components and evaluated classes beside them; the
-    running values at level m are exactly what a plan with m_star = m would
-    return.  With ``params``, ``level_bounds`` holds the truncation
-    bound at each level's volume m r^d, None outside its validity window.
+    class of cluster regions once: clusters whose regions are relabelings
+    of each other, under a site map that ``ComponentClasses`` checks
+    exactly against H's terms, the state and A, share one raw array, that
+    of the first region of the class met.  Diagnostics include per-level
+    sums and running estimates, with the running counts of clusters and
+    evaluated classes beside them; the running values at level m are
+    exactly what a plan with m_star = m would return.  With ``params``,
+    ``level_bounds`` holds the truncation bound at each level's volume
+    m r^d, None outside its validity window.
 
     ``t`` may also be a grid of times: each class is then evolved once
     along the whole grid, and the result is a list of (estimate,
@@ -470,26 +452,22 @@ def simulate_expectation(
 
     raw: dict[Cluster, np.ndarray] = {}
     classes = ComponentClasses(H, A, state)
-    class_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # component -> its representative
-    by_class: dict[tuple[int, ...], np.ndarray] = {}  # representative -> raw array
+    by_class: dict[tuple[int, ...], np.ndarray] = {}  # representative region -> raw array
     levels: list[list[Cluster]] = []
-    running_components, running_classes = [], []
+    running_classes = []
     for m in range(1, sim_plan.m_star + 1):
         clusters = enumerate_connected_subsets(tiling.adjacency, anchor, m)
         for cluster in clusters:
-            component = support_component(H, cluster_region(tiling, cluster), A.support)
-            if component not in class_of:
-                class_of[component] = classes.classify(component)
-                if class_of[component] == component:
-                    by_class[component] = np.array(
-                        raw_cluster_expectation(H, A, state, cluster, tiling, times))
-            raw[cluster] = by_class[class_of[component]]
+            representative = classes.classify(cluster_region(tiling, cluster))
+            if representative not in by_class:  # the cluster's region opens its class
+                by_class[representative] = np.array(
+                    raw_cluster_expectation(H, A, state, cluster, tiling, times))
+            raw[cluster] = by_class[representative]
         levels.append(clusters)
-        running_components.append(len(class_of))
         running_classes.append(len(by_class))
     running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
-    log.info("simulate: %d clusters, %d components, %d classes evaluated",
-             running_clusters[-1], running_components[-1], running_classes[-1])
+    log.info("simulate: %d clusters, %d classes evaluated",
+             running_clusters[-1], running_classes[-1])
     corrected = inclusion_exclusion(raw).corrected
     zero = np.zeros(len(times))
     level_sums = [sum((corrected[cluster] for cluster in clusters), zero) for clusters in levels]
@@ -500,7 +478,6 @@ def simulate_expectation(
                              corrected={c: float(v[k]) for c, v in corrected.items()})
         diagnostics = {
             "running_clusters": running_clusters,
-            "running_components": running_components,
             "running_classes": running_classes,
             "level_sums": [float(v[k]) for v in level_sums],
             "running_estimates": [float(v[k]) for v in running],
@@ -532,11 +509,10 @@ def operator_piece(
 
     Defined by evolving inside the cluster region and subtracting every
     anchored connected sub-cluster's piece; the size-1 base case is plain
-    evolution inside the anchor box.  Each distinct support component of the
-    cluster and its sub-clusters is evolved once, embedded in the cluster
-    region and re-summed there.
-    Summing over all anchored connected clusters reconstructs the full
-    evolved operator.
+    evolution inside the anchor box.  The cluster and each sub-cluster are
+    evolved on their own regions, embedded in the cluster region and
+    re-summed there.  Summing over all anchored connected clusters
+    reconstructs the full evolved operator.
     """
     cluster = tuple(sorted(cluster))
     anchor = tiling.anchor_box
@@ -548,11 +524,7 @@ def operator_piece(
         raise ValueError("observable support must sit inside the anchor box")
     region = cluster_region(tiling, cluster)
     raw = {}
-    embedded: dict[tuple[int, ...], np.ndarray] = {}
     for sub in anchored_proper_subclusters(cluster, tiling.adjacency, anchor) + [cluster]:
-        component = support_component(H, cluster_region(tiling, sub), A.support)
-        if component not in embedded:
-            evolved = heisenberg_evolve(H, A, t, component)
-            embedded[component] = embed(evolved.matrix, evolved.support, region)
-        raw[sub] = embedded[component]
+        evolved = heisenberg_evolve(H, A, t, cluster_region(tiling, sub))
+        raw[sub] = embed(evolved.matrix, evolved.support, region)
     return LocalOperator(region, inclusion_exclusion(raw).corrected[cluster])

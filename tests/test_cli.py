@@ -77,11 +77,12 @@ def test_simulate_clusters_evaluated_is_running_count(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 0
     rows = read_rows(out / "results.csv")
-    # row m reports what a run with m_star = m evaluates: 1, 1+3, 1+3+3 clusters, and
-    # 1, 2, 4 classes: the anchor box with its right or its lower neighbour is one
-    # class (the diagonal mirror), and the corner box adds no site to the anchor's
-    assert [(r[1], r[6], r[7]) for r in rows] == [("1", "1", "1"), ("2", "4", "2"),
-                                                  ("3", "7", "4")]
+    # row m reports what a run with m_star = m evaluates: 1, 1+2, 1+2+3 clusters, as
+    # the corner box shares no factor with the anchor box, and 1, 2, 4 classes: the
+    # anchor box with its right or its lower neighbour is one class (the diagonal
+    # mirror), and so are the two three-box clusters that hold the corner box
+    assert [(r[1], r[6], r[7]) for r in rows] == [("1", "1", "1"), ("2", "3", "2"),
+                                                  ("3", "6", "4")]
 
 
 @pytest.mark.parametrize("config", [

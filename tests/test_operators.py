@@ -503,6 +503,23 @@ def test_sparse_assembly_matches_dense():
             assert sparse.has_sorted_indices and fresh.has_sorted_indices, (name, region)
 
 
+def test_assembly_drops_terms_leaving_the_region():
+    # a three-site term over 0..2 and a pair term on 2, 3: a term that leaves the
+    # region is not part of its Hamiltonian, so it joins none of the region's sites
+    g = build_square_lattice(1, 4)
+    zzz = HamTerm(frozenset({0, 1, 2}), kron_all([PAULI["Z"]] * 3), 1.0)
+    xx = HamTerm(frozenset({2, 3}), kron_all([PAULI["X"]] * 2), 1.0)
+    H = HamiltonianSpec((zzz, xx), graph=g)
+    assert [t.support for t in H.terms_within({0, 1, 2, 3})] == [zzz.support, xx.support]
+    assert H.terms_within({0, 1, 3}) == ()
+    assert [t.support for t in H.terms_within({1, 2, 3})] == [xx.support]
+    assert not np.any(hamiltonian_matrix(H, (0, 1, 3)))
+    assert np.array_equal(hamiltonian_matrix(H, (1, 2, 3)), embed(xx.matrix, (2, 3), (1, 2, 3)))
+    assert np.array_equal(hamiltonian_matrix(H, (0, 1, 2, 3)),
+                          embed(zzz.matrix, (0, 1, 2), (0, 1, 2, 3))
+                          + embed(xx.matrix, (2, 3), (0, 1, 2, 3)))
+
+
 def test_sparse_assembly_peak_stays_under_the_estimate(monkeypatch):
     import tracemalloc
 

@@ -1,6 +1,9 @@
 """Cluster-expansion simulator: planning, corrections, completeness, decay."""
 
+import csv
+import dataclasses
 import itertools
+import json
 import logging
 import math
 
@@ -10,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opgrowth.bounds import BoundParams
-from opgrowth.cli import brute_connected_subsets
+from opgrowth.cli import brute_connected_subsets, main
 from opgrowth.errors import ValidityWindowError
 from opgrowth.lattice import (
     build_rectangular_lattice,
     build_square_lattice,
     enumerate_connected_subsets,
+    hop_distances,
+    is_connected,
     tile_boxes,
 )
 from opgrowth.operators import (
@@ -41,7 +46,6 @@ from opgrowth.simulate import (
     cluster_region,
     raw_cluster_expectation,
     simulate_expectation,
-    support_component,
 )
 from opgrowth.states import ProductState
 
@@ -127,7 +131,7 @@ def test_anchored_subclusters_restrict_to_connected():
     # linear three-box cluster: the disconnected {b0, b2} subset is excluded
     subs = anchored_proper_subclusters(((0,), (1,), (2,)), adjacency, anchor)
     assert subs == [((0,),), ((0,), (1,))]
-    # 2D boxes have up to eight coarse neighbours: check against brute force
+    # 2D boxes have up to four coarse neighbours: check against brute force
     for anchor_vertex in (0, 5):
         tiling = tile_boxes(build_square_lattice(2, 4), 1, anchor_vertex)
         anchor = tiling.anchor_box
@@ -265,7 +269,7 @@ def test_simulate_anchor_only_hamiltonian():
 
 
 def test_simulate_2d_converges_to_oracle():
-    # exercises diagonal coarse adjacency and 2d correction sums
+    # four boxes, each joined to two others: 2d correction sums
     g = build_square_lattice(2, 3)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.8})
     A = pauli_operator("Z", (0,))
@@ -278,25 +282,53 @@ def test_simulate_2d_converges_to_oracle():
     assert errors[0] > 1e-4  # level 1 alone is genuinely off
 
 
-def test_simulate_2d_diagonal_cluster_contributes_zero():
-    # boxes sharing only a corner are not coupled by nearest-neighbor terms
+def _coordinate_tiling(tiling):
+    """The tiling with boxes joined when their coordinates differ by at most one on every axis."""
+    boxes = tiling.boxes
+    return dataclasses.replace(tiling, adjacency={
+        b: tuple(nb for nb in boxes if nb != b and all(abs(x - y) <= 1 for x, y in zip(b, nb)))
+        for b in boxes})
+
+
+@pytest.mark.parametrize("r, m_star", [(2, 4), (1, 6)])
+def test_clusters_not_joined_by_factors_contribute_zero(r, m_star):
+    # the coordinate rule also joins boxes that share only a corner; re-summed over
+    # its clusters, evaluated on their whole regions, the ones no factor joins cancel.
+    # Each region is evolved on its own, so they cancel to rounding: 2.8e-15 at most,
+    # and the diagonal pair's operator piece to 6.4e-15
     g = build_square_lattice(2, 4)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.8})
-    tiling = tile_boxes(g, 2, 0)
     A = pauli_operator("Z", (0,))
-    diagonal = ((0, 0), (1, 1))
-    piece = operator_piece(H, A, diagonal, tiling, 0.6)
-    assert np.max(np.abs(piece.matrix)) <= 1e-15
-    # the scalar side: every cluster whose component misses part of its region
-    # re-sums to zero, at r = 2 (corner boxes) and at r = 1 (detours)
-    for r, m_star in ((2, 4), (1, 6)):
-        p = plan(None, 0.6, 1e-6, mode="desk", graph=g, r=r, m_star=m_star)
-        _, diag = simulate_expectation(H, A, ZERO, 0.6, p)
-        decoupled = [c for c in diag["table"].corrected
-                     if len(support_component(H, cluster_region(p.tiling, c), A.support))
-                     < len(cluster_region(p.tiling, c))]
-        assert decoupled
-        assert max(abs(diag["table"].corrected[c]) for c in decoupled) <= 1e-15
+    p = plan(None, 0.6, 1e-6, mode="desk", graph=g, r=r, m_star=m_star)
+    estimate, _ = simulate_expectation(H, A, ZERO, 0.6, p)
+    coordinate = _coordinate_tiling(p.tiling)
+    clusters = anchored_clusters(coordinate, m_star)
+    raw = {c: exact_expectation(H, A, ZERO, 0.6, region=cluster_region(coordinate, c))
+           for c in clusters}
+    corrected = inclusion_exclusion(raw).corrected
+    unjoined = [c for c in clusters if not is_connected(p.tiling.adjacency, c)]
+    assert unjoined
+    assert max(abs(corrected[c]) for c in unjoined) <= 1e-14
+    assert abs(sum(corrected.values()) - estimate) <= 1e-12
+    piece = operator_piece(H, A, ((0, 0), (1, 1)), coordinate, 0.6)  # the diagonal pair
+    assert np.max(np.abs(piece.matrix)) <= 1e-13
+
+
+def test_periodic_ring_simulate_converges(tmp_path):
+    # boxes are joined across the wrap, so the levels converge to the ring's value,
+    # not the open chain's
+    config = {"command": "simulate", "seed": 7, "lattice": {"d": 1, "L": 12, "periodic": True},
+              "model": {"name": "tfim", "J": 1.0, "g": 1.05}, "state": {"kind": "zero"},
+              "observable": {"pauli": "Z", "sites": [0]}, "plan": {"r": 1, "m_star": 7},
+              "t_grid": [1.0], "oracle": True}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "results.csv") as fh:
+        errors = [float(row["error"]) for row in csv.DictReader(fh)]
+    assert len(errors) == 7
+    assert errors[-1] <= 1e-5
+    assert errors[4] > errors[5] > errors[6]  # levels 5, 6, 7
 
 
 def _random_product_state(vertices, rng):
@@ -307,11 +339,20 @@ def _random_product_state(vertices, rng):
     return ProductState(local)
 
 
+def _joined_by_terms(H, region, support):
+    """The sites of ``region`` joined to ``support`` by chains of H's terms inside it."""
+    adjacency = {v: set() for v in region}
+    for term in H.terms_within(region):
+        for v in term.support:
+            adjacency[v] |= term.support
+    return tuple(sorted(dict(hop_distances(adjacency, support))))
+
+
 @pytest.mark.parametrize("model, params", [("random2local", {"seed": 3}),
                                            ("quasilocal", {"s_max": 3, "seed": 4})])
 def test_component_evaluation_matches_full_region(model, params):
-    # quasilocal carries three-site terms, some of which leave a cluster region:
-    # they must join nothing
+    # quasilocal carries three-site terms, some of which leave a cluster region;
+    # every factor carries a term, so each region is joined to A by the terms inside it
     g = build_square_lattice(2, 4)
     H = build_named_hamiltonian(model, g, params)
     state = _random_product_state(g.vertices, np.random.default_rng(11))
@@ -320,25 +361,22 @@ def test_component_evaluation_matches_full_region(model, params):
     p = plan(None, 1.0, 1e-6, mode="desk", graph=g, anchor_vertex=5, r=1, m_star=5)
     results = simulate_expectation(H, A, state, grid, p)
     full = {}
-    smaller = 0
     for cluster in anchored_clusters(p.tiling, 5):
         region = cluster_region(p.tiling, cluster)
-        smaller += len(support_component(H, region, A.support)) < len(region)
+        assert _joined_by_terms(H, region, A.support) == region
         full[cluster] = np.array(exact_expectation(H, A, state, grid, region=region))
         for k, (_, diag) in enumerate(results):
             assert abs(diag["table"].raw[cluster] - full[cluster][k]) <= 1e-12
-    assert smaller > 0
     table = inclusion_exclusion(full)
     for k, (estimate, _) in enumerate(results):
         assert abs(estimate - sum(v[k] for v in table.corrected.values())) <= 1e-12
 
 
-@pytest.mark.parametrize("L, r, m_star, clusters, components, classes", [
-    pytest.param(6, 2, 3, 16, 8, 5, id="6-2-3-16-8"),  # the benchmark's sim_2d_tgrid configuration
-    pytest.param(4, 1, 7, 2514, 369, 71, id="4-1-7-2514-369"),
+@pytest.mark.parametrize("L, r, m_star, clusters, classes", [
+    pytest.param(6, 2, 3, 8, 5, id="6-2-3-8-5"),  # the benchmark's sim_2d_tgrid configuration
+    pytest.param(4, 1, 7, 369, 71, id="4-1-7-369-71"),
 ])
-def test_component_evaluations_counted_once(monkeypatch, caplog, L, r, m_star,
-                                            clusters, components, classes):
+def test_component_evaluations_counted_once(monkeypatch, caplog, L, r, m_star, clusters, classes):
     import opgrowth.simulate as simulate_mod
 
     g = build_square_lattice(2, L)
@@ -356,28 +394,10 @@ def test_component_evaluations_counted_once(monkeypatch, caplog, L, r, m_star,
         _, diag = simulate_expectation(H, A, ZERO, [0.25, 1.0], p)[0]
     assert len(regions) == len(set(regions)) == classes  # one evaluation per class
     assert diag["running_clusters"][-1] == clusters
-    assert diag["running_components"][-1] == components
     assert diag["running_classes"][-1] == classes
-    for counts in (diag["running_components"], diag["running_classes"]):
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
-    assert f"{clusters} clusters, {components} components, {classes} classes evaluated" \
-        in caplog.text
-
-
-def test_component_shared_raw_values_are_identical():
-    g = build_square_lattice(2, 4)
-    H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 1.05})
-    A = pauli_operator("Z", (0,))
-    p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=1, m_star=5)
-    results = simulate_expectation(H, A, ZERO, [0.3, 0.9], p)
-    groups: dict = {}
-    for cluster in anchored_clusters(p.tiling, 5):
-        groups.setdefault(support_component(H, cluster_region(p.tiling, cluster), A.support),
-                          []).append(cluster)
-    assert max(len(members) for members in groups.values()) > 1
-    for _, diag in results:
-        for members in groups.values():
-            assert len({diag["table"].raw[c] for c in members}) == 1  # bit for bit
+    counts = diag["running_classes"]
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    assert f"{clusters} clusters, {classes} classes evaluated" in caplog.text
 
 
 GRID3 = build_square_lattice(2, 3)  # site 3x + y at (x, y)
@@ -522,8 +542,8 @@ def test_class_of_five_site_terms(right_letters, merged):
     ("tfim", {"J": 1.0, "g": 1.05}, True),
 ])
 def test_class_of_distinct_terms_or_states_is_its_component(model, params, random_state):
-    # with every term or every site vector distinct no relabeling fits: each component
-    # is its own class and keeps its own evaluation, bit for bit
+    # with every term or every site vector distinct no relabeling fits: each cluster
+    # region is its own class and keeps its own evaluation, bit for bit
     g = build_square_lattice(2, 4)
     H = build_named_hamiltonian(model, g, params)
     state = _random_product_state(g.vertices, np.random.default_rng(9)) if random_state else ZERO
@@ -532,10 +552,9 @@ def test_class_of_distinct_terms_or_states_is_its_component(model, params, rando
     p = plan(None, 0.8, 1e-6, mode="desk", graph=g, anchor_vertex=5, r=1, m_star=5)
     results = simulate_expectation(H, A, state, grid, p)
     diag = results[0][1]
-    assert diag["running_classes"] == diag["running_components"]
+    assert diag["running_classes"] == diag["running_clusters"]
     for cluster in anchored_clusters(p.tiling, 5):
-        component = support_component(H, cluster_region(p.tiling, cluster), A.support)
-        own = exact_expectation(H, A, state, grid, region=component)
+        own = exact_expectation(H, A, state, grid, region=cluster_region(p.tiling, cluster))
         for k, (_, diag) in enumerate(results):
             assert diag["table"].raw[cluster] == own[k]
 
@@ -548,36 +567,20 @@ def test_class_values_match_per_component_evaluation():
     p = plan(None, 1.0, 1e-6, mode="desk", graph=g, r=1, m_star=8)
     results = simulate_expectation(H, A, ZERO, grid, p)
     diag = results[-1][1]
-    assert (diag["running_components"][-1], diag["running_classes"][-1]) == (829, 158)
-    own: dict = {}
+    assert (diag["running_clusters"][-1], diag["running_classes"][-1]) == (829, 158)
     raw: dict = {}
     for cluster in anchored_clusters(p.tiling, 8):
-        component = support_component(H, cluster_region(p.tiling, cluster), A.support)
-        if component not in own:
-            own[component] = np.array(exact_expectation(H, A, ZERO, grid, region=component))
-        raw[cluster] = own[component]
+        raw[cluster] = np.array(exact_expectation(H, A, ZERO, grid,
+                                                  region=cluster_region(p.tiling, cluster)))
         for k, (_, diag) in enumerate(results):
-            assert abs(diag["table"].raw[cluster] - own[component][k]) <= 1e-13
+            assert abs(diag["table"].raw[cluster] - raw[cluster][k]) <= 1e-13
     corrected = inclusion_exclusion(raw).corrected
     for k, (estimate, _) in enumerate(results):
         assert abs(estimate - sum(v[k] for v in corrected.values())) <= 1e-11
 
 
-def test_support_component_ignores_terms_leaving_the_region():
-    g = build_square_lattice(1, 4)
-    # one three-site term over 0..2 and one pair term on 2, 3
-    H = HamiltonianSpec((
-        HamTerm(frozenset({0, 1, 2}), np.kron(PAULI["Z"], np.kron(PAULI["Z"], PAULI["Z"])), 1.0),
-        HamTerm(frozenset({2, 3}), np.kron(PAULI["X"], PAULI["X"]), 1.0),
-    ), graph=g)
-    assert support_component(H, (0, 1, 2, 3), (0,)) == (0, 1, 2, 3)
-    assert support_component(H, (0, 1, 3), (0,)) == (0,)  # the term leaves the region
-    assert support_component(H, (1, 2, 3), (3,)) == (2, 3)
-    assert support_component(H, (0, 1, 3), (0, 3)) == (0, 3)  # both support sites are kept
-
-
 def test_coarse_graph_enumeration_matches_brute_force():
-    tiling = tile_boxes(build_square_lattice(2, 6), 2, 0)  # 3x3 boxes, degree 8
+    tiling = tile_boxes(build_square_lattice(2, 6), 2, 0)  # 3x3 boxes, degree 4
     for m in range(1, 5):
         found = enumerate_connected_subsets(tiling.adjacency, (0, 0), m)
         assert found == brute_connected_subsets(tiling.adjacency, (0, 0), m)
@@ -684,7 +687,7 @@ def test_simulate_grid_matches_scalar_calls():
         est1, diag1 = simulate_expectation(H, A, ZERO, t, p, params=params)
         assert est == pytest.approx(est1, abs=1e-12)
         assert diag["running_estimates"] == pytest.approx(diag1["running_estimates"], abs=1e-12)
-        assert diag["running_clusters"] == diag1["running_clusters"] == [1, 4, 7]
+        assert diag["running_clusters"] == diag1["running_clusters"] == [1, 3, 6]
         assert diag["level_bounds"] == diag1["level_bounds"]
         for cluster, raw in diag1["table"].raw.items():
             assert diag["table"].raw[cluster] == pytest.approx(raw, abs=1e-12)
@@ -713,8 +716,7 @@ def test_grid_resum_keeps_raw_values_and_matches_scalar_resums(monkeypatch):
     classes = ComponentClasses(H, A, ZERO)
     first: dict = {}
     for cluster in clusters:
-        component = support_component(H, cluster_region(p.tiling, cluster), A.support)
-        rep = first.setdefault(classes.classify(component), cluster)
+        rep = first.setdefault(classes.classify(cluster_region(p.tiling, cluster)), cluster)
         raw = raw_cluster_expectation(H, A, ZERO, rep, p.tiling, grid)
         own = raw_cluster_expectation(H, A, ZERO, cluster, p.tiling, grid)
         for k, (_, diag) in enumerate(results):
