@@ -203,23 +203,58 @@ class HamTerm:
     norm: float
 
 
+def exact_bytes(array: np.ndarray) -> bytes:
+    """The entries as complex bytes, the sign of zero cleared: equal bytes, equal entries."""
+    return (np.asarray(array, dtype=complex) + 0.0).tobytes()
+
+
+def _kind_key(matrix: np.ndarray) -> tuple:
+    return np.shape(matrix), exact_bytes(matrix)
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Sum of few-body Hermitian terms, optionally with a quasilocal envelope.
 
     The envelope (h, kappa) asserts that every term obeys
     norm <= h * exp(-kappa * support_size).
+
+    ``kinds`` are the distinct term matrices: two terms share a kind when
+    their entries are equal, the sign of zero cleared (``exact_bytes``), and
+    ``term_kinds[i]`` is the kind of term i.  The terms of one kind share
+    one read-only complex array, so an in-place edit raises instead of
+    changing every term of the kind.  Every step that reads only a term's
+    matrix runs once per kind: the Hermiticity check, the centers and group
+    radii of ``spectral_groups``, the flip pieces of ``hamiltonian_matrix``
+    and the views of ``simulate.ComponentClasses``.
     """
 
     terms: tuple[HamTerm, ...]
     envelope: tuple[float, float] | None = None
     graph: FactorGraph | None = field(default=None, repr=False)
+    kinds: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    term_kinds: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        index: dict[tuple, int] = {}
+        kinds: list[np.ndarray] = []
+        term_kinds = []
         for term in self.terms:
-            gap = _hermiticity_gap(term.matrix)
-            if gap > HERMITICITY_TOL:
-                raise ValueError(f"non-Hermitian term on {sorted(term.support)} (gap {gap:.2e})")
+            key = _kind_key(term.matrix)
+            if key not in index:
+                matrix = np.array(term.matrix, dtype=complex)
+                gap = _hermiticity_gap(matrix)
+                if gap > HERMITICITY_TOL:
+                    raise ValueError(f"non-Hermitian term on {sorted(term.support)} (gap {gap:.2e})")
+                matrix.setflags(write=False)
+                index[key] = len(kinds)
+                kinds.append(matrix)
+            term_kinds.append(index[key])
+        object.__setattr__(self, "terms", tuple(
+            HamTerm(term.support, kinds[kind], term.norm)
+            for term, kind in zip(self.terms, term_kinds)))
+        object.__setattr__(self, "kinds", tuple(kinds))
+        object.__setattr__(self, "term_kinds", tuple(term_kinds))
 
     @property
     def max_norm(self) -> float:
@@ -259,32 +294,53 @@ class HamiltonianSpec:
         group of a multi-site term i, else 0.  ``shares[v]`` is
         (max(d_v, 1), ||h_v - tr(h_v)/2|| / max(d_v, 1)): a site on no
         multi-site term is one group of its own.
+
+        Centers are taken once per kind and radii once per distinct group.
+        A group's matrix is fixed by its term's kind and, for each of its
+        sites in order, the kinds of the single-site terms there and d_v,
+        so groups that agree on those share one ``_centered_radius``, and
+        sites whose single-site terms have the same kinds share one h_v
+        radius.
         """
         single: dict[int, np.ndarray] = {}
+        single_kinds: dict[int, tuple[int, ...]] = {}
         degree: Counter = Counter()
-        for term in self.terms:
+        for term, kind in zip(self.terms, self.term_kinds):
             if len(term.support) == 1:
                 (v,) = term.support
                 single[v] = single[v] + term.matrix if v in single else term.matrix
+                single_kinds[v] = single_kinds.get(v, ()) + (kind,)
             elif len(term.support) > 1:
                 degree.update(term.support)
-        centers, radii = [], []
-        for term in self.terms:
-            centers.append(float(np.trace(term.matrix).real) / len(term.matrix))
+        center_of = [float(np.trace(m).real) / len(m) for m in self.kinds]
+        group_radius: dict[tuple, float] = {}  # (kind, per site: its single kinds and d_v)
+        radii = []
+        for term, kind in zip(self.terms, self.term_kinds):
             if len(term.support) > 1:
                 sites = tuple(sorted(term.support))
-                group = term.matrix.copy()
-                for v in sites:
-                    if v in single:
-                        group += embed(single[v] / degree[v], (v,), sites)
-                radii.append(_centered_radius(group))
+                key = (kind, tuple((single_kinds.get(v), degree[v]) for v in sites))
+                if key not in group_radius:
+                    group = term.matrix.copy()
+                    for v in sites:
+                        if v in single:
+                            group += embed(single[v] / degree[v], (v,), sites)
+                    group_radius[key] = _centered_radius(group)
+                radii.append(group_radius[key])
             else:
                 radii.append(0.0)
+        site_radius: dict[tuple[int, ...], float] = {}  # single kinds on a site -> radius
         shares = {}
         for v, h in single.items():
+            if single_kinds[v] not in site_radius:
+                site_radius[single_kinds[v]] = _centered_radius(h)
             count = max(degree[v], 1)
-            shares[v] = (count, _centered_radius(h) / count)
-        return tuple(centers), tuple(radii), shares
+            shares[v] = (count, site_radius[single_kinds[v]] / count)
+        return tuple(center_of[kind] for kind in self.term_kinds), tuple(radii), shares
+
+    @cached_property
+    def flip_pieces(self) -> tuple[tuple[tuple[int, np.ndarray, bool], ...], ...]:
+        """Per kind, its ``_flip_pieces``: read once per kind for ``hamiltonian_matrix``."""
+        return tuple(_flip_pieces(matrix) for matrix in self.kinds)
 
     def coupling_degree(self) -> int:
         """Max vertex degree of the graph where u ~ v if a term contains both."""
@@ -306,7 +362,9 @@ def hamiltonian_matrix(
     Built in one pass over flip masks.  A term entry M[a, b] connects basis
     states x and x ^ mask, where mask is the bit flip a ^ b placed on the
     term's region bits.  So every term adds one value per row to a handful
-    of global masks.  Each mask has one contiguous row of 2^n values, and a
+    of global masks.  A term's nonzero flips and their values are read once
+    per kind (``HamiltonianSpec.flip_pieces``); per region only their masks
+    are placed.  Each mask has one contiguous row of 2^n values, and a
     term's 2^k values are added into it, in term order, by broadcasting
     over a (2^a, 2, 2^b, ...) view that gives each of the term's qubits an
     axis of its own, so no row is gathered through an index array.  One
@@ -316,7 +374,7 @@ def hamiltonian_matrix(
     dense array.
 
     The matrix is float64 when no term entry has an imaginary part (tfim,
-    heisenberg: Y (x) Y is real), decided from the term entries before the
+    heisenberg: Y (x) Y is real), decided from the flip pieces before the
     value block is allocated, so a real Hamiltonian takes 8 bytes per value
     and ``expm_multiply`` evolves it in real arithmetic; otherwise complex.
 
@@ -328,23 +386,23 @@ def hamiltonian_matrix(
     compacted copy.
     """
     region = tuple(sorted(region))
-    terms = H.terms_within(set(region))
+    inside = frozenset(region)
     n = len(region)
     dim = 1 << n
     position = {v: i for i, v in enumerate(region)}
     pieces = []  # (global mask, the term's value per local row, its sites' region positions)
-    for term in terms:
+    real = True
+    for term, kind in zip(H.terms, H.term_kinds):
+        if not term.support <= inside:
+            continue
         at = [position[v] for v in sorted(term.support)]
         k = len(at)
-        local = np.arange(1 << k)
-        for f in range(1 << k):
-            values = term.matrix[local, local ^ f]
-            if np.any(values):
-                mask = sum(1 << (n - 1 - p) for j, p in enumerate(at) if f >> (k - 1 - j) & 1)
-                pieces.append((mask, values, at))
+        for f, values, imaginary in H.flip_pieces[kind]:
+            mask = sum(1 << (n - 1 - p) for j, p in enumerate(at) if f >> (k - 1 - j) & 1)
+            pieces.append((mask, values, at))
+            real = real and not imaginary
     masks = sorted({mask for mask, _, _ in pieces})
     column = {mask: j for j, mask in enumerate(masks)}
-    real = not any(np.any(values.imag) for _, values, _ in pieces)
     dtype = np.float64 if real else complex
     entries = dim * len(masks)
     idx = np.int32 if entries < 2**31 else np.int64
@@ -373,6 +431,21 @@ def hamiltonian_matrix(
     out = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim))
     out.sort_indices()
     return out if sparse else out.toarray()
+
+
+def _flip_pieces(matrix: np.ndarray) -> tuple[tuple[int, np.ndarray, bool], ...]:
+    """(f, values, imaginary?) for each flip f of a term matrix M with a nonzero value.
+
+    ``values`` holds M[a, a ^ f] for every local row a, and ``imaginary``
+    says whether any of them has an imaginary part.
+    """
+    local = np.arange(len(matrix))
+    out = []
+    for f in range(len(matrix)):
+        values = matrix[local, local ^ f]
+        if np.any(values):
+            out.append((f, values, bool(np.any(values.imag))))
+    return tuple(out)
 
 
 def _add_on_qubits(row: np.ndarray, values: np.ndarray, positions: list[int], n: int):
@@ -635,39 +708,39 @@ def build_named_hamiltonian(name: str, g: FactorGraph, params: dict | None = Non
     """Construct one of the bundled model Hamiltonians on a factor graph.
 
     Models: "tfim" (J, g), "heisenberg" (Jx, Jy, Jz), "random2local"
-    (seed, scale), "quasilocal" (h, kappa, s_max, seed).  Terms with zero
-    norm are pruned.
+    (seed, scale), "quasilocal" (h, kappa, s_max, seed).  Each distinct
+    term matrix is built once and its norm taken once (``_terms``).  Terms
+    with zero norm are pruned.
     """
     params = dict(params or {})
     pair_factors = [X for X in g.factors if len(X) == 2]
-    terms: list[HamTerm] = []
+    envelope = None
     if name == "tfim":
         J = float(params.pop("J", 1.0))
         gx = float(params.pop("g", 0.0))
-        for X in pair_factors:
-            terms.append(_term(X, -J * kron_all([PAULI["Z"], PAULI["Z"]])))
-        for v in g.vertices:
-            terms.append(_term(frozenset((v,)), -gx * PAULI["X"]))
+        zz = -J * kron_all([PAULI["Z"], PAULI["Z"]])
+        x = -gx * PAULI["X"]
+        pairs = [(X, zz) for X in pair_factors] + [((v,), x) for v in g.vertices]
     elif name == "heisenberg":
         Jx = float(params.pop("Jx", 1.0))
         Jy = float(params.pop("Jy", 1.0))
         Jz = float(params.pop("Jz", 1.0))
-        for X in pair_factors:
-            mat = (
-                Jx * kron_all([PAULI["X"], PAULI["X"]])
-                + Jy * kron_all([PAULI["Y"], PAULI["Y"]])
-                + Jz * kron_all([PAULI["Z"], PAULI["Z"]])
-            )
-            terms.append(_term(X, mat))
+        mat = (
+            Jx * kron_all([PAULI["X"], PAULI["X"]])
+            + Jy * kron_all([PAULI["Y"], PAULI["Y"]])
+            + Jz * kron_all([PAULI["Z"], PAULI["Z"]])
+        )
+        pairs = [(X, mat) for X in pair_factors]
     elif name == "random2local":
         seed = int(params.pop("seed", 0))
         scale = float(params.pop("scale", 1.0))
         rng = np.random.default_rng(seed)
+        pairs = []
         for X in pair_factors:
             G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             M = G + G.conj().T
             M *= scale * rng.uniform(0.5, 1.0) / np.linalg.norm(M, 2)
-            terms.append(_term(X, M))
+            pairs.append((X, M))
     elif name == "quasilocal":
         h = float(params.pop("h", 1.0))
         kappa = float(params.pop("kappa", 2.0))
@@ -675,6 +748,7 @@ def build_named_hamiltonian(name: str, g: FactorGraph, params: dict | None = Non
         seed = int(params.pop("seed", 0))
         rng = np.random.default_rng(seed)
         adj = g.vertex_adjacency()
+        pairs = []
         for size in range(1, s_max + 1):
             subsets: set[tuple[int, ...]] = set()
             for root in g.vertices:
@@ -684,22 +758,30 @@ def build_named_hamiltonian(name: str, g: FactorGraph, params: dict | None = Non
             for sub in sorted(subsets):
                 letters = "".join(rng.choice(["X", "Y", "Z"]) for _ in sub)
                 base = pauli_operator(letters, sub)
-                terms.append(_term(frozenset(sub), h * math.exp(-kappa * size) * base.matrix))
-        if params:
-            raise ConfigError(f"unknown parameters {sorted(params)} for model {name!r}")
-        terms = [t for t in terms if t.norm > 1e-15]
-        return HamiltonianSpec(tuple(terms), envelope=(h, kappa), graph=g)
+                pairs.append((sub, h * math.exp(-kappa * size) * base.matrix))
+        envelope = (h, kappa)
     else:
         raise ConfigError(f"unknown model {name!r}")
     if params:
         raise ConfigError(f"unknown parameters {sorted(params)} for model {name!r}")
-    terms = [t for t in terms if t.norm > 1e-15]
-    return HamiltonianSpec(tuple(terms), graph=g)
+    return HamiltonianSpec(_terms(pairs), envelope=envelope, graph=g)
 
 
-def _term(support: frozenset[int], matrix: np.ndarray) -> HamTerm:
-    return HamTerm(frozenset(support), np.asarray(matrix, dtype=complex),
-                   float(np.linalg.norm(matrix, 2)))
+def _terms(pairs) -> tuple[HamTerm, ...]:
+    """The terms of (support, matrix) pairs with a nonzero norm.
+
+    The norm, ``np.linalg.norm(matrix, 2)`` (an SVD), is taken once per
+    distinct matrix, keyed as ``HamiltonianSpec`` keys its kinds.
+    """
+    norms: dict[tuple, float] = {}
+    out = []
+    for support, matrix in pairs:
+        key = _kind_key(matrix)
+        if key not in norms:
+            norms[key] = float(np.linalg.norm(matrix, 2))
+        if norms[key] > 1e-15:
+            out.append(HamTerm(frozenset(support), matrix, norms[key]))
+    return tuple(out)
 
 
 def time_grid(t) -> tuple[list[float], bool]:
@@ -720,8 +802,9 @@ def shift_and_radius(H: HamiltonianSpec, region) -> tuple[float, float]:
     ``HamiltonianSpec.spectral_groups``, a bound by the triangle inequality:
     each multi-site term inside the region is a group with its sites'
     shares, and a site's share for a multi-site term outside the region is
-    a group of its own.  The group radii are taken once per Hamiltonian, so
-    a region costs one pass over its terms and no pass over the matrix.
+    a group of its own.  The group radii are taken once per distinct group
+    of the Hamiltonian, so a region costs one pass over its terms and no
+    pass over the matrix.
     """
     region = frozenset(region)
     centers, radii, shares = H.spectral_groups

@@ -50,6 +50,7 @@ from .operators import (
     HamiltonianSpec,
     LocalOperator,
     embed,
+    exact_bytes,
     exact_expectation,
     heisenberg_evolve,
     time_grid,
@@ -162,7 +163,10 @@ class ComponentClasses:
     first, moved to LocalOperator(phi(T.support), T.matrix), is a term of
     the second, with multiplicity; the state's vector at v is the one at
     phi(v); and LocalOperator(phi(A.support), A.matrix) is A.  Equal means equal bytes
-    once the sign of zero is cleared, so entry for entry with no tolerance.
+    once the sign of zero is cleared (``exact_bytes``), so entry for entry with no
+    tolerance.  Term matrices come as H's kinds (``HamiltonianSpec.term_kinds``), so
+    the view from each factor is taken once per kind, and a moved term's reordered
+    bytes once per kind and factor order.
     H, state and A on the first are then H, state and A on the second,
     relabeled, so <A(t)> is the same.
 
@@ -179,7 +183,7 @@ class ComponentClasses:
     def __init__(self, H: HamiltonianSpec, A: LocalOperator, state):
         self.H, self.A, self.state = H, A, state
         self._ids: dict = {}  # signature -> colour, one table for every component
-        # terms with equal matrices share a kind, and with it their views and reorderings
+        # terms of one kind of H share their views and reorderings
         self._term_data: dict[int, tuple] = {}  # term index -> ``_term``
         self._views: dict[int, list[int]] = {}  # kind -> colour of the view from each factor
         self._reorders: dict[tuple[int, tuple], bytes] = {}  # (kind, factor order) -> bytes
@@ -211,17 +215,16 @@ class ComponentClasses:
 
     def _vector(self, v: int) -> bytes:
         if v not in self._vectors:
-            self._vectors[v] = _exact_bytes(self.state.vector_at(v))
+            self._vectors[v] = exact_bytes(self.state.vector_at(v))
         return self._vectors[v]
 
     def _term(self, i: int) -> tuple:
         """(sorted support, kind, [(site, view from it, other sites)]) of term i."""
         if i not in self._term_data:
-            matrix = self.H.terms[i].matrix
             support = tuple(sorted(self.H.terms[i].support))
-            kind = self._id((matrix.shape, _exact_bytes(matrix)))
+            kind = self.H.term_kinds[i]
             if kind not in self._views:
-                self._views[kind] = [self._id(view) for view in _views(matrix)]
+                self._views[kind] = [self._id(view) for view in _views(self.H.kinds[kind])]
             incidences = [(v, view, support[:p] + support[p + 1:])
                           for p, (v, view) in enumerate(zip(support, self._views[kind]))]
             self._term_data[i] = (support, kind, incidences)
@@ -314,18 +317,13 @@ class ComponentClasses:
             return False
         moved = LocalOperator(tuple(phi[v] for v in self.A.support), self.A.matrix)
         return (moved.support == self.A.support
-                and _exact_bytes(moved.matrix) == _exact_bytes(self.A.matrix))
-
-
-def _exact_bytes(array: np.ndarray) -> bytes:
-    """The entries as complex bytes, the sign of zero cleared: equal bytes, equal entries."""
-    return (np.asarray(array, dtype=complex) + 0.0).tobytes()
+                and exact_bytes(moved.matrix) == exact_bytes(self.A.matrix))
 
 
 def _reordered(matrix: np.ndarray, order) -> bytes:
-    """``_exact_bytes`` of ``matrix`` with its kron factors reordered: factor order[j] at j."""
+    """``exact_bytes`` of ``matrix`` with its kron factors reordered: factor order[j] at j."""
     ranks = tuple(sorted(range(len(order)), key=order.__getitem__))  # factor f goes to ranks[f]
-    return _exact_bytes(LocalOperator(ranks, matrix).matrix)
+    return exact_bytes(LocalOperator(ranks, matrix).matrix)
 
 
 def _views(matrix: np.ndarray) -> list[tuple]:
@@ -338,7 +336,7 @@ def _views(matrix: np.ndarray) -> list[tuple]:
     """
     k = len(matrix).bit_length() - 1
     if k > 4:
-        return [(k, _exact_bytes(np.sort(np.asarray(matrix, dtype=complex) + 0.0, axis=None)))] * k
+        return [(k, exact_bytes(np.sort(np.asarray(matrix, dtype=complex) + 0.0, axis=None)))] * k
     return [(k, min(_reordered(matrix, (i, *order))
                     for order in itertools.permutations([j for j in range(k) if j != i])))
             for i in range(k)]

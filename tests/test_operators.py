@@ -591,6 +591,142 @@ def test_shift_and_radius_takes_eigenvalues_once_per_hamiltonian(monkeypatch):
     assert operators.shift_and_radius(H, (0, 1, 3, 4)) == first
     assert len(calls) == taken
 
+    # and once per distinct matrix: the norm SVDs, the group radii and the flip pieces
+    svds, flips = [], []
+    norm_of, flips_of = np.linalg.norm, operators._flip_pieces
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            svds.append(operators.exact_bytes(x))
+        return norm_of(x, ord, *args, **kwargs)
+
+    def counting_flips(matrix):
+        flips.append(matrix)
+        return flips_of(matrix)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(operators, "_flip_pieces", counting_flips)
+    for name, side, params in (("tfim", 6, {"J": 1.0, "g": 1.05}),
+                               ("random2local", 3, {"seed": 4})):
+        for log in (svds, calls, flips):
+            log.clear()
+        grid = build_square_lattice(2, side)
+        H = build_named_hamiltonian(name, grid, params)
+        # random2local also takes one SVD per term to scale its draw, of a matrix no term has
+        kinds = {operators.exact_bytes(m) for m in H.kinds}
+        assert len([x for x in svds if x in kinds]) == len(H.kinds)
+        # a group is fixed by its term's kind and, per site, the site's single-site kinds
+        # and its count of multi-site terms; a lone site by its single-site kinds
+        single, degree = {}, {}
+        for term, kind in zip(H.terms, H.term_kinds):
+            for v in term.support:
+                if len(term.support) == 1:
+                    single[v] = single.get(v, ()) + (kind,)
+                else:
+                    degree[v] = degree.get(v, 0) + 1
+        groups = {(kind, tuple((single.get(v), degree[v]) for v in sorted(term.support)))
+                  for term, kind in zip(H.terms, H.term_kinds) if len(term.support) > 1}
+        operators.shift_and_radius(H, tuple(grid.vertices))
+        assert len(calls) == len(groups) + len(set(single.values()))
+        for region in (tuple(range(2 * side)), (0, 1, side, side + 1), tuple(range(side))):
+            hamiltonian_matrix(H, region, sparse=True)
+        assert len(flips) == len(H.kinds)
+        if name == "tfim":  # bonds by the degrees of their two sites, and one X
+            assert (len(H.terms), len(H.kinds), len(groups), len(calls)) == (96, 2, 6, 7)
+        else:  # nothing is wrongly merged
+            assert len(H.kinds) == len(groups) == len(calls) == len(H.terms) == 12
+
+
+def test_distinct_kinds_share_one_read_only_matrix():
+    H = build_named_hamiltonian("tfim", build_square_lattice(2, 6), {"J": 1.0, "g": 1.05})
+    assert len(H.kinds) == 2
+    for term, kind in zip(H.terms, H.term_kinds):
+        assert term.matrix is H.kinds[kind]
+    for matrix in H.kinds:
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        H.terms[0].matrix[0, 0] += 1.0
+
+
+def test_distinct_kinds_clear_the_sign_of_zero_only():
+    z = PAULI["Z"].copy()
+    signed = z.copy()
+    signed[0, 1] = complex(-0.0, -0.0)  # equal entries, other bytes
+    ulp = z.copy()
+    ulp[0, 0] = np.nextafter(1.0, 2.0)  # one ulp apart
+    terms = tuple(HamTerm(frozenset((v,)), m, 1.0) for v, m in enumerate((z, signed, ulp, z)))
+    H = HamiltonianSpec(terms)
+    assert H.term_kinds == (0, 0, 1, 0)
+    assert len(H.kinds) == 2
+    assert H.terms[1].matrix is H.terms[0].matrix
+    assert np.array_equal(H.kinds[1], ulp) and not np.array_equal(H.kinds[0], ulp)
+    # the kinds are copies: the caller's arrays stay writable, and edits to them stay out
+    z[1, 1] = 7.0
+    assert H.kinds[0][1, 1] == -1.0 and z.flags.writeable
+    assert [t.norm for t in H.terms] == [1.0] * 4
+
+
+def _reference_spectral_groups(H):
+    """``spectral_groups`` term by term: one embed and eigvalsh per multi-site term."""
+    single, degree = {}, {}
+    for term in H.terms:
+        if len(term.support) == 1:
+            (v,) = term.support
+            single[v] = single[v] + term.matrix if v in single else term.matrix
+        elif len(term.support) > 1:
+            for v in term.support:
+                degree[v] = degree.get(v, 0) + 1
+
+    def radius(h):
+        w = np.linalg.eigvalsh(h)
+        center = float(np.trace(h).real) / len(h)
+        return float(max(w[-1] - center, center - w[0]))
+
+    centers, radii = [], []
+    for term in H.terms:
+        centers.append(float(np.trace(term.matrix).real) / len(term.matrix))
+        if len(term.support) > 1:
+            sites = tuple(sorted(term.support))
+            group = term.matrix.copy()
+            for v in sites:
+                if v in single:
+                    group += embed(single[v] / degree[v], (v,), sites)
+            radii.append(radius(group))
+        else:
+            radii.append(0.0)
+    shares = {}
+    for v, h in single.items():
+        count = max(degree.get(v, 0), 1)
+        shares[v] = (count, radius(h) / count)
+    return tuple(centers), tuple(radii), shares
+
+
+def test_distinct_kinds_keep_norms_groups_and_assembly_bits():
+    models = [("tfim", {"J": 1.0, "g": 0.7}), ("heisenberg", {"Jz": 0.5}),
+              ("random2local", {"seed": 4}), ("quasilocal", {"s_max": 3, "seed": 1})]
+    for g in (build_square_lattice(2, 3), build_square_lattice(1, 6)):
+        vertices = tuple(g.vertices)
+        for name, params in models:
+            H = build_named_hamiltonian(name, g, params)
+            assert [t.norm for t in H.terms] == [
+                float(np.linalg.norm(t.matrix, 2)) for t in H.terms], name
+            assert H.spectral_groups == _reference_spectral_groups(H), name
+            for region in (vertices, vertices[1:5], vertices[::2]):
+                terms = H.terms_within(set(region))
+                reference = np.zeros((2 ** len(region),) * 2, dtype=complex)
+                for term in terms:  # one embedded term at a time, in term order
+                    reference += embed(term.matrix, tuple(sorted(term.support)), region)
+                if not any(np.any(t.matrix.imag) for t in terms):
+                    reference = reference.real
+                want = sp.csr_matrix(reference)
+                got = hamiltonian_matrix(H, region, sparse=True)
+                assert got.dtype == want.dtype, (name, region)
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, part), getattr(want, part)), (
+                        name, region, part)
+
 
 def test_shift_and_radius_lowers_the_l18_degree():
     # tfim, J = 1, g = 1.05 on the open 18-site chain: the CSR 1-norm is
