@@ -60,6 +60,7 @@ from .ssb import (
     disorder_bound_compare,
     ghz_splitting,
     nested_identity_check,
+    parity_sectors,
     rk_disorder_parameter,
     square_region,
     symmetric_unitary,

@@ -1,6 +1,12 @@
 """Symmetry-breaking diagnostics: nested-commutator identity, GHZ splitting,
 and the disorder parameter of Ising-weighted (RK) wavefunctions.
 
+The GHZ splitting of the open transverse-field Ising chain is its lowest
+free-fermion energy, twice the smallest singular value of an L x L
+bidiagonal matrix (``ghz_splitting``); no 2^L matrix is built.
+``parity_sectors`` splits any flip-symmetric matrix into its even and odd
+blocks, the dense reference the tests hold that closed form to.
+
 The disorder parameter of the RK state reduces to a classical observable.
 Writing the state in the Z basis, psi(s) = exp(beta*E(s)/2)/sqrt(Z) with
 E(s) = sum over bonds of s_i s_j and Z = sum_s exp(beta*E(s)).  Flipping
@@ -22,17 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ValidityWindowError
-from .lattice import FactorGraph, build_square_lattice
+from .lattice import FactorGraph
 from .operators import (
     DEFAULT_QUBIT_CAP,
     HamiltonianSpec,
     LocalOperator,
     PAULI,
     apply_local,
-    build_named_hamiltonian,
     commutator,
     evolution_unitary,
-    hamiltonian_matrix,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -159,27 +163,30 @@ def parity_sectors(H_mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ghz_splitting(hamiltonian: str, L: int, g: float, J: float = 1.0) -> float:
-    """Energy splitting between the lowest levels of the even and odd flip sectors.
+    """|E_even - E_odd|: the gap between the lowest levels of the two flip sectors.
 
-    ``hamiltonian`` names the model; only "tfim", the open chain of L
-    sites, is supported.
+    ``hamiltonian`` names the model; only "tfim", H = -J sum Z_i Z_{i+1}
+    - g sum X_i on the open chain of L sites, is supported.  The chain is
+    free fermions (Pfeuty 1970), so the splitting is read off exactly:
+
+    - Jordan-Wigner maps the flip prod X_i to the fermion parity;
+    - H = sum_k eps_k (eta_k^dag eta_k - 1/2) with eps_k = 2 sigma_k(M), M the
+      L x L upper-bidiagonal matrix with g on the diagonal and J above it;
+    - any one-quasiparticle state flips the parity;
+    - so |E_even - E_odd| = eps_min = 2 sigma_min(M).
+
+    The singular values of a bidiagonal matrix carry a small relative error,
+    so the splitting stays accurate far below the absolute rounding floor of
+    a dense diagonalization of the 2^{L-1} sectors (9% off at L = 13, g = 0.1).
     """
     if hamiltonian != "tfim":
         raise ValueError(f"unknown Hamiltonian {hamiltonian!r}")
+    if L < 1:
+        raise ValueError(f"chain of {L} sites: need L >= 1")
     if L > DEFAULT_QUBIT_CAP:
         raise CapExceededError(f"chain of {L} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
-    if L == 1:
-        H_mat = -g * PAULI["X"].real
-    else:
-        spec = build_named_hamiltonian("tfim", build_square_lattice(1, L), {"J": J, "g": g})
-        H_sp = hamiltonian_matrix(spec, tuple(range(L)), sparse=True)
-        if np.iscomplexobj(H_sp):
-            raise ValueError("tfim chain Hamiltonian is not real")
-        H_mat = H_sp.toarray()  # real sectors diagonalize several times faster
-    H_even, H_odd = parity_sectors(H_mat, L)
-    e0 = np.linalg.eigvalsh(H_even)[0]
-    o0 = np.linalg.eigvalsh(H_odd)[0]
-    return float(abs(e0 - o0))
+    M = np.diag(np.full(L, float(g))) + np.diag(np.full(L - 1, float(J)), 1)
+    return float(2 * np.linalg.svd(M, compute_uv=False).min())
 
 
 def rk_disorder_parameter(state: RKState, region: DisorderRegion, method: str = "auto") -> float:
@@ -203,28 +210,33 @@ def rk_disorder_parameter(state: RKState, region: DisorderRegion, method: str = 
     raise ValueError(f"unknown method {method!r}")
 
 
-def _spin_table(n: int) -> np.ndarray:
-    """(2^n, n) array of +-1 spins, vertex v mapped to bit n-1-v."""
-    codes = np.arange(2**n, dtype=np.int64)
-    bits = (codes[:, None] >> (n - 1 - np.arange(n))) & 1
-    return 1 - 2 * bits
-
-
 def _rk_enumerate(state: RKState, region: DisorderRegion) -> float:
-    g = state.graph
-    n = len(g.vertices)
-    spins = _spin_table(n)
+    """Sum over the 2^n configuration indices x, vertex v read from bit n-1-v.
+
+    Each bond's s_u s_v = 1 - 2 * (bit_u xor bit_v) is taken from x itself,
+    one bond at a time, so no 2^n x n spin table is built.
+    """
+    n = len(state.graph.vertices)
+    codes = np.arange(2**n, dtype=np.int64)
     energy = np.zeros(2**n)
     crossing = np.zeros(2**n)
     for (u, v) in state.bonds:
-        prod = spins[:, u] * spins[:, v]
+        prod = codes >> (n - 1 - u)
+        prod ^= codes >> (n - 1 - v)
+        prod &= 1
+        prod *= -2
+        prod += 1
         energy += prod
         if (u in region.vertices) != (v in region.vertices):
             crossing += prod
-    logw = state.beta * energy
-    logw -= logw.max()
-    w = np.exp(logw)
-    return float(np.sum(w * np.exp(-state.beta * crossing)) / np.sum(w))
+    # the weights and the summand reuse the two vectors: no further 2^n arrays
+    energy *= state.beta
+    energy -= energy.max()
+    np.exp(energy, out=energy)
+    crossing *= -state.beta
+    np.exp(crossing, out=crossing)
+    crossing *= energy
+    return float(np.sum(crossing) / np.sum(energy))
 
 
 def _rk_transfer(state: RKState, region: DisorderRegion) -> float:

@@ -1,6 +1,7 @@
 """Symmetry-breaking diagnostics: identity, splitting, disorder parameter."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from opgrowth.lattice import build_square_lattice
 from opgrowth.operators import build_named_hamiltonian, pauli_operator
 from opgrowth.ssb import (
     DisorderRegion,
+    RK_ENUM_CAP,
     RKState,
-    _spin_table,
     disorder_bound_compare,
     ghz_splitting,
     nested_identity_check,
@@ -25,6 +26,13 @@ from opgrowth.ssb import (
 )
 
 RING12 = build_square_lattice(1, 12, periodic=True)
+
+
+def _spin_table(n: int) -> np.ndarray:
+    """(2^n, n) array of +-1 spins, vertex v mapped to bit n-1-v."""
+    codes = np.arange(2**n, dtype=np.int64)
+    bits = (codes[:, None] >> (n - 1 - np.arange(n))) & 1
+    return 1 - 2 * bits
 
 
 def _rk_direct(state: RKState, region: DisorderRegion) -> float:
@@ -210,6 +218,42 @@ def test_ghz_splitting_examples():
     assert ghz_splitting("tfim", 6, 0.1) == pytest.approx(1.9799999924074996e-06, rel=1e-6)
 
 
+def _sector_splitting(L, g, J):
+    """|E_even - E_odd| by dense diagonalization of the two real parity sectors."""
+    from opgrowth.operators import PAULI, hamiltonian_matrix
+
+    if L == 1:
+        H_mat = -g * PAULI["X"].real
+    else:
+        spec = build_named_hamiltonian("tfim", build_square_lattice(1, L), {"J": J, "g": g})
+        H_mat = hamiltonian_matrix(spec, tuple(range(L)), sparse=True).toarray().real
+    H_even, H_odd = parity_sectors(H_mat, L)
+    return abs(np.linalg.eigvalsh(H_even)[0] - np.linalg.eigvalsh(H_odd)[0])
+
+
+@pytest.mark.parametrize("g, J", [(0.1, 1), (0.3, -1), (1, 1), (1.5, 1), (-0.4, 0.8),
+                                  (0, 1), (0.7, 0)])
+def test_ghz_splitting_matches_sector_diagonalization(g, J):
+    for L in range(1, 11):
+        assert ghz_splitting("tfim", L, g, J) == pytest.approx(_sector_splitting(L, g, J), abs=1e-12)
+
+
+def test_ghz_splitting_below_diagonalization_floor():
+    # 2(1 - g^2) g^L is the lowest quasiparticle energy up to O(g^{2L}) relative;
+    # dense diagonalization already misses it by 9% at L = 13
+    g = 0.1
+    for L in (12, 13, 14):
+        for J in (1.0, -1.0):
+            want = 2 * (1 - g**2) * g**L
+            assert ghz_splitting("tfim", L, g, J) == pytest.approx(want, rel=1e-9)
+
+
+def test_ghz_splitting_rejects_empty_chain():
+    for L in (0, -2):
+        with pytest.raises(ValueError, match="need L >= 1"):
+            ghz_splitting("tfim", L, 0.1)
+
+
 def test_ghz_splitting_exponential_in_length():
     deltas = {L: ghz_splitting("tfim", L, 0.1) for L in range(4, 11)}
     fit = fit_summary(list(deltas), np.log(list(deltas.values())))
@@ -234,6 +278,21 @@ def test_rk_evaluators_agree():
         c = _rk_direct(state, region)
         assert a == pytest.approx(b, abs=1e-12)
         assert a == pytest.approx(c, abs=1e-12)
+
+
+def test_rk_enumeration_on_the_cap_ring_without_spin_table():
+    # the enumeration holds a few 2^n vectors, never a 2^n x n spin table
+    ring = build_square_lattice(1, RK_ENUM_CAP, periodic=True)
+    state = RKState(0.5, ring)
+    region = DisorderRegion.from_graph(ring, range(7))
+    tracemalloc.start()
+    try:
+        value = rk_disorder_parameter(state, region, method="enumerate")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(rk_disorder_parameter(state, region, method="transfer"), abs=1e-12)
+    assert peak < 8 * 8 * 2**RK_ENUM_CAP
 
 
 def test_rk_fixture_value():
