@@ -545,15 +545,19 @@ def _cmd_ssb(config: dict, out_dir: str):
     for kind, experiment in _entries(config, "experiments", "kind", _EXPERIMENT_KEYS, "experiment"):
         if kind == "rk":
             graph = _build_lattice(experiment["lattice"])
+            regions = [(size, _ssb_region(graph, experiment.get("region", "interval"), size))
+                       for size in (_integer(s, "rk size") for s in experiment.get("sizes", [1]))]
             for beta in _grid(experiment.get("beta", [0.5])):
                 state = RKState(beta=beta, graph=graph)
-                for size in (_integer(s, "rk size") for s in experiment.get("sizes", [1])):
-                    region = _ssb_region(graph, experiment.get("region", "interval"), size)
+                for size, region in regions:
                     value = rk_disorder_parameter(state, region)
                     rk_rows.append([beta, size, region.boundary_bonds, value])
         elif kind == "ghz":
             g_val = _number(experiment.get("g", 0.1), "ghz g")
-            for L in (_integer(x, "ghz L") for x in experiment.get("L", [4, 6, 8])):
+            chains = [_integer(x, "ghz L") for x in experiment.get("L", [4, 6, 8])]
+            if any(L < 1 for L in chains):
+                raise ConfigError(f"ghz L must be >= 1, got {chains}")
+            for L in chains:
                 ghz_rows.append([L, g_val, ghz_splitting("tfim", L, g_val)])
         else:  # compare
             params = _bound_params(experiment.get("params"))
@@ -608,11 +612,15 @@ def _ssb_fits(rk_rows, ghz_rows) -> dict:
 
 
 def _ssb_region(graph, kind: str, size: int) -> DisorderRegion:
+    """The region of ``size`` sites (interval) or side (square) at the origin; it must fit."""
+    if kind not in ("interval", "square"):
+        raise ConfigError(f"unknown region kind {kind!r}")
+    room = len(graph.vertices) if kind == "interval" else graph.side
+    if not 1 <= size <= room:
+        raise ConfigError(f"rk {kind} size {size} must be in 1..{room} on this lattice")
     if kind == "interval":
-        return DisorderRegion.from_graph(graph, range(int(size)))
-    if kind == "square":
-        return square_region(graph, (0,) * graph.dimension, int(size))
-    raise ConfigError(f"unknown region kind {kind!r}")
+        return DisorderRegion.from_graph(graph, range(size))
+    return square_region(graph, (0,) * graph.dimension, size)
 
 
 def _cmd_verify(config: dict, out_dir: str):

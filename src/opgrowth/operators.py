@@ -12,8 +12,10 @@ array.  ``commutator`` takes [M, C] for a few-qubit M by
 applying M on its own qubits, never embedded.  ``operator_norm`` takes the
 largest eigenvalue of a Gram matrix, never an SVD.  A Hamiltonian without
 imaginary entries is assembled and evolved in real arithmetic; real vectors
-stay real under it.  Only ``ssb.symmetric_unitary`` still diagonalizes a
-region Hamiltonian (``evolution_unitary``).  These routines are the oracle
+stay real under it.  A large product has its rows split across the CPUs
+the process may run on, with the same bits at any count.  Only
+``ssb.symmetric_unitary`` still diagonalizes a region Hamiltonian
+(``evolution_unitary``).  These routines are the oracle
 the closed-form bounds and the cluster simulator are checked against, so
 clarity beats cleverness.
 
@@ -25,9 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -884,7 +888,15 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
     degree is one product of the unscaled CSR with a vector; the shift and
     the scale act on the vector, so no matrix is copied.  A point's sum
     stops at the degree ``_chebyshev_degree`` gives for it, and the
-    recurrence at the largest of them.
+    recurrence at the largest of them.  The degrees and coefficients are
+    taken once per segment of the grid (below) and serve all its chunks.
+
+    A large product (stored entries times operand columns at least
+    SPLIT_GRAIN) has its rows split into one contiguous block per CPU the
+    process may run on, each block's step run on its own thread
+    (``_chebyshev_evolve``).  Every row and every entry is computed by the
+    same operations in the same order as unsplit, so the result has the
+    same bits for any number of CPUs.
 
     ``psi`` is a vector or a dim x M block of columns, each evolved alike;
     a vector is the block's one-column case.  ``times`` is a time, giving
@@ -894,11 +906,10 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
 
     Memory is bounded by the CSR arrays: as many complex vectors as fit in
     their bytes are accumulated at once.  A block's columns are evolved in
-    chunks of at most that many, which is also the width at which a
-    product runs fastest.  When one chunk's accumulators for the whole grid
-    would not fit, the sorted distinct times are split into segments of as
-    many as fit, each restarting from the previous segment's last state;
-    with ``observe``, one segment's vectors are alive at a time.
+    chunks of at most that many.  When one chunk's accumulators for the
+    whole grid would not fit, the sorted distinct times are split into
+    segments of as many as fit, each restarting from the previous segment's
+    last state; with ``observe``, one segment's vectors are alive at a time.
     """
     times, scalar = time_grid(times)
     distinct = sorted(set(times))
@@ -914,16 +925,20 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
     for first in range(0, len(distinct), per_segment):
         segment = distinct[first:first + per_segment]
         steps = [t - now for t in segment]
+        degrees = [_chebyshev_degree(radius * s) for s in steps]
+        coefs = [_chebyshev_coefficients(radius * s, K) * np.exp(-1j * mu * s)
+                 for s, K in zip(steps, degrees)]
         if chunks == 1:  # the accumulators are the results
             vectors = _chebyshev_evolve(H_sp, np.ascontiguousarray(start, dtype=complex),
-                                        steps, mu, radius)
+                                        degrees, coefs, mu, radius)
         else:
             vectors = [np.empty((dim, columns), dtype=complex) for _ in segment]
             for j in range(0, columns, width):
                 chunk = np.ascontiguousarray(start[:, j:j + width], dtype=complex)
-                for vec, part in zip(vectors, _chebyshev_evolve(H_sp, chunk, steps, mu, radius)):
+                evolved = _chebyshev_evolve(H_sp, chunk, degrees, coefs, mu, radius)
+                for vec, part in zip(vectors, evolved):
                     vec[:, j:j + width] = part
-                del chunk, part
+                del chunk, evolved, part
         start, now = vectors[-1], segment[-1]
         for t, vec in zip(segment, vectors):
             found[t] = observe(vec) if observe else vec
@@ -932,9 +947,15 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
     return out[0] if scalar else out
 
 
-def _chebyshev_evolve(H_sp, psi: np.ndarray, steps: list[float], mu: float,
-                      radius: float) -> list[np.ndarray]:
-    """exp(-i s H) psi for each s of ``steps``: the recurrence of ``expm_multiply``.
+# Stored entries x operand columns from which a product's rows are split.  A
+# thread round trip costs 60-80 us; the split measured slower below 2^19 and
+# about 0.8x the unsplit time at 2^20 on 2 CPUs.
+SPLIT_GRAIN = 1 << 20
+
+
+def _chebyshev_evolve(H_sp, psi: np.ndarray, degrees: list[int], coefs: list[np.ndarray],
+                      mu: float, radius: float) -> list[np.ndarray]:
+    """sum_k coef[k] T_k(G) psi up to each grid point's degree: ``expm_multiply``'s recurrence.
 
     ``psi`` is a complex vector or dim x w block.  The vectors T_k(G) psi
     are kept in the matrix's arithmetic.  Under a real H, a real psi gives
@@ -945,45 +966,147 @@ def _chebyshev_evolve(H_sp, psi: np.ndarray, steps: list[float], mu: float,
     real vectors, the coefficient (-i)^k J_k is real for even k and
     imaginary for odd k, so each degree adds one real multiple of T_k(G) psi
     into the real or the imaginary part of each accumulator.
+
+    Each degree's step is row-local once its product is taken: rows r0:r1
+    of T_k need rows r0:r1 of H times all of T_{k-1}, and the same rows of
+    T_{k-1}, T_{k-2} and the accumulators.  So when H_sp's stored entries
+    times the operand's columns reach SPLIT_GRAIN, the rows are split into
+    ``_workers()`` contiguous blocks (``_row_blocks``, over views of H_sp's
+    entries), and each block's product, shift, scale, subtraction and
+    accumulation run as one task of ``_each``.  scipy's sparse product and
+    numpy's ufuncs release the GIL, so the blocks run at once.  Below the
+    grain the one block is H_sp, run inline on the whole arrays.  A row's
+    sum keeps its order and every other step is per entry, so the bits do
+    not depend on the split.  T_k is written into T_{k-2}'s buffer once
+    that is the recurrence's own, not psi, so a call allocates at most two
+    vectors besides scipy's products.
     """
-    degrees = [_chebyshev_degree(radius * s) for s in steps]
-    coefs = [_chebyshev_coefficients(radius * s, K) * np.exp(-1j * mu * s)
-             for s, K in zip(steps, degrees)]
     sums = [c[0] * psi for c in coefs]
+    own = False  # whether T_0 is the recurrence's copy, free for T_2, or psi itself
     if np.iscomplexobj(H_sp):
         cur = psi
     elif np.any(psi.imag):
         cur = psi.view(np.float64).reshape(len(psi), -1)
     else:
-        cur = np.ascontiguousarray(psi.real)
+        cur, own = np.ascontiguousarray(psi.real), True
     paired = cur.shape != psi.shape
-    split = not mu and not paired and cur.dtype == np.float64
-    prev = None
-    scratch = np.empty_like(psi)
-    work = scratch.reshape(-1).view(cur.dtype)[:cur.size].reshape(cur.shape)  # scratch's bytes
-    for k in range(1, max(degrees) + 1):
-        nxt = H_sp @ cur  # T_k = 2 G T_{k-1} - T_{k-2}, and T_1 = G T_0
+    halved = not mu and not paired and cur.dtype == np.float64
+    columns = cur.shape[1] if cur.ndim == 2 else 1
+    parts = _workers() if H_sp.nnz * columns >= SPLIT_GRAIN else 1
+    bounds = [len(psi) * b // parts for b in range(parts + 1)]
+    blocks = _row_blocks(H_sp, bounds)
+
+    def rows(array):  # the array's row blocks; unsplit, the array itself
+        return [array] if parts == 1 else [array[r0:r1] for r0, r1 in zip(bounds, bounds[1:])]
+
+    def vector(array):  # a vector of the recurrence: whole, its row blocks, their complex view
+        blocks_of = rows(array)
+        if paired:
+            return array, blocks_of, [r.view(complex).reshape((len(r),) + psi.shape[1:])
+                                      for r in blocks_of]
+        return array, blocks_of, blocks_of
+
+    scratch = rows(np.empty_like(psi))
+    work = [s.reshape(-1).view(cur.dtype)[:c.size].reshape(c.shape)  # scratch's bytes
+            for s, c in zip(scratch, rows(cur))]
+    # what each degree adds into, per grid point and block: both halves, or the sum
+    targets = [[(r.real, r.imag) if halved else r for r in rows(acc)] for acc in sums]
+
+    def step(k, src, old, new, b):  # rows b of T_k = 2 G T_{k-1} - T_{k-2}, T_1 = G T_0
+        whole, src_rows, _ = src
+        out, vec, work_b = new[1][b], new[2][b], work[b]
+        prod = blocks[b] @ whole
         if mu:
-            np.multiply(cur, mu, out=work)
-            nxt -= work
+            np.multiply(src_rows[b], mu, out=work_b)
+            prod -= work_b
         if k == 1:
-            nxt /= radius
+            np.divide(prod, radius, out=out)
         else:
-            nxt *= 2 / radius
-            nxt -= prev
-        prev, cur = cur, nxt
-        vec = cur.view(complex).reshape(psi.shape) if paired else cur
-        for acc, coef, K in zip(sums, coefs, degrees):
+            prod *= 2 / radius
+            np.subtract(prod, old[1][b], out=out)
+        del prod
+        for target, coef, K in zip(targets, coefs, degrees):
             if k > K:
                 continue
-            if split:
-                np.multiply(cur, coef[k].imag if k % 2 else coef[k].real, out=work)
-                part = acc.imag if k % 2 else acc.real
-                part += work
+            if halved:
+                np.multiply(out, coef[k].imag if k % 2 else coef[k].real, out=work_b)
+                part = target[b][k % 2]
+                part += work_b
             else:
-                np.multiply(vec, coef[k], out=scratch)
-                acc += scratch
+                np.multiply(vec, coef[k], out=scratch[b])
+                part = target[b]
+                part += scratch[b]
+
+    old, src = None, vector(cur)
+    for k in range(1, max(degrees) + 1):
+        # T_{k-2}'s buffer once it is the recurrence's own
+        new = old if k > 2 or (k == 2 and own) else vector(np.empty_like(cur))
+        _each(partial(step, k, src, old, new), parts)
+        old, src = src, new
     return sums
+
+
+def _row_blocks(H_sp, bounds: list[int]) -> list:
+    """The rows bounds[b]:bounds[b + 1] of H_sp as CSR matrices; one block is H_sp itself.
+
+    Each block's data and indices are views of H_sp's, and so is its
+    indptr when the block starts at entry 0; otherwise only the indptr,
+    shifted to start at zero, is copied.  ``H_sp[r0:r1]`` would copy the
+    entries, and so would the constructor's format check for a view of
+    less than half of them, so the arrays are set on an empty block.
+    """
+    if len(bounds) == 2:
+        return [H_sp]
+    out = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        lo, hi = H_sp.indptr[r0], H_sp.indptr[r1]
+        indptr = H_sp.indptr[r0:r1 + 1]
+        block = sp.csr_matrix((r1 - r0, H_sp.shape[1]), dtype=H_sp.dtype)
+        block.data, block.indices = H_sp.data[lo:hi], H_sp.indices[lo:hi]
+        block.indptr = indptr - lo if lo else indptr
+        out.append(block)
+    return out
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on: the row blocks of a split product."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+_POOL: ThreadPoolExecutor | None = None  # the row-block threads, started by the first split
+
+
+def _forget_pool() -> None:  # a forked child has none of its parent's threads
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _each(task, count: int) -> None:
+    """task(0), ..., task(count - 1): the first on this thread, the others on the row pool.
+
+    Returns once every task has finished, so a task's exception reaches
+    the caller after no task still writes.
+    """
+    if count == 1:
+        task(0)
+        return
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=count - 1, thread_name_prefix="opgrowth-rows")
+    futures = [_POOL.submit(task, b) for b in range(1, count)]
+    try:
+        task(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def exact_expectation(

@@ -428,6 +428,45 @@ def test_ssb_ghz_above_qubit_cap_exits_2(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+RING8 = {"d": 1, "L": 8, "periodic": True}
+
+
+@pytest.mark.parametrize("experiment", [
+    {"kind": "ghz", "L": [0]},
+    {"kind": "ghz", "L": [4, -2]},
+    {"kind": "rk", "lattice": RING8, "sizes": [0, -1]},
+    {"kind": "rk", "lattice": RING8, "sizes": [2, 12]},
+    {"kind": "rk", "lattice": {"d": 2, "L": 3, "periodic": True}, "region": "square",
+     "sizes": [5]},
+])
+def test_ssb_sizes_outside_the_lattice_exit_2(tmp_path, experiment):
+    # a valid experiment comes first; the bad one still leaves no row behind
+    cfg = write_config(tmp_path, {
+        "command": "ssb",
+        "experiments": [{"kind": "rk", "lattice": RING8, "sizes": [2]},
+                        {"kind": "ghz", "L": [4]}, experiment],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "rk.csv").exists() and not (out / "ghz.csv").exists()
+
+
+def test_ssb_sizes_up_to_the_lattice_run(tmp_path):
+    cfg = write_config(tmp_path, {
+        "command": "ssb",
+        "experiments": [
+            {"kind": "rk", "lattice": RING8, "beta": [0.4], "sizes": [1, 8]},
+            {"kind": "rk", "lattice": {"d": 2, "L": 3, "periodic": True}, "beta": [0.4],
+             "region": "square", "sizes": [3]},
+            {"kind": "ghz", "L": [1]},
+        ],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "rk.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1", "8", "3"]
+
+
 def test_verify_default_suites_pass(tmp_path):
     cfg = write_config(tmp_path, {"command": "verify", "seed": 3})
     out = tmp_path / "out"

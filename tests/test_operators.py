@@ -1,6 +1,7 @@
 """Dense operator algebra: evolution, norms, models, expectation values."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -977,6 +978,190 @@ def test_expm_multiply_block_memory_stays_flat():
     # vectors (measured: 6.0 chunks over the output); the whole block at once would
     # take six outputs
     assert peak < got.nbytes + csr_bytes + 6 * 16 * dim * chunk, (peak, got.nbytes, csr_bytes)
+
+
+def _chain(name, n, params):
+    g = build_square_lattice(1, n)
+    H = build_named_hamiltonian(name, g, params)
+    region = tuple(g.vertices)
+    H_sp = hamiltonian_matrix(H, region, sparse=True)
+    return H, region, H_sp, *operators.shift_and_radius(H, region)
+
+
+def _at_each_split(monkeypatch, run):
+    """run() with its products' rows in 1, 2 and 3 blocks, and the block counts seen per w."""
+    made = []
+    row_blocks = operators._row_blocks
+
+    def recorded(H_sp, bounds):
+        made.append(len(bounds) - 1)
+        return row_blocks(H_sp, bounds)
+
+    monkeypatch.setattr(operators, "_row_blocks", recorded)
+    results, seen = [], []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(operators, "_workers", lambda workers=workers: workers)
+        made.clear()
+        results.append(run())
+        seen.append(set(made))
+    return results, seen
+
+
+def _assert_same_bits(results):
+    for other in results[1:]:
+        for a, b in zip(results[0], other, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_expm_multiply_row_split_keeps_the_bits(monkeypatch):
+    # a 16-qubit tfim vector over a grid (entries x columns = 1.1M), and an 11-qubit
+    # random2local block in chunks of 27 columns (45k x 27 = 1.2M): both above the grain;
+    # three blocks split the rows unevenly
+    _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
+    assert H_sp.nnz >= operators.SPLIT_GRAIN
+    for state in (ProductState.all_plus(region),
+                  ProductState({v: np.array([1.0, 1j]) / math.sqrt(2) for v in region})):
+        psi = state.state_vector(region)
+        results, seen = _at_each_split(
+            monkeypatch, lambda: operators.expm_multiply(H_sp, psi, [0.9, 0.2, -0.4], mu, radius))
+        assert seen == [{1}, {2}, {3}]
+        _assert_same_bits(results)
+
+    _, _, H_sp, mu, radius = _chain("random2local", 11, {"seed": 5})
+    assert H_sp.nnz * 27 >= operators.SPLIT_GRAIN  # each of the three chunks
+    rng = np.random.default_rng(12)
+    block = rng.normal(size=(2048, 81)) + 1j * rng.normal(size=(2048, 81))
+    results, seen = _at_each_split(
+        monkeypatch, lambda: operators.expm_multiply(H_sp, block, [0.3, -0.5], mu, radius))
+    assert seen == [{1}, {2}, {3}]
+    _assert_same_bits(results)
+
+
+def test_exact_expectation_row_split_keeps_the_bits(monkeypatch):
+    chain = build_square_lattice(1, 18)
+    H = build_named_hamiltonian("tfim", chain, {"J": 1.0, "g": 1.05})
+    A = pauli_operator("Z", (9,))
+    results, seen = _at_each_split(
+        monkeypatch, lambda: exact_expectation(H, A, ProductState.all_zero(), [0.25, 0.5]))
+    assert seen == [{1}, {2}, {3}]
+    assert results[0] == results[1] == results[2]
+
+
+def test_nested_commutator_row_split_keeps_the_bits(monkeypatch):
+    H = build_named_hamiltonian("random2local", build_square_lattice(1, 11), {"seed": 7})
+    A = pauli_operator("Z", (5,))
+    probes = [pauli_operator("X", (0,)), pauli_operator("Y", (10,))]
+    results, seen = _at_each_split(
+        monkeypatch, lambda: nested_commutator_norm(H, A, probes, 0.1, tuple(range(11))))
+    assert seen == [{1}, {2}, {3}]
+    assert results[0] == results[1] == results[2]
+
+
+def test_expm_multiply_row_split_keeps_the_bits_under_contention(monkeypatch):
+    # five blocks on a fresh pool, more than the CPUs, with the interpreter
+    # switching threads every microsecond
+    import sys
+
+    _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
+    psi = ProductState({v: np.array([1.0, 1j]) / math.sqrt(2) for v in region}).state_vector(region)
+    monkeypatch.setattr(operators, "_workers", lambda: 1)
+    want = operators.expm_multiply(H_sp, psi, [0.2, 0.7], mu, radius)
+    monkeypatch.setattr(operators, "_workers", lambda: 5)
+    monkeypatch.setattr(operators, "_POOL", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = operators.expm_multiply(H_sp, psi, [0.2, 0.7], mu, radius)
+    finally:
+        sys.setswitchinterval(interval)
+        operators._POOL.shutdown(wait=True)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_expm_multiply_row_split_blocks_are_the_matrix_rows():
+    # leading rows without entries: the second block starts at entry 0 too
+    rng = np.random.default_rng(4)
+    dense = rng.normal(size=(12, 12)) * (rng.random((12, 12)) < 0.4)
+    dense[:5] = 0
+    H_sp = sp.csr_matrix(dense)
+    x = rng.normal(size=(12, 3))
+    bounds = [0, 4, 8, 12]
+    blocks = operators._row_blocks(H_sp, bounds)
+    for block, r0, r1 in zip(blocks, bounds, bounds[1:]):
+        assert block.shape == (r1 - r0, 12)
+        assert np.array_equal(block.toarray(), dense[r0:r1])
+        assert np.array_equal(block @ x, H_sp[r0:r1] @ x)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_expm_multiply_row_split_runs_in_a_forked_child(monkeypatch):
+    # the child inherits the pool object but none of its threads; a task it
+    # submitted to that pool would never run
+    import signal
+
+    _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
+    psi = ProductState.all_plus(region).state_vector(region)
+    monkeypatch.setattr(operators, "_workers", lambda: 2)
+    want = operators.expm_multiply(H_sp, psi, 0.3, mu, radius)
+    assert operators._POOL is not None
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only if the split evolution finishes and agrees
+        code = 1
+        try:
+            signal.alarm(30)
+            got = operators.expm_multiply(H_sp, psi, 0.3, mu, radius)
+            code = 0 if np.array_equal(got, want) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_expm_multiply_row_split_takes_one_product_per_block_per_degree(monkeypatch):
+    _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
+    psi = ProductState.all_plus(region).state_vector(region)
+    blocks = []
+    row_blocks = operators._row_blocks
+
+    def counted(matrix, bounds):
+        blocks[:] = [CountingCSR(block) for block in row_blocks(matrix, bounds)]
+        return blocks
+
+    monkeypatch.setattr(operators, "_row_blocks", counted)
+    monkeypatch.setattr(operators, "_workers", lambda: 3)
+    operators.expm_multiply(H_sp, psi, [0.2, 0.7], mu, radius)
+    assert len(blocks) == 3
+    degree = operators._chebyshev_degree(radius * 0.7)
+    assert [block.products for block in blocks] == [degree] * 3
+    assert sum(block.shape[0] for block in blocks) == H_sp.shape[0]
+    for block in blocks:  # views of the matrix's entries, not copies
+        assert np.shares_memory(block.data, H_sp.data)
+        assert np.shares_memory(block.indices, H_sp.indices)
+    assert sum(block.nnz for block in blocks) == H_sp.nnz
+    # below the grain, the one block is the matrix itself
+    assert row_blocks(H_sp, [0, H_sp.shape[0]]) == [H_sp]
+
+
+def test_expm_multiply_row_split_passes_a_worker_exception_on(monkeypatch):
+    import threading
+
+    _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
+    psi = ProductState.all_plus(region).state_vector(region)
+    raised_on = []
+
+    class Failing(CountingCSR):
+        def __matmul__(self, vec):
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("block product failed")
+
+    row_blocks = operators._row_blocks
+    monkeypatch.setattr(operators, "_row_blocks", lambda matrix, bounds: [
+        *row_blocks(matrix, bounds)[:-1], Failing(row_blocks(matrix, bounds)[-1])])
+    monkeypatch.setattr(operators, "_workers", lambda: 2)
+    with pytest.raises(RuntimeError, match="block product failed"):
+        operators.expm_multiply(H_sp, psi, 0.5, mu, radius)
+    assert raised_on and raised_on[0] is not threading.main_thread()
 
 
 def test_sparse_assembly_budget(trips_before_allocating, monkeypatch):
