@@ -9,7 +9,6 @@ from .lattice import (
     build_square_lattice,
     enumerate_connected_subsets,
     factor_distance,
-    minimal_cluster_order,
     tile_boxes,
 )
 from .operators import (
@@ -26,17 +25,14 @@ from .operators import (
 from .states import ProductState
 from .causal import (
     CausalForest,
-    FactorSequence,
     IrreduciblePath,
     build_causal_forest,
     enumerate_irreducible_paths,
-    irreducible_paths,
     term_vanishing_check,
 )
 from .bounds import (
     BoundParams,
     combinatorial_bound,
-    factor_tail_sum,
     matrix_exp_bound,
     path_sum_bound,
     quasilocal_nested_bound,

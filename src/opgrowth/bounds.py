@@ -321,11 +321,6 @@ def verify_reproducing(
     return worst
 
 
-def factor_tail_sum(H: HamiltonianSpec, u: int, v: int) -> float:
-    """Total norm of terms whose support contains both u and v."""
-    return sum(t.norm for t in H.terms if u in t.support and v in t.support)
-
-
 def truncation_error_bound(params: BoundParams, t: float, M: float) -> float:
     """Error of truncating the operator expansion at volume M in dimension params.dimension."""
     if M < 1:

@@ -23,23 +23,6 @@ VANISHING_QUBIT_CAP = 12  # term_vanishing_check holds dense 2^n x 2^n matrices
 
 
 @dataclass(frozen=True)
-class FactorSequence:
-    """Ordered factor ids into a FactorGraph; repeats allowed."""
-
-    graph: FactorGraph
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        for i in self.ids:
-            if not 0 <= i < len(self.graph.factors):
-                raise ValueError(f"factor id {i} out of range")
-
-    @property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(self.graph.factors[i] for i in self.ids)
-
-
-@dataclass(frozen=True)
 class CausalForest:
     """Output of the forest builder.
 
@@ -54,9 +37,6 @@ class CausalForest:
     S_list: tuple[frozenset[int], ...]
     parent: dict[tuple, tuple]
     causal: bool
-
-    def factor_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(n[1] for n in self.parent if n[0] == "M"))
 
 
 @dataclass(frozen=True)
@@ -78,16 +58,13 @@ def build_causal_forest(
 ) -> CausalForest | None:
     """Run the forest construction on a factor sequence.
 
-    ``M`` is a FactorSequence or an iterable of vertex sets.  Walking the
-    sequence in order: a factor intersecting nothing earlier kills the whole
-    term (returns None); a factor contained in an earlier one is absorbed
-    (no new node); otherwise it attaches to its earliest intersecting
-    predecessor.  Targets attach as leaves the first time a factor hits them.
+    ``M`` is an iterable of vertex sets.  Walking the sequence in order: a
+    factor intersecting nothing earlier kills the whole term (returns None);
+    a factor contained in an earlier one is absorbed (no new node);
+    otherwise it attaches to its earliest intersecting predecessor.  Targets
+    attach as leaves the first time a factor hits them.
     """
-    if isinstance(M, FactorSequence):
-        seq = M.sets
-    else:
-        seq = tuple(frozenset(x) for x in M)
+    seq = tuple(frozenset(x) for x in M)
     R = frozenset(R)
     S_list = tuple(frozenset(s) for s in S_list)
     for i, S in enumerate(S_list):
@@ -128,23 +105,6 @@ def build_causal_forest(
         parent=parent,
         causal=len(targets_in) == len(S_list),
     )
-
-
-def irreducible_paths(forest: CausalForest) -> list[IrreduciblePath]:
-    """The unique forest path from each target back to R, ordered R-side first."""
-    if not forest.causal:
-        raise ValueError("forest is not causal; some target never attached")
-    out = []
-    for i in range(len(forest.S_list)):
-        node = forest.parent[("S", i)]
-        chain: list[int] = []
-        while node != ROOT:
-            chain.append(node[1])
-            node = forest.parent[node]
-        chain.reverse()
-        factors = tuple(forest.sequence[n - 1] for n in chain)
-        out.append(IrreduciblePath(factors=factors, factor_ids=tuple(chain)))
-    return out
 
 
 def enumerate_irreducible_paths(
@@ -207,7 +167,7 @@ def enumerate_irreducible_paths(
 def term_vanishing_check(
     g: FactorGraph,
     H: HamiltonianSpec,
-    M,
+    ids,
     R: set[int],
     S_list,
     A: LocalOperator,
@@ -216,14 +176,12 @@ def term_vanishing_check(
     """Evaluate one expansion term densely and pair it with the forest verdict.
 
     The term is ad_{O_m} ... ad_{O_1} L_{M_n} ... L_{M_1} |A) with
-    L_X = i ad_{H_X}, on the register of all of H's sites; each term and
-    probe enters through ``operators.commutator``, never embedded.  A
-    missing forest must force the norm to zero.
+    L_X = i ad_{H_X}, where M_1 ... M_n are the factors of g numbered
+    ``ids``, on the register of all of H's sites; each term and probe enters
+    through ``operators.commutator``, never embedded.  A missing forest must
+    force the norm to zero.
     """
-    if isinstance(M, FactorSequence):
-        ids = M.ids
-    else:
-        ids = tuple(M)
+    ids = tuple(ids)
     region = tuple(sorted(H.vertices()))
     n = len(region)
     if n > VANISHING_QUBIT_CAP:

@@ -271,7 +271,10 @@ def _build_state(spec: dict | None, graph):
 def _build_observable(spec: dict, graph):
     spec = dict(spec or {"pauli": "Z", "sites": [0]})
     _check_keys(spec, {"pauli", "sites"}, "observable")
-    label, sites = str(spec.get("pauli", "")), tuple(spec.get("sites", ()))
+    label, sites = str(spec.get("pauli", "")), spec.get("sites", [])
+    if not isinstance(sites, list):
+        raise ConfigError(f"observable sites must be a list, got {sites!r}")
+    sites = tuple(_integer(v, "observable site") for v in sites)
     on_lattice = set(sites) <= set(graph.vertex_adjacency()) and len(set(sites)) == len(sites)
     if not label or len(label) != len(sites) or not set(label) <= set("IXYZ") or not on_lattice:
         raise ConfigError(f"observable {label!r} on {list(sites)}: need one Pauli letter"
@@ -286,13 +289,18 @@ def _grid(spec) -> list[float]:
         if set(spec) != {"start", "stop", "num"}:
             raise ConfigError(f"grid needs exactly start, stop and num, got {sorted(spec)}")
         start, stop = (_number(spec[key], f"grid {key}") for key in ("start", "stop"))
-        return list(np.linspace(start, stop, _integer(spec["num"], "grid num")))
+        num = _integer(spec["num"], "grid num")
+        if num < 0:
+            raise ConfigError(f"grid num must be >= 0, got {num}")
+        return list(np.linspace(start, stop, num))
     raise ConfigError("grid must be a list or {start, stop, num}")
 
 
 def _bound_params(spec: dict | None) -> BoundParams:
     if not spec:
         return BoundParams()
+    if not isinstance(spec, dict):
+        raise ConfigError(f"params must be an object, got {spec!r}")
     spec = dict(spec)
     allowed = {f for f in BoundParams.__dataclass_fields__}
     _check_keys(spec, allowed, "params")
@@ -547,7 +555,10 @@ def _cmd_ssb(config: dict, out_dir: str):
             graph = _build_lattice(experiment["lattice"])
             regions = [(size, _ssb_region(graph, experiment.get("region", "interval"), size))
                        for size in (_integer(s, "rk size") for s in experiment.get("sizes", [1]))]
-            for beta in _grid(experiment.get("beta", [0.5])):
+            betas = _grid(experiment.get("beta", [0.5]))
+            if any(beta < 0 for beta in betas):
+                raise ConfigError(f"rk beta must be >= 0, got {min(betas)}")
+            for beta in betas:
                 state = RKState(beta=beta, graph=graph)
                 for size, region in regions:
                     value = rk_disorder_parameter(state, region)
@@ -625,6 +636,8 @@ def _ssb_region(graph, kind: str, size: int) -> DisorderRegion:
 
 def _cmd_verify(config: dict, out_dir: str):
     suites = config.get("suites") or ["vanishing", "lemma73", "cluster_counts", "completeness"]
+    if not isinstance(suites, list) or not all(isinstance(suite, str) for suite in suites):
+        raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
     mutate = config.get("mutate")
     if mutate not in (None, "cluster_correction_sign"):
         raise ConfigError(f"unknown mutation {mutate!r}")
@@ -705,9 +718,9 @@ def check_completeness(correction=cluster_correction) -> dict:
     state = ProductState.all_zero()
     sim_plan = plan(None, 0.7, 1e-6, mode="desk", graph=graph, r=2, m_star=3)
     estimate, diag = simulate_expectation(model, A, state, 0.7, sim_plan)
-    table = inclusion_exclusion(diag["table"].raw, correction)
+    resummed = float(sum(inclusion_exclusion(diag["raw"], correction).corrected.values())[0])
     exact = exact_expectation(model, A, state, 0.7)
-    worst = max(worst, abs(estimate - exact), abs(sum(table.corrected.values()) - exact))
+    worst = max(worst, abs(estimate - exact), abs(resummed - exact))
     return {"passed": worst <= 1e-10, "worst_gap": worst}
 
 

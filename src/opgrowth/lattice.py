@@ -299,10 +299,6 @@ class BoxTiling:
     adjacency: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
     anchor_box: tuple[int, ...]
 
-    @property
-    def boxes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.box_vertices))
-
 
 def tile_boxes(g: FactorGraph, r: int, anchor_vertex: int) -> BoxTiling:
     """Cut a square lattice into boxes of side r anchored at a given vertex.
@@ -333,50 +329,4 @@ def tile_boxes(g: FactorGraph, r: int, anchor_vertex: int) -> BoxTiling:
         adjacency={b: tuple(sorted(neighbours[b])) for b in sorted(box_vertices)},
         anchor_box=box_of_vertex[anchor_vertex],
     )
-
-
-def minimal_cluster_order(tiling: BoxTiling, boxes: set) -> int:
-    """Size of the smallest connected box set containing all of ``boxes``.
-
-    Unweighted Steiner tree on the coarse graph via the Dreyfus-Wagner
-    subset dynamic program; node count is tree edge count plus one.
-    """
-    terminals = sorted(set(boxes))
-    if not terminals:
-        raise ValueError("box set must be nonempty")
-    for b in terminals:
-        if b not in tiling.box_vertices:
-            raise ValueError(f"unknown box {b}")
-    if len(terminals) == 1:
-        return 1
-    nodes = sorted(tiling.box_vertices)
-    k = len(terminals)
-    full = (1 << k) - 1
-    INF = float("inf")
-    dp = {1 << i: dict(hop_distances(tiling.adjacency, [t])) for i, t in enumerate(terminals)}
-    for S in range(1, full + 1):
-        if S & (S - 1) == 0:
-            continue
-        table = {v: INF for v in nodes}
-        sub = (S - 1) & S
-        while sub:
-            other = S ^ sub
-            if other and sub < other:
-                for v in nodes:
-                    merged = dp[sub][v] + dp[other][v]
-                    if merged < table[v]:
-                        table[v] = merged
-            sub = (sub - 1) & S
-        # Dijkstra-style relaxation with unit edges (plain BFS rounds).
-        order = sorted(nodes, key=lambda v: table[v])
-        queue = deque(order)
-        while queue:
-            v = queue.popleft()
-            for u in tiling.adjacency[v]:
-                if table[v] + 1 < table[u]:
-                    table[u] = table[v] + 1
-                    queue.append(u)
-        dp[S] = table
-    best = min(dp[full][v] for v in nodes)
-    return int(best) + 1
 

@@ -80,34 +80,6 @@ class LocalOperator:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "matrix", mat)
 
-    def shrink(self) -> "LocalOperator":
-        """Drop sites the operator acts on as the identity (to 1e-12 per entry)."""
-        support = list(self.support)
-        mat = self.matrix
-        changed = True
-        while changed and support:
-            changed = False
-            for i in range(len(support)):
-                reduced = _strip_site(mat, i, len(support))
-                if reduced is not None:
-                    mat = reduced
-                    support.pop(i)
-                    changed = True
-                    break
-        return LocalOperator(tuple(support), mat)
-
-
-def _strip_site(mat: np.ndarray, axis: int, n: int) -> np.ndarray | None:
-    """Return the matrix with qubit ``axis`` removed if it acts as identity there."""
-    t = mat.reshape((2,) * (2 * n))
-    rest = 0.5 * (np.take(np.take(t, 0, axis=n + axis), 0, axis=axis)
-                  + np.take(np.take(t, 1, axis=n + axis), 1, axis=axis))
-    rest_mat = rest.reshape(2 ** (n - 1), 2 ** (n - 1))
-    rebuilt = embed(rest_mat, tuple(j for j in range(n) if j != axis), tuple(range(n)))
-    if np.max(np.abs(rebuilt - mat)) <= 1e-12:
-        return rest_mat
-    return None
-
 
 def pauli_operator(label: str, sites: tuple[int, ...] | list[int]) -> LocalOperator:
     """Tensor product of Pauli matrices, e.g. pauli_operator("XZ", (0, 3))."""
@@ -260,10 +232,6 @@ class HamiltonianSpec:
         object.__setattr__(self, "kinds", tuple(kinds))
         object.__setattr__(self, "term_kinds", tuple(term_kinds))
 
-    @property
-    def max_norm(self) -> float:
-        return max((t.norm for t in self.terms), default=0.0)
-
     def vertices(self) -> tuple[int, ...]:
         if self.graph is not None:
             return tuple(self.graph.vertices)
@@ -271,10 +239,6 @@ class HamiltonianSpec:
         for t in self.terms:
             out |= t.support
         return tuple(sorted(out))
-
-    def terms_within(self, region: set[int] | frozenset[int]) -> tuple[HamTerm, ...]:
-        region = frozenset(region)
-        return tuple(t for t in self.terms if t.support <= region)
 
     def factor_graph(self) -> FactorGraph:
         """Factor graph whose factors are the term supports."""

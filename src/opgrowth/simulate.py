@@ -432,9 +432,11 @@ def simulate_expectation(
     of the first region of the class met.  Diagnostics include per-level
     sums and running estimates, with the running counts of clusters and
     evaluated classes beside them; the running values at level m are
-    exactly what a plan with m_star = m would return.  With ``params``,
-    ``level_bounds`` holds the truncation bound at each level's volume
-    m r^d, None outside its validity window.
+    exactly what a plan with m_star = m would return.  ``raw`` maps each
+    cluster to its raw values over the grid, one dict shared by every grid
+    point, so ``raw[cluster][k]`` is the value at grid point k (k = 0 for a
+    scalar t).  With ``params``, ``level_bounds`` holds the truncation bound
+    at each level's volume m r^d, None outside its validity window.
 
     ``t`` may also be a grid of times: each class is then evolved once
     along the whole grid, and the result is a list of (estimate,
@@ -472,14 +474,12 @@ def simulate_expectation(
     running = list(itertools.accumulate(level_sums, initial=zero))[1:]
     results = []
     for k, t_k in enumerate(times):
-        table = ClusterTable(raw={c: float(v[k]) for c, v in raw.items()},
-                             corrected={c: float(v[k]) for c, v in corrected.items()})
         diagnostics = {
             "running_clusters": running_clusters,
             "running_classes": running_classes,
             "level_sums": [float(v[k]) for v in level_sums],
             "running_estimates": [float(v[k]) for v in running],
-            "table": table,
+            "raw": raw,
         }
         if params is not None:
             diagnostics["level_bounds"] = [

@@ -2,14 +2,12 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 from opgrowth.causal import (
-    FactorSequence,
+    ROOT,
     build_causal_forest,
     enumerate_irreducible_paths,
-    irreducible_paths,
     term_vanishing_check,
 )
 from opgrowth.cli import check_vanishing
@@ -23,9 +21,8 @@ CHAIN5 = build_square_lattice(1, 5)
 def test_forest_chain_trace():
     f = build_causal_forest([{0, 1}, {1, 2}, {2, 3}], {0}, [{3}])
     assert f is not None and f.causal
-    assert f.factor_nodes() == (1, 2, 3)
-    (path,) = irreducible_paths(f)
-    assert path.factors == (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}))
+    assert f.parent == {("M", 1): ROOT, ("M", 2): ("M", 1), ("M", 3): ("M", 2),
+                        ("S", 0): ("M", 3)}
 
 
 def test_forest_disconnected_factor_returns_empty():
@@ -36,7 +33,7 @@ def test_forest_disconnected_factor_returns_empty():
 def test_forest_absorption():
     f = build_causal_forest([{0, 1}], {0, 1}, [{3}])
     assert f is not None
-    assert f.factor_nodes() == ()
+    assert f.parent == {}
     assert not f.causal
 
 
@@ -44,7 +41,7 @@ def test_absorbed_factor_still_reaches_targets_via_container():
     # {1, 2} attaches and hits S; the duplicate is absorbed with no new node
     f = build_causal_forest([{0, 1}, {1, 2}, {1, 2}], {0}, [{2}])
     assert f is not None and f.causal
-    assert f.factor_nodes() == (1, 2)
+    assert f.parent == {("M", 1): ROOT, ("M", 2): ("M", 1), ("S", 0): ("M", 2)}
 
 
 def test_each_target_attaches_once():
@@ -56,23 +53,16 @@ def test_each_target_attaches_once():
 def test_direct_leaf_path_length_one():
     f = build_causal_forest([{0, 1}], {0}, [{1}])
     assert f is not None and f.causal
-    (path,) = irreducible_paths(f)
-    assert len(path) == 1
+    assert f.parent == {("M", 1): ROOT, ("S", 0): ("M", 1)}
 
 
 def test_shared_first_factor_on_star():
     # star: center 0 touching arms; one factor covers the center and both arms
     f = build_causal_forest([{0, 1, 2}, {1, 3}, {2, 4}], {0}, [{3}, {4}])
     assert f is not None and f.causal
-    p1, p2 = irreducible_paths(f)
-    assert p1.factors[0] == p2.factors[0] == frozenset({0, 1, 2})
-
-
-def test_noncausal_forest_rejects_path_extraction():
-    f = build_causal_forest([{0, 1}], {0}, [{3}])
-    assert f is not None and not f.causal
-    with pytest.raises(ValueError):
-        irreducible_paths(f)
+    assert f.parent == {("M", 1): ROOT, ("M", 2): ("M", 1), ("M", 3): ("M", 1),
+                        ("S", 0): ("M", 2), ("S", 1): ("M", 3)}
+    assert f.sequence[0] == frozenset({0, 1, 2})
 
 
 def test_forest_input_validation():
@@ -80,14 +70,6 @@ def test_forest_input_validation():
         build_causal_forest([{0, 1}], {0}, [{0}])
     with pytest.raises(ValueError):
         build_causal_forest([{0, 1}], {0}, [{1}, {1, 2}])
-
-
-def test_factor_sequence_wrapper():
-    seq = FactorSequence(CHAIN4, (0, 1, 2))
-    f = build_causal_forest(seq, {0}, [{3}])
-    assert f is not None and f.causal
-    with pytest.raises(ValueError):
-        FactorSequence(CHAIN4, (99,))
 
 
 def test_enumerate_paths_chain_example():
@@ -169,8 +151,11 @@ def test_forest_and_path_json():
     f = build_causal_forest([{0, 1}, {1, 2}, {2, 3}], {0}, [{3}])
     assert f.causal is True
     assert f.parent[("S", 0)] == ("M", 3)
-    (path,) = irreducible_paths(f)
-    assert path.factors == (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}))
+    chain, node = [], f.parent[("S", 0)]
+    while node != ROOT:
+        chain.append(f.sequence[node[1] - 1])
+        node = f.parent[node]
+    assert chain[::-1] == [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
 
 
 def test_sequences_missing_target_factors_vanish():

@@ -610,6 +610,13 @@ def region_sweep(bound, S, B):
     dict(BOUND_CONFIG, sweeps=[{"bound": "combinatorial", "regions": []}]),
     dict(BOUND_CONFIG, sweeps=[{"bound": "quasilocal_nested", "regions": []}]),
     dict(BOUND_CONFIG, sweeps=[{"bound": "combinatorial", "regions": [[1, 1, 0]]}]),
+    dict(SIM_CONFIG, observable={"pauli": "Z", "sites": 0}),
+    dict(SIM_CONFIG, observable={"pauli": "Z", "sites": [[0]]}),
+    dict(SIM_CONFIG, t_grid={"start": 0.1, "stop": 0.5, "num": -1}),
+    {"command": "verify", "suites": 5},
+    {"command": "verify", "suites": [{"completeness": True}]},
+    dict(SIM_CONFIG, params=[1]),
+    dict(GHZ_CONFIG, experiments=[{"kind": "rk", "lattice": {"d": 1, "L": 6}, "beta": [-1]}]),
 ], ids=["model-parameter", "model-name", "pauli-letter", "pauli-count", "site-off-lattice",
         "site-outside-anchor-box", "mode", "params-degree", "lattice-L", "grid-without-num",
         "anchor-vertex", "r-below-range", "state-key", "sweep-key", "ghz-key", "model-value",
@@ -617,7 +624,9 @@ def region_sweep(bound, S, B):
         "experiment-missing-key", "ghz-value", "rk-size", "probe-letter",
         "path-sum-s-outside-b", "dominance-empty-r", "dominance-coupled-b",
         "dominance-site-off-lattice", "matrix-exp-s-outside-b", "matrix-exp-target-count",
-        "regions-entry", "regions-empty", "nested-regions-empty", "regions-distance"])
+        "regions-entry", "regions-empty", "nested-regions-empty", "regions-distance",
+        "sites-not-a-list", "site-not-an-integer", "grid-num-negative", "suites-not-a-list",
+        "suite-not-a-name", "params-not-an-object", "rk-beta-negative"])
 def test_config_errors_exit_2(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
     out = tmp_path / "out"

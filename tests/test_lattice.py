@@ -1,7 +1,5 @@
 """Geometry, enumeration and tiling tests."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,6 @@ from opgrowth.lattice import (
     factor_distance,
     hop_distances,
     is_connected,
-    minimal_cluster_order,
     tile_boxes,
 )
 
@@ -217,12 +214,12 @@ def test_connected_subsets_cap():
 def test_tile_boxes_examples():
     g = build_square_lattice(1, 8)
     t = tile_boxes(g, 4, 0)
-    assert len(t.boxes) == 2
+    assert len(t.box_vertices) == 2
     t6 = tile_boxes(build_square_lattice(2, 6), 3, 0)
-    assert len(t6.boxes) == 4
-    assert all(len(t6.adjacency[b]) <= 3 for b in t6.boxes)
+    assert len(t6.box_vertices) == 4
+    assert all(len(t6.adjacency[b]) <= 3 for b in sorted(t6.box_vertices))
     t9 = tile_boxes(build_square_lattice(2, 9), 3, 0)
-    assert len(t9.boxes) == 9
+    assert len(t9.box_vertices) == 9
     # boxes are joined by the lattice's factors: an interior box has its 4 axis neighbours
     assert t9.adjacency[(1, 1)] == ((0, 1), (1, 0), (1, 2), (2, 1))
     # on a periodic lattice the factors across the wrap join the first box to the last
@@ -235,10 +232,10 @@ def test_tiling_partitions_vertices():
     g = build_square_lattice(2, 7)
     t = tile_boxes(g, 3, 0)  # ragged: 7 = 3 + 3 + 1
     seen = []
-    for b in t.boxes:
+    for b in sorted(t.box_vertices):
         seen.extend(t.box_vertices[b])
     assert sorted(seen) == list(g.vertices)
-    assert all(len(t.adjacency[b]) <= 2 * 2 for b in t.boxes)
+    assert all(len(t.adjacency[b]) <= 2 * 2 for b in sorted(t.box_vertices))
 
 
 def test_tile_boxes_requires_coordinates():
@@ -247,53 +244,6 @@ def test_tile_boxes_requires_coordinates():
     g = FactorGraph(vertices=(0, 1), factors=(frozenset({0, 1}),))
     with pytest.raises(ValueError):
         tile_boxes(g, 1, 0)
-
-
-def test_minimal_cluster_order():
-    t = tile_boxes(build_square_lattice(2, 9), 3, 0)
-    assert minimal_cluster_order(t, {(0, 0)}) == 1
-    assert minimal_cluster_order(t, {(0, 0), (0, 1)}) == 2
-    assert minimal_cluster_order(t, {(0, 0), (2, 0)}) == 3
-    assert minimal_cluster_order(t, {(0, 0), (2, 2)}) == 5  # no diagonal steps
-    assert minimal_cluster_order(t, {(0, 0), (2, 0), (0, 2)}) == 5
-
-
-def test_minimal_cluster_order_vs_exhaustive():
-    t = tile_boxes(build_square_lattice(2, 9), 3, 0)
-    boxes = sorted(t.box_vertices)
-    rng = np.random.default_rng(3)
-    for _ in range(12):
-        k = int(rng.integers(1, 4))
-        G = {boxes[i] for i in rng.choice(len(boxes), size=k, replace=False)}
-        got = minimal_cluster_order(t, G)
-        expected = _steiner_brute(t, G)
-        assert got == expected
-        assert got >= len(G)
-
-
-def _steiner_brute(t, G):
-    boxes = sorted(t.box_vertices)
-    for m in range(len(G), len(boxes) + 1):
-        for sub in itertools.combinations(boxes, m):
-            if not G <= set(sub):
-                continue
-            sub_set = set(sub)
-            seen = {sub[0]}
-            stack = [sub[0]]
-            while stack:
-                v = stack.pop()
-                for u in t.adjacency[v]:
-                    if u in sub_set and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) == m:
-                return m
-    raise AssertionError("no connected superset found")
-
-
-def test_minimal_order_equals_size_when_connected():
-    t = tile_boxes(build_square_lattice(2, 9), 3, 0)
-    assert minimal_cluster_order(t, {(0, 0), (0, 1), (1, 1)}) == 3
 
 
 def test_graph_json_roundtrip_fields():
