@@ -144,13 +144,18 @@ def _integer(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    """A float from the config: an int, a float or a string that spells one."""
+    """A finite float from the config: an int, a float or a string that spells one.
+
+    JSON's NaN and Infinity, and strings such as "inf", are refused.
+    """
     try:
         if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-            return float(value)
-    except ValueError:
+            number = float(value)
+            if math.isfinite(number):
+                return number
+    except (ValueError, OverflowError):
         pass
-    raise ConfigError(f"{what} must be a number, got {value!r}")
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
 def _flag(value, what: str) -> bool:

@@ -12,8 +12,9 @@ array.  ``commutator`` takes [M, C] for a few-qubit M by
 applying M on its own qubits, never embedded.  ``operator_norm`` takes the
 largest eigenvalue of a Gram matrix, never an SVD.  A Hamiltonian without
 imaginary entries is assembled and evolved in real arithmetic; real vectors
-stay real under it.  A large product has its rows split across the CPUs
-the process may run on, with the same bits at any count.  Only
+stay real under it.  A block's column chunks are evolved concurrently, one
+per CPU the process may run on, and a large product of a vector has its
+rows split across those CPUs, with the same bits at any count.  Only
 ``ssb.symmetric_unitary`` still diagonalizes a region Hamiltonian
 (``evolution_unitary``).  These routines are the oracle
 the closed-form bounds and the cluster simulator are checked against, so
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -845,7 +847,8 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
         exp(-i t H) = exp(-i mu t) sum_k (2 - delta_k0) (-i)^k J_k(radius t) T_k(G).
 
     The degree grows with radius * t, so a tighter radius means fewer
-    products.
+    products.  A step of radius * |step| above CHEBYSHEV_ARGUMENT_CAP, or
+    not finite, raises CapExceededError before any degree is computed.
 
     The vectors T_k(G) psi do not depend on t, so one three-term recurrence
     serves the whole grid, and each grid point keeps one accumulator.  Each
@@ -855,60 +858,109 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
     recurrence at the largest of them.  The degrees and coefficients are
     taken once per segment of the grid (below) and serve all its chunks.
 
-    A large product (stored entries times operand columns at least
-    SPLIT_GRAIN) has its rows split into one contiguous block per CPU the
-    process may run on, each block's step run on its own thread
-    (``_chebyshev_evolve``).  Every row and every entry is computed by the
-    same operations in the same order as unsplit, so the result has the
-    same bits for any number of CPUs.
-
     ``psi`` is a vector or a dim x M block of columns, each evolved alike;
     a vector is the block's one-column case.  ``times`` is a time, giving
     one vector (or block), or a grid in any order, with zero, negative and
     repeated times allowed, giving a list in grid order.  ``observe``, if
     given, maps each vector to the value returned in its place.
 
-    Memory is bounded by the CSR arrays: as many complex vectors as fit in
-    their bytes are accumulated at once.  A block's columns are evolved in
-    chunks of at most that many.  When one chunk's accumulators for the
-    whole grid would not fit, the sorted distinct times are split into
-    segments of as many as fit, each restarting from the previous segment's
-    last state; with ``observe``, one segment's vectors are alive at a time.
+    Memory is bounded by the larger of the CSR arrays' bytes and
+    CHUNK_FLOOR: as many complex vectors as fit in them (``fit``) are
+    accumulated at once.  A block wider than fit // w columns, for the w
+    CPUs the process may run on (``_workers``), is evolved in chunks of at
+    most that many, and min(w, chunks) tasks of ``_each`` each take the
+    next chunk until none is left, running its whole recurrence with the
+    rows unsplit: one hand-off per chunk.  A vector, or a block of one
+    chunk, is evolved on the calling thread, its rows split when the
+    product is large (``_chebyshev_evolve``).  When the accumulators of
+    the chunks in flight for the whole grid would not fit, the sorted
+    distinct times are split into segments of as many as fit, each
+    restarting from the previous segment's last state; with ``observe``,
+    one segment's vectors are alive at a time.
+
+    Whether a segment runs in real, paired-real or complex arithmetic, and
+    whether its accumulations are halved, is decided once from the whole
+    block (``_arithmetic``), and every row and entry is computed by the
+    same operations in the same order in any chunk or row block.  So the
+    result has the same bits for any number of CPUs.
     """
     times, scalar = time_grid(times)
     distinct = sorted(set(times))
     dim = H_sp.shape[0]
     columns = psi.shape[1] if np.ndim(psi) == 2 else 1
     csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
-    fit = max(1, csr_bytes // (16 * dim))  # complex vectors in the CSR's bytes
-    chunks = max(1, -(-columns // fit))
+    fit = max(1, max(csr_bytes, CHUNK_FLOOR) // (16 * dim))  # complex vectors in flight
+    workers = _workers()
+    chunks = max(1, -(-columns // max(1, fit // workers)))
     width = -(-columns // chunks)
-    per_segment = max(1, fit // max(1, width))
+    in_flight = min(workers, chunks)
+    per_segment = max(1, fit // max(1, width * in_flight))
+    segments = [distinct[i:i + per_segment] for i in range(0, len(distinct), per_segment)]
+    origins = [0.0] + [segment[-1] for segment in segments[:-1]]
+    steps = [[t - now for t in segment] for segment, now in zip(segments, origins)]
+    for x in (radius * abs(s) for row in steps for s in row):
+        if not x <= CHEBYSHEV_ARGUMENT_CAP:  # NaN fails it too
+            raise CapExceededError(
+                f"radius * time step {x} exceeds the Chebyshev cap {CHEBYSHEV_ARGUMENT_CAP}")
+
+    def evolve_chunks(_task):  # take the next chunk until none is left, evolve it, store it
+        while True:
+            with lock:
+                j = next(chunk_starts, None)
+            if j is None:
+                return
+            chunk = np.ascontiguousarray(start[:, j:j + width], dtype=complex)
+            # rows unsplit: with the pool busy on chunks, a nested _each would wait for itself
+            for vec, part in zip(vectors, evolve(chunk, workers=1)):
+                vec[:, j:j + width] = part
+            del chunk, part  # before the next chunk's are allocated
+
     found = {}
-    start, now = psi, 0.0
-    for first in range(0, len(distinct), per_segment):
-        segment = distinct[first:first + per_segment]
-        steps = [t - now for t in segment]
-        degrees = [_chebyshev_degree(radius * s) for s in steps]
+    start, lock = psi, threading.Lock()
+    for segment, segment_steps in zip(segments, steps):
+        degrees = [_chebyshev_degree(radius * s) for s in segment_steps]
         coefs = [_chebyshev_coefficients(radius * s, K) * np.exp(-1j * mu * s)
-                 for s, K in zip(steps, degrees)]
+                 for s, K in zip(segment_steps, degrees)]
+        evolve = partial(_chebyshev_evolve, H_sp, degrees=degrees, coefs=coefs, mu=mu,
+                         radius=radius, arithmetic=_arithmetic(H_sp, start))
         if chunks == 1:  # the accumulators are the results
-            vectors = _chebyshev_evolve(H_sp, np.ascontiguousarray(start, dtype=complex),
-                                        degrees, coefs, mu, radius)
+            vectors = evolve(np.ascontiguousarray(start, dtype=complex), workers=workers)
         else:
             vectors = [np.empty((dim, columns), dtype=complex) for _ in segment]
-            for j in range(0, columns, width):
-                chunk = np.ascontiguousarray(start[:, j:j + width], dtype=complex)
-                evolved = _chebyshev_evolve(H_sp, chunk, degrees, coefs, mu, radius)
-                for vec, part in zip(vectors, evolved):
-                    vec[:, j:j + width] = part
-                del chunk, evolved, part
-        start, now = vectors[-1], segment[-1]
+            chunk_starts = iter(range(0, columns, width))
+            _each(evolve_chunks, in_flight)
+        start = vectors[-1]
         for t, vec in zip(segment, vectors):
             found[t] = observe(vec) if observe else vec
         del vectors, vec  # free this segment's accumulators before the next one's
     out = [found[t] for t in times]
     return out[0] if scalar else out
+
+
+# The least bytes a block's chunks in flight may take, whatever the CSR's size.
+# Real tfim chains up to 11 qubits have a smaller CSR, which alone would give
+# chunks of 7-9 columns, whose time goes to Python's per-degree overhead.  It
+# stays below the 640 KiB CSR of a 12-qubit tfim chain, whose chunks the CSR
+# still sizes.
+CHUNK_FLOOR = 512 << 10
+
+# The cap on radius * |time step| of one recurrence.  At the cap the degree is
+# about 89,000, and ``_chebyshev_coefficients`` takes 2^18 complex samples
+# (4 MiB) and their FFT; a step twice as long takes twice that.
+CHEBYSHEV_ARGUMENT_CAP = 2.0**16
+
+
+def _arithmetic(H_sp, psi: np.ndarray) -> str:
+    """How ``_chebyshev_evolve`` runs psi under H_sp: "complex", "paired" or "real".
+
+    A complex H needs complex vectors.  Under a real H, a block with an
+    imaginary part anywhere runs as (re, im) column pairs, and a real one
+    in real arithmetic.  It is decided from the whole block, so a column's
+    bits never depend on the other columns of its chunk.
+    """
+    if np.iscomplexobj(H_sp):
+        return "complex"
+    return "paired" if np.iscomplexobj(psi) and np.any(psi.imag) else "real"
 
 
 # Stored entries x operand columns from which a product's rows are split.  A
@@ -918,45 +970,47 @@ SPLIT_GRAIN = 1 << 20
 
 
 def _chebyshev_evolve(H_sp, psi: np.ndarray, degrees: list[int], coefs: list[np.ndarray],
-                      mu: float, radius: float) -> list[np.ndarray]:
+                      mu: float, radius: float, arithmetic: str, workers: int) -> list[np.ndarray]:
     """sum_k coef[k] T_k(G) psi up to each grid point's degree: ``expm_multiply``'s recurrence.
 
-    ``psi`` is a complex vector or dim x w block.  The vectors T_k(G) psi
-    are kept in the matrix's arithmetic.  Under a real H, a real psi gives
-    real vectors, and a complex psi is viewed as a real array of its (re,
-    im) column pairs, which scipy multiplies column by column; a complex
-    operand would make scipy cast the matrix to complex in every product.
-    The accumulators are complex, as the coefficients are.  With mu = 0 and
-    real vectors, the coefficient (-i)^k J_k is real for even k and
-    imaginary for odd k, so each degree adds one real multiple of T_k(G) psi
-    into the real or the imaginary part of each accumulator.
+    ``psi`` is a complex vector or dim x w block, and ``arithmetic`` is
+    ``_arithmetic`` of the whole block it belongs to.  The vectors
+    T_k(G) psi are kept in the matrix's arithmetic.  Under a real H, a real
+    block gives real vectors, and a complex one is viewed as a real array
+    of its (re, im) column pairs, which scipy multiplies column by column;
+    a complex operand would make scipy cast the matrix to complex in every
+    product.  The accumulators are complex, as the coefficients are.  With
+    mu = 0 and real vectors, the coefficient (-i)^k J_k is real for even k
+    and imaginary for odd k, so each degree adds one real multiple of
+    T_k(G) psi into the real or the imaginary part of each accumulator.
 
     Each degree's step is row-local once its product is taken: rows r0:r1
     of T_k need rows r0:r1 of H times all of T_{k-1}, and the same rows of
-    T_{k-1}, T_{k-2} and the accumulators.  So when H_sp's stored entries
-    times the operand's columns reach SPLIT_GRAIN, the rows are split into
-    ``_workers()`` contiguous blocks (``_row_blocks``, over views of H_sp's
-    entries), and each block's product, shift, scale, subtraction and
-    accumulation run as one task of ``_each``.  scipy's sparse product and
-    numpy's ufuncs release the GIL, so the blocks run at once.  Below the
-    grain the one block is H_sp, run inline on the whole arrays.  A row's
-    sum keeps its order and every other step is per entry, so the bits do
-    not depend on the split.  T_k is written into T_{k-2}'s buffer once
-    that is the recurrence's own, not psi, so a call allocates at most two
-    vectors besides scipy's products.
+    T_{k-1}, T_{k-2} and the accumulators.  So when ``workers`` exceeds 1
+    and H_sp's stored entries times the operand's columns reach
+    SPLIT_GRAIN, the rows are split into ``workers`` contiguous blocks
+    (``_row_blocks``, over views of H_sp's entries), and each block's
+    product, shift, scale, subtraction and accumulation run as one task of
+    ``_each``.  scipy's sparse product and numpy's ufuncs release the GIL,
+    so the blocks run at once.  Otherwise the one block is H_sp, run on
+    this thread on the whole arrays.  A row's sum keeps its order and
+    every other step is per entry, so the bits do not depend on the split.
+    T_k is written into T_{k-2}'s buffer once that is the recurrence's own,
+    not psi, so a call allocates at most two vectors besides scipy's
+    products.
     """
     sums = [c[0] * psi for c in coefs]
     own = False  # whether T_0 is the recurrence's copy, free for T_2, or psi itself
-    if np.iscomplexobj(H_sp):
+    if arithmetic == "complex":
         cur = psi
-    elif np.any(psi.imag):
+    elif arithmetic == "paired":
         cur = psi.view(np.float64).reshape(len(psi), -1)
     else:
         cur, own = np.ascontiguousarray(psi.real), True
-    paired = cur.shape != psi.shape
-    halved = not mu and not paired and cur.dtype == np.float64
+    paired = arithmetic == "paired"
+    halved = not mu and arithmetic == "real"
     columns = cur.shape[1] if cur.ndim == 2 else 1
-    parts = _workers() if H_sp.nnz * columns >= SPLIT_GRAIN else 1
+    parts = workers if H_sp.nnz * columns >= SPLIT_GRAIN else 1
     bounds = [len(psi) * b // parts for b in range(parts + 1)]
     blocks = _row_blocks(H_sp, bounds)
 
@@ -1005,7 +1059,10 @@ def _chebyshev_evolve(H_sp, psi: np.ndarray, degrees: list[int], coefs: list[np.
     for k in range(1, max(degrees) + 1):
         # T_{k-2}'s buffer once it is the recurrence's own
         new = old if k > 2 or (k == 2 and own) else vector(np.empty_like(cur))
-        _each(partial(step, k, src, old, new), parts)
+        if parts == 1:
+            step(k, src, old, new, 0)
+        else:
+            _each(partial(step, k, src, old, new), parts)
         old, src = src, new
     return sums
 
@@ -1033,14 +1090,14 @@ def _row_blocks(H_sp, bounds: list[int]) -> list:
 
 
 def _workers() -> int:
-    """The number of CPUs this process may run on: the row blocks of a split product."""
+    """The number of CPUs this process may run on: the tasks of a chunked block or split product."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
 
 
-_POOL: ThreadPoolExecutor | None = None  # the row-block threads, started by the first split
+_POOL: ThreadPoolExecutor | None = None  # _workers() - 1 threads, started by the first _each
 
 
 def _forget_pool() -> None:  # a forked child has none of its parent's threads
@@ -1053,17 +1110,24 @@ if hasattr(os, "register_at_fork"):
 
 
 def _each(task, count: int) -> None:
-    """task(0), ..., task(count - 1): the first on this thread, the others on the row pool.
+    """task(0), ..., task(count - 1): the first on this thread, the others on the pool.
 
-    Returns once every task has finished, so a task's exception reaches
-    the caller after no task still writes.
+    The pool has ``_workers()`` - 1 threads, whatever the first caller's
+    count.  Its callers are a chunked block (``expm_multiply``), one task
+    per chunk in flight, and a split product (``_chebyshev_evolve``), one
+    task per row block and degree.  A task must not call ``_each`` with a
+    count above 1: with every pool thread running a task, the nested tasks
+    would wait for a thread that waits for them.  Returns once every task
+    has finished, so a task's exception reaches the caller after no task
+    still writes.
     """
     if count == 1:
         task(0)
         return
     global _POOL
     if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=count - 1, thread_name_prefix="opgrowth-rows")
+        _POOL = ThreadPoolExecutor(max_workers=max(1, _workers() - 1),
+                                   thread_name_prefix="opgrowth")
     futures = [_POOL.submit(task, b) for b in range(1, count)]
     try:
         task(0)

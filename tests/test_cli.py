@@ -566,6 +566,8 @@ def test_paper_formula_mode_requires_params(tmp_path):
 
 BOUND_CONFIG = {"command": "bound", "sweeps": [{"bound": "volume", "t": [2.0], "R": [3.0]}]}
 GHZ_CONFIG = {"command": "ssb", "experiments": [{"kind": "ghz", "L": [4]}]}
+ORACLE4_CONFIG = {"command": "oracle", "lattice": {"d": 1, "L": 4},
+                  "model": {"name": "tfim", "g": 1.0}, "t_grid": [0.5]}
 CHAIN8_BOUND = dict(BOUND_CONFIG, lattice={"d": 1, "L": 8}, model={"name": "tfim", "g": 1.0})
 
 
@@ -617,6 +619,9 @@ def region_sweep(bound, S, B):
     {"command": "verify", "suites": [{"completeness": True}]},
     dict(SIM_CONFIG, params=[1]),
     dict(GHZ_CONFIG, experiments=[{"kind": "rk", "lattice": {"d": 1, "L": 6}, "beta": [-1]}]),
+    dict(ORACLE4_CONFIG, t_grid=[math.nan]),
+    dict(ORACLE4_CONFIG, t_grid=[math.inf]),
+    dict(SIM_CONFIG, t_grid=["inf"]),
 ], ids=["model-parameter", "model-name", "pauli-letter", "pauli-count", "site-off-lattice",
         "site-outside-anchor-box", "mode", "params-degree", "lattice-L", "grid-without-num",
         "anchor-vertex", "r-below-range", "state-key", "sweep-key", "ghz-key", "model-value",
@@ -626,7 +631,8 @@ def region_sweep(bound, S, B):
         "dominance-site-off-lattice", "matrix-exp-s-outside-b", "matrix-exp-target-count",
         "regions-entry", "regions-empty", "nested-regions-empty", "regions-distance",
         "sites-not-a-list", "site-not-an-integer", "grid-num-negative", "suites-not-a-list",
-        "suite-not-a-name", "params-not-an-object", "rk-beta-negative"])
+        "suite-not-a-name", "params-not-an-object", "rk-beta-negative", "t-grid-nan",
+        "t-grid-infinity", "t-grid-inf-string"])
 def test_config_errors_exit_2(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
     out = tmp_path / "out"
@@ -634,6 +640,28 @@ def test_config_errors_exit_2(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("t", [1e308, -1e300, 1e6])
+@pytest.mark.parametrize("config", [
+    ORACLE4_CONFIG,
+    dict(SIM_CONFIG, lattice={"d": 1, "L": 4}),
+    dict(SIM_CONFIG, lattice={"d": 1, "L": 4}, oracle=False),
+], ids=["oracle", "simulate", "simulate-without-oracle"])
+def test_times_past_the_chebyshev_cap_exit_2(tmp_path, capsys, config, t):
+    # radius * t on a 4-site tfim chain runs past the cap: refused before any degree is
+    # taken, where 1e308 and -1e300 raised from the degree and 1e6 would sample 2^24
+    # points; simulate keeps the grid prefix under its caps, here none of it
+    cfg = write_config(tmp_path, dict(config, t_grid=[t]))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if config["command"] == "oracle":
+        assert "exceeds the Chebyshev cap" in err
+    else:
+        assert json.loads((out / "manifest.json").read_text())["truncated"]
+        assert len((out / "results.csv").read_text().splitlines()) == 1
 
 
 def test_stray_imaginary_part_stays_exit_1(tmp_path, monkeypatch):

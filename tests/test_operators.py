@@ -920,6 +920,22 @@ def test_expm_multiply_long_grid_runs_in_segments():
     assert np.max(np.abs(np.array(got[::-1]) - want @ psi.conj())) <= 1e-12
 
 
+def test_expm_multiply_refuses_a_step_past_the_cap(trips_before_allocating):
+    cap = operators.CHEBYSHEV_ARGUMENT_CAP
+    # at the cap, the coefficients' FFT samples take 4 MiB
+    degree = operators._chebyshev_degree(cap)
+    assert 16 << (2 * degree + 1).bit_length() == 4 << 20
+    _, region, H_sp, mu, radius = _chain("tfim", 4, {"J": 1.0, "g": 1.0})
+    psi = ProductState.all_zero().state_vector(region)
+    block = np.ones((16, 3))
+    for t in (1e6, 1e308, -1e300, 1.01 * cap / radius, math.nan, math.inf, [0.3, 1e6]):
+        for start in (psi, block):
+            trips_before_allocating(
+                lambda: operators.expm_multiply(H_sp, start, t, mu, radius))
+    # a zero radius does not excuse a time that is not finite
+    trips_before_allocating(lambda: operators.expm_multiply(H_sp, psi, math.nan, mu, 0.0))
+
+
 def test_expm_multiply_block_matches_columns():
     rng = np.random.default_rng(21)
     g = build_square_lattice(1, 8)
@@ -931,7 +947,7 @@ def test_expm_multiply_block_matches_columns():
         mu, norm = operators.shift_and_radius(H, region)
         dim = H_sp.shape[0]
         csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
-        fit = csr_bytes // (16 * dim)
+        fit = max(csr_bytes, operators.CHUNK_FLOOR) // (16 * dim)
         for columns in (3, 3 * fit + 1):  # one chunk, and chunks narrower than the block
             real = rng.normal(size=(dim, columns))
             for block in (real, real + 1j * rng.normal(size=(dim, columns))):
@@ -948,29 +964,64 @@ def test_expm_multiply_block_matches_columns():
                 assert np.max(np.abs(single - got[1])) <= 1e-13
 
 
-def test_expm_multiply_block_memory_stays_flat():
+def _fresh_pools(monkeypatch, workers):
+    """Each w of ``workers`` in turn, ``_workers`` giving w, on a fresh pool of w - 1 threads."""
+    for w in workers:
+        monkeypatch.setattr(operators, "_workers", lambda w=w: w)
+        monkeypatch.setattr(operators, "_POOL", None)
+        try:
+            yield w
+        finally:
+            if operators._POOL is not None:
+                operators._POOL.shutdown(wait=True)
+
+
+def _block_peak(H_sp, block, t, mu, radius):
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        got = operators.expm_multiply(H_sp, block, t, mu, radius)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_expm_multiply_block_memory_stays_flat(monkeypatch):
     H = build_named_hamiltonian("tfim", build_square_lattice(1, 12), {"J": 1.0, "g": 1.05})
     H_sp = hamiltonian_matrix(H, tuple(range(12)), sparse=True)
     mu, norm = operators.shift_and_radius(H, tuple(range(12)))
     dim = H_sp.shape[0]
     csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
+    assert csr_bytes > operators.CHUNK_FLOOR  # so the CSR sizes the chunks
     chunk = csr_bytes // (16 * dim)
     columns = 96
     assert chunk < columns / 4  # so the block takes several chunks
     rng = np.random.default_rng(9)
     block = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
-    tracemalloc.start()
-    try:
-        got = operators.expm_multiply(H_sp, block, 0.6, mu, norm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the output, and one chunk's input, accumulator, scratch and three recurrence
-    # vectors (measured: 6.0 chunks over the output); the whole block at once would
-    # take six outputs
-    assert peak < got.nbytes + csr_bytes + 6 * 16 * dim * chunk, (peak, got.nbytes, csr_bytes)
+    for w in _fresh_pools(monkeypatch, (1, 2, 3, 4)):
+        got, peak = _block_peak(H_sp, block, 0.6, mu, norm)
+        # the output, and one chunk's input, accumulator, scratch and three recurrence
+        # vectors (measured: 4.9 to 6.0 chunks over the output at w = 1 to 4, the chunks in
+        # flight together as wide as one); the whole block at once would take six outputs
+        assert peak < got.nbytes + csr_bytes + 6 * 16 * dim * chunk, (w, peak, got.nbytes)
+
+
+def test_expm_multiply_block_memory_stays_flat_at_the_floor(monkeypatch):
+    # a 9-qubit tfim CSR of 63 KiB: the floor, not the CSR, sizes the chunks in flight
+    H = build_named_hamiltonian("tfim", build_square_lattice(1, 9), {"J": 1.0, "g": 1.05})
+    H_sp = hamiltonian_matrix(H, tuple(range(9)), sparse=True)
+    mu, norm = operators.shift_and_radius(H, tuple(range(9)))
+    dim = H_sp.shape[0]
+    csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
+    assert 8 * csr_bytes < operators.CHUNK_FLOOR
+    rng = np.random.default_rng(10)
+    block = rng.normal(size=(dim, 256)) + 1j * rng.normal(size=(dim, 256))
+    for w in _fresh_pools(monkeypatch, (1, 2, 3, 4)):
+        got, peak = _block_peak(H_sp, block, 0.6, mu, norm)
+        assert got.nbytes == 4 * operators.CHUNK_FLOOR  # so the block takes several chunks
+        # measured: 5.7 to 6.1 floors over the output
+        assert peak < got.nbytes + csr_bytes + 7 * operators.CHUNK_FLOOR, (w, peak, got.nbytes)
 
 
 def _chain(name, n, params):
@@ -981,23 +1032,30 @@ def _chain(name, n, params):
     return H, region, H_sp, *operators.shift_and_radius(H, region)
 
 
-def _at_each_split(monkeypatch, run):
-    """run() with its products' rows in 1, 2 and 3 blocks, and the block counts seen per w."""
-    made = []
-    row_blocks = operators._row_blocks
+def _at_each_split(monkeypatch, run, workers=(1, 2, 3)):
+    """run() at each CPU count w on a fresh pool, and per w the sets of the row-block
+    counts asked of ``_row_blocks`` and of the task counts handed to ``_each``."""
+    made, handed = [], []
+    row_blocks, each = operators._row_blocks, operators._each
 
     def recorded(H_sp, bounds):
         made.append(len(bounds) - 1)
         return row_blocks(H_sp, bounds)
 
+    def counted(task, count):
+        handed.append(count)
+        each(task, count)
+
     monkeypatch.setattr(operators, "_row_blocks", recorded)
-    results, seen = [], []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(operators, "_workers", lambda workers=workers: workers)
+    monkeypatch.setattr(operators, "_each", counted)
+    results, seen, tasks = [], [], []
+    for _ in _fresh_pools(monkeypatch, workers):
         made.clear()
+        handed.clear()
         results.append(run())
         seen.append(set(made))
-    return results, seen
+        tasks.append(set(handed))
+    return results, seen, tasks
 
 
 def _assert_same_bits(results):
@@ -1015,18 +1073,41 @@ def test_expm_multiply_row_split_keeps_the_bits(monkeypatch):
     for state in (ProductState.all_plus(region),
                   ProductState({v: np.array([1.0, 1j]) / math.sqrt(2) for v in region})):
         psi = state.state_vector(region)
-        results, seen = _at_each_split(
+        results, seen, _ = _at_each_split(
             monkeypatch, lambda: operators.expm_multiply(H_sp, psi, [0.9, 0.2, -0.4], mu, radius))
         assert seen == [{1}, {2}, {3}]
         _assert_same_bits(results)
 
+    # the block's chunks of 27, 12, 9 and 6 columns (3, 7, 9 and 14 of them) run as
+    # min(w, chunks) tasks, each chunk on one thread with its rows unsplit
     _, _, H_sp, mu, radius = _chain("random2local", 11, {"seed": 5})
-    assert H_sp.nnz * 27 >= operators.SPLIT_GRAIN  # each of the three chunks
+    assert H_sp.nnz * 27 >= operators.SPLIT_GRAIN  # a chunk at w = 1
     rng = np.random.default_rng(12)
     block = rng.normal(size=(2048, 81)) + 1j * rng.normal(size=(2048, 81))
-    results, seen = _at_each_split(
-        monkeypatch, lambda: operators.expm_multiply(H_sp, block, [0.3, -0.5], mu, radius))
-    assert seen == [{1}, {2}, {3}]
+    results, seen, tasks = _at_each_split(
+        monkeypatch, lambda: operators.expm_multiply(H_sp, block, [0.3, -0.5], mu, radius),
+        workers=(1, 2, 3, 4))
+    assert seen == [{1}] * 4
+    assert tasks == [{1}, {2}, {3}, {4}]
+    _assert_same_bits(results)
+
+
+def test_expm_multiply_chunks_take_the_arithmetic_of_the_whole_block(monkeypatch):
+    # a 9-qubit tfim block whose first 100 columns are real, in chunks of 64, 32, 20
+    # and 16 columns at w = 1 to 4: column 64 is in a mixed chunk at w = 1 and in a
+    # real one at w = 2 to 4, and the whole block runs as (re, im) pairs at every w
+    _, _, H_sp, mu, radius = _chain("tfim", 9, {"J": 1.0, "g": 1.05})
+    assert mu == 0.0  # so a real chunk would halve its accumulations
+    rng = np.random.default_rng(13)
+    block = rng.normal(size=(512, 256)) + 1j * rng.normal(size=(512, 256))
+    block[:, :100] = block[:, :100].real
+    counting = CountingCSR(H_sp)
+    operators.expm_multiply(counting, block, 0.3, mu, radius)
+    assert {shape[1] % 2 for _, shape in counting.operands} == {0}  # column pairs only
+    results, seen, tasks = _at_each_split(
+        monkeypatch, lambda: operators.expm_multiply(H_sp, block, [0.3, -0.5], mu, radius),
+        workers=(1, 2, 3, 4))
+    assert tasks == [{1}, {2}, {3}, {4}]
     _assert_same_bits(results)
 
 
@@ -1034,7 +1115,7 @@ def test_exact_expectation_row_split_keeps_the_bits(monkeypatch):
     chain = build_square_lattice(1, 18)
     H = build_named_hamiltonian("tfim", chain, {"J": 1.0, "g": 1.05})
     A = pauli_operator("Z", (9,))
-    results, seen = _at_each_split(
+    results, seen, _ = _at_each_split(
         monkeypatch, lambda: exact_expectation(H, A, ProductState.all_zero(), [0.25, 0.5]))
     assert seen == [{1}, {2}, {3}]
     assert results[0] == results[1] == results[2]
@@ -1044,32 +1125,40 @@ def test_nested_commutator_row_split_keeps_the_bits(monkeypatch):
     H = build_named_hamiltonian("random2local", build_square_lattice(1, 11), {"seed": 7})
     A = pauli_operator("Z", (5,))
     probes = [pauli_operator("X", (0,)), pauli_operator("Y", (10,))]
-    results, seen = _at_each_split(
+    # the 2048 x 1024 block in chunks of 27, 13 and 9 columns: min(w, chunks) tasks,
+    # each chunk's rows unsplit
+    results, seen, tasks = _at_each_split(
         monkeypatch, lambda: nested_commutator_norm(H, A, probes, 0.1, tuple(range(11))))
-    assert seen == [{1}, {2}, {3}]
+    assert seen == [{1}] * 3
+    assert tasks == [{1}, {2}, {3}]
     assert results[0] == results[1] == results[2]
 
 
 def test_expm_multiply_row_split_keeps_the_bits_under_contention(monkeypatch):
-    # five blocks on a fresh pool, more than the CPUs, with the interpreter
-    # switching threads every microsecond
+    # five row blocks of a vector, and five tasks taking a block's 25 chunks of 12
+    # columns (a chunk lost or taken twice would leave or overwrite its columns), on a
+    # fresh pool, more than the CPUs, with the interpreter switching threads every
+    # microsecond
     import sys
 
     _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
     psi = ProductState({v: np.array([1.0, 1j]) / math.sqrt(2) for v in region}).state_vector(region)
-    monkeypatch.setattr(operators, "_workers", lambda: 1)
-    want = operators.expm_multiply(H_sp, psi, [0.2, 0.7], mu, radius)
-    monkeypatch.setattr(operators, "_workers", lambda: 5)
-    monkeypatch.setattr(operators, "_POOL", None)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = operators.expm_multiply(H_sp, psi, [0.2, 0.7], mu, radius)
-    finally:
-        sys.setswitchinterval(interval)
-        operators._POOL.shutdown(wait=True)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    _, _, H_9, mu_9, radius_9 = _chain("tfim", 9, {"J": 1.0, "g": 1.05})
+    block = np.random.default_rng(16).normal(size=(512, 300))
+    for matrix, start, shift, scale in ((H_sp, psi, mu, radius), (H_9, block, mu_9, radius_9)):
+        monkeypatch.setattr(operators, "_workers", lambda: 1)
+        want = operators.expm_multiply(matrix, start, [0.2, 0.7], shift, scale)
+        monkeypatch.setattr(operators, "_workers", lambda: 5)
+        monkeypatch.setattr(operators, "_POOL", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = operators.expm_multiply(matrix, start, [0.2, 0.7], shift, scale)
+        finally:
+            sys.setswitchinterval(interval)
+            operators._POOL.shutdown(wait=True)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_expm_multiply_row_split_blocks_are_the_matrix_rows():
@@ -1111,6 +1200,41 @@ def test_expm_multiply_row_split_runs_in_a_forked_child(monkeypatch):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_expm_multiply_chunks_at_the_grain_leave_their_rows_unsplit(monkeypatch):
+    # a 14-qubit tfim block in four chunks of 5 real columns at w = 2: each chunk's
+    # products reach the grain, but a pool thread that split them would wait on the
+    # pool it runs on; the child exits 0 only if the block finishes in time, asks for
+    # whole-matrix blocks only and agrees with w = 1
+    import signal
+
+    _, _, H_sp, mu, radius = _chain("tfim", 14, {"J": 1.0, "g": 1.05})
+    assert H_sp.nnz * 5 >= operators.SPLIT_GRAIN
+    block = np.random.default_rng(14).normal(size=(H_sp.shape[0], 20))
+    monkeypatch.setattr(operators, "_workers", lambda: 1)
+    want = operators.expm_multiply(H_sp, block, 0.3, mu, radius)
+    made = []
+    row_blocks = operators._row_blocks
+
+    def recorded(matrix, bounds):
+        made.append(len(bounds) - 1)
+        return row_blocks(matrix, bounds)
+
+    monkeypatch.setattr(operators, "_row_blocks", recorded)
+    monkeypatch.setattr(operators, "_workers", lambda: 2)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(30)
+            got = operators.expm_multiply(H_sp, block, 0.3, mu, radius)
+            code = 0 if np.array_equal(got, want) and made == [1] * 4 else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 def test_expm_multiply_row_split_takes_one_product_per_block_per_degree(monkeypatch):
     _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
     psi = ProductState.all_plus(region).state_vector(region)
@@ -1139,22 +1263,40 @@ def test_expm_multiply_row_split_takes_one_product_per_block_per_degree(monkeypa
 def test_expm_multiply_row_split_passes_a_worker_exception_on(monkeypatch):
     import threading
 
-    _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
-    psi = ProductState.all_plus(region).state_vector(region)
     raised_on = []
+    pool_failed = threading.Event()
 
     class Failing(CountingCSR):
         def __matmul__(self, vec):
             raised_on.append(threading.current_thread())
             raise RuntimeError("block product failed")
 
+    class FailingOffMain(CountingCSR):  # the caller's products wait for a pool thread's to fail
+        def __matmul__(self, vec):
+            if threading.current_thread() is threading.main_thread():
+                pool_failed.wait(30)
+                return self.matrix @ vec
+            raised_on.append(threading.current_thread())
+            pool_failed.set()
+            raise RuntimeError("block product failed")
+
     row_blocks = operators._row_blocks
-    monkeypatch.setattr(operators, "_row_blocks", lambda matrix, bounds: [
-        *row_blocks(matrix, bounds)[:-1], Failing(row_blocks(matrix, bounds)[-1])])
+    _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
+    vector = ProductState.all_plus(region).state_vector(region)
+    _, _, H_9, mu_9, radius_9 = _chain("tfim", 9, {"J": 1.0, "g": 1.05})
+    block = np.random.default_rng(15).normal(size=(512, 128))
     monkeypatch.setattr(operators, "_workers", lambda: 2)
-    with pytest.raises(RuntimeError, match="block product failed"):
-        operators.expm_multiply(H_sp, psi, 0.5, mu, radius)
-    assert raised_on and raised_on[0] is not threading.main_thread()
+    # a split product's last row block, and a block's chunk on the pool (four of 32 columns)
+    for matrix, psi, shift, scale, failing in ((H_sp, vector, mu, radius, "last row block"),
+                                               (H_9, block, mu_9, radius_9, "off main")):
+        raised_on.clear()
+        monkeypatch.setattr(operators, "_row_blocks", lambda matrix, bounds: [
+            *row_blocks(matrix, bounds)[:-1],
+            (Failing if failing == "last row block" else FailingOffMain)(
+                row_blocks(matrix, bounds)[-1])])
+        with pytest.raises(RuntimeError, match="block product failed"):
+            operators.expm_multiply(matrix, psi, 0.5, shift, scale)
+        assert raised_on and raised_on[0] is not threading.main_thread(), failing
 
 
 def test_sparse_assembly_budget(trips_before_allocating, monkeypatch):
