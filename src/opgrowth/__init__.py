@@ -42,7 +42,6 @@ from .bounds import (
     volume_bound,
 )
 from .simulate import (
-    ClusterTable,
     SimPlan,
     cluster_correction,
     operator_piece,

@@ -20,6 +20,7 @@ import sys
 import tempfile
 import time
 import traceback
+from collections import Counter
 
 import numpy as np
 
@@ -55,7 +56,6 @@ from .operators import (
     embed,
 )
 from .simulate import (
-    anchored_clusters,
     cluster_correction,
     inclusion_exclusion,
     operator_piece,
@@ -506,7 +506,8 @@ def _cmd_simulate(config: dict, out_dir: str):
         # cluster has been evaluated in vain.
         try:
             exact_values = exact_expectation(model, observable, state, grid)
-        except CapExceededError:
+        except CapExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             done = 0
     for indices in groups.values():
         if indices[0] >= done:
@@ -514,7 +515,8 @@ def _cmd_simulate(config: dict, out_dir: str):
         try:
             group_results = simulate_expectation(
                 model, observable, state, [grid[i] for i in indices], plans[indices[0]], params)
-        except CapExceededError:
+        except CapExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             done = indices[0]
             break
         for i, result in zip(indices, group_results):
@@ -716,22 +718,22 @@ def check_completeness(correction=cluster_correction) -> dict:
     for t in (0.25, 0.6, 1.0):
         full = heisenberg_evolve(model, A, t, region).matrix
         total = np.zeros_like(full)
-        for cluster in anchored_clusters(tiling, 2):
+        for cluster in enumerate_connected_subsets(tiling.adjacency, tiling.anchor_box, 2):
             piece = operator_piece(model, A, cluster, tiling, t)
             total += embed(piece.matrix, piece.support, region)
         worst = max(worst, operator_norm(total - full))
     state = ProductState.all_zero()
     sim_plan = plan(None, 0.7, 1e-6, mode="desk", graph=graph, r=2, m_star=3)
     estimate, diag = simulate_expectation(model, A, state, 0.7, sim_plan)
-    resummed = float(sum(inclusion_exclusion(diag["raw"], correction).corrected.values())[0])
+    resummed = float(sum(inclusion_exclusion(diag["raw"], correction).values())[0])
     exact = exact_expectation(model, A, state, 0.7)
     worst = max(worst, abs(estimate - exact), abs(resummed - exact))
     return {"passed": worst <= 1e-10, "worst_gap": worst}
 
 
-def _sign_flipped_correction(table, cluster, subclusters) -> float:
+def _sign_flipped_correction(raw, corrected, cluster, subclusters) -> float:
     """``cluster_correction`` with the sub-cluster sign flipped: the verify mutation."""
-    return table.raw[cluster] + sum(table.corrected[sub] for sub in subclusters)
+    return raw[cluster] + sum(corrected[sub] for sub in subclusters)
 
 
 def check_flip_identity(seed: int) -> dict:
@@ -761,17 +763,20 @@ def check_cluster_counts() -> dict:
         adj = graph.vertex_adjacency()
         degree = max(len(v) for v in adj.values())
         for root in (graph.vertices[0], graph.vertices[len(graph.vertices) // 2]):
-            for m in range(1, 6):
-                found = enumerate_connected_subsets(adj, root, m)
-                ok = ok and found == brute_connected_subsets(adj, root, m)
-                ok = ok and len(found) <= (degree * math.e) ** m
-                largest = max(largest, len(found))
+            found = enumerate_connected_subsets(adj, root, 5)
+            ok = ok and found == brute_connected_subsets(adj, root, 5)
+            counts = Counter(map(len, found))
+            ok = ok and all(n <= (degree * math.e) ** m for m, n in counts.items())
+            largest = max(largest, *counts.values())
     return {"passed": ok, "largest_count": largest}
 
 
 def brute_connected_subsets(adj: dict, root, m: int) -> list[tuple]:
-    """Reference for ``enumerate_connected_subsets``: every m-subset, kept if connected."""
-    return [sub for sub in itertools.combinations(sorted(adj), m)
+    """Reference for ``enumerate_connected_subsets``: every subset of 1 to m nodes, if connected.
+
+    Smallest first, and sorted within a size, as the enumeration returns them.
+    """
+    return [sub for size in range(1, m + 1) for sub in itertools.combinations(sorted(adj), size)
             if root in sub and is_connected(adj, sub)]
 
 

@@ -718,17 +718,16 @@ def build_named_hamiltonian(name: str, g: FactorGraph, params: dict | None = Non
         seed = int(params.pop("seed", 0))
         rng = np.random.default_rng(seed)
         adj = g.vertex_adjacency()
+        # each connected subset once, from its least site; the draws below take them in
+        # (size, tuple) order
+        subsets = sorted((sub for root in g.vertices
+                          for sub in enumerate_connected_subsets(adj, root, s_max)
+                          if min(sub) == root), key=lambda sub: (len(sub), sub))
         pairs = []
-        for size in range(1, s_max + 1):
-            subsets: set[tuple[int, ...]] = set()
-            for root in g.vertices:
-                for sub in enumerate_connected_subsets(adj, root, size):
-                    if min(sub) == root:
-                        subsets.add(sub)
-            for sub in sorted(subsets):
-                letters = "".join(rng.choice(["X", "Y", "Z"]) for _ in sub)
-                base = pauli_operator(letters, sub)
-                pairs.append((sub, h * math.exp(-kappa * size) * base.matrix))
+        for sub in subsets:
+            letters = "".join(rng.choice(["X", "Y", "Z"]) for _ in sub)
+            base = pauli_operator(letters, sub)
+            pairs.append((sub, h * math.exp(-kappa * len(sub)) * base.matrix))
         envelope = (h, kappa)
     else:
         raise ConfigError(f"unknown model {name!r}")

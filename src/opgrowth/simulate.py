@@ -32,7 +32,7 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .lattice import (
     FactorGraph,
     enumerate_connected_subsets,
     hop_distances,
-    is_connected,
     tile_boxes,
 )
 from .operators import (
@@ -72,14 +71,6 @@ class SimPlan:
     def __post_init__(self):
         if self.r < 1 or self.m_star < 1:
             raise ValueError("require r >= 1 and m_star >= 1")
-
-
-@dataclass
-class ClusterTable:
-    """Per-cluster raw and corrected values, grouped by cluster size."""
-
-    raw: dict[Cluster, float] = field(default_factory=dict)
-    corrected: dict[Cluster, float] = field(default_factory=dict)
 
 
 def plan(
@@ -131,14 +122,6 @@ def cluster_region(tiling: BoxTiling, cluster: Cluster) -> tuple[int, ...]:
     for b in cluster:
         out.extend(tiling.box_vertices[b])
     return tuple(sorted(out))
-
-
-def anchored_clusters(tiling: BoxTiling, m_star: int) -> list[Cluster]:
-    """All connected box clusters containing the anchor, up to size m_star."""
-    out: list[Cluster] = []
-    for m in range(1, m_star + 1):
-        out.extend(enumerate_connected_subsets(tiling.adjacency, tiling.anchor_box, m))
-    return out
 
 
 @dataclass
@@ -357,62 +340,53 @@ def raw_cluster_expectation(
     return exact_expectation(H, A, state, t, region=cluster_region(tiling, cluster))
 
 
-def anchored_proper_subclusters(cluster: Cluster, adjacency: dict, anchor) -> list[Cluster]:
-    """Nonempty proper subsets of a cluster that stay connected and keep the anchor.
-
-    All other subsets carry no weight: support grows connectedly from the
-    anchor box, so their contribution is identically zero.
-    """
-    members = set(cluster)
-    local = {b: [nb for nb in adjacency[b] if nb in members] for b in cluster}
-    out: list[Cluster] = []
-    for size in range(1, len(cluster)):
-        out.extend(enumerate_connected_subsets(local, anchor, size))
-    return sorted(out)
-
-
-def cluster_correction(table: ClusterTable, cluster: Cluster, subclusters: list[Cluster]):
+def cluster_correction(raw: dict, corrected: dict, cluster: Cluster,
+                       subclusters: list[Cluster]):
     """Corrected value: raw minus the corrected values of the cluster's anchored sub-clusters.
 
-    ``subclusters`` is ``anchored_proper_subclusters`` of the cluster, in
-    its sorted order.  The values in ``table`` are read, never updated in
-    place.
+    ``subclusters`` lists the cluster's anchored connected proper subsets,
+    sorted.  ``raw`` and ``corrected`` are read, never updated in place.
     """
-    total = table.raw[cluster]
+    total = raw[cluster]
     for sub in subclusters:
-        if sub not in table.corrected:
+        if sub not in corrected:
             raise RuntimeError(f"dependency {sub} missing; levels were built out of order")
-        total = total - table.corrected[sub]
+        total = total - corrected[sub]
     return total
 
 
-def inclusion_exclusion(raw: dict, correction=None) -> ClusterTable:
-    """The table of corrected values for the clusters in ``raw``, smallest first.
+def inclusion_exclusion(raw: dict, correction=None) -> dict:
+    """The corrected value of each cluster in ``raw``, computed smallest first.
 
     ``raw`` holds every anchored connected sub-cluster of each of its
     clusters, as ``simulate_expectation`` and ``operator_piece`` build it.
-    So a cluster's anchored sub-clusters are read off the clusters already
-    seen, with no enumeration: they are the C minus {b} in ``raw`` and
-    their own sub-clusters, since every anchored connected proper subset of
-    C grows to C one box at a time.  They are handed, sorted as
-    ``anchored_proper_subclusters`` lists them, to ``correction``
-    (``cluster_correction`` unless given) with the table filled so far.
-    Values may be floats, arrays over a t grid, or operator matrices on one
-    common region.
+    So a cluster's anchored sub-clusters are read off the level below, with
+    no enumeration: they are the C minus {b} in ``raw`` and their own
+    sub-clusters, since every anchored connected proper subset of C grows
+    to C one box at a time.  Only the sub-cluster sets of the level below
+    are held, and none of the top level.  Each cluster's are handed, sorted,
+    to ``correction`` (``cluster_correction`` unless given) with ``raw`` and
+    the corrected values so far.  Values may be floats, arrays over a t
+    grid, or operator matrices on one common region.
     """
     correction = correction or cluster_correction
-    table = ClusterTable(raw=raw)
-    below: dict[Cluster, set[Cluster]] = {}
-    for cluster in sorted(raw, key=len):
-        subclusters: set[Cluster] = set()
-        for b in cluster:
-            sub = tuple(x for x in cluster if x != b)
-            if sub in raw:
-                subclusters.add(sub)
-                subclusters |= below[sub]
-        below[cluster] = subclusters
-        table.corrected[cluster] = correction(table, cluster, sorted(subclusters))
-    return table
+    corrected: dict = {}
+    top = max(map(len, raw), default=0)
+    below: dict[Cluster, set[Cluster]] = {}  # the sub-cluster sets of the level below
+    for size, level in itertools.groupby(sorted(raw, key=len), key=len):
+        above: dict[Cluster, set[Cluster]] = {}
+        for cluster in level:
+            subclusters: set[Cluster] = set()
+            for b in cluster:
+                sub = tuple(x for x in cluster if x != b)
+                if sub in raw:
+                    subclusters.add(sub)
+                    subclusters |= below[sub]
+            if size < top:
+                above[cluster] = subclusters
+            corrected[cluster] = correction(raw, corrected, cluster, sorted(subclusters))
+        below = above
+    return corrected
 
 
 def simulate_expectation(
@@ -453,22 +427,22 @@ def simulate_expectation(
     raw: dict[Cluster, np.ndarray] = {}
     classes = ComponentClasses(H, A, state)
     by_class: dict[tuple[int, ...], np.ndarray] = {}  # representative region -> raw array
-    levels: list[list[Cluster]] = []
+    levels: list[list[Cluster]] = [[] for _ in range(sim_plan.m_star)]
+    for cluster in enumerate_connected_subsets(tiling.adjacency, anchor, sim_plan.m_star):
+        levels[len(cluster) - 1].append(cluster)
     running_classes = []
-    for m in range(1, sim_plan.m_star + 1):
-        clusters = enumerate_connected_subsets(tiling.adjacency, anchor, m)
+    for clusters in levels:
         for cluster in clusters:
             representative = classes.classify(cluster_region(tiling, cluster))
             if representative not in by_class:  # the cluster's region opens its class
                 by_class[representative] = np.array(
                     raw_cluster_expectation(H, A, state, cluster, tiling, times))
             raw[cluster] = by_class[representative]
-        levels.append(clusters)
         running_classes.append(len(by_class))
     running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
     log.info("simulate: %d clusters, %d classes evaluated",
              running_clusters[-1], running_classes[-1])
-    corrected = inclusion_exclusion(raw).corrected
+    corrected = inclusion_exclusion(raw)
     zero = np.zeros(len(times))
     level_sums = [sum((corrected[cluster] for cluster in clusters), zero) for clusters in levels]
     running = list(itertools.accumulate(level_sums, initial=zero))[1:]
@@ -507,22 +481,25 @@ def operator_piece(
 
     Defined by evolving inside the cluster region and subtracting every
     anchored connected sub-cluster's piece; the size-1 base case is plain
-    evolution inside the anchor box.  The cluster and each sub-cluster are
-    evolved on their own regions, embedded in the cluster region and
-    re-summed there.  Summing over all anchored connected clusters
-    reconstructs the full evolved operator.
+    evolution inside the anchor box.  One enumeration on the cluster's own
+    coarse adjacency lists the cluster and those sub-clusters; a cluster
+    missing from it is not connected.  Each is evolved on its own region,
+    embedded in the cluster region and re-summed there.  Summing over all
+    anchored connected clusters reconstructs the full evolved operator.
     """
     cluster = tuple(sorted(cluster))
     anchor = tiling.anchor_box
     if anchor not in cluster:
         raise ValueError("cluster must contain the anchor box")
-    if not is_connected(tiling.adjacency, cluster):
-        raise ValueError("cluster must be connected on the coarse graph")
     if not set(A.support) <= set(tiling.box_vertices[anchor]):
         raise ValueError("observable support must sit inside the anchor box")
+    local = {b: [nb for nb in tiling.adjacency[b] if nb in cluster] for b in cluster}
+    subclusters = enumerate_connected_subsets(local, anchor, len(cluster))
+    if cluster not in subclusters:
+        raise ValueError("cluster must be connected on the coarse graph")
     region = cluster_region(tiling, cluster)
     raw = {}
-    for sub in anchored_proper_subclusters(cluster, tiling.adjacency, anchor) + [cluster]:
+    for sub in subclusters:
         evolved = heisenberg_evolve(H, A, t, cluster_region(tiling, sub))
         raw[sub] = embed(evolved.matrix, evolved.support, region)
-    return LocalOperator(region, inclusion_exclusion(raw).corrected[cluster])
+    return LocalOperator(region, inclusion_exclusion(raw)[cluster])

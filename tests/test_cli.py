@@ -1,5 +1,6 @@
 """CLI contract: schemas, exit codes, determinism, golden headers."""
 
+import csv
 import json
 import logging
 import math
@@ -139,7 +140,7 @@ def test_paper_formula_grid_over_two_plans_matches_single_runs(tmp_path):
             assert float(row[i]) == pytest.approx(float(ref[i]), abs=1e-12)
 
 
-def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path, caplog):
+def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path, caplog, capsys):
     # t = 5 asks for 21-site boxes: one box covers the 21-site chain, above the cap
     cfg = write_config(tmp_path, {
         "command": "simulate",
@@ -154,8 +155,25 @@ def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="opgrowth.simulate"):
         assert main(["--config", cfg, "--out", str(out)]) == 2
     assert "clamping" in caplog.text
+    assert capsys.readouterr().err == "error: region of 21 qubits exceeds cap 20\n"
     assert len((out / "results.csv").read_text().splitlines()) == 1
     assert json.loads((out / "manifest.json").read_text())["truncated"]
+
+
+def test_simulate_8x8_at_m_star_7_exits_0(tmp_path):
+    # 6,534 clusters, far below the (e*deg)^m = 1.8e7 projection: only the real count is capped
+    cfg = write_config(tmp_path, {
+        "command": "simulate", "lattice": {"d": 2, "L": 8},
+        "model": {"name": "tfim", "J": 1.0, "g": 1.05}, "state": {"kind": "zero"},
+        "observable": {"pauli": "Z", "sites": [27]},
+        "plan": {"r": 1, "m_star": 7, "anchor_vertex": 27}, "t_grid": [0.5], "oracle": False,
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    with open(out / "results.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert (last["m_star"], last["clusters_evaluated"], last["classes_evaluated"]) == \
+        ("7", "6534", "156")
 
 
 def test_invalid_epsilon_exits_2_without_csv(tmp_path):
@@ -657,9 +675,9 @@ def test_times_past_the_chebyshev_cap_exit_2(tmp_path, capsys, config, t):
     assert main(["--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if config["command"] == "oracle":
-        assert "exceeds the Chebyshev cap" in err
-    else:
+    assert "exceeds the Chebyshev cap" in err
+    if config["command"] == "simulate":
+        assert err.startswith("error: ")
         assert json.loads((out / "manifest.json").read_text())["truncated"]
         assert len((out / "results.csv").read_text().splitlines()) == 1
 
@@ -675,7 +693,7 @@ def test_stray_imaginary_part_stays_exit_1(tmp_path, monkeypatch):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
-def test_oracle_guard_trips_before_any_cluster(tmp_path, monkeypatch):
+def test_oracle_guard_trips_before_any_cluster(tmp_path, monkeypatch, capsys):
     # 25 sites are above the oracle's vector cap: refuse before evaluating clusters
     import opgrowth.cli
 
@@ -686,5 +704,6 @@ def test_oracle_guard_trips_before_any_cluster(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 2
     assert calls == []
+    assert capsys.readouterr().err == "error: region of 25 qubits exceeds cap 20\n"
     assert len((out / "results.csv").read_text().splitlines()) == 1
     assert json.loads((out / "manifest.json").read_text())["truncated"]

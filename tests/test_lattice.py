@@ -173,11 +173,25 @@ def test_ball_growth_dimension_scaling():
 
 
 def test_connected_subsets_examples():
+    # every size from 1 to m, smallest first and sorted within a size
     chain = build_square_lattice(1, 8).vertex_adjacency()
     assert enumerate_connected_subsets(chain, 4, 1) == [(4,)]
-    assert len(enumerate_connected_subsets(chain, 4, 3)) == 3
+    assert enumerate_connected_subsets(chain, 4, 3) == [
+        (4,), (3, 4), (4, 5), (2, 3, 4), (3, 4, 5), (4, 5, 6)]
     grid = build_square_lattice(2, 5).vertex_adjacency()
-    assert len(enumerate_connected_subsets(grid, 12, 2)) == 4
+    assert len(enumerate_connected_subsets(grid, 12, 2)) == 1 + 4
+    assert enumerate_connected_subsets(grid, 12, 0) == []
+
+
+def test_connected_subset_counts_are_fixed_polyomino_counts():
+    # no subset of 8 sites around the centre of a 15 x 15 lattice meets its edge, so the
+    # count of each size m is m times the fixed-polyomino count A001168(m)
+    grid = build_square_lattice(2, 15).vertex_adjacency()
+    found = enumerate_connected_subsets(grid, 7 * 15 + 7, 8)
+    counts = [sum(1 for sub in found if len(sub) == m) for m in range(1, 9)]
+    assert counts == [1, 4, 18, 76, 315, 1296, 5320, 21800]
+    polyominoes = [1, 2, 6, 19, 63, 216, 760, 2725]  # A001168
+    assert counts == [m * n for m, n in enumerate(polyominoes, start=1)]
 
 
 @st.composite

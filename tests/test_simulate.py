@@ -35,10 +35,7 @@ from opgrowth.operators import (
     pauli_operator,
 )
 from opgrowth.simulate import (
-    ClusterTable,
     ComponentClasses,
-    anchored_clusters,
-    anchored_proper_subclusters,
     cluster_correction,
     inclusion_exclusion,
     operator_piece,
@@ -124,36 +121,45 @@ def test_raw_cluster_cap(trips_before_allocating):
         H, pauli_operator("Z", (0,)), ZERO, cluster, tiling, 0.1))
 
 
+def _proper_subclusters(cluster, adjacency, anchor):
+    """Brute force: the cluster's connected proper subsets that keep the anchor, sorted."""
+    local = {b: [nb for nb in adjacency[b] if nb in cluster] for b in cluster}
+    return sorted(brute_connected_subsets(local, anchor, len(cluster) - 1))
+
+
 def test_anchored_subclusters_restrict_to_connected():
-    chain_boxes = tile_boxes(build_square_lattice(1, 6), 2, 0)
-    adjacency = chain_boxes.adjacency
-    anchor = (0,)
-    # linear three-box cluster: the disconnected {b0, b2} subset is excluded
-    subs = anchored_proper_subclusters(((0,), (1,), (2,)), adjacency, anchor)
-    assert subs == [((0,),), ((0,), (1,))]
+    # enumerated on a cluster's own adjacency: the linear three-box cluster follows its
+    # anchored sub-clusters, without the disconnected {b0, b2}; {b0, b2} itself is missing
+    adjacency = tile_boxes(build_square_lattice(1, 6), 2, 0).adjacency
+    local = {b: [nb for nb in adjacency[b] if nb in ((0,), (1,), (2,))] for b in adjacency}
+    assert enumerate_connected_subsets(local, (0,), 3) == [((0,),), ((0,), (1,)),
+                                                           ((0,), (1,), (2,))]
+    assert _proper_subclusters(((0,), (1,), (2,)), adjacency, (0,)) == [((0,),), ((0,), (1,))]
+    local = {b: [nb for nb in adjacency[b] if nb in ((0,), (2,))] for b in ((0,), (2,))}
+    assert enumerate_connected_subsets(local, (0,), 2) == [((0,),)]
     # 2D boxes have up to four coarse neighbours: check against brute force
     for anchor_vertex in (0, 5):
         tiling = tile_boxes(build_square_lattice(2, 4), 1, anchor_vertex)
         anchor = tiling.anchor_box
-        for cluster in anchored_clusters(tiling, 4):
+        for cluster in enumerate_connected_subsets(tiling.adjacency, tiling.anchor_box, 4):
             local = {b: [nb for nb in tiling.adjacency[b] if nb in cluster] for b in cluster}
-            brute = sorted(sub for size in range(1, len(cluster))
-                           for sub in brute_connected_subsets(local, anchor, size))
-            assert anchored_proper_subclusters(cluster, tiling.adjacency, anchor) == brute
+            found = enumerate_connected_subsets(local, anchor, len(cluster))
+            assert found[-1] == cluster
+            assert sorted(found[:-1]) == _proper_subclusters(cluster, tiling.adjacency, anchor)
 
 
 def test_inclusion_exclusion_reads_subclusters_off_the_table(monkeypatch):
     import opgrowth.simulate as simulate_mod
 
     tiling = tile_boxes(build_square_lattice(2, 4), 1, 5)
-    clusters = anchored_clusters(tiling, 5)
+    clusters = enumerate_connected_subsets(tiling.adjacency, tiling.anchor_box, 5)
     rng = np.random.default_rng(11)
     raw = {cluster: rng.normal(size=3) for cluster in clusters}
     handed = {}
 
-    def recording(table, cluster, subclusters):
+    def recording(raw, corrected, cluster, subclusters):
         handed[cluster] = subclusters
-        return cluster_correction(table, cluster, subclusters)
+        return cluster_correction(raw, corrected, cluster, subclusters)
 
     calls = []
 
@@ -162,42 +168,41 @@ def test_inclusion_exclusion_reads_subclusters_off_the_table(monkeypatch):
         return enumerate_connected_subsets(*args)
 
     monkeypatch.setattr(simulate_mod, "enumerate_connected_subsets", counting)
-    table = inclusion_exclusion(raw, recording)
+    corrected = inclusion_exclusion(raw, recording)
     assert calls == []
     monkeypatch.undo()
-    # the enumerated sub-clusters, in their order, so the corrected values are bit-identical
-    enumerated = ClusterTable(raw=raw)
-    for cluster in sorted(clusters, key=len):
-        subs = anchored_proper_subclusters(cluster, tiling.adjacency, tiling.anchor_box)
+    # the brute-force sub-clusters, in their order, so the corrected values are bit-identical
+    reference: dict = {}
+    for cluster in clusters:
+        subs = _proper_subclusters(cluster, tiling.adjacency, tiling.anchor_box)
         assert handed[cluster] == subs, cluster
-        enumerated.corrected[cluster] = cluster_correction(enumerated, cluster, subs)
-        assert np.array_equal(table.corrected[cluster], enumerated.corrected[cluster]), cluster
+        reference[cluster] = cluster_correction(raw, reference, cluster, subs)
+        assert np.array_equal(corrected[cluster], reference[cluster]), cluster
 
 
-def _correct(table, cluster):
+def _correct(raw, corrected, cluster):
     adjacency = tile_boxes(build_square_lattice(1, 6), 2, 0).adjacency
-    subclusters = anchored_proper_subclusters(cluster, adjacency, (0,))
-    return cluster_correction(table, cluster, subclusters)
+    subclusters = _proper_subclusters(cluster, adjacency, (0,))
+    return cluster_correction(raw, corrected, cluster, subclusters)
 
 
 def test_cluster_correction_examples():
-    table = ClusterTable()
-    table.raw[((0,),)] = 0.6
-    table.corrected[((0,),)] = _correct(table, ((0,),))
-    assert table.corrected[((0,),)] == 0.6  # singleton: corrected equals raw
-    table.raw[((0,), (1,))] = 0.5
-    table.corrected[((0,), (1,))] = _correct(table, ((0,), (1,)))
-    assert table.corrected[((0,), (1,))] == pytest.approx(-0.1)
-    table.raw[((0,), (1,), (2,))] = 0.45
-    val = _correct(table, ((0,), (1,), (2,)))
+    raw, corrected = {}, {}
+    raw[((0,),)] = 0.6
+    corrected[((0,),)] = _correct(raw, corrected, ((0,),))
+    assert corrected[((0,),)] == 0.6  # singleton: corrected equals raw
+    raw[((0,), (1,))] = 0.5
+    corrected[((0,), (1,))] = _correct(raw, corrected, ((0,), (1,)))
+    assert corrected[((0,), (1,))] == pytest.approx(-0.1)
+    raw[((0,), (1,), (2,))] = 0.45
+    val = _correct(raw, corrected, ((0,), (1,), (2,)))
     assert val == pytest.approx(0.45 - 0.6 - (-0.1))
 
 
 def test_cluster_correction_missing_dependency():
-    table = ClusterTable()
-    table.raw[((0,), (1,))] = 0.5
+    raw = {((0,), (1,)): 0.5}
     with pytest.raises(RuntimeError):
-        _correct(table, ((0,), (1,)))
+        _correct(raw, {}, ((0,), (1,)))
 
 
 def test_simulate_t0_exact():
@@ -302,10 +307,10 @@ def test_clusters_not_joined_by_factors_contribute_zero(r, m_star):
     p = plan(None, 0.6, 1e-6, mode="desk", graph=g, r=r, m_star=m_star)
     estimate, _ = simulate_expectation(H, A, ZERO, 0.6, p)
     coordinate = _coordinate_tiling(p.tiling)
-    clusters = anchored_clusters(coordinate, m_star)
+    clusters = enumerate_connected_subsets(coordinate.adjacency, coordinate.anchor_box, m_star)
     raw = {c: exact_expectation(H, A, ZERO, 0.6, region=cluster_region(coordinate, c))
            for c in clusters}
-    corrected = inclusion_exclusion(raw).corrected
+    corrected = inclusion_exclusion(raw)
     unjoined = [c for c in clusters if not is_connected(p.tiling.adjacency, c)]
     assert unjoined
     assert max(abs(corrected[c]) for c in unjoined) <= 1e-14
@@ -361,15 +366,15 @@ def test_component_evaluation_matches_full_region(model, params):
     p = plan(None, 1.0, 1e-6, mode="desk", graph=g, anchor_vertex=5, r=1, m_star=5)
     results = simulate_expectation(H, A, state, grid, p)
     full = {}
-    for cluster in anchored_clusters(p.tiling, 5):
+    for cluster in enumerate_connected_subsets(p.tiling.adjacency, p.tiling.anchor_box, 5):
         region = cluster_region(p.tiling, cluster)
         assert _joined_by_terms(H, region, A.support) == region
         full[cluster] = np.array(exact_expectation(H, A, state, grid, region=region))
         for k, (_, diag) in enumerate(results):
             assert abs(diag["raw"][cluster][k] - full[cluster][k]) <= 1e-12
-    table = inclusion_exclusion(full)
+    corrected = inclusion_exclusion(full)
     for k, (estimate, _) in enumerate(results):
-        assert abs(estimate - sum(v[k] for v in table.corrected.values())) <= 1e-12
+        assert abs(estimate - sum(v[k] for v in corrected.values())) <= 1e-12
 
 
 @pytest.mark.parametrize("L, r, m_star, clusters, classes", [
@@ -492,8 +497,7 @@ def test_class_site_map_matches_brute_force(case):
     A = pauli_operator(letters, sites)
     state = make_state(GRID3.vertices) if make_state else ZERO
     adjacency = GRID3.vertex_adjacency()
-    components = [c for m in range(1, 7)
-                  for c in enumerate_connected_subsets(adjacency, sites[0], m)
+    components = [c for c in enumerate_connected_subsets(adjacency, sites[0], 6)
                   if set(A.support) <= set(c)]
     cache: dict = {}
     described = {c: _described(H, A, state, c) for c in components}
@@ -553,7 +557,7 @@ def test_class_of_distinct_terms_or_states_is_its_component(model, params, rando
     results = simulate_expectation(H, A, state, grid, p)
     diag = results[0][1]
     assert diag["running_classes"] == diag["running_clusters"]
-    for cluster in anchored_clusters(p.tiling, 5):
+    for cluster in enumerate_connected_subsets(p.tiling.adjacency, p.tiling.anchor_box, 5):
         own = exact_expectation(H, A, state, grid, region=cluster_region(p.tiling, cluster))
         for k, (_, diag) in enumerate(results):
             assert diag["raw"][cluster][k] == own[k]
@@ -569,21 +573,20 @@ def test_class_values_match_per_component_evaluation():
     diag = results[-1][1]
     assert (diag["running_clusters"][-1], diag["running_classes"][-1]) == (829, 158)
     raw: dict = {}
-    for cluster in anchored_clusters(p.tiling, 8):
+    for cluster in enumerate_connected_subsets(p.tiling.adjacency, p.tiling.anchor_box, 8):
         raw[cluster] = np.array(exact_expectation(H, A, ZERO, grid,
                                                   region=cluster_region(p.tiling, cluster)))
         for k, (_, diag) in enumerate(results):
             assert abs(diag["raw"][cluster][k] - raw[cluster][k]) <= 1e-13
-    corrected = inclusion_exclusion(raw).corrected
+    corrected = inclusion_exclusion(raw)
     for k, (estimate, _) in enumerate(results):
         assert abs(estimate - sum(v[k] for v in corrected.values())) <= 1e-11
 
 
 def test_coarse_graph_enumeration_matches_brute_force():
     tiling = tile_boxes(build_square_lattice(2, 6), 2, 0)  # 3x3 boxes, degree 4
-    for m in range(1, 5):
-        found = enumerate_connected_subsets(tiling.adjacency, (0, 0), m)
-        assert found == brute_connected_subsets(tiling.adjacency, (0, 0), m)
+    found = enumerate_connected_subsets(tiling.adjacency, (0, 0), 4)
+    assert found == brute_connected_subsets(tiling.adjacency, (0, 0), 4)
 
 
 def test_simulate_repeat_determinism():
@@ -616,7 +619,7 @@ def test_operator_piece_completeness_three_boxes():
     for t in (0.4, 1.0):
         full = heisenberg_evolve(TFIM6, A, t, region).matrix
         total = np.zeros_like(full)
-        for cluster in anchored_clusters(tiling, 3):
+        for cluster in enumerate_connected_subsets(tiling.adjacency, tiling.anchor_box, 3):
             piece = operator_piece(TFIM6, A, cluster, tiling, t)
             total += embed(piece.matrix, piece.support, region)
         assert np.linalg.norm(total - full, 2) <= 1e-10
@@ -703,15 +706,15 @@ def test_grid_resum_keeps_raw_values_and_matches_scalar_resums(monkeypatch):
     p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=1, m_star=4)
     listed = []
 
-    def counting_correction(table, cluster, subclusters):
+    def counting_correction(raw, corrected, cluster, subclusters):
         listed.append(cluster)
-        return cluster_correction(table, cluster, subclusters)
+        return cluster_correction(raw, corrected, cluster, subclusters)
 
     monkeypatch.setattr(simulate_mod, "cluster_correction", counting_correction)
     grid = [0.9, 0.2, 0.5]
     results = simulate_expectation(H, A, ZERO, grid, p)
     monkeypatch.undo()
-    clusters = anchored_clusters(p.tiling, 4)
+    clusters = enumerate_connected_subsets(p.tiling.adjacency, p.tiling.anchor_box, 4)
     assert sorted(listed) == sorted(clusters)  # once per cluster, not once per t
     # each cluster holds, bit for bit, the raw array of the first cluster of its class
     classes = ComponentClasses(H, A, ZERO)
@@ -725,13 +728,13 @@ def test_grid_resum_keeps_raw_values_and_matches_scalar_resums(monkeypatch):
             assert abs(raw[k] - own[k]) <= 1e-13
     for k, (estimate, diag) in enumerate(results):
         assert diag["raw"] is results[0][1]["raw"]  # one dict for the grid, no per-t copy
-        table = inclusion_exclusion({c: float(v[k]) for c, v in diag["raw"].items()})
+        corrected = inclusion_exclusion({c: float(v[k]) for c, v in diag["raw"].items()})
         total = 0.0
         for m, running in enumerate(diag["running_estimates"], start=1):
             level = 0.0
             for cluster in clusters:
                 if len(cluster) == m:
-                    level += table.corrected[cluster]
+                    level += corrected[cluster]
             total += level
             assert running == total
         assert estimate == total
