@@ -1,11 +1,15 @@
 """Batch driver: JSON config in, CSV/JSON artifacts out.
 
 Exit codes: 0 success, 2 for configuration or validity-window problems
-(science errors), 1 for anything unexpected (engineering errors).  Result
-files are deterministic for a fixed config and seed; wall-clock timings go
-to the manifest only, so repeated runs stay byte-identical.  The thread
-count (``--threads``, ``OPGROWTH_THREADS`` or the config) is validated and
-recorded in the manifest; it does not change the computation.
+(science errors) and for a run that trips a resource cap, 1 for anything
+unexpected (engineering errors).  Each command's runner only computes: it
+fills a table of result files as it goes, and ``_run`` alone writes them
+and the manifest, so a cap trip keeps the finished rows of every command
+and marks its manifest truncated.  Result files are deterministic for a
+fixed config and seed; wall-clock timings go to the manifest only, so
+repeated runs stay byte-identical.  The thread count (``--threads``,
+``OPGROWTH_THREADS`` or the config) is validated and recorded in the
+manifest; it does not change the computation.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ def main(argv=None) -> int:
         if config["mode"] not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {config['mode']!r}")
         return _run(config, args.out)
-    except (ConfigError, ValidityWindowError, CapExceededError) as exc:
+    except (ConfigError, ValidityWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:
@@ -166,10 +170,28 @@ def _flag(value, what: str) -> bool:
 
 
 def _run(config: dict, out_dir: str) -> int:
+    """Run the config's command; write its result files and the manifest, and return the exit code.
+
+    The runner fills ``files`` as it goes, each name mapped to a CSV's
+    (header, rows) or to a text, and returns only its exit code.  When it
+    raises ``CapExceededError`` the message goes to stderr, what ``files``
+    holds is written, the manifest is marked truncated and the exit code is
+    2.  Any other error writes nothing.
+    """
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
-    runner = COMMANDS[config["command"]][0]
-    outputs, truncated, exit_code = runner(config, out_dir)
+    files: dict = {}
+    truncated = False
+    try:
+        exit_code = COMMANDS[config["command"]][0](config, files)
+    except CapExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        truncated, exit_code = True, 2
+    for name, content in files.items():
+        if isinstance(content, tuple):  # a CSV: (header, rows)
+            header, rows = content
+            content = "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+        _write_atomic(os.path.join(out_dir, name), content)
     manifest = {
         "command": config["command"],
         "config": config,
@@ -179,7 +201,7 @@ def _run(config: dict, out_dir: str) -> int:
         "threads": config["threads"],
         "mode": config["mode"],
         "version": __version__,
-        "outputs": outputs,
+        "outputs": list(files),
         "truncated": truncated,
         "wall_time_s": round(time.time() - start, 3),
     }
@@ -198,13 +220,6 @@ def _write_atomic(path: str, text: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _fmt(x) -> str:
@@ -317,32 +332,24 @@ def _bound_params(spec: dict | None) -> BoundParams:
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_lattice(config: dict, out_dir: str):
-    g = _build_lattice(config.get("lattice") or {})
-    path = os.path.join(out_dir, "lattice.json")
-    _write_atomic(path, g.to_json() + "\n")
-    return ["lattice.json"], False, 0
+def _cmd_lattice(config: dict, files: dict) -> int:
+    files["lattice.json"] = _build_lattice(config.get("lattice") or {}).to_json() + "\n"
+    return 0
 
 
-def _cmd_bound(config: dict, out_dir: str):
+def _cmd_bound(config: dict, files: dict) -> int:
     params = _bound_params(config.get("params"))
     graph = _build_lattice(config["lattice"]) if "lattice" in config else None
     model = None
     if graph is not None and "model" in config:
         model = _build_model(config["model"], graph, config["seed"])
     rows: list[list] = []
-    truncated = False
+    files["bounds.csv"] = (["R", "t", "bound_name", "value", "valid_flag", "exact"], rows)
     for name, sweep in _entries(config, "sweeps", "bound", _SWEEP_KEYS, "sweep"):
         if name in ("path_sum", "matrix_exp", "dominance") and model is None:
             raise ConfigError(f"{name} sweep needs lattice and model sections")
-        try:
-            rows.extend(_run_sweep(name, sweep, params, graph, model))
-        except CapExceededError:
-            truncated = True
-            break
-    _csv(os.path.join(out_dir, "bounds.csv"),
-         ["R", "t", "bound_name", "value", "valid_flag", "exact"], rows)
-    return ["bounds.csv"], truncated, 2 if truncated else 0
+        rows.extend(_run_sweep(name, sweep, params, graph, model))
+    return 0
 
 
 _SWEEP_KEYS = {  # the (required, optional) keys each bound sweep reads
@@ -459,13 +466,19 @@ def _dominance_sweep(sweep, params, graph, model):
 
 
 def _bound_row(name, t, r, thunk, exact=None):
+    value = _windowed(thunk)
+    return [float(r), float(t), name, value, value is not None, exact]
+
+
+def _windowed(thunk) -> float | None:
+    """The bound ``thunk()`` evaluates, or None outside its validity window: an empty cell."""
     try:
-        return [float(r), float(t), name, float(thunk()), True, exact]
+        return float(thunk())
     except ValidityWindowError:
-        return [float(r), float(t), name, None, False, exact]
+        return None
 
 
-def _cmd_simulate(config: dict, out_dir: str):
+def _cmd_simulate(config: dict, files: dict) -> int:
     graph = _build_lattice(config["lattice"])
     model = _build_model(config["model"], graph, config["seed"])
     state = _build_state(config.get("state"), graph)
@@ -493,59 +506,44 @@ def _cmd_simulate(config: dict, out_dir: str):
     if any(not set(observable.support) <= set(p.tiling.box_vertices[p.tiling.anchor_box])
            for p in plans):
         raise ConfigError(f"observable sites {list(observable.support)} leave the anchor box")
-    # one simulate call per distinct plan; groups in order of first grid point
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, sim_plan in enumerate(plans):
-        groups.setdefault((sim_plan.r, sim_plan.m_star), []).append(i)
-    results: list = [None] * len(grid)
-    exact_values: list = [None] * len(grid)
-    done = len(grid)  # the grid prefix whose plans and oracle all stay under the caps
-    if want_oracle:
-        # The oracle goes first: no cluster region outgrows the lattice, so when
-        # the oracle passes its caps every cluster does, and when it trips no
-        # cluster has been evaluated in vain.
-        try:
-            exact_values = exact_expectation(model, observable, state, grid)
-        except CapExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            done = 0
-    for indices in groups.values():
-        if indices[0] >= done:
-            break
-        try:
-            group_results = simulate_expectation(
-                model, observable, state, [grid[i] for i in indices], plans[indices[0]], params)
-        except CapExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            done = indices[0]
-            break
-        for i, result in zip(indices, group_results):
-            results[i] = result
-    header = ["t", "m_star", "estimate", "exact", "error", "bound_value",
-              "clusters_evaluated", "classes_evaluated", "wall_time"]
     rows: list[list] = []
-    for t, (_, diag), exact in zip(grid[:done], results, exact_values):
-        bounds = diag.get("level_bounds") or [None] * len(diag["running_estimates"])
-        for m, (running, clusters, classes, bound_value) in enumerate(
-                zip(diag["running_estimates"], diag["running_clusters"],
-                    diag["running_classes"], bounds), start=1):
-            error = abs(running - exact) if exact is not None else None
-            rows.append([float(t), m, running, exact, error, bound_value, clusters, classes, None])
-    _csv(os.path.join(out_dir, "results.csv"), header, rows)
-    truncated = done < len(grid)
-    return ["results.csv"], truncated, 2 if truncated else 0
+    files["results.csv"] = (["t", "m_star", "estimate", "exact", "error", "bound_value",
+                             "clusters_evaluated", "classes_evaluated", "wall_time"], rows)
+    # The oracle goes first: no cluster region outgrows the lattice, so when the
+    # oracle passes its caps every cluster does, and when it trips no cluster has
+    # been evaluated in vain.
+    exact_values = (exact_expectation(model, observable, state, grid) if want_oracle
+                    else [None] * len(grid))
+    # one simulate call per run of consecutive grid points that share a plan, so a
+    # cap trip keeps the rows of the grid prefix before it
+    points = zip(grid, plans, exact_values)
+    for (r, _), run in itertools.groupby(points, key=lambda point: (point[1].r, point[1].m_star)):
+        run = list(run)
+        results = simulate_expectation(model, observable, state, [t for t, _, _ in run], run[0][1])
+        for (t, _, exact), (_, diag) in zip(run, results):
+            for m, running, clusters, classes in zip(
+                    itertools.count(1), diag["running_estimates"], diag["running_clusters"],
+                    diag["running_classes"]):
+                error = abs(running - exact) if exact is not None else None
+                # the truncation bound at the level's volume m r^d
+                bound_value = None if params is None else _windowed(
+                    lambda: truncation_error_bound(params, float(t), m * r**graph.dimension))
+                rows.append([float(t), m, running, exact, error, bound_value, clusters, classes,
+                             None])
+    return 0
 
 
-def _cmd_oracle(config: dict, out_dir: str):
+def _cmd_oracle(config: dict, files: dict) -> int:
     graph = _build_lattice(config["lattice"])
     model = _build_model(config["model"], graph, config["seed"])
     state = _build_state(config.get("state"), graph)
     observable = _build_observable(config.get("observable"), graph)
     grid = _grid(config.get("t_grid", [0.5]))
+    rows: list[list] = []
+    files["oracle.csv"] = (["t", "exact"], rows)
     exact_values = exact_expectation(model, observable, state, grid)
-    rows = [[float(t), exact] for t, exact in zip(grid, exact_values)]
-    _csv(os.path.join(out_dir, "oracle.csv"), ["t", "exact"], rows)
-    return ["oracle.csv"], False, 0
+    rows.extend([float(t), exact] for t, exact in zip(grid, exact_values))
+    return 0
 
 
 _EXPERIMENT_KEYS = {  # the (required, optional) keys each ssb experiment reads
@@ -554,8 +552,7 @@ _EXPERIMENT_KEYS = {  # the (required, optional) keys each ssb experiment reads
 }
 
 
-def _cmd_ssb(config: dict, out_dir: str):
-    outputs = []
+def _cmd_ssb(config: dict, files: dict) -> int:
     rk_rows, ghz_rows, compare_reports = [], [], []
     for kind, experiment in _entries(config, "experiments", "kind", _EXPERIMENT_KEYS, "experiment"):
         if kind == "rk":
@@ -565,6 +562,7 @@ def _cmd_ssb(config: dict, out_dir: str):
             betas = _grid(experiment.get("beta", [0.5]))
             if any(beta < 0 for beta in betas):
                 raise ConfigError(f"rk beta must be >= 0, got {min(betas)}")
+            files.setdefault("rk.csv", (["beta", "R", "boundary_bonds", "disorder_value"], rk_rows))
             for beta in betas:
                 state = RKState(beta=beta, graph=graph)
                 for size, region in regions:
@@ -575,6 +573,7 @@ def _cmd_ssb(config: dict, out_dir: str):
             chains = [_integer(x, "ghz L") for x in experiment.get("L", [4, 6, 8])]
             if any(L < 1 for L in chains):
                 raise ConfigError(f"ghz L must be >= 1, got {chains}")
+            files.setdefault("ghz.csv", (["L", "g", "delta"], ghz_rows))
             for L in chains:
                 ghz_rows.append([L, g_val, ghz_splitting("tfim", L, g_val)])
         else:  # compare
@@ -585,23 +584,12 @@ def _cmd_ssb(config: dict, out_dir: str):
             ]
             compare_reports.append(disorder_bound_compare(
                 results, params, _number(experiment.get("t", 1.0), "compare t")))
-    if rk_rows:
-        _csv(os.path.join(out_dir, "rk.csv"),
-             ["beta", "R", "boundary_bonds", "disorder_value"], rk_rows)
-        outputs.append("rk.csv")
-    if ghz_rows:
-        _csv(os.path.join(out_dir, "ghz.csv"), ["L", "g", "delta"], ghz_rows)
-        outputs.append("ghz.csv")
     fits = _ssb_fits(rk_rows, ghz_rows)
     if fits:
-        _write_atomic(os.path.join(out_dir, "fits.json"),
-                      json.dumps(fits, indent=2, sort_keys=True) + "\n")
-        outputs.append("fits.json")
+        files["fits.json"] = json.dumps(fits, indent=2, sort_keys=True) + "\n"
     if compare_reports:
-        _write_atomic(os.path.join(out_dir, "compare.json"),
-                      json.dumps(compare_reports, indent=2, sort_keys=True) + "\n")
-        outputs.append("compare.json")
-    return outputs, False, 0
+        files["compare.json"] = json.dumps(compare_reports, indent=2, sort_keys=True) + "\n"
+    return 0
 
 
 def _ssb_fits(rk_rows, ghz_rows) -> dict:
@@ -641,7 +629,7 @@ def _ssb_region(graph, kind: str, size: int) -> DisorderRegion:
     return square_region(graph, (0,) * graph.dimension, size)
 
 
-def _cmd_verify(config: dict, out_dir: str):
+def _cmd_verify(config: dict, files: dict) -> int:
     suites = config.get("suites") or ["vanishing", "lemma73", "cluster_counts", "completeness"]
     if not isinstance(suites, list) or not all(isinstance(suite, str) for suite in suites):
         raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
@@ -662,10 +650,8 @@ def _cmd_verify(config: dict, out_dir: str):
     if unknown:
         raise ConfigError(f"unknown suites {unknown}")
     report = {suite: checks[suite]() for suite in suites}
-    all_pass = all(r["passed"] for r in report.values())
-    _write_atomic(os.path.join(out_dir, "report.json"),
-                  json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return ["report.json"], False, 0 if all_pass else 1
+    files["report.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return 0 if all(r["passed"] for r in report.values()) else 1
 
 
 _COMMON_KEYS = {"command", "seed", "threads", "mode"}

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundParams, truncation_error_bound
+from .bounds import BoundParams
 from .errors import ConfigError, ValidityWindowError
 from .lattice import (
     BoxTiling,
@@ -395,7 +395,6 @@ def simulate_expectation(
     state,
     t,
     sim_plan: SimPlan,
-    params: BoundParams | None = None,
 ):
     """Run the level-by-level cluster expansion and return (estimate, diagnostics).
 
@@ -409,8 +408,8 @@ def simulate_expectation(
     exactly what a plan with m_star = m would return.  ``raw`` maps each
     cluster to its raw values over the grid, one dict shared by every grid
     point, so ``raw[cluster][k]`` is the value at grid point k (k = 0 for a
-    scalar t).  With ``params``, ``level_bounds`` holds the truncation bound
-    at each level's volume m r^d, None outside its validity window.
+    scalar t).  Bounds are not evaluated here: the CLI puts the truncation
+    bound at each level's volume beside these values.
 
     ``t`` may also be a grid of times: each class is then evolved once
     along the whole grid, and the result is a list of (estimate,
@@ -446,28 +445,14 @@ def simulate_expectation(
     zero = np.zeros(len(times))
     level_sums = [sum((corrected[cluster] for cluster in clusters), zero) for clusters in levels]
     running = list(itertools.accumulate(level_sums, initial=zero))[1:]
-    results = []
-    for k, t_k in enumerate(times):
-        diagnostics = {
-            "running_clusters": running_clusters,
-            "running_classes": running_classes,
-            "level_sums": [float(v[k]) for v in level_sums],
-            "running_estimates": [float(v[k]) for v in running],
-            "raw": raw,
-        }
-        if params is not None:
-            diagnostics["level_bounds"] = [
-                _level_bound(params, t_k, m * sim_plan.r**tiling.dimension)
-                for m in range(1, sim_plan.m_star + 1)]
-        results.append((float(running[-1][k]), diagnostics))
+    results = [(float(running[-1][k]), {
+        "running_clusters": running_clusters,
+        "running_classes": running_classes,
+        "level_sums": [float(v[k]) for v in level_sums],
+        "running_estimates": [float(v[k]) for v in running],
+        "raw": raw,
+    }) for k in range(len(times))]
     return results[0] if scalar else results
-
-
-def _level_bound(params: BoundParams, t: float, M: int) -> float | None:
-    try:
-        return truncation_error_bound(params, t, M)
-    except ValidityWindowError:
-        return None
 
 
 def operator_piece(

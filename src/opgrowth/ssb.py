@@ -246,8 +246,7 @@ def _rk_transfer(state: RKState, region: DisorderRegion) -> float:
         raise ValueError("transfer-matrix path needs a 1d periodic chain")
     n = len(g.vertices)
     members = sorted(region.vertices)
-    arcs = _contiguous_arc(members, n)
-    if arcs is None:
+    if not _is_arc(members, n):
         raise ValueError("region must be a contiguous interval on the ring")
     length = len(members)
     if length == 0 or length == n:
@@ -263,14 +262,11 @@ def _rk_transfer(state: RKState, region: DisorderRegion) -> float:
     return float(numerator / denominator)
 
 
-def _contiguous_arc(members: list[int], n: int) -> list[int] | None:
-    if not members:
-        return []
+def _is_arc(members: list[int], n: int) -> bool:
+    """Whether ``members`` is one contiguous arc of the n-ring; empty and full count."""
     member_set = set(members)
-    gaps = [v for v in members if (v + 1) % n not in member_set]
-    if len(gaps) != 1 and len(member_set) != n:
-        return None
-    return members
+    ends = [v for v in members if (v + 1) % n not in member_set]
+    return not members or len(ends) == 1 or len(member_set) == n
 
 
 def disorder_bound_compare(results, params, t: float) -> dict:

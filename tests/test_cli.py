@@ -111,6 +111,44 @@ def test_simulate_bound_value_per_level_dominates_error(tmp_path, config):
     assert len({row[5] for row in rows}) == len(rows)  # no two levels share a bound
 
 
+BOUND_PARAMS = {"decay_rate": 1.0, "lr_velocity": 1.0, "sim_prefactor": 1.0,
+                "sim_decay": 1.0, "box_offset": 1e-9, "dimension": 1}
+
+
+def test_truncation_bound_reported_when_params_given(tmp_path):
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, params=BOUND_PARAMS))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "results.csv")
+    assert len(rows) == 2 * 3
+    r = SIM_CONFIG["plan"]["r"]
+    for row in rows:
+        t, m = float(row[0]), int(row[1])
+        expected = truncation_error_bound(BoundParams(**BOUND_PARAMS), t, m * r)
+        assert expected > 0 and row[5] == repr(expected)
+
+
+def test_truncation_bound_only_swallows_validity_window_errors(tmp_path, monkeypatch):
+    import opgrowth.cli
+    from opgrowth.errors import ValidityWindowError
+
+    def raise_(exc):
+        def bound(params, t, M):
+            raise exc
+        return bound
+
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, params=BOUND_PARAMS))
+    monkeypatch.setattr(opgrowth.cli, "truncation_error_bound",
+                        raise_(ValidityWindowError("outside window")))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "results.csv")
+    assert len(rows) == 2 * 3 and all(row[5] == "" for row in rows)
+    assert all(row[2] != "" for row in rows)  # the estimates are still there
+    monkeypatch.setattr(opgrowth.cli, "truncation_error_bound", raise_(ValueError("bug")))
+    assert main(["--config", cfg, "--out", str(tmp_path / "bug")]) == 1
+
+
 def test_paper_formula_grid_over_two_plans_matches_single_runs(tmp_path):
     base = {
         "command": "simulate",
@@ -157,6 +195,28 @@ def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path, caplog, capsys):
     assert "clamping" in caplog.text
     assert capsys.readouterr().err == "error: region of 21 qubits exceeds cap 20\n"
     assert len((out / "results.csv").read_text().splitlines()) == 1
+    assert json.loads((out / "manifest.json").read_text())["truncated"]
+
+
+def test_simulate_cap_trip_keeps_the_grid_prefix(tmp_path, capsys):
+    # without the oracle, t = 1e6 (one box, the whole chain) trips the Chebyshev cap in
+    # its own simulate call: the rows of t = 0.3 before it stay, t = 0.2 after it goes
+    cfg = write_config(tmp_path, {
+        "command": "simulate",
+        "mode": "paper-formula",
+        "lattice": {"d": 1, "L": 12},
+        "model": {"name": "tfim", "J": 1.0, "g": 0.9},
+        "plan": {"epsilon": 0.05},
+        "params": {"lr_velocity": 1.0, "box_offset": 1e-9, "dimension": 1},
+        "t_grid": [0.3, 1e6, 0.2],
+        "oracle": False,
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the Chebyshev cap" in err
+    rows = read_rows(out / "results.csv")
+    assert rows and {row[0] for row in rows} == {"0.3"}
     assert json.loads((out / "manifest.json").read_text())["truncated"]
 
 
@@ -249,6 +309,22 @@ def test_bound_sweep_window_flip(tmp_path):
     assert comb[2][3] == ""  # no value outside the window
     vol = [float(r[3]) for r in rows if r[2] == "volume"]
     assert vol == sorted(vol, reverse=True)  # decreasing in R
+
+
+def test_bound_cap_trip_names_the_cap(tmp_path, capsys):
+    # the nested commutator on all 25 sites is above the dense cap: the run keeps the
+    # header, marks the manifest truncated and says which cap tripped
+    cfg = write_config(tmp_path, {
+        "command": "bound",
+        "lattice": {"d": 2, "L": 5},
+        "model": {"name": "tfim", "J": 1.0, "g": 1.0},
+        "sweeps": [{"bound": "dominance", "S": [[24]], "B": [[23, 24]], "t": [0.1]}],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: region of 25 qubits exceeds cap 14\n"
+    assert (out / "bounds.csv").read_text() == "R,t,bound_name,value,valid_flag,exact\n"
+    assert json.loads((out / "manifest.json").read_text())["truncated"]
 
 
 def test_bound_evaluator_error_exits_1(tmp_path, monkeypatch):
@@ -437,13 +513,21 @@ def test_fit_summary_values():
     assert flat["slope"] == pytest.approx(0.0, abs=1e-12) and flat["r_squared"] == 1.0
 
 
-def test_ssb_ghz_above_qubit_cap_exits_2(tmp_path):
-    # refused before any 2^L x 2^L matrix is allocated
+def test_ssb_ghz_above_qubit_cap_exits_2(tmp_path, capsys):
+    # refused before any 2^L x 2^L matrix is allocated; the rows finished before it stay
     cfg = write_config(tmp_path, {
         "command": "ssb",
-        "experiments": [{"kind": "ghz", "L": [40]}],
+        "experiments": [{"kind": "rk", "lattice": {"d": 1, "L": 8, "periodic": True},
+                         "beta": [0.4], "sizes": [2, 3]},
+                        {"kind": "ghz", "L": [4, 40]}],
     })
-    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: chain of 40 qubits exceeds cap")
+    assert len((out / "rk.csv").read_text().splitlines()) == 1 + 2
+    assert [row[0] for row in read_rows(out / "ghz.csv")] == ["4"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["truncated"] and manifest["outputs"] == ["rk.csv", "ghz.csv"]
 
 
 RING8 = {"d": 1, "L": 8, "periodic": True}
@@ -669,17 +753,17 @@ def test_config_errors_exit_2(tmp_path, capsys, config):
 def test_times_past_the_chebyshev_cap_exit_2(tmp_path, capsys, config, t):
     # radius * t on a 4-site tfim chain runs past the cap: refused before any degree is
     # taken, where 1e308 and -1e300 raised from the degree and 1e6 would sample 2^24
-    # points; simulate keeps the grid prefix under its caps, here none of it
+    # points; each command keeps the grid prefix under its caps, here none of it
     cfg = write_config(tmp_path, dict(config, t_grid=[t]))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "exceeds the Chebyshev cap" in err
-    if config["command"] == "simulate":
-        assert err.startswith("error: ")
-        assert json.loads((out / "manifest.json").read_text())["truncated"]
-        assert len((out / "results.csv").read_text().splitlines()) == 1
+    assert err.startswith("error: ") and "exceeds the Chebyshev cap" in err
+    name = "oracle.csv" if config["command"] == "oracle" else "results.csv"
+    assert len((out / name).read_text().splitlines()) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["truncated"] and manifest["outputs"] == [name]
 
 
 def test_stray_imaginary_part_stays_exit_1(tmp_path, monkeypatch):

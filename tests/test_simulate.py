@@ -667,32 +667,19 @@ def test_local_operator_q_in_type():
         LocalOperator((0,), np.eye(3))
 
 
-def test_truncation_bound_reported_when_params_given():
-    params = BoundParams(decay_rate=1.0, lr_velocity=1.0, sim_prefactor=1.0,
-                         sim_decay=1.0, box_offset=1e-9, dimension=1)
-    p = plan(None, 0.5, 1e-6, mode="desk", graph=CHAIN6, r=2, m_star=2)
-    _, diag = simulate_expectation(TFIM6, pauli_operator("Z", (0,)), ZERO, 0.5, p,
-                                   params=params)
-    assert len(diag["level_bounds"]) == 2
-    assert all(bound is not None and bound > 0 for bound in diag["level_bounds"])
-
-
 def test_simulate_grid_matches_scalar_calls():
     g = build_square_lattice(2, 4)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.8})
     A = pauli_operator("Z", (0,))
-    params = BoundParams(decay_rate=1.0, lr_velocity=1.0, sim_prefactor=1.0,
-                         sim_decay=1.0, box_offset=1e-9, dimension=2)
     p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=2, m_star=3)
     grid = [0.6, 0.0, 0.3, 0.6]  # unsorted, repeated point, t = 0
-    results = simulate_expectation(H, A, ZERO, grid, p, params=params)
+    results = simulate_expectation(H, A, ZERO, grid, p)
     assert len(results) == len(grid)
     for k, (t, (est, diag)) in enumerate(zip(grid, results)):
-        est1, diag1 = simulate_expectation(H, A, ZERO, t, p, params=params)
+        est1, diag1 = simulate_expectation(H, A, ZERO, t, p)
         assert est == pytest.approx(est1, abs=1e-12)
         assert diag["running_estimates"] == pytest.approx(diag1["running_estimates"], abs=1e-12)
         assert diag["running_clusters"] == diag1["running_clusters"] == [1, 3, 6]
-        assert diag["level_bounds"] == diag1["level_bounds"]
         for cluster, raw in diag1["raw"].items():
             assert diag["raw"][cluster][k] == pytest.approx(raw[0], abs=1e-12)
 
@@ -746,23 +733,3 @@ def test_raw_cluster_rejects_stray_imaginary_part():
     assert raw_cluster_expectation(TFIM6, sigma_plus, ZERO, ((0,),), tiling, 0.0) == 0.0
     with pytest.raises(ValueError, match="stray imaginary part"):
         raw_cluster_expectation(TFIM6, sigma_plus, ZERO, ((0,),), tiling, 0.4)
-
-
-def test_truncation_bound_only_swallows_validity_window_errors(monkeypatch):
-    import opgrowth.simulate as simulate_mod
-
-    p = plan(None, 0.5, 1e-6, mode="desk", graph=CHAIN6, r=2, m_star=2)
-    A = pauli_operator("Z", (0,))
-
-    def raise_(exc):
-        def bound(params, t, M):
-            raise exc
-        return bound
-
-    monkeypatch.setattr(simulate_mod, "truncation_error_bound",
-                        raise_(ValidityWindowError("outside window")))
-    _, diag = simulate_expectation(TFIM6, A, ZERO, 0.5, p, params=BoundParams())
-    assert diag["level_bounds"] == [None, None]
-    monkeypatch.setattr(simulate_mod, "truncation_error_bound", raise_(ValueError("bug")))
-    with pytest.raises(ValueError, match="bug"):
-        simulate_expectation(TFIM6, A, ZERO, 0.5, p, params=BoundParams())
