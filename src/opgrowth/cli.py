@@ -510,10 +510,10 @@ def _cmd_simulate(config: dict, files: dict) -> int:
     files["results.csv"] = (["t", "m_star", "estimate", "exact", "error", "bound_value",
                              "clusters_evaluated", "classes_evaluated", "wall_time"], rows)
     # The oracle goes first: no cluster region outgrows the lattice, so when the
-    # oracle passes its caps every cluster does, and when it trips no cluster has
-    # been evaluated in vain.
-    exact_values = (exact_expectation(model, observable, state, grid) if want_oracle
-                    else [None] * len(grid))
+    # oracle passes its caps every cluster does, and only the grid prefix the oracle
+    # reached is evaluated.
+    exact_values, trip = (_exact_prefix(model, observable, state, grid) if want_oracle
+                          else ([None] * len(grid), None))
     # one simulate call per run of consecutive grid points that share a plan, so a
     # cap trip keeps the rows of the grid prefix before it
     points = zip(grid, plans, exact_values)
@@ -530,7 +530,29 @@ def _cmd_simulate(config: dict, files: dict) -> int:
                     lambda: truncation_error_bound(params, float(t), m * r**graph.dimension))
                 rows.append([float(t), m, running, exact, error, bound_value, clusters, classes,
                              None])
+    if trip is not None:
+        raise trip
     return 0
+
+
+def _exact_prefix(model, observable, state, grid: list[float]):
+    """(values, trip): the oracle's values on the longest prefix of ``grid`` its caps allow.
+
+    The whole grid is one ``exact_expectation`` call: one assembly and one
+    recurrence.  Only when that trips a cap is each time evaluated alone,
+    in grid order, up to the first that trips; its ``CapExceededError`` is
+    ``trip``, None when every time passes alone.
+    """
+    try:
+        return exact_expectation(model, observable, state, grid), None
+    except CapExceededError:
+        values = []
+        for t in grid:
+            try:
+                values.append(exact_expectation(model, observable, state, t))
+            except CapExceededError as exc:
+                return values, exc
+        return values, None
 
 
 def _cmd_oracle(config: dict, files: dict) -> int:
@@ -541,8 +563,10 @@ def _cmd_oracle(config: dict, files: dict) -> int:
     grid = _grid(config.get("t_grid", [0.5]))
     rows: list[list] = []
     files["oracle.csv"] = (["t", "exact"], rows)
-    exact_values = exact_expectation(model, observable, state, grid)
+    exact_values, trip = _exact_prefix(model, observable, state, grid)
     rows.extend([float(t), exact] for t, exact in zip(grid, exact_values))
+    if trip is not None:
+        raise trip
     return 0
 
 

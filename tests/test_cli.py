@@ -15,7 +15,7 @@ import pytest
 from opgrowth.bounds import BoundParams, path_sum_bound, truncation_error_bound, volume_bound
 from opgrowth.cli import _fmt, fit_summary, main
 from opgrowth.lattice import build_square_lattice
-from opgrowth.operators import build_named_hamiltonian
+from opgrowth.operators import build_named_hamiltonian, exact_expectation
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -762,6 +762,42 @@ def test_times_past_the_chebyshev_cap_exit_2(tmp_path, capsys, config, t):
     assert err.startswith("error: ") and "exceeds the Chebyshev cap" in err
     name = "oracle.csv" if config["command"] == "oracle" else "results.csv"
     assert len((out / name).read_text().splitlines()) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["truncated"] and manifest["outputs"] == [name]
+
+
+@pytest.mark.parametrize("config", [
+    ORACLE4_CONFIG,
+    dict(SIM_CONFIG, lattice={"d": 1, "L": 4}),
+], ids=["oracle", "simulate"])
+def test_one_time_past_the_chebyshev_cap_keeps_the_times_before_it(tmp_path, capsys,
+                                                                   monkeypatch, config):
+    # the grid [0.3, 1e6] trips the oracle's cap at 1e6 only: the t = 0.3 rows stay, as
+    # a run of t = 0.3 alone writes them; a grid under the cap takes one oracle call
+    import opgrowth.cli
+
+    calls = []
+
+    def counted(model, observable, state, t):
+        calls.append(t)
+        return exact_expectation(model, observable, state, t)
+
+    monkeypatch.setattr(opgrowth.cli, "exact_expectation", counted)
+    name = "oracle.csv" if config["command"] == "oracle" else "results.csv"
+    alone = tmp_path / "alone"
+    assert main(["--config", write_config(tmp_path, dict(config, t_grid=[0.3])),
+                 "--out", str(alone)]) == 0
+    assert calls == [[0.3]]
+    calls.clear()
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, dict(config, t_grid=[0.3, 1e6])),
+                 "--out", str(out)]) == 2
+    assert calls == [[0.3, 1e6], 0.3, 1e6]  # the grid, then each time alone
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the Chebyshev cap" in err
+    rows = read_rows(out / name)
+    assert rows and {row[0] for row in rows} == {"0.3"}
+    assert (out / name).read_text() == (alone / name).read_text()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["truncated"] and manifest["outputs"] == [name]
 

@@ -1,5 +1,6 @@
 """Dense operator algebra: evolution, norms, models, expectation values."""
 
+import itertools
 import math
 import os
 import re
@@ -492,9 +493,13 @@ def test_sparse_assembly_matches_dense():
             assert np.array_equal(dense, reference), (name, region)
             # no explicit zeros, e.g. Heisenberg XX+YY on parallel spins
             assert sparse.nnz == np.count_nonzero(reference), (name, region)
-            # sorted column indices, recomputed from the arrays, not the flag alone
-            fresh = sp.csr_matrix((sparse.data, sparse.indices, sparse.indptr), shape=sparse.shape)
-            assert sparse.has_sorted_indices and fresh.has_sorted_indices, (name, region)
+            # mask order: row x holds the columns x ^ mask over the ascending masks, the
+            # masks of vanishing values dropped
+            for x in range(len(reference)):
+                row = slice(sparse.indptr[x], sparse.indptr[x + 1])
+                masks = sorted(x ^ int(y) for y in np.flatnonzero(reference[x]))
+                assert sparse.indices[row].tolist() == [x ^ m for m in masks], (name, region, x)
+                assert np.array_equal(sparse.data[row], reference[x, sparse.indices[row]])
 
 
 def test_assembly_drops_terms_leaving_the_region():
@@ -715,7 +720,8 @@ def test_distinct_kinds_keep_norms_groups_and_assembly_bits():
                 if not any(np.any(t.matrix.imag) for t in terms):
                     reference = reference.real
                 want = sp.csr_matrix(reference)
-                got = hamiltonian_matrix(H, region, sparse=True)
+                got = hamiltonian_matrix(H, region, sparse=True).copy()
+                got.sort_indices()  # the rows are in mask order, the reference's sorted
                 assert got.dtype == want.dtype, (name, region)
                 for part in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(got, part), getattr(want, part)), (
@@ -735,7 +741,11 @@ def test_shift_and_radius_lowers_the_l18_degree():
 
 
 class CountingCSR:
-    """A CSR matrix that counts its products and records each operand's dtype and shape."""
+    """A CSR matrix that counts its products and records each operand's dtype and shape.
+
+    It counts under the ``counted_products`` fixture, which sends every
+    ``operators._add_product`` on a CountingCSR through ``count`` first.
+    """
 
     def __init__(self, matrix):
         self.matrix, self.products, self.operands = matrix, 0, []
@@ -743,10 +753,76 @@ class CountingCSR:
     def __getattr__(self, name):
         return getattr(self.matrix, name)
 
-    def __matmul__(self, vec):
+    def count(self, x):
         self.products += 1
-        self.operands.append((vec.dtype, vec.shape))
-        return self.matrix @ vec
+        self.operands.append((x.dtype, x.shape))
+
+
+@pytest.fixture
+def counted_products(monkeypatch):
+    add_product = operators._add_product
+
+    def counted(block, x, out):
+        if isinstance(block, CountingCSR):
+            block.count(x)
+            block = block.matrix
+        add_product(block, x, out)
+
+    monkeypatch.setattr(operators, "_add_product", counted)
+
+
+def test_add_product_is_the_csr_product_in_place():
+    # with out zeroed, the seam gives the bits of block @ x for real, paired (a real
+    # matrix and the (re, im) columns of a complex block) and complex operands
+    rng = np.random.default_rng(17)
+    dense = rng.normal(size=(40, 40)) * (rng.random((40, 40)) < 0.2)
+    real = hamiltonian_matrix(TFIM5, REGION5, sparse=True)
+    cases = [(sp.csr_matrix(dense), np.float64), (real, np.float64),
+             (sp.csr_matrix(dense + 1j * dense.T), complex)]
+    for matrix, dtype in cases:
+        dim = matrix.shape[0]
+        for shape in ((dim,), (dim, 1), (dim, 6)):
+            x = rng.normal(size=shape).astype(dtype)
+            if dtype is complex:
+                x += 1j * rng.normal(size=shape)
+            out = np.zeros(shape, dtype=dtype)
+            operators._add_product(matrix, x, out)
+            want = matrix @ x
+            assert out.dtype == want.dtype and np.array_equal(out, want), (dtype, shape)
+            # out is added to: each row's sum starts from out's value and adds the row's
+            # entries in stored order
+            start = rng.normal(size=shape).astype(dtype)
+            out = start.copy()
+            operators._add_product(matrix, x, out)
+            sums, columns = start.reshape(dim, -1), x.reshape(dim, -1)
+            for i, c in itertools.product(range(dim), range(sums.shape[1])):
+                for jj in range(matrix.indptr[i], matrix.indptr[i + 1]):  # scalar arithmetic
+                    sums[i, c] += matrix.data[jj] * columns[matrix.indices[jj], c]
+            assert np.array_equal(out, start), (dtype, shape)
+    paired = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+    out = np.zeros((32, 6))
+    operators._add_product(real, paired.view(np.float64), out)
+    assert np.array_equal(out.view(complex), real @ paired)
+
+
+def test_add_product_refuses_what_it_would_copy():
+    matrix = hamiltonian_matrix(TFIM5, REGION5, sparse=True)
+    x, out = np.ones((32, 4)), np.zeros((32, 4))
+    refused = [
+        (x[:, ::2], np.zeros((32, 2))),     # a strided operand
+        (np.ones((32, 2)), out[:, :2]),     # a strided output
+        (x.T.copy().T, out),                # Fortran order
+        (x.astype(complex), out),           # a complex operand under a real matrix
+        (x, out.astype(np.float32)),        # another dtype
+        (x, np.zeros((16, 4))),             # the wrong rows
+        (x, np.zeros((32, 3))),             # the wrong columns
+        (np.ones(16), np.zeros(32)),        # an operand that does not fit the matrix
+    ]
+    for operand, output in refused:
+        before = output.copy()
+        with pytest.raises(ValueError):
+            operators._add_product(matrix, operand, output)
+        assert np.array_equal(output, before)
 
 
 def test_expm_multiply_matches_scipy():
@@ -802,7 +878,7 @@ def test_expm_multiply_matches_scipy():
         assert np.max(np.abs(vec - np.exp(-0.5j * t) * psi)) <= 1e-15
 
 
-def test_expm_multiply_runs_in_the_matrix_arithmetic():
+def test_expm_multiply_runs_in_the_matrix_arithmetic(counted_products):
     from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
     g = build_square_lattice(1, 10)
@@ -849,7 +925,7 @@ def test_expm_multiply_long_time_matches_dense_evolution():
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_expm_multiply_grid_costs_one_recurrence():
+def test_expm_multiply_grid_costs_one_recurrence(counted_products):
     g = build_square_lattice(1, 12)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 1.05})
     region = tuple(g.vertices)
@@ -886,7 +962,7 @@ def test_expm_multiply_step_copies_no_matrix():
     assert peak < H_sp.data.nbytes, (peak, H_sp.data.nbytes)
 
 
-def test_expm_multiply_long_grid_runs_in_segments():
+def test_expm_multiply_long_grid_runs_in_segments(counted_products):
     import tracemalloc
 
     from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
@@ -936,7 +1012,7 @@ def test_expm_multiply_refuses_a_step_past_the_cap(trips_before_allocating):
     trips_before_allocating(lambda: operators.expm_multiply(H_sp, psi, math.nan, mu, 0.0))
 
 
-def test_expm_multiply_block_matches_columns():
+def test_expm_multiply_block_matches_columns(counted_products):
     rng = np.random.default_rng(21)
     g = build_square_lattice(1, 8)
     region = tuple(g.vertices)
@@ -1092,7 +1168,8 @@ def test_expm_multiply_row_split_keeps_the_bits(monkeypatch):
     _assert_same_bits(results)
 
 
-def test_expm_multiply_chunks_take_the_arithmetic_of_the_whole_block(monkeypatch):
+def test_expm_multiply_chunks_take_the_arithmetic_of_the_whole_block(monkeypatch,
+                                                                    counted_products):
     # a 9-qubit tfim block whose first 100 columns are real, in chunks of 64, 32, 20
     # and 16 columns at w = 1 to 4: column 64 is in a mixed chunk at w = 1 and in a
     # real one at w = 2 to 4, and the whole block runs as (re, im) pairs at every w
@@ -1235,7 +1312,8 @@ def test_expm_multiply_chunks_at_the_grain_leave_their_rows_unsplit(monkeypatch)
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_expm_multiply_row_split_takes_one_product_per_block_per_degree(monkeypatch):
+def test_expm_multiply_row_split_takes_one_product_per_block_per_degree(monkeypatch,
+                                                                       counted_products):
     _, region, H_sp, mu, radius = _chain("tfim", 16, {"J": 1.0, "g": 1.05})
     psi = ProductState.all_plus(region).state_vector(region)
     blocks = []
@@ -1260,22 +1338,22 @@ def test_expm_multiply_row_split_takes_one_product_per_block_per_degree(monkeypa
     assert row_blocks(H_sp, [0, H_sp.shape[0]]) == [H_sp]
 
 
-def test_expm_multiply_row_split_passes_a_worker_exception_on(monkeypatch):
+def test_expm_multiply_row_split_passes_a_worker_exception_on(monkeypatch, counted_products):
     import threading
 
     raised_on = []
     pool_failed = threading.Event()
 
     class Failing(CountingCSR):
-        def __matmul__(self, vec):
+        def count(self, x):
             raised_on.append(threading.current_thread())
             raise RuntimeError("block product failed")
 
     class FailingOffMain(CountingCSR):  # the caller's products wait for a pool thread's to fail
-        def __matmul__(self, vec):
+        def count(self, x):
             if threading.current_thread() is threading.main_thread():
                 pool_failed.wait(30)
-                return self.matrix @ vec
+                return
             raised_on.append(threading.current_thread())
             pool_failed.set()
             raise RuntimeError("block product failed")
