@@ -519,7 +519,12 @@ def _cmd_simulate(config: dict, files: dict) -> int:
     points = zip(grid, plans, exact_values)
     for (r, _), run in itertools.groupby(points, key=lambda point: (point[1].r, point[1].m_star)):
         run = list(run)
-        results = simulate_expectation(model, observable, state, [t for t, _, _ in run], run[0][1])
+        tripped = None
+        try:
+            results = simulate_expectation(model, observable, state, [t for t, _, _ in run],
+                                           run[0][1])
+        except CapExceededError as exc:  # write the rows of the levels it finished, then stop
+            results, tripped = exc.finished or [], exc
         for (t, _, exact), (_, diag) in zip(run, results):
             for m, running, clusters, classes in zip(
                     itertools.count(1), diag["running_estimates"], diag["running_clusters"],
@@ -530,6 +535,8 @@ def _cmd_simulate(config: dict, files: dict) -> int:
                     lambda: truncation_error_bound(params, float(t), m * r**graph.dimension))
                 rows.append([float(t), m, running, exact, error, bound_value, clusters, classes,
                              None])
+        if tripped is not None:
+            raise tripped
     if trip is not None:
         raise trip
     return 0

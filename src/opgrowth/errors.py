@@ -14,4 +14,11 @@ class ValidityWindowError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A configured resource guard (qubit count, enumeration size) was hit."""
+    """A configured resource guard (qubit count, enumeration size) was hit.
+
+    ``finished`` is what the raising call completed before the guard
+    tripped, when it hands any on (``simulate_expectation``'s finished
+    levels), else None.
+    """
+
+    finished = None

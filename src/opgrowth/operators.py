@@ -5,10 +5,13 @@ Everything here is exact up to floating point.  One vector propagator,
 sparse region Hamiltonian, scaled by ``shift_and_radius`` from the terms),
 serves both pictures: expectation values evolve the state vector, up to
 VECTOR_QUBIT_CAP qubits, and Heisenberg evolution evolves a block of
-columns whose Gram matrix is the operator, up to DEFAULT_QUBIT_CAP.
-``nested_commutator_norm`` keeps that block as factors of the commutator,
-so for up to two probes on a one-site operator it makes no 2^n x 2^n
-array.  ``commutator`` takes [M, C] for a few-qubit M by
+columns whose Gram matrix is the operator, up to DEFAULT_QUBIT_CAP.  That
+block's start, F (x) 1, is built chunk by chunk from F, never whole.
+``nested_commutator_norm`` keeps the evolved block as factors of the
+commutator, so for up to two probes on a one-site operator it makes no
+2^n x 2^n array, and it takes each evolved chunk straight into the
+factors' projections, so the evolved block is never whole either.
+``commutator`` takes [M, C] for a few-qubit M by
 applying M on its own qubits, never embedded.  ``operator_norm`` takes the
 largest eigenvalue of a Gram matrix, never an SVD.  A Hamiltonian without
 imaginary entries is assembled and evolved in real arithmetic; real vectors
@@ -159,20 +162,66 @@ def operator_norm(op: LocalOperator | np.ndarray) -> float:
 
     G is the Gram matrix of M / scale on its shorter side: M M^dagger, or
     M^T conj(M) for a tall M, which has the eigenvalues of M^dagger M.  It is
-    one BLAS product (``_gram``), and ``eigvalsh`` takes its eigenvalues
-    without vectors.  The scale, the largest |entry|, keeps the squares
-    from underflowing or overflowing.
+    taken from real BLAS products (``_gram``), and ``eigvalsh`` takes its
+    eigenvalues without vectors.  The scale, the largest |entry|, keeps the
+    squares from underflowing or overflowing.  M is left as it is: the norm
+    is taken of a copy (``_owned_norm``).
     """
-    mat = op.matrix if isinstance(op, LocalOperator) else np.asarray(op)
+    return _owned_norm([np.array(op.matrix if isinstance(op, LocalOperator) else op)])
+
+
+def _owned_norm(owned: list[np.ndarray]) -> float:
+    """``operator_norm`` of the one matrix in ``owned``, which it may overwrite.
+
+    A C-contiguous float or complex matrix, wide or square, is scaled in
+    place; any other is replaced in ``owned`` by its scaled C-ordered copy
+    (of its transpose when it is tall), with the bits of scaling a copy.
+    ``_gram`` pops and frees it before the Gram matrix is assembled, so a
+    caller that hands over its only reference, such as
+    ``nested_commutator_norm``'s B, never holds it beside that matrix or
+    beside the copy ``eigvalsh`` takes.
+    """
+    mat = owned[0]
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     scale = float(np.max(np.abs(mat), initial=0.0))
     if scale == 0.0:
         return 0.0
-    side = np.divide(mat.T if mat.shape[0] > mat.shape[1] else mat, scale, order="C")
-    gram = _gram(side)
-    del side
-    return scale * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    tall = mat.shape[0] > mat.shape[1]
+    if tall or not mat.flags.c_contiguous or mat.dtype.kind not in "fc":
+        owned[0] = np.divide(mat.T if tall else mat, scale, order="C")
+    else:
+        np.divide(mat, scale, out=mat)
+    del mat
+    return scale * math.sqrt(max(float(np.linalg.eigvalsh(_gram(owned))[-1]), 0.0))
+
+
+def _gram(owned: list[np.ndarray]) -> np.ndarray:
+    """Z Z^dagger from real products, Hermitian to the last bit, for the one C-contiguous Z in ``owned``.
+
+    With Z = X + iY, the real part X X^T + Y Y^T is the product of Z's
+    (re, im) column pairs with their own transpose, which numpy hands to
+    BLAS as a symmetric rank-k update (half a product, symmetric on
+    output), and the imaginary part is S - S^T with S = Y X^T.  Together
+    they cost half the complex product Z conj(Z)^T.
+
+    Z is popped from ``owned`` and freed once both products are taken,
+    before the result is allocated, so a caller that hands over its only
+    reference never holds Z beside it.  S is taken first, from contiguous
+    copies of Y and X (numpy would copy the strided views itself, with the
+    same bits).
+    """
+    Z = owned.pop()
+    S = np.ascontiguousarray(Z.imag) @ np.ascontiguousarray(Z.real).T
+    pairs = Z.view(np.float64)
+    real = pairs @ pairs.T
+    del Z, pairs
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    del real
+    out.imag = S
+    out.imag -= S.T
+    return out
 
 
 @dataclass(frozen=True)
@@ -472,37 +521,72 @@ def heisenberg_evolve(
 ) -> LocalOperator:
     """A(t) = exp(iHt) A exp(-iHt) on ``region``, with H restricted to terms inside it.
 
-    A(t) = lam_min + Z Z^dagger with (lam_min, Z) from ``_evolved_factor``,
-    so no 2^n x 2^n matrix is diagonalized, and the result is Hermitian to
-    the last bit.  Raises as ``_evolved_factor`` does.
+    A(t) = lam_min + Z Z^dagger, with lam_min and the start block F (x) 1
+    from ``_padded_factor`` and Z = exp(iHt) (F (x) 1) from
+    ``_evolved_factor``, so no 2^n x 2^n matrix is diagonalized, and the
+    result is Hermitian to the last bit.  F (x) 1 is never built whole.  Z
+    is stored whole, since its Gram matrix sums over all its columns and
+    chunk widths depend on the CPU count, and it is freed before the
+    result is allocated (``_gram``).  Raises as ``_padded_factor`` does.
     """
     region = tuple(sorted(region))
-    lam_min, Z = _evolved_factor(H, A, t, region)
-    out = _gram(Z)
-    del Z
+    lam_min, start = _padded_factor(A, region)
+    out = _gram([_evolved_factor(H, start, t, region)])
     out.real[np.diag_indices(len(out))] += lam_min
     return LocalOperator(region, out)
 
 
-def _evolved_factor(
-    H: HamiltonianSpec,
-    A: LocalOperator,
-    t: float,
-    region: tuple[int, ...],
-) -> tuple[float, np.ndarray]:
-    """(lam_min, Z) with A(t) = lam_min + Z Z^dagger on the sorted ``region``.
+@dataclass(frozen=True)
+class _PaddedFactor:
+    """F (x) 1 with F's rows on k of n qubits: a 2^n x r 2^{n-k} block, built by columns.
+
+    Column (j, b) = j 2^{n-k} + b is column j of F on those qubits times
+    basis state b of the other n - k, so it holds F[a, j] at row
+    ``at[a] | other[b]`` and zero elsewhere; ``at`` and ``other`` give the
+    2^n row index of each basis state of the two sets of qubits.
+    ``columns`` builds any range of them, so ``expm_multiply`` takes each
+    chunk's start columns straight from F and the block is never whole.
+    """
+
+    F: np.ndarray
+    at: np.ndarray
+    other: np.ndarray
+
+    @classmethod
+    def place(cls, F: np.ndarray, positions: list[int], n: int) -> _PaddedFactor:
+        def rows(qubits):  # the 2^n row index of each basis state of these qubits
+            local = np.arange(1 << len(qubits))
+            out = np.zeros_like(local)
+            for j, q in enumerate(qubits):
+                out |= ((local >> (len(qubits) - 1 - j)) & 1) << (n - 1 - q)
+            return out
+
+        return cls(F, rows(positions), rows([q for q in range(n) if q not in positions]))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.at) * len(self.other), self.F.shape[1] * len(self.other)
+
+    def columns(self, j0: int, j1: int) -> np.ndarray:
+        """Columns j0:j1 of the block, complex and C-contiguous."""
+        j, b = np.divmod(np.arange(j0, j1), len(self.other))
+        out = np.zeros((self.shape[0], j1 - j0), dtype=complex)
+        out[self.at[:, None] | self.other[b], np.arange(j1 - j0)] = self.F[:, j]
+        return out
+
+
+def _padded_factor(A: LocalOperator, region: tuple[int, ...]) -> tuple[float, _PaddedFactor]:
+    """(lam_min, F (x) 1) with A - lam_min = F F^dagger on A's sites, on the sorted ``region``.
 
     A is factored on its own k sites: with lam its eigenvalues, W its
-    eigenvectors and w = lam - lam_min, A - lam_min = F F^dagger for
-    F = W sqrt(w), keeping the columns of nonzero weight (r of them: 2^{k-1}
-    for a one-site operator or a Pauli string, none for a multiple of the
-    identity).  Z = exp(iHt) (F (x) 1) is a 2^n x r 2^{n-k} block evolved by
-    ``expm_multiply`` on the sparse region Hamiltonian, with its shift and
-    radius from ``shift_and_radius``.
+    eigenvectors and w = lam - lam_min, F = W sqrt(w), keeping the columns
+    of nonzero weight (r of them: 2^{k-1} for a one-site operator or a
+    Pauli string, none for a multiple of the identity).  F (x) 1 is the
+    2^n x r 2^{n-k} start block, given by its columns (``_PaddedFactor``).
 
     Raises ValueError for a non-Hermitian A or a support outside the
     region, and CapExceededError for a region above DEFAULT_QUBIT_CAP,
-    before the region Hamiltonian is assembled.
+    before anything 2^n-sized is allocated.
     """
     if not set(A.support) <= set(region):
         raise ValueError("region must contain the operator support")
@@ -516,49 +600,21 @@ def _evolved_factor(
     weight = lam - lam[0]
     keep = weight > 0
     F = W[:, keep] * np.sqrt(weight[keep])
-    Z = _place_columns(F, [region.index(s) for s in A.support], n)
+    return float(lam[0]), _PaddedFactor.place(F, [region.index(s) for s in A.support], n)
+
+
+def _evolved_factor(H: HamiltonianSpec, start: _PaddedFactor, t: float, region: tuple[int, ...],
+                    sink=None) -> np.ndarray | None:
+    """Z = exp(iHt) (F (x) 1): ``expm_multiply`` of ``start`` on the sparse region Hamiltonian.
+
+    The shift and radius come from ``shift_and_radius``.  Each chunk's
+    start columns are built from F inside the chunk's own task.  Without a
+    ``sink`` Z is returned whole; with one, each evolved chunk is handed to
+    ``sink(j, chunk)`` in that task and None is returned.
+    """
     H_sp = hamiltonian_matrix(H, region, sparse=True)
     mu, radius = shift_and_radius(H, region)
-    return float(lam[0]), expm_multiply(H_sp, Z, -t, mu, radius)
-
-
-def _place_columns(F: np.ndarray, positions: list[int], n: int) -> np.ndarray:
-    """F (x) 1 with F's rows on the qubits at ``positions``: a 2^n x r 2^{n-k} block.
-
-    Column (j, b) is column j of F on those qubits times basis state b of
-    the other n - k, so row x holds F[x on positions, j] when x agrees with
-    b on the other qubits, and zero otherwise.
-    """
-
-    def rows(qubits):  # the 2^n row index of each basis state of these qubits
-        local = np.arange(1 << len(qubits))
-        out = np.zeros_like(local)
-        for j, q in enumerate(qubits):
-            out |= ((local >> (len(qubits) - 1 - j)) & 1) << (n - 1 - q)
-        return out
-
-    other = rows([q for q in range(n) if q not in positions])
-    block = np.zeros((1 << n, F.shape[1], len(other)), dtype=F.dtype)
-    block[rows(positions)[:, None] | other, :, np.arange(len(other))] = F[:, None, :]
-    return block.reshape(1 << n, -1)
-
-
-def _gram(Z: np.ndarray) -> np.ndarray:
-    """Z Z^dagger from real products, Hermitian to the last bit.
-
-    With Z = X + iY, the real part X X^T + Y Y^T is the product of Z's
-    (re, im) column pairs with their own transpose, which numpy hands to
-    BLAS as a symmetric rank-k update (half a product, symmetric on
-    output), and the imaginary part is S - S^T with S = Y X^T.  Together
-    they cost half the complex product Z conj(Z)^T.
-    """
-    pairs = Z.view(np.float64)
-    out = np.empty((Z.shape[0],) * 2, dtype=complex)
-    out.real = pairs @ pairs.T
-    S = Z.imag @ Z.real.T
-    out.imag = S
-    out.imag -= S.T
-    return out
+    return expm_multiply(H_sp, start, -t, mu, radius, sink=sink)
 
 
 def nested_commutator_norm(
@@ -576,7 +632,7 @@ def nested_commutator_norm(
     before anything 2^n-sized is allocated, as is CapExceededError for a
     region above DEFAULT_QUBIT_CAP.  With m = 0 it is ||A||.
 
-    A(t) = lam_min + Z Z^dagger (``_evolved_factor``), and lam_min drops
+    A(t) = lam_min + Z Z^dagger (``heisenberg_evolve``), and lam_min drops
     out of every commutator.  The probes commute, so the j = m - 1 inner
     ones give C = i^-j sum_s L_s L_{s^c}^dagger over the subsets s of them,
     with L_s = i^|s| O_s Z applied on the probe sites (``apply_local``).
@@ -584,10 +640,17 @@ def nested_commutator_norm(
     1 - P = W_a W_a^dagger on its sites, ||[O_m, C]|| = |lam_+ - lam_-| ||B||
     for B = (W_a^dagger (x) 1) C (W_b (x) 1) = sum_s X_s Y_{s^c}^dagger,
     where X_s and Y_s are the row projections of L_s (``_project_rows``).
-    The blocks L_s are kept while they have at most 2^n columns in all, as
-    for m <= 2 with a one-site A, so no 2^n x 2^n array is made; a longer
-    list multiplies Z Z^dagger out once and takes the inner probes with
-    ``commutator``, so no m needs more memory than that dense C.
+
+    The blocks L_s are used while they have at most 2^n columns in all, as
+    for m <= 2 with a one-site A, so no 2^n x 2^n array is made.  Z is then
+    never whole: ``expm_multiply`` hands each evolved chunk of columns to a
+    sink that applies the inner probes to it and writes its projections
+    into the same columns of the preallocated X_s and Y_s.  Every step of
+    that is per column, so the bits do not depend on the chunk widths.  The
+    peak is X, Y and B; B is handed to ``_owned_norm``, which frees it
+    before its Gram matrix is assembled.  A longer list multiplies Z Z^dagger
+    out once and takes the inner probes with ``commutator``, so no m needs
+    more memory than that dense C.
     """
     region = tuple(sorted(region))
     taken: set[int] = set(A.support)
@@ -620,26 +683,31 @@ def nested_commutator_norm(
     *inner_at, last_at = [[region.index(s) for s in O.support] for O in O_list]
     lower = split[0]
     W_a, W_b = W[:, :lower], W[:, lower:]
-    _, Z = _evolved_factor(H, A, t, region)
-    if Z.shape[1] << len(inner) <= 1 << n:
-        L = [Z]
-        del Z
-        for O, at in zip(inner, inner_at):
-            L += [apply_local(1j * O.matrix, at, block, n) for block in L]
-        X, Y = [], []
-        while L:  # each block is freed once projected
-            block = L.pop(0)
-            X.append(_project_rows(W_a, last_at, block, n))
-            Y.append(_project_rows(W_b, last_at, block, n))
-            np.conjugate(Y[-1], out=Y[-1])
-            del block
+    _, start = _padded_factor(A, region)
+    columns = start.shape[1]
+    if columns << len(inner) <= 1 << n:
+        other = 1 << (n - len(last_at))
+        X = [np.empty((W_a.shape[1] * other, columns), dtype=complex)
+             for _ in range(1 << len(inner))]
+        Y = [np.empty((W_b.shape[1] * other, columns), dtype=complex) for _ in X]
+
+        def project(j, chunk):  # columns j: of every L_s, into the same columns of X_s and Y_s
+            L = [chunk]
+            for O, at in zip(inner, inner_at):
+                L += [apply_local(1j * O.matrix, at, block, n) for block in L]
+            part = slice(j, j + chunk.shape[1])
+            for x, y, block in zip(X, Y, L):
+                _project_rows(W_a, last_at, block, n, out=x[:, part])
+                _project_rows(W_b, last_at, block, n, out=y[:, part])
+                np.conjugate(y[:, part], out=y[:, part])
+
+        _evolved_factor(H, start, t, region, sink=project)
         B = X[0] @ Y[-1].T
         for x, y in zip(X[1:], Y[-2::-1]):
             B += x @ y.T
         del X, Y
     else:  # the blocks would outgrow a dense C: multiply it out once
-        C = _gram(Z)
-        del Z
+        C = _gram([_evolved_factor(H, start, t, region)])
         for O, at in zip(inner, inner_at):
             C = commutator(O.matrix, at, C, n)
         X = _project_rows(W_a, last_at, C, n)
@@ -647,16 +715,22 @@ def nested_commutator_norm(
         B = _project_rows(W_b.conj(), last_at, X.T, n)  # B^T, of the same norm
         del X
     gap = lam[lower:].mean() - lam[:lower].mean()
-    return float(gap * operator_norm(B)) / 2 ** len(O_list)
+    owned = [B]
+    del B  # so _owned_norm frees it before its Gram matrix is assembled
+    return float(gap * _owned_norm(owned)) / 2 ** len(O_list)
 
 
-def _project_rows(W: np.ndarray, positions: list[int], M: np.ndarray, n: int) -> np.ndarray:
+def _project_rows(W: np.ndarray, positions: list[int], M: np.ndarray, n: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """(W^dagger (x) 1) M for W with orthonormal columns on the qubits at ``positions``.
 
     M has 2^n rows and any strides.  Each basis state a of those qubits
     picks a strided view of M's rows, and row block i of the result is the
     sum over a of conj(W[a, i]) times that view, so M is never copied.  The
     result has r 2^{n-k} rows for W's r columns, ordered (i, other qubits).
+    It is written into ``out`` when given, a complex array of its shape
+    with any strides whose rows reshape without a copy, such as a column
+    range of a larger C-contiguous array; otherwise it is allocated.
     """
     k = len(positions)
     T = M.reshape((2,) * n + M.shape[1:])
@@ -666,9 +740,13 @@ def _project_rows(W: np.ndarray, positions: list[int], M: np.ndarray, n: int) ->
         for j, p in enumerate(positions):
             index[p] = a >> (k - 1 - j) & 1
         views.append(T[tuple(index)])
-    out = np.empty((W.shape[1],) + views[0].shape, dtype=complex)
+    if out is None:
+        out = np.empty((W.shape[1] << (n - k),) + M.shape[1:], dtype=complex)
+    blocks = out.reshape((W.shape[1],) + views[0].shape)
+    if not np.may_share_memory(blocks, out):
+        raise ValueError("out's rows do not reshape without a copy")
     scratch = None
-    for row, weights in zip(out, W.conj().T):
+    for row, weights in zip(blocks, W.conj().T):
         (w, view), *rest = [(w, view) for w, view in zip(weights, views) if w]
         np.multiply(view, w, out=row)
         for w, view in rest:
@@ -676,7 +754,7 @@ def _project_rows(W: np.ndarray, positions: list[int], M: np.ndarray, n: int) ->
                 scratch = np.empty_like(row)
             np.multiply(view, w, out=scratch)
             row += scratch
-    return out.reshape((W.shape[1] << (n - k),) + M.shape[1:])
+    return out
 
 
 def build_named_hamiltonian(name: str, g: FactorGraph, params: dict | None = None) -> HamiltonianSpec:
@@ -840,8 +918,8 @@ def _chebyshev_coefficients(x: float, K: int) -> np.ndarray:
     return coef
 
 
-def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius: float,
-                  observe=None):
+def expm_multiply(H_sp: sp.csr_matrix, psi, times, mu: float, radius: float,
+                  observe=None, sink=None):
     """exp(-i t H) psi for every t of a grid: one Chebyshev recurrence (Tal-Ezer & Kosloff 1984).
 
     ``mu`` and ``radius`` are ``shift_and_radius(H, region)``: the spectrum
@@ -865,10 +943,17 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
     all its chunks.
 
     ``psi`` is a vector or a dim x M block of columns, each evolved alike;
-    a vector is the block's one-column case.  ``times`` is a time, giving
-    one vector (or block), or a grid in any order, with zero, negative and
-    repeated times allowed, giving a list in grid order.  ``observe``, if
-    given, maps each vector to the value returned in its place.
+    a vector is the block's one-column case.  The block may be an array or
+    a ``_PaddedFactor``, whose columns are built from F as each chunk
+    starts (``_columns``), so F (x) 1 is never allocated whole.  ``times``
+    is a time, giving one vector (or block), or a grid in any order, with
+    zero, negative and repeated times allowed, giving a list in grid order.
+    ``observe``, if given, maps each vector to the value returned in its
+    place.  ``sink``, if given, takes the block at one time chunk by chunk:
+    each chunk's evolved columns j:j + w are handed to sink(j, chunk)
+    inside the chunk's own task, concurrently with the other chunks, and
+    nothing is stored or returned.  Without one, each chunk is stored into
+    the returned block.
 
     Memory is bounded by the larger of the CSR arrays' bytes and
     CHUNK_FLOOR: as many complex vectors as fit in them (``fit``) are
@@ -891,9 +976,11 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
     result has the same bits for any number of CPUs.
     """
     times, scalar = time_grid(times)
+    if sink is not None and not scalar:
+        raise ValueError("a sink takes the block at one time")
     distinct = sorted(set(times))
     dim = H_sp.shape[0]
-    columns = psi.shape[1] if np.ndim(psi) == 2 else 1
+    columns = psi.shape[1] if len(psi.shape) == 2 else 1
     csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
     fit = max(1, max(csr_bytes, CHUNK_FLOOR) // (16 * dim))  # complex vectors in flight
     workers = _workers()
@@ -909,17 +996,23 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
             raise CapExceededError(
                 f"radius * time step {x} exceeds the Chebyshev cap {CHEBYSHEV_ARGUMENT_CAP}")
 
-    def evolve_chunks(_task):  # take the next chunk until none is left, evolve it, store it
+    def evolve_chunks(_task):  # take the next chunk until none is left, evolve it, hand it on
         while True:
             with lock:
                 j = next(chunk_starts, None)
             if j is None:
                 return
-            chunk = np.ascontiguousarray(start[:, j:j + width], dtype=complex)
             # rows unsplit: with the pool busy on chunks, a nested _each would wait for itself
-            for vec, part in zip(vectors, evolve(chunk, workers=1)):
+            parts = evolve(_columns(start, j, min(j + width, columns)), workers=1)
+            hand(j, parts)
+            del parts  # before the next chunk's are allocated
+
+    def hand(j, parts):  # a chunk's columns j:, evolved to each time of the segment
+        if sink is not None:
+            sink(j, parts[0])
+        else:
+            for vec, part in zip(vectors, parts):
                 vec[:, j:j + width] = part
-            del chunk, part  # before the next chunk's are allocated
 
     found = {}
     start, lock = psi, threading.Lock()
@@ -930,17 +1023,33 @@ def expm_multiply(H_sp: sp.csr_matrix, psi: np.ndarray, times, mu: float, radius
         evolve = partial(_chebyshev_evolve, H_sp, degrees=degrees, coefs=coefs, mu=mu,
                          radius=radius, arithmetic=_arithmetic(H_sp, start))
         if chunks == 1:  # the accumulators are the results
-            vectors = evolve(np.ascontiguousarray(start, dtype=complex), workers=workers)
+            vectors = evolve(_columns(start, 0, columns), workers=workers)
+            if sink is not None:
+                sink(0, vectors[0])
         else:
-            vectors = [np.empty((dim, columns), dtype=complex) for _ in segment]
+            if sink is None:
+                vectors = [np.empty((dim, columns), dtype=complex) for _ in segment]
             chunk_starts = iter(range(0, columns, width))
             _each(evolve_chunks, in_flight)
+        if sink is not None:
+            return None
         start = vectors[-1]
         for t, vec in zip(segment, vectors):
             found[t] = observe(vec) if observe else vec
         del vectors, vec  # free this segment's accumulators before the next one's
     out = [found[t] for t in times]
     return out[0] if scalar else out
+
+
+def _columns(block, j0: int, j1: int) -> np.ndarray:
+    """Columns j0:j1 of a block, complex and C-contiguous; a vector is its own one column.
+
+    An array's columns are sliced from it, and a ``_PaddedFactor``'s built
+    from its F.
+    """
+    if isinstance(block, _PaddedFactor):
+        return block.columns(j0, j1)
+    return np.ascontiguousarray(block[:, j0:j1] if block.ndim == 2 else block, dtype=complex)
 
 
 # The least bytes a block's chunks in flight may take, whatever the CSR's size.
@@ -956,7 +1065,7 @@ CHUNK_FLOOR = 512 << 10
 CHEBYSHEV_ARGUMENT_CAP = 2.0**16
 
 
-def _arithmetic(H_sp, psi: np.ndarray) -> str:
+def _arithmetic(H_sp, psi) -> str:
     """How ``_chebyshev_evolve`` runs psi under H_sp: "complex", "paired" or "real".
 
     A complex H needs complex vectors.  Under a real H, a block with an
@@ -966,6 +1075,8 @@ def _arithmetic(H_sp, psi: np.ndarray) -> str:
     """
     if np.iscomplexobj(H_sp):
         return "complex"
+    if isinstance(psi, _PaddedFactor):  # F (x) 1 has F's entries and zeros
+        psi = psi.F
     return "paired" if np.iscomplexobj(psi) and np.any(psi.imag) else "real"
 
 

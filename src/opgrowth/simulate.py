@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundParams
-from .errors import ConfigError, ValidityWindowError
+from .errors import CapExceededError, ConfigError, ValidityWindowError
 from .lattice import (
     BoxTiling,
     FactorGraph,
@@ -414,6 +414,11 @@ def simulate_expectation(
     ``t`` may also be a grid of times: each class is then evolved once
     along the whole grid, and the result is a list of (estimate,
     diagnostics) pairs in grid order.
+
+    A ``CapExceededError`` raised while a level is evaluated propagates
+    with ``finished`` set to what this call would return for the levels
+    below that one (diagnostics of no level when level 1 trips): the
+    result of a plan with m_star one less than the level that tripped.
     """
     times, scalar = time_grid(t)
     tiling = sim_plan.tiling
@@ -431,25 +436,39 @@ def simulate_expectation(
         levels[len(cluster) - 1].append(cluster)
     running_classes = []
     for clusters in levels:
-        for cluster in clusters:
-            representative = classes.classify(cluster_region(tiling, cluster))
-            if representative not in by_class:  # the cluster's region opens its class
-                by_class[representative] = np.array(
-                    raw_cluster_expectation(H, A, state, cluster, tiling, times))
-            raw[cluster] = by_class[representative]
+        try:
+            for cluster in clusters:
+                representative = classes.classify(cluster_region(tiling, cluster))
+                if representative not in by_class:  # the cluster's region opens its class
+                    by_class[representative] = np.array(
+                        raw_cluster_expectation(H, A, state, cluster, tiling, times))
+                raw[cluster] = by_class[representative]
+        except CapExceededError as exc:  # hand on the levels below this one
+            done = levels[:len(running_classes)]
+            exc.finished = _level_results(
+                done, {c: raw[c] for level in done for c in level}, running_classes, times, scalar)
+            raise
         running_classes.append(len(by_class))
+    log.info("simulate: %d clusters, %d classes evaluated", sum(map(len, levels)), len(by_class))
+    return _level_results(levels, raw, running_classes, times, scalar)
+
+
+def _level_results(levels: list[list[Cluster]], raw: dict, running_classes: list[int],
+                   times: list[float], scalar: bool):
+    """``simulate_expectation``'s result for these levels, whose clusters' raw values are in ``raw``.
+
+    With no level, every estimate is 0.0 and the per-level lists are empty.
+    """
     running_clusters = list(itertools.accumulate(len(clusters) for clusters in levels))
-    log.info("simulate: %d clusters, %d classes evaluated",
-             running_clusters[-1], running_classes[-1])
     corrected = inclusion_exclusion(raw)
     zero = np.zeros(len(times))
     level_sums = [sum((corrected[cluster] for cluster in clusters), zero) for clusters in levels]
-    running = list(itertools.accumulate(level_sums, initial=zero))[1:]
+    running = list(itertools.accumulate(level_sums, initial=zero))
     results = [(float(running[-1][k]), {
         "running_clusters": running_clusters,
         "running_classes": running_classes,
         "level_sums": [float(v[k]) for v in level_sums],
-        "running_estimates": [float(v[k]) for v in running],
+        "running_estimates": [float(v[k]) for v in running[1:]],
         "raw": raw,
     }) for k in range(len(times))]
     return results[0] if scalar else results

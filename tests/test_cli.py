@@ -220,6 +220,24 @@ def test_simulate_cap_trip_keeps_the_grid_prefix(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["truncated"]
 
 
+def test_simulate_cap_trip_inside_a_level_keeps_the_levels_before_it(tmp_path, capsys):
+    # 6-site boxes: levels 1-3 take 6, 12 and 18 qubits, and level 4's 24-qubit region
+    # trips the vector cap; the rows of levels 1-3 are those of an m_star = 3 run
+    config = {"command": "simulate", "lattice": {"d": 1, "L": 24},
+              "model": {"name": "tfim", "g": 0.9}, "plan": {"r": 6, "m_star": 4},
+              "t_grid": [0.3, 0.6], "oracle": False}
+    out, three = tmp_path / "out", tmp_path / "three"
+    assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: region of 24 qubits exceeds cap 20\n"
+    assert json.loads((out / "manifest.json").read_text())["truncated"]
+    shorter = dict(config, plan={"r": 6, "m_star": 3})
+    assert main(["--config", write_config(tmp_path, shorter, name="three.json"),
+                 "--out", str(three)]) == 0
+    kept = (out / "results.csv").read_bytes()
+    assert kept == (three / "results.csv").read_bytes()
+    assert len(kept.splitlines()) == 1 + 2 * 3
+
+
 def test_simulate_8x8_at_m_star_7_exits_0(tmp_path):
     # 6,534 clusters, far below the (e*deg)^m = 1.8e7 projection: only the real count is capped
     cfg = write_config(tmp_path, {
