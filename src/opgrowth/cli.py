@@ -7,9 +7,11 @@ fills a table of result files as it goes, and ``_run`` alone writes them
 and the manifest, so a cap trip keeps the finished rows of every command
 and marks its manifest truncated.  Result files are deterministic for a
 fixed config and seed; wall-clock timings go to the manifest only, so
-repeated runs stay byte-identical.  The thread count (``--threads``,
-``OPGROWTH_THREADS`` or the config) is validated and recorded in the
-manifest; it does not change the computation.
+repeated runs stay byte-identical.  The thread count (``--threads`` or the
+config) is validated and recorded in the manifest; it does not change the
+computation.  Each fact of a run has one source: the dimension d is the
+lattice's, h and the degree are the model's, the anchor box is the box that
+holds the observable, and the mode is the config's.
 """
 
 from __future__ import annotations
@@ -87,21 +89,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--threads", type=int, default=None, help="thread count, recorded only")
-    parser.add_argument("--mode", choices=MODES, default=None)
+    parser.add_argument("--mode", help=argparse.SUPPRESS)  # refused: the config's mode is the one
     args = parser.parse_args(argv)
     try:
+        if args.mode is not None:
+            raise ConfigError("--mode is not an option: set the config's \"mode\" key")
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
         if args.threads is not None:
             config["threads"] = args.threads
-        env_threads = os.environ.get("OPGROWTH_THREADS")
-        if args.threads is None and env_threads is not None:
-            config["threads"] = env_threads
         config["threads"] = _integer(config["threads"], "thread count")
         config["seed"] = _integer(config["seed"], "seed")
-        if args.mode is not None:
-            config["mode"] = args.mode
         if config["mode"] not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {config['mode']!r}")
         return _run(config, args.out)
@@ -136,7 +135,7 @@ def _load_config(path: str) -> dict:
 
 
 def _integer(value, what: str) -> int:
-    """An integer from the config, a flag or OPGROWTH_THREADS; a string must spell one."""
+    """An integer from the config or a flag; a string must spell one."""
     if isinstance(value, str):
         try:
             return int(value)
@@ -316,14 +315,32 @@ def _grid(spec) -> list[float]:
     raise ConfigError("grid must be a list or {start, stop, num}")
 
 
-def _bound_params(spec: dict | None) -> BoundParams:
-    if not spec:
-        return BoundParams()
-    if not isinstance(spec, dict):
+def _bound_params(spec, graph=None, model=None) -> BoundParams:
+    """The config's ``params`` with d read off ``graph``, and h and the degree off ``model``.
+
+    h is the largest term norm and the degree ``model.factor_graph().degree_bound``.  Each
+    is a ConfigError when ``params`` sets it too, or when the model's terms join no factor
+    graph (all of them vanish).
+    """
+    if spec and not isinstance(spec, dict):
         raise ConfigError(f"params must be an object, got {spec!r}")
-    spec = dict(spec)
-    allowed = {f for f in BoundParams.__dataclass_fields__}
-    _check_keys(spec, allowed, "params")
+    spec = dict(spec or {})
+    _check_keys(spec, set(BoundParams.__dataclass_fields__), "params")
+    derived = {}
+    if graph is not None:
+        derived["dimension"] = (graph.dimension, "lattice.d")
+    if model is not None:
+        try:
+            degree = model.factor_graph().degree_bound
+        except ValueError as exc:
+            raise ConfigError(f"the model gives no h or degree: {exc}") from None
+        derived["term_norm_max"] = (max(term.norm for term in model.terms),
+                                    "the model's largest term norm")
+        derived["degree"] = (degree, "the model's factor-graph degree")
+    for key, (value, source) in derived.items():
+        if key in spec:
+            raise ConfigError(f"params.{key} is {source} here; drop it from params")
+        spec[key] = value
     try:
         return BoundParams(**spec)
     except (TypeError, ValueError) as exc:
@@ -338,11 +355,11 @@ def _cmd_lattice(config: dict, files: dict) -> int:
 
 
 def _cmd_bound(config: dict, files: dict) -> int:
-    params = _bound_params(config.get("params"))
     graph = _build_lattice(config["lattice"]) if "lattice" in config else None
-    model = None
-    if graph is not None and "model" in config:
-        model = _build_model(config["model"], graph, config["seed"])
+    if "model" in config and graph is None:
+        raise ConfigError("a model section needs a lattice section")
+    model = _build_model(config["model"], graph, config["seed"]) if "model" in config else None
+    params = _bound_params(config.get("params"), graph, model)
     rows: list[list] = []
     files["bounds.csv"] = (["R", "t", "bound_name", "value", "valid_flag", "exact"], rows)
     for name, sweep in _entries(config, "sweeps", "bound", _SWEEP_KEYS, "sweep"):
@@ -484,28 +501,28 @@ def _cmd_simulate(config: dict, files: dict) -> int:
     state = _build_state(config.get("state"), graph)
     observable = _build_observable(config.get("observable"), graph)
     plan_spec = dict(config.get("plan") or {})
-    _check_keys(plan_spec, {"r", "m_star", "epsilon", "anchor_vertex"}, "plan")
+    if "anchor_vertex" in plan_spec:
+        raise ConfigError("plan.anchor_vertex is not a setting: the anchor box is the box"
+                          " that holds observable.sites")
+    _check_keys(plan_spec, {"r", "m_star", "epsilon"}, "plan")
     sizes = {key: _integer(plan_spec[key], f"plan.{key}") for key in ("r", "m_star")
              if key in plan_spec}
     epsilon = _number(plan_spec.get("epsilon", 1e-6), "plan.epsilon")
-    params = _bound_params(config.get("params")) if "params" in config else None
+    params = _bound_params(config["params"], graph) if "params" in config else None
     if config["mode"] == "paper-formula" and params is None:
         raise ConfigError("paper-formula mode needs a params section")
     if config["mode"] == "desk" and ("r" not in plan_spec or "m_star" not in plan_spec):
         raise ConfigError("desk mode needs plan.r and plan.m_star")
     want_oracle = _flag(config.get("oracle", True), "oracle")
     grid = _grid(config.get("t_grid", [0.5]))
-    anchor_vertex = _integer(plan_spec.get("anchor_vertex", 0), "plan.anchor_vertex")
-    if anchor_vertex not in graph.vertex_adjacency():
-        raise ConfigError(f"plan.anchor_vertex {anchor_vertex} is not on the lattice")
     plans = [
-        plan(params, t, epsilon, mode=config["mode"], graph=graph, anchor_vertex=anchor_vertex,
-             r=sizes.get("r"), m_star=sizes.get("m_star"))
+        plan(params, t, epsilon, mode=config["mode"], graph=graph,
+             anchor_vertex=observable.support[0], r=sizes.get("r"), m_star=sizes.get("m_star"))
         for t in grid
     ]
     if any(not set(observable.support) <= set(p.tiling.box_vertices[p.tiling.anchor_box])
            for p in plans):
-        raise ConfigError(f"observable sites {list(observable.support)} leave the anchor box")
+        raise ConfigError(f"observable sites {list(observable.support)} are not in one box")
     rows: list[list] = []
     files["results.csv"] = (["t", "m_star", "estimate", "exact", "error", "bound_value",
                              "clusters_evaluated", "classes_evaluated", "wall_time"], rows)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceededError
 
-# Guard: refuse square lattices with more than 2**MAX_VERTEX_BITS sites.
+# Guard: refuse lattices with more than 2**MAX_VERTEX_BITS sites.
 MAX_VERTEX_BITS = 20
 
 # The only guard of connected-subset enumeration.  A stored subset takes about
@@ -111,13 +111,9 @@ def build_square_lattice(
     One factor per vertex pair within ``interaction_range`` in l1 distance
     (nearest neighbors when the range is 1).  Open boundary by default.
     """
-    if d < 1 or L < 2 or interaction_range < 1:
-        raise ValueError("require d >= 1, L >= 2, interaction_range >= 1")
-    if d * math.log2(L) > MAX_VERTEX_BITS:
-        raise CapExceededError(
-            f"lattice with L**d = {L}**{d} sites exceeds the 2**{MAX_VERTEX_BITS} guard"
-        )
-    return build_rectangular_lattice((L,) * d, interaction_range, periodic)
+    # every side is at least 2, so past MAX_VERTEX_BITS + 1 sides the guard trips all the same
+    return build_rectangular_lattice((L,) * min(d, MAX_VERTEX_BITS + 1), interaction_range,
+                                     periodic)
 
 
 def build_rectangular_lattice(
@@ -125,17 +121,19 @@ def build_rectangular_lattice(
     interaction_range: int = 1,
     periodic: bool = False,
 ) -> FactorGraph:
-    """Rectangular lattice with the given side lengths."""
+    """Rectangular lattice with the given side lengths.
+
+    One factor per vertex pair within ``interaction_range`` in l1 distance;
+    on a periodic lattice an offset wraps, and one that reaches the vertex
+    itself (a range of at least a side) makes no factor.
+    """
     d = len(shape)
     if d < 1 or any(s < 2 for s in shape) or interaction_range < 1:
-        raise ValueError("require every side >= 2 and interaction_range >= 1")
+        raise ValueError("require d >= 1, every side >= 2 and interaction_range >= 1")
+    if math.prod(shape) > 2**MAX_VERTEX_BITS:
+        raise CapExceededError(f"lattice exceeds the guard of 2**{MAX_VERTEX_BITS} sites")
     coords = {i: c for i, c in enumerate(itertools.product(*(range(s) for s in shape)))}
     index = {c: i for i, c in coords.items()}
-
-    def wrap_delta(a: int, b: int, s: int) -> int:
-        delta = abs(a - b)
-        return min(delta, s - delta) if periodic else delta
-
     factors = []
     seen = set()
     for v, c in coords.items():
@@ -148,19 +146,14 @@ def build_rectangular_lattice(
             u = index[nc]
             if u == v:
                 continue
-            if sum(wrap_delta(a, b, s) for a, b, s in zip(c, coords[u], shape)) > interaction_range:
-                continue
             pair = frozenset((v, u))
             if pair not in seen:
                 seen.add(pair)
                 factors.append(pair)
     factors.sort(key=lambda X: tuple(sorted(X)))
     side = shape[0] if len(set(shape)) == 1 else None
-    total = 1
-    for s in shape:
-        total *= s
     return FactorGraph(
-        vertices=tuple(range(total)),
+        vertices=tuple(range(len(coords))),
         factors=tuple(factors),
         dimension=d,
         side=side,

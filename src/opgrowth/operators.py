@@ -29,7 +29,6 @@ first (smallest) vertex is the most significant kron factor.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -361,15 +360,6 @@ class HamiltonianSpec:
     def flip_pieces(self) -> tuple[tuple[tuple[int, np.ndarray, bool], ...], ...]:
         """Per kind, its ``_flip_pieces``: read once per kind for ``hamiltonian_matrix``."""
         return tuple(_flip_pieces(matrix) for matrix in self.kinds)
-
-    def coupling_degree(self) -> int:
-        """Max vertex degree of the graph where u ~ v if a term contains both."""
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices()}
-        for t in self.terms:
-            for u, v in itertools.combinations(sorted(t.support), 2):
-                adj[u].add(v)
-                adj[v].add(u)
-        return max((len(s) for s in adj.values()), default=0)
 
 
 def hamiltonian_matrix(
@@ -1338,16 +1328,12 @@ def check_quasilocal(H: HamiltonianSpec) -> QuasilocalReport:
     """Per-term envelope slack h*exp(-kappa*|S|) - norm, plus the kappa condition.
 
     The decay rate must exceed 1 + log(degree) for the tail resummations to
-    converge; degree is the base graph's vertex degree, or the coupling
-    degree of the terms when no graph is attached.
+    converge; degree is the vertex degree of H's lattice.
     """
     if H.envelope is None:
         raise ValueError("Hamiltonian declares no quasilocal envelope")
     h, kappa = H.envelope
-    if H.graph is not None:
-        degree = max(len(n) for n in H.graph.vertex_adjacency().values())
-    else:
-        degree = H.coupling_degree()
+    degree = max(len(n) for n in H.graph.vertex_adjacency().values())
     slack = tuple(h * math.exp(-kappa * len(t.support)) - t.norm for t in H.terms)
     failures = tuple(i for i, s in enumerate(slack) if s < -1e-12)
     kappa_ok = kappa > 1 + math.log(degree)

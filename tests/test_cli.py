@@ -12,10 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opgrowth.bounds import BoundParams, path_sum_bound, truncation_error_bound, volume_bound
+from opgrowth.bounds import (
+    BoundParams,
+    path_sum_bound,
+    quasilocal_pair_bound,
+    truncation_error_bound,
+    volume_bound,
+)
 from opgrowth.cli import _fmt, fit_summary, main
 from opgrowth.lattice import build_square_lattice
-from opgrowth.operators import build_named_hamiltonian, exact_expectation
+from opgrowth.operators import build_named_hamiltonian, exact_expectation, pauli_operator
+from opgrowth.states import ProductState
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -94,8 +101,8 @@ def test_simulate_clusters_evaluated_is_running_count(tmp_path):
         strict=True, reason="default truncation-bound constants undercut the 2D error")),
 ], ids=["chain", "grid"])
 def test_simulate_bound_value_per_level_dominates_error(tmp_path, config):
-    d = config["lattice"]["d"]
-    cfg = write_config(tmp_path, dict(config, params={"dimension": d}, oracle=True))
+    d = config["lattice"]["d"]  # params.dimension is the lattice's
+    cfg = write_config(tmp_path, dict(config, params={}, oracle=True))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 0
     rows = read_rows(out / "results.csv")
@@ -112,7 +119,7 @@ def test_simulate_bound_value_per_level_dominates_error(tmp_path, config):
 
 
 BOUND_PARAMS = {"decay_rate": 1.0, "lr_velocity": 1.0, "sim_prefactor": 1.0,
-                "sim_decay": 1.0, "box_offset": 1e-9, "dimension": 1}
+                "sim_decay": 1.0, "box_offset": 1e-9}
 
 
 def test_truncation_bound_reported_when_params_given(tmp_path):
@@ -158,7 +165,7 @@ def test_paper_formula_grid_over_two_plans_matches_single_runs(tmp_path):
         "observable": {"pauli": "Z", "sites": [0]},
         "plan": {"epsilon": 0.05},
         "params": {"lr_velocity": 1.0, "decay_rate": 1.0, "sim_prefactor": 1.0,
-                   "box_offset": 1e-9, "dimension": 1},
+                   "box_offset": 1e-9},
     }
     grid = [0.3, 0.1, 0.25, 0.2]  # box side 2, 1, 2, 1: two interleaved plans
     cfg = write_config(tmp_path, dict(base, t_grid=grid))
@@ -186,7 +193,7 @@ def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path, caplog, capsys):
         "lattice": {"d": 1, "L": 21},
         "model": {"name": "tfim", "J": 1.0, "g": 0.9},
         "plan": {"epsilon": 0.05},
-        "params": {"lr_velocity": 1.0, "box_offset": 1e-9, "dimension": 1},
+        "params": {"lr_velocity": 1.0, "box_offset": 1e-9},
         "t_grid": [5.0, 6.0],
     })
     out = tmp_path / "out"
@@ -207,7 +214,7 @@ def test_simulate_cap_trip_keeps_the_grid_prefix(tmp_path, capsys):
         "lattice": {"d": 1, "L": 12},
         "model": {"name": "tfim", "J": 1.0, "g": 0.9},
         "plan": {"epsilon": 0.05},
-        "params": {"lr_velocity": 1.0, "box_offset": 1e-9, "dimension": 1},
+        "params": {"lr_velocity": 1.0, "box_offset": 1e-9},
         "t_grid": [0.3, 1e6, 0.2],
         "oracle": False,
     })
@@ -239,12 +246,13 @@ def test_simulate_cap_trip_inside_a_level_keeps_the_levels_before_it(tmp_path, c
 
 
 def test_simulate_8x8_at_m_star_7_exits_0(tmp_path):
-    # 6,534 clusters, far below the (e*deg)^m = 1.8e7 projection: only the real count is capped
+    # 6,534 clusters, far below the (e*deg)^m = 1.8e7 projection: only the real count is capped;
+    # the anchor box is the box of the observable's site 27
     cfg = write_config(tmp_path, {
         "command": "simulate", "lattice": {"d": 2, "L": 8},
         "model": {"name": "tfim", "J": 1.0, "g": 1.05}, "state": {"kind": "zero"},
         "observable": {"pauli": "Z", "sites": [27]},
-        "plan": {"r": 1, "m_star": 7, "anchor_vertex": 27}, "t_grid": [0.5], "oracle": False,
+        "plan": {"r": 1, "m_star": 7}, "t_grid": [0.5], "oracle": False,
     })
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 0
@@ -252,6 +260,36 @@ def test_simulate_8x8_at_m_star_7_exits_0(tmp_path):
         last = list(csv.DictReader(fh))[-1]
     assert (last["m_star"], last["clusters_evaluated"], last["classes_evaluated"]) == \
         ("7", "6534", "156")
+
+
+def test_simulate_takes_d_from_the_lattice(tmp_path):
+    # the 4x4 run's bound at volume m r^2 takes d = 2 from the lattice, not the default 1
+    cfg = write_config(tmp_path, dict(SIM_2D_CONFIG, params={"box_offset": 0.5}, t_grid=[0.3],
+                                      oracle=False))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "results.csv")
+    assert [row[5] for row in rows[:2]] == ["0.0223707718561656", "0.0001507330750954765"]
+    params = BoundParams(box_offset=0.5, dimension=2)
+    for m, row in enumerate(rows, start=1):
+        assert row[5] == repr(truncation_error_bound(params, 0.3, m * 2**2))
+
+
+def test_simulate_plus_state(tmp_path):
+    # four boxes of two cover the chain, so the last level is the oracle's value
+    config = dict(SIM_CONFIG, state={"kind": "plus"}, observable={"pauli": "X", "sites": [0]},
+                  plan={"r": 2, "m_star": 4})
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    rows = read_rows(out / "results.csv")
+    graph = build_square_lattice(1, 8)
+    model = build_named_hamiltonian("tfim", graph, {"J": 1.0, "g": 0.9})
+    for t in SIM_CONFIG["t_grid"]:
+        exact = exact_expectation(model, pauli_operator("X", (0,)),
+                                  ProductState.all_plus(graph.vertices), t)
+        last = [row for row in rows if float(row[0]) == t][-1]
+        assert float(last[3]) == pytest.approx(exact, abs=1e-12) and abs(exact) < 0.99
+        assert float(last[2]) == pytest.approx(exact, abs=1e-10)
 
 
 def test_invalid_epsilon_exits_2_without_csv(tmp_path):
@@ -365,7 +403,6 @@ def test_bound_dominance_sweep_pairs_oracle(tmp_path):
         "command": "bound",
         "lattice": {"d": 1, "L": 7},
         "model": {"name": "tfim", "J": 1.0, "g": 0.8},
-        "params": {"term_norm_max": 1.0, "degree": 4, "dimension": 1},
         "sweeps": [
             {"bound": "dominance", "S": [[5]], "B": [[4, 5, 6]],
              "observable": {"pauli": "Z", "sites": [0]},
@@ -381,6 +418,45 @@ def test_bound_dominance_sweep_pairs_oracle(tmp_path):
         assert r[5] != ""  # oracle column populated
         if r[4] == "true":
             assert float(r[5]) <= float(r[3]) + 1e-12
+
+
+def test_bound_constants_come_from_the_model(tmp_path):
+    # h = g = 1.5 and the tfim chain's degree 4 put the combinatorial window at
+    # |t| < 3 / (2 * 1.5 * 4) = 0.25; the defaults h = 1, degree = 2 would give 0.75
+    cfg = write_config(tmp_path, {
+        "command": "bound", "lattice": {"d": 1, "L": 8}, "model": {"name": "tfim", "g": 1.5},
+        "sweeps": [{"bound": "dominance", "S": [[7]], "B": [[5, 6, 7]],
+                    "t": [0.1, 0.2, 0.3, 0.4]}],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "bounds.csv")
+    comb = [row for row in rows if row[2] == "combinatorial"]
+    assert [(row[1], row[3], row[4]) for row in comb[2:]] == [("0.3", "", "false"),
+                                                              ("0.4", "", "false")]
+    assert all(row[4] == "true" for row in comb[:2])
+    for row in rows:
+        if row[4] == "true":
+            assert float(row[3]) >= float(row[5])
+
+
+def test_bound_quasilocal_pair_and_truncation_sweeps(tmp_path):
+    # with no lattice section, params.dimension is the bound's d
+    params = {"decay_rate": 0.5, "lr_velocity": 2.0, "prefactor": 1.5, "box_offset": 0.5,
+              "dimension": 2}
+    cfg = write_config(tmp_path, {"command": "bound", "params": params, "sweeps": [
+        {"bound": "quasilocal_pair", "dB": 2, "dS": 3, "t": [0.5, 1.0], "dist": [1, 4]},
+        {"bound": "truncation", "t": [0.5], "M": [4, 8]}]})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    bound_params = BoundParams(**params)
+    expected = [[dist, t, "quasilocal_pair",
+                 quasilocal_pair_bound(bound_params, 2.0, 3.0, dist, t)]
+                for t in (0.5, 1.0) for dist in (1.0, 4.0)]
+    expected += [[M, 0.5, "truncation", truncation_error_bound(bound_params, 0.5, M)]
+                 for M in (4.0, 8.0)]
+    assert read_rows(out / "bounds.csv") == [
+        [repr(r), repr(t), name, repr(value), "true", ""] for r, t, name, value in expected]
 
 
 def test_bound_path_sum_sweep_takes_r_outside_the_b_regions(tmp_path):
@@ -616,11 +692,7 @@ def test_verify_mutation_without_completeness_exits_2(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
-def test_non_integer_thread_count_exits_2(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, {"command": "lattice", "lattice": {"d": 1, "L": 4}})
-    monkeypatch.setenv("OPGROWTH_THREADS", "abc")
-    assert main(["--config", cfg, "--out", str(tmp_path / "o1")]) == 2
-    monkeypatch.delenv("OPGROWTH_THREADS")
+def test_non_integer_thread_count_exits_2(tmp_path):
     for threads in ("abc", 2.5, True):
         cfg = write_config(tmp_path, {"command": "lattice", "threads": threads,
                                       "lattice": {"d": 1, "L": 4}})
@@ -635,15 +707,31 @@ def test_non_integer_seed_exits_2(tmp_path, seed):
     assert not (out / "report.json").exists()
 
 
-def test_env_var_thread_override(tmp_path, monkeypatch):
+def test_thread_count_comes_from_the_flag_or_the_config_only(tmp_path, monkeypatch):
+    # the environment is not a third source: even a value that is no integer is not read
     cfg = write_config(tmp_path, SIM_CONFIG)
+    monkeypatch.setenv("OPGROWTH_THREADS", "abc")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("OPGROWTH_THREADS", "3")
-    assert main(["--config", cfg, "--out", str(out2)]) == 0
+    assert main(["--config", cfg, "--out", str(out2), "--threads", "3"]) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
-    manifest = json.loads((out2 / "manifest.json").read_text())
-    assert manifest["threads"] == 3
+    assert [json.loads((out / "manifest.json").read_text())["threads"]
+            for out in (out1, out2)] == [1, 3]
+
+
+def test_seed_flag_overrides_the_config_seed(tmp_path):
+    # random2local draws its couplings from the run's seed
+    config = dict(ORACLE4_CONFIG, model={"name": "random2local"}, seed=3)
+    cfg = write_config(tmp_path, config)
+    runs = {}
+    for name, argv in (("config3", []), ("flag5", ["--seed", "5"])):
+        assert main(["--config", cfg, "--out", str(tmp_path / name), *argv]) == 0
+        runs[name] = (tmp_path / name / "oracle.csv").read_bytes()
+    cfg5 = write_config(tmp_path, dict(config, seed=5), name="seed5.json")
+    assert main(["--config", cfg5, "--out", str(tmp_path / "config5")]) == 0
+    assert runs["flag5"] == (tmp_path / "config5" / "oracle.csv").read_bytes()
+    assert runs["flag5"] != runs["config3"]
+    assert json.loads((tmp_path / "flag5" / "manifest.json").read_text())["seed"] == 5
 
 
 def test_missing_config_file(tmp_path):
@@ -659,7 +747,7 @@ def test_paper_formula_mode_end_to_end(tmp_path):
         "observable": {"pauli": "Z", "sites": [0]},
         "plan": {"epsilon": 0.05},
         "params": {"lr_velocity": 1.0, "decay_rate": 1.0, "sim_prefactor": 1.0,
-                   "box_offset": 1e-9, "dimension": 1},
+                   "box_offset": 1e-9},
         "t_grid": [0.3],
     })
     out = tmp_path / "out"
@@ -701,7 +789,7 @@ def region_sweep(bound, S, B):
     dict(SIM_CONFIG, observable={"pauli": "Q", "sites": [0]}),
     dict(SIM_CONFIG, observable={"pauli": "ZZ", "sites": [0]}),
     dict(SIM_CONFIG, observable={"pauli": "Z", "sites": [99]}),
-    dict(SIM_CONFIG, observable={"pauli": "Z", "sites": [5]}),
+    dict(SIM_CONFIG, observable={"pauli": "ZZ", "sites": [1, 2]}),
     dict(SIM_CONFIG, mode="paper"),
     dict(SIM_CONFIG, params={"degree": 0}),
     dict(SIM_CONFIG, lattice={"d": 1, "L": "x"}),
@@ -759,6 +847,27 @@ def test_config_errors_exit_2(tmp_path, capsys, config):
     assert main(["--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("config,argv,source", [
+    (dict(SIM_CONFIG, plan={"r": 2, "m_star": 3, "anchor_vertex": 0}), [], "observable.sites"),
+    (dict(SIM_CONFIG, params={"dimension": 1}), [], "lattice.d"),
+    (dict(CHAIN8_BOUND, params={"dimension": 1}), [], "lattice.d"),
+    (dict(CHAIN8_BOUND, params={"term_norm_max": 1.0}), [], "the model's largest term norm"),
+    (dict(CHAIN8_BOUND, params={"degree": 4}), [], "the model's factor-graph degree"),
+    (CHAIN8_BOUND, ["--mode", "desk"], "the config's \"mode\""),
+    (dict(CHAIN8_BOUND, model={"name": "tfim", "J": 0.0, "g": 0.0}), [], "no h or degree"),
+    (dict(BOUND_CONFIG, model={"name": "tfim"}), [], "needs a lattice section"),
+], ids=["anchor-vertex", "simulate-dimension", "bound-dimension", "term-norm-max", "degree",
+        "mode-flag", "vanishing-model", "model-without-lattice"])
+def test_derived_settings_exit_2_naming_their_source(tmp_path, capsys, config, argv, source):
+    # d is the lattice's, h and the degree the model's, the anchor box the observable's
+    # and the mode the config's: a second setting of one is refused, not overridden
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, config), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and source in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -30,6 +30,20 @@ def test_grid_counts():
     g = build_square_lattice(2, 3)
     assert len(g.vertices) == 9
     assert len(g.factors) == 12
+    # periodic, with a range of at least a side: an offset that wraps onto the vertex
+    # itself makes no factor, and every pair within the wrapped l1 range makes one
+    for shape, reach in (((3,), 3), ((4,), 5), ((2, 3), 2), ((3, 3), 3), ((2, 2, 3), 4)):
+        g = build_rectangular_lattice(shape, reach, periodic=True)
+        assert set(g.factors) == _wrapped_pairs(g.coords, shape, reach)
+        assert len(g.factors) == len(set(g.factors))
+
+
+def _wrapped_pairs(coords: dict, shape, reach: int) -> set:
+    """Every pair of distinct vertices within ``reach`` in the l1 metric of the torus."""
+    def wrapped(a, b):
+        return sum(min(abs(x - y), s - abs(x - y)) for x, y, s in zip(a, b, shape))
+    return {frozenset((u, v)) for u in coords for v in coords
+            if u < v and wrapped(coords[u], coords[v]) <= reach}
 
 
 def test_corner_ball():
@@ -41,6 +55,19 @@ def test_corner_ball():
 def test_memory_guard():
     with pytest.raises(CapExceededError):
         build_square_lattice(3, 2**8)
+    with pytest.raises(CapExceededError):
+        build_square_lattice(10**9, 2)  # refused before a shape of 10^9 sides is built
+
+
+def test_rectangular_lattices_meet_the_same_guard(monkeypatch):
+    import opgrowth.lattice
+
+    monkeypatch.setattr(opgrowth.lattice, "MAX_VERTEX_BITS", 4)
+    assert len(build_rectangular_lattice((4, 4)).vertices) == 16
+    with pytest.raises(CapExceededError):
+        build_rectangular_lattice((3, 6))
+    with pytest.raises(CapExceededError):
+        build_square_lattice(5, 2)
 
 
 def test_factor_distance_examples():

@@ -36,8 +36,6 @@ KEPT = {
     "bounds.verify_reproducing": "the reproducing constant `BoundParams.quasilocal_model` measures",
     "operators.check_quasilocal": "the envelope check ROADMAP item 4 runs before a `bound` sweep",
     "operators.QuasilocalReport": "what `check_quasilocal` returns",
-    "operators.HamiltonianSpec.coupling_degree":
-        "the degree `check_quasilocal` and, per ROADMAP item 4, `simulate` read off H",
     "simulate.ComponentClasses.site_map":
         "the checked site map that ROADMAP item 2's classes from the parent are built on",
 }
