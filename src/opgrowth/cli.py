@@ -11,7 +11,8 @@ repeated runs stay byte-identical.  The thread count (``--threads`` or the
 config) is validated and recorded in the manifest; it does not change the
 computation.  Each fact of a run has one source: the dimension d is the
 lattice's, h and the degree are the model's, the anchor box is the box that
-holds the observable, and the mode is the config's.
+holds the observable, and the mode is the plan's.  Each setting has a reader:
+``params`` takes only the constants the run's bounds read.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ from .ssb import (
 )
 from .states import ProductState
 
-MODES = ("desk", "paper-formula")
+_MODE_SOURCE = ("is not a setting: the plan's keys set the mode (plan.r and plan.m_star for"
+                " desk, plan.epsilon for paper-formula)")
 
 
 def main(argv=None) -> int:
@@ -89,11 +91,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--threads", type=int, default=None, help="thread count, recorded only")
-    parser.add_argument("--mode", help=argparse.SUPPRESS)  # refused: the config's mode is the one
+    parser.add_argument("--mode", help=argparse.SUPPRESS)  # refused: the plan sets the mode
     args = parser.parse_args(argv)
     try:
         if args.mode is not None:
-            raise ConfigError("--mode is not an option: set the config's \"mode\" key")
+            raise ConfigError(f"--mode {_MODE_SOURCE}")
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
@@ -101,8 +103,6 @@ def main(argv=None) -> int:
             config["threads"] = args.threads
         config["threads"] = _integer(config["threads"], "thread count")
         config["seed"] = _integer(config["seed"], "seed")
-        if config["mode"] not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {config['mode']!r}")
         return _run(config, args.out)
     except (ConfigError, ValidityWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -125,12 +125,13 @@ def _load_config(path: str) -> dict:
     command = config.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {tuple(COMMANDS)}, got {command!r}")
+    if "mode" in config:
+        raise ConfigError(f"mode {_MODE_SOURCE}")
     unknown = set(config) - _COMMON_KEYS - COMMANDS[command][1]
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)} for command {command!r}")
     config.setdefault("seed", 0)
     config.setdefault("threads", 1)
-    config.setdefault("mode", "desk")
     return config
 
 
@@ -198,7 +199,6 @@ def _run(config: dict, out_dir: str) -> int:
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "seed": config["seed"],
         "threads": config["threads"],
-        "mode": config["mode"],
         "version": __version__,
         "outputs": list(files),
         "truncated": truncated,
@@ -231,9 +231,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _build_lattice(spec: dict):
-    spec = dict(spec)
-    _check_keys(spec, {"d", "L", "range", "periodic"}, "lattice")
+def _object(value, where: str) -> dict:
+    """A copy of the config section ``where``, which must be a JSON object.
+
+    Every section is read through here; callers pass {} for an absent one.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _build_lattice(spec, where: str = "lattice"):
+    spec = _object(spec, where)
+    _check_keys(spec, {"d", "L", "range", "periodic"}, where)
     return build_square_lattice(
         d=_integer(spec.get("d", 1), "lattice.d"),
         L=_integer(spec.get("L"), "lattice.L"),
@@ -260,13 +270,13 @@ def _entries(config: dict, key: str, tag: str, table: dict, what: str):
         name = entry.pop(tag, None)
         if name not in table:
             raise ConfigError(f"unknown {what} {name!r}")
-        required, optional = table[name]
+        required, optional = table[name][:2]
         _check_keys(entry, required | optional, f"{name} {what}", required)
         yield name, entry
 
 
-def _build_model(spec: dict, graph, seed: int):
-    spec = dict(spec)
+def _build_model(spec, graph, seed: int):
+    spec = _object(spec, "model")
     name = spec.pop("name", None)
     if name is None:
         raise ConfigError("model section needs a 'name'")
@@ -277,9 +287,10 @@ def _build_model(spec: dict, graph, seed: int):
     return build_named_hamiltonian(name, graph, spec)
 
 
-def _build_state(spec: dict | None, graph):
-    _check_keys(spec or {}, {"kind"}, "state")
-    kind = (spec or {}).get("kind", "zero")
+def _build_state(spec, graph):
+    spec = _object(spec, "state")
+    _check_keys(spec, {"kind"}, "state")
+    kind = spec.get("kind", "zero")
     if kind == "zero":
         return ProductState.all_zero()
     if kind == "plus":
@@ -287,9 +298,10 @@ def _build_state(spec: dict | None, graph):
     raise ConfigError(f"unknown state kind {kind!r}")
 
 
-def _build_observable(spec: dict, graph):
-    spec = dict(spec or {"pauli": "Z", "sites": [0]})
-    _check_keys(spec, {"pauli", "sites"}, "observable")
+def _build_observable(spec, graph, where: str = "observable"):
+    """The Pauli string ``spec`` names; an empty object is Z on site 0."""
+    spec = _object(spec, where) or {"pauli": "Z", "sites": [0]}
+    _check_keys(spec, {"pauli", "sites"}, where)
     label, sites = str(spec.get("pauli", "")), spec.get("sites", [])
     if not isinstance(sites, list):
         raise ConfigError(f"observable sites must be a list, got {sites!r}")
@@ -315,17 +327,35 @@ def _grid(spec) -> list[float]:
     raise ConfigError("grid must be a list or {start, stop, num}")
 
 
-def _bound_params(spec, graph=None, model=None) -> BoundParams:
-    """The config's ``params`` with d read off ``graph``, and h and the degree off ``model``.
+def _bound_params(spec, reads: set, derived: dict) -> BoundParams:
+    """The ``params`` object ``spec``, with the constants the run derives filled in.
 
-    h is the largest term norm and the degree ``model.factor_graph().degree_bound``.  Each
-    is a ConfigError when ``params`` sets it too, or when the model's terms join no factor
-    graph (all of them vanish).
+    ``derived`` maps each such constant to its (value, source), and ``reads`` holds the
+    constants the run's readers read.  A derived constant set in ``params`` too is a
+    ConfigError naming its source, checked first; so is any other constant outside
+    ``reads``, which nothing would read.
     """
-    if spec and not isinstance(spec, dict):
-        raise ConfigError(f"params must be an object, got {spec!r}")
-    spec = dict(spec or {})
-    _check_keys(spec, set(BoundParams.__dataclass_fields__), "params")
+    spec = _object(spec, "params")
+    for key, (_, source) in derived.items():
+        if key in spec:
+            raise ConfigError(f"params.{key} is {source} here; drop it from params")
+    unread = sorted(set(spec) - reads)
+    if unread:
+        raise ConfigError(f"params {unread} are read by nothing in this run; it reads"
+                          f" {sorted(reads - set(derived)) or 'no params'}")
+    spec.update((key, value) for key, (value, _) in derived.items())
+    try:
+        return BoundParams(**spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params: {exc}") from None
+
+
+def _derived(graph=None, model=None) -> dict:
+    """(value, source) of d off ``graph``, and of h and the degree off ``model``.
+
+    h is the largest term norm and the degree ``model.factor_graph().degree_bound``;
+    a model whose terms join no factor graph (all of them vanish) is a ConfigError.
+    """
     derived = {}
     if graph is not None:
         derived["dimension"] = (graph.dimension, "lattice.d")
@@ -337,20 +367,13 @@ def _bound_params(spec, graph=None, model=None) -> BoundParams:
         derived["term_norm_max"] = (max(term.norm for term in model.terms),
                                     "the model's largest term norm")
         derived["degree"] = (degree, "the model's factor-graph degree")
-    for key, (value, source) in derived.items():
-        if key in spec:
-            raise ConfigError(f"params.{key} is {source} here; drop it from params")
-        spec[key] = value
-    try:
-        return BoundParams(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from None
+    return derived
 
 
 # ---------------------------------------------------------------- commands
 
 def _cmd_lattice(config: dict, files: dict) -> int:
-    files["lattice.json"] = _build_lattice(config.get("lattice") or {}).to_json() + "\n"
+    files["lattice.json"] = _build_lattice(config.get("lattice", {})).to_json() + "\n"
     return 0
 
 
@@ -359,21 +382,32 @@ def _cmd_bound(config: dict, files: dict) -> int:
     if "model" in config and graph is None:
         raise ConfigError("a model section needs a lattice section")
     model = _build_model(config["model"], graph, config["seed"]) if "model" in config else None
-    params = _bound_params(config.get("params"), graph, model)
+    sweeps = list(_entries(config, "sweeps", "bound", _SWEEP_KEYS, "sweep"))
+    reads = set().union(*(_SWEEP_KEYS[name][2] for name, _ in sweeps))
+    params = _bound_params(config.get("params", {}), reads, _derived(graph, model))
     rows: list[list] = []
     files["bounds.csv"] = (["R", "t", "bound_name", "value", "valid_flag", "exact"], rows)
-    for name, sweep in _entries(config, "sweeps", "bound", _SWEEP_KEYS, "sweep"):
+    for name, sweep in sweeps:
         if name in ("path_sum", "matrix_exp", "dominance") and model is None:
             raise ConfigError(f"{name} sweep needs lattice and model sections")
         rows.extend(_run_sweep(name, sweep, params, graph, model))
     return 0
 
 
-_SWEEP_KEYS = {  # the (required, optional) keys each bound sweep reads
-    "volume": (set(), {"t", "R"}), "combinatorial": ({"regions"}, {"t"}),
-    "truncation": (set(), {"t", "M"}), "quasilocal_pair": (set(), {"dB", "dS", "t", "dist"}),
-    "quasilocal_nested": ({"regions"}, {"t"}), "path_sum": ({"S", "B"}, {"t"}),
-    "matrix_exp": ({"B", "S"}, {"t"}), "dominance": ({"S", "B"}, {"observable", "probes", "t"}),
+# the params constants simulate's paper-formula plan and its bound_value read, d aside
+_SIMULATE_READS = {"lr_velocity", "box_offset", "decay_rate", "sim_prefactor", "sim_decay"}
+_SWEEP_KEYS = {  # the (required, optional) keys each bound sweep reads, and its params constants
+    "volume": (set(), {"t", "R"}, {"lr_velocity", "prefactor", "volume_decay", "dimension"}),
+    "combinatorial": ({"regions"}, {"t"}, {"term_norm_max", "degree"}),
+    "truncation": (set(), {"t", "M"}, _SIMULATE_READS | {"dimension"}),
+    "quasilocal_pair": (set(), {"dB", "dS", "t", "dist"},
+                        {"lr_velocity", "prefactor", "decay_rate"}),
+    "quasilocal_nested": ({"regions"}, {"t"}, {"lr_velocity", "decay_rate", "box_margin", "kappa",
+                                               "tail_norm", "term_norm_max", "dimension"}),
+    "path_sum": ({"S", "B"}, {"t"}, set()),
+    "matrix_exp": ({"B", "S"}, {"t"}, set()),
+    # h and the degree of its combinatorial rows are the model's
+    "dominance": ({"S", "B"}, {"observable", "probes", "t"}, set()),
 }
 
 
@@ -459,11 +493,12 @@ def _site_sets(value, key: str, vertices: set) -> list[set]:
 def _dominance_sweep(sweep, params, graph, model):
     """Paired oracle run: bound values next to the exact nested commutator."""
     R, S_list, B_list = _path_regions(sweep, graph, model)
-    observable = _build_observable(sweep.get("observable"), graph)
-    probes = [
-        _build_observable({"pauli": "X", **p}, graph)
-        for p in sweep.get("probes", [{"pauli": "X", "sites": sorted(S)} for S in S_list])
-    ]
+    observable = _build_observable(sweep.get("observable", {}), graph, "dominance observable")
+    probes = sweep.get("probes", [{"sites": sorted(S)} for S in S_list])
+    if not isinstance(probes, list):
+        raise ConfigError(f"dominance probes must be a list of objects, got {probes!r}")
+    probes = [_build_observable({"pauli": "X", **_object(p, "dominance probe")}, graph,
+                                "dominance probe") for p in probes]
     r_list = [factor_distance(graph, R, S) for S in S_list]
     regions = [
         (boundary_size(graph, B), boundary_size(graph, S), r)
@@ -496,28 +531,28 @@ def _windowed(thunk) -> float | None:
 
 
 def _cmd_simulate(config: dict, files: dict) -> int:
-    graph = _build_lattice(config["lattice"])
-    model = _build_model(config["model"], graph, config["seed"])
-    state = _build_state(config.get("state"), graph)
-    observable = _build_observable(config.get("observable"), graph)
-    plan_spec = dict(config.get("plan") or {})
+    graph, model, state, observable = _region_inputs(config)
+    plan_spec = _object(config.get("plan", {}), "plan")
     if "anchor_vertex" in plan_spec:
         raise ConfigError("plan.anchor_vertex is not a setting: the anchor box is the box"
                           " that holds observable.sites")
-    _check_keys(plan_spec, {"r", "m_star", "epsilon"}, "plan")
+    # the plan's keys set the mode: r and m_star (desk) or epsilon (paper-formula)
+    mode = {("m_star", "r"): "desk", ("epsilon",): "paper-formula"}.get(tuple(sorted(plan_spec)))
+    if mode is None:
+        raise ConfigError(f"plan sets {sorted(plan_spec)}: a plan holds r and m_star (desk"
+                          " mode) or epsilon (paper-formula mode), and nothing else")
     sizes = {key: _integer(plan_spec[key], f"plan.{key}") for key in ("r", "m_star")
              if key in plan_spec}
     epsilon = _number(plan_spec.get("epsilon", 1e-6), "plan.epsilon")
-    params = _bound_params(config["params"], graph) if "params" in config else None
-    if config["mode"] == "paper-formula" and params is None:
-        raise ConfigError("paper-formula mode needs a params section")
-    if config["mode"] == "desk" and ("r" not in plan_spec or "m_star" not in plan_spec):
-        raise ConfigError("desk mode needs plan.r and plan.m_star")
+    params = (_bound_params(config["params"], _SIMULATE_READS, _derived(graph))
+              if "params" in config else None)
+    if mode == "paper-formula" and params is None:
+        raise ConfigError("a paper-formula plan (plan.epsilon) needs a params section")
     want_oracle = _flag(config.get("oracle", True), "oracle")
     grid = _grid(config.get("t_grid", [0.5]))
     plans = [
-        plan(params, t, epsilon, mode=config["mode"], graph=graph,
-             anchor_vertex=observable.support[0], r=sizes.get("r"), m_star=sizes.get("m_star"))
+        plan(params, t, epsilon, mode=mode, graph=graph, anchor_vertex=observable.support[0],
+             r=sizes.get("r"), m_star=sizes.get("m_star"))
         for t in grid
     ]
     if any(not set(observable.support) <= set(p.tiling.box_vertices[p.tiling.anchor_box])
@@ -559,6 +594,14 @@ def _cmd_simulate(config: dict, files: dict) -> int:
     return 0
 
 
+def _region_inputs(config: dict):
+    """The lattice, model, state and observable of a ``simulate`` or ``oracle`` config."""
+    graph = _build_lattice(config.get("lattice", {}))
+    return (graph, _build_model(config.get("model", {}), graph, config["seed"]),
+            _build_state(config.get("state", {}), graph),
+            _build_observable(config.get("observable", {}), graph))
+
+
 def _exact_prefix(model, observable, state, grid: list[float]):
     """(values, trip): the oracle's values on the longest prefix of ``grid`` its caps allow.
 
@@ -580,10 +623,7 @@ def _exact_prefix(model, observable, state, grid: list[float]):
 
 
 def _cmd_oracle(config: dict, files: dict) -> int:
-    graph = _build_lattice(config["lattice"])
-    model = _build_model(config["model"], graph, config["seed"])
-    state = _build_state(config.get("state"), graph)
-    observable = _build_observable(config.get("observable"), graph)
+    _, model, state, observable = _region_inputs(config)
     grid = _grid(config.get("t_grid", [0.5]))
     rows: list[list] = []
     files["oracle.csv"] = (["t", "exact"], rows)
@@ -594,17 +634,21 @@ def _cmd_oracle(config: dict, files: dict) -> int:
     return 0
 
 
-_EXPERIMENT_KEYS = {  # the (required, optional) keys each ssb experiment reads
-    "rk": ({"lattice"}, {"beta", "sizes", "region"}), "ghz": (set(), {"g", "L"}),
-    "compare": (set(), {"params", "t"}),
+_EXPERIMENT_KEYS = {  # the (required, optional) keys each ssb experiment reads, and its params
+    "rk": ({"lattice"}, {"beta", "sizes", "region"}, set()),
+    "ghz": (set(), {"g", "L"}, set()),
+    # d is the rk lattices'
+    "compare": (set(), {"params", "t"}, {"lr_velocity", "prefactor", "volume_decay"}),
 }
 
 
 def _cmd_ssb(config: dict, files: dict) -> int:
     rk_rows, ghz_rows, compare_reports = [], [], []
+    rk_dimensions = set()  # the d of each rk lattice so far
     for kind, experiment in _entries(config, "experiments", "kind", _EXPERIMENT_KEYS, "experiment"):
         if kind == "rk":
-            graph = _build_lattice(experiment["lattice"])
+            graph = _build_lattice(experiment["lattice"], "rk lattice")
+            rk_dimensions.add(graph.dimension)
             regions = [(size, _ssb_region(graph, experiment.get("region", "interval"), size))
                        for size in (_integer(s, "rk size") for s in experiment.get("sizes", [1]))]
             betas = _grid(experiment.get("beta", [0.5]))
@@ -624,8 +668,13 @@ def _cmd_ssb(config: dict, files: dict) -> int:
             files.setdefault("ghz.csv", (["L", "g", "delta"], ghz_rows))
             for L in chains:
                 ghz_rows.append([L, g_val, ghz_splitting("tfim", L, g_val)])
-        else:  # compare
-            params = _bound_params(experiment.get("params"))
+        else:  # compare: the volume law in the d of the rk lattices it tables
+            if len(rk_dimensions) != 1:
+                raise ConfigError("compare needs rk experiments before it, all on lattices of"
+                                  f" one d; they have d in {sorted(rk_dimensions)}")
+            (d,) = rk_dimensions
+            params = _bound_params(experiment.get("params", {}), _EXPERIMENT_KEYS["compare"][2],
+                                   {"dimension": (d, "the rk lattice's d")})
             results = [
                 {"R": float(row[1]), "value": float(row[3]), "beta": float(row[0])}
                 for row in rk_rows
@@ -702,7 +751,7 @@ def _cmd_verify(config: dict, files: dict) -> int:
     return 0 if all(r["passed"] for r in report.values()) else 1
 
 
-_COMMON_KEYS = {"command", "seed", "threads", "mode"}
+_COMMON_KEYS = {"command", "seed", "threads"}
 COMMANDS = {  # each command's runner and the top-level keys it reads besides _COMMON_KEYS
     "lattice": (_cmd_lattice, {"lattice"}),
     "bound": (_cmd_bound, {"lattice", "model", "params", "sweeps"}),

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,12 @@ from opgrowth.bounds import (
     truncation_error_bound,
     volume_bound,
 )
+from opgrowth import cli
 from opgrowth.cli import _fmt, fit_summary, main
 from opgrowth.lattice import build_square_lattice
 from opgrowth.operators import build_named_hamiltonian, exact_expectation, pauli_operator
+from opgrowth.simulate import plan
+from opgrowth.ssb import disorder_bound_compare
 from opgrowth.states import ProductState
 
 
@@ -54,6 +58,7 @@ def test_simulate_csv_schema_and_rows(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["outputs"] == ["results.csv"]
+    assert manifest["config"]["plan"] == SIM_CONFIG["plan"] and "mode" not in manifest
     assert "config_sha256" in manifest and not manifest["truncated"]
 
 
@@ -159,7 +164,6 @@ def test_truncation_bound_only_swallows_validity_window_errors(tmp_path, monkeyp
 def test_paper_formula_grid_over_two_plans_matches_single_runs(tmp_path):
     base = {
         "command": "simulate",
-        "mode": "paper-formula",
         "lattice": {"d": 1, "L": 6},
         "model": {"name": "tfim", "J": 1.0, "g": 0.9},
         "observable": {"pauli": "Z", "sites": [0]},
@@ -189,7 +193,6 @@ def test_simulate_cap_trip_keeps_header_and_exits_2(tmp_path, caplog, capsys):
     # t = 5 asks for 21-site boxes: one box covers the 21-site chain, above the cap
     cfg = write_config(tmp_path, {
         "command": "simulate",
-        "mode": "paper-formula",
         "lattice": {"d": 1, "L": 21},
         "model": {"name": "tfim", "J": 1.0, "g": 0.9},
         "plan": {"epsilon": 0.05},
@@ -210,7 +213,6 @@ def test_simulate_cap_trip_keeps_the_grid_prefix(tmp_path, capsys):
     # its own simulate call: the rows of t = 0.3 before it stay, t = 0.2 after it goes
     cfg = write_config(tmp_path, {
         "command": "simulate",
-        "mode": "paper-formula",
         "lattice": {"d": 1, "L": 12},
         "model": {"name": "tfim", "J": 1.0, "g": 0.9},
         "plan": {"epsilon": 0.05},
@@ -293,7 +295,7 @@ def test_simulate_plus_state(tmp_path):
 
 
 def test_invalid_epsilon_exits_2_without_csv(tmp_path):
-    bad = dict(SIM_CONFIG, plan={"r": 2, "m_star": 3, "epsilon": -1.0})
+    bad = dict(SIM_CONFIG, plan={"epsilon": -1.0}, params={})
     cfg = write_config(tmp_path, bad)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 2
@@ -576,26 +578,38 @@ def test_ssb_fit_summary(tmp_path):
     assert fits[rk_key]["relative_spread"] < 0.01
 
 
-def test_ssb_compare_uses_params_dimension(tmp_path):
-    params = {"prefactor": 1.0, "lr_velocity": 1.0, "volume_decay": 1.0, "dimension": 1}
-    config = {
-        "command": "ssb",
-        "experiments": [
-            {"kind": "rk", "lattice": {"d": 1, "L": 8, "periodic": True},
-             "beta": [0.4], "region": "interval", "sizes": [2, 3]},
-            {"kind": "compare", "params": params, "t": 1.05},
-        ],
-    }
+TORUS4_RK = {"kind": "rk", "lattice": {"d": 2, "L": 4, "periodic": True}, "beta": [0.3],
+             "region": "square", "sizes": [1, 2]}
+
+
+def test_ssb_compare_takes_d_from_the_rk_lattices(tmp_path):
+    # the torus rows are tabled against the 2D law: at vt = 1.5 the R = 2 bound is
+    # exp(-0.5^2 / 1.5) = 0.846, where the 1D law would give exp(-0.5) = 0.607
+    config = {"command": "ssb", "experiments": [
+        TORUS4_RK, {"kind": "compare", "params": {"lr_velocity": 0.5}, "t": 3.0}]}
     out = tmp_path / "out"
     assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 0
     rows = json.loads((out / "compare.json").read_text())[0]["rows"]
-    assert [row["R"] for row in rows] == [2.0, 3.0]
-    for row in rows:
-        assert row["bound"] == volume_bound(BoundParams(**params), row["R"], 1.05)
-    # params.dimension is the one source of d
-    config["experiments"][1]["d"] = 2
-    cfg = write_config(tmp_path, config, name="with_d.json")
-    assert main(["--config", cfg, "--out", str(tmp_path / "with_d")]) == 2
+    assert [(row["R"], row["valid"]) for row in rows] == [(1.0, False), (2.0, True)]
+    assert rows[1]["bound"] == volume_bound(BoundParams(lr_velocity=0.5, dimension=2), 2.0, 3.0)
+    assert rows[1]["bound"] == pytest.approx(math.exp(-0.5**2 / 1.5))
+
+
+RING8_RK = {"kind": "rk", "lattice": {"d": 1, "L": 8, "periodic": True}, "sizes": [2]}
+
+
+@pytest.mark.parametrize("experiments,source", [
+    ([TORUS4_RK, {"kind": "compare", "params": {"dimension": 2}}], "the rk lattice's d"),
+    ([{"kind": "compare"}, TORUS4_RK], "compare needs rk experiments before it"),
+    ([TORUS4_RK, RING8_RK, {"kind": "compare"}], "d in [1, 2]"),
+], ids=["params-dimension", "no-rk-before", "two-d"])
+def test_ssb_compare_without_one_rk_d_exits_2(tmp_path, capsys, experiments, source):
+    config = {"command": "ssb", "experiments": experiments}
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and source in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_fit_summary_values():
@@ -741,7 +755,6 @@ def test_missing_config_file(tmp_path):
 def test_paper_formula_mode_end_to_end(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "simulate",
-        "mode": "paper-formula",
         "lattice": {"d": 1, "L": 10},
         "model": {"name": "tfim", "J": 1.0, "g": 0.9},
         "observable": {"pauli": "Z", "sites": [0]},
@@ -763,7 +776,6 @@ def test_paper_formula_mode_end_to_end(tmp_path):
 def test_paper_formula_mode_requires_params(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "simulate",
-        "mode": "paper-formula",
         "lattice": {"d": 1, "L": 8},
         "model": {"name": "tfim", "J": 1.0, "g": 0.9},
         "plan": {"epsilon": 0.05},
@@ -830,6 +842,24 @@ def region_sweep(bound, S, B):
     dict(ORACLE4_CONFIG, t_grid=[math.nan]),
     dict(ORACLE4_CONFIG, t_grid=[math.inf]),
     dict(SIM_CONFIG, t_grid=["inf"]),
+    dict(SIM_CONFIG, params={"decay_rate": 0}),
+    dict(SIM_CONFIG, lattice=0),
+    dict(SIM_CONFIG, model=0),
+    dict(SIM_CONFIG, state=[]),
+    dict(SIM_CONFIG, observable=None),
+    dict(SIM_CONFIG, plan=5),
+    dict(SIM_CONFIG, params=None),
+    dict(SIM_CONFIG, params=[]),
+    {"command": "lattice", "lattice": None},
+    dict(ORACLE4_CONFIG, model=[]),
+    dict(CHAIN8_BOUND, params="x"),
+    dict(GHZ_CONFIG, experiments=[{"kind": "rk", "lattice": 0}]),
+    dict(CHAIN8_BOUND, sweeps=[{"bound": "dominance", "S": [[7]], "B": [[6, 7]],
+                                "observable": None}]),
+    dict(CHAIN8_BOUND, sweeps=[{"bound": "dominance", "S": [[7]], "B": [[6, 7]],
+                                "probes": [[7]]}]),
+    dict(CHAIN8_BOUND, sweeps=[{"bound": "dominance", "S": [[7]], "B": [[6, 7]],
+                                "probes": {"sites": [7]}}]),
 ], ids=["model-parameter", "model-name", "pauli-letter", "pauli-count", "site-off-lattice",
         "site-outside-anchor-box", "mode", "params-degree", "lattice-L", "grid-without-num",
         "anchor-vertex", "r-below-range", "state-key", "sweep-key", "ghz-key", "model-value",
@@ -840,7 +870,11 @@ def region_sweep(bound, S, B):
         "regions-entry", "regions-empty", "nested-regions-empty", "regions-distance",
         "sites-not-a-list", "site-not-an-integer", "grid-num-negative", "suites-not-a-list",
         "suite-not-a-name", "params-not-an-object", "rk-beta-negative", "t-grid-nan",
-        "t-grid-infinity", "t-grid-inf-string"])
+        "t-grid-infinity", "t-grid-inf-string", "params-value", "lattice-not-an-object",
+        "model-not-an-object", "state-not-an-object", "observable-null", "plan-not-an-object",
+        "params-null", "params-empty-list", "lattice-null", "oracle-model-not-an-object",
+        "bound-params-not-an-object", "rk-lattice-not-an-object", "sweep-observable-null",
+        "probe-not-an-object", "probes-not-a-list"])
 def test_config_errors_exit_2(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
     out = tmp_path / "out"
@@ -856,19 +890,127 @@ def test_config_errors_exit_2(tmp_path, capsys, config):
     (dict(CHAIN8_BOUND, params={"dimension": 1}), [], "lattice.d"),
     (dict(CHAIN8_BOUND, params={"term_norm_max": 1.0}), [], "the model's largest term norm"),
     (dict(CHAIN8_BOUND, params={"degree": 4}), [], "the model's factor-graph degree"),
-    (CHAIN8_BOUND, ["--mode", "desk"], "the config's \"mode\""),
+    (CHAIN8_BOUND, ["--mode", "desk"], "the plan's keys set the mode"),
     (dict(CHAIN8_BOUND, model={"name": "tfim", "J": 0.0, "g": 0.0}), [], "no h or degree"),
     (dict(BOUND_CONFIG, model={"name": "tfim"}), [], "needs a lattice section"),
 ], ids=["anchor-vertex", "simulate-dimension", "bound-dimension", "term-norm-max", "degree",
         "mode-flag", "vanishing-model", "model-without-lattice"])
 def test_derived_settings_exit_2_naming_their_source(tmp_path, capsys, config, argv, source):
     # d is the lattice's, h and the degree the model's, the anchor box the observable's
-    # and the mode the config's: a second setting of one is refused, not overridden
+    # and the mode the plan's: a second setting of one is refused, not overridden
     out = tmp_path / "out"
     assert main(["--config", write_config(tmp_path, config), "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and source in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+SIX_SITE = {"command": "simulate", "lattice": {"d": 1, "L": 6}, "model": {"name": "tfim", "g": 0.9},
+            "plan": {"r": 2, "m_star": 2}, "t_grid": [0.3]}
+RUNNABLE = [{"command": "lattice", "lattice": {"d": 1, "L": 4}}, BOUND_CONFIG, SIX_SITE,
+            ORACLE4_CONFIG, GHZ_CONFIG, {"command": "verify", "suites": ["vanishing"]}]
+
+
+@pytest.mark.parametrize("config,named", [
+    (dict(SIX_SITE, params={"kappa": 9, "prefactor": 3, "tail_norm": 5}),
+     "params ['kappa', 'prefactor', 'tail_norm']"),
+    (dict(SIX_SITE, plan={"r": 2, "m_star": 2, "epsilon": 123}), "['epsilon', 'm_star', 'r']"),
+    (dict(SIX_SITE, plan={"epsilon": 0.05, "r": 5, "m_star": 1}, params={}),
+     "['epsilon', 'm_star', 'r']"),
+    (dict(SIX_SITE, plan={"r": 2}), "plan sets ['r']"),
+    *[(dict(config, mode="paper-formula"), "mode is not a setting: the plan's keys")
+      for config in RUNNABLE],
+    (dict(SIX_SITE, params=[]), "params must be a JSON object"),
+    (dict(SIX_SITE, params=None), "params must be a JSON object"),
+    (dict(SIX_SITE, observable=None), "observable must be a JSON object"),
+    (dict(SIX_SITE, model=0), "model must be a JSON object"),
+], ids=["unread-params", "desk-epsilon", "paper-formula-sizes", "r-alone",
+        *[f"mode-{config['command']}" for config in RUNNABLE],
+        "params-empty-list", "params-null", "observable-null", "model-zero"])
+def test_settings_nothing_reads_exit_2_naming_them(tmp_path, capsys, config, named):
+    # the plan's keys set the mode, params holds only what the run's bounds read, and
+    # every section is an object: anything else is refused, not silently ignored
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+CHAIN8 = build_square_lattice(1, 8)
+TFIM8 = build_named_hamiltonian("tfim", CHAIN8, {"J": 1.0, "g": 1.0})
+CLOSED_FORM_SWEEPS = {  # a sweep of each closed-form bound, in its window at its base constants
+    "volume": ({"t": [2.0], "R": [3.0, 5.0]}, {}),
+    "combinatorial": ({"regions": [[20, 1, 5]], "t": [0.1]}, {}),
+    "truncation": ({"t": [0.5], "M": [4, 8]}, {"dimension": 2}),  # box_offset counts at d > 1
+    "quasilocal_pair": ({"dB": 2, "dS": 3, "t": [1.0], "dist": [2]}, {}),
+    # two regions, so that kappa counts; chi = 10 puts mu chi above the window's threshold
+    "quasilocal_nested": ({"regions": [[4, 1, 3], [4, 1, 5]], "t": [0.1]}, {"box_margin": 10.0}),
+}
+REGION_SWEEPS = {
+    "path_sum": {"S": [[7]], "B": [[5, 6, 7]], "t": [0.5]},
+    "matrix_exp": {"S": [[7]], "B": [[5, 6, 7]], "t": [0.5]},
+    "dominance": {"S": [[7]], "B": [[6, 7]], "t": [0.1]},
+}
+
+
+def params_reader(name):
+    """(reads, derived, base, values, configure) of one reader of ``params``.
+
+    ``reads`` is the CLI's table entry, ``derived`` what the run fixes instead, ``base``
+    the constants that put the reader in its window, ``values(params)`` its bound values
+    as the CLI computes them, and ``configure(params)`` a CLI config that runs it.
+    """
+    if name == "simulate":  # the paper-formula plan and bound_value, d from the lattice
+        def values(params):
+            plans = [plan(params, t, 0.05, mode="paper-formula") for t in (0.3, 1.0)]
+            return [(p.r, p.m_star) for p in plans] + [
+                truncation_error_bound(params, t, M) for t in (0.3, 1.0) for M in (4, 8)]
+        return (cli._SIMULATE_READS, cli._derived(CHAIN8), {}, values,
+                lambda params: dict(SIM_CONFIG, params=params, oracle=False, t_grid=[0.3]))
+    if name == "compare":  # the volume law, d from the rk lattices
+        results = [{"R": R, "value": 0.1} for R in (3.0, 4.0, 5.0)]
+        return (cli._EXPERIMENT_KEYS["compare"][2], {"dimension": (2, "the rk lattice's d")}, {},
+                lambda params: [row["bound"] for row in
+                                disorder_bound_compare(results, params, 2.0)["rows"]],
+                lambda params: {"command": "ssb", "experiments": [
+                    RING8_RK, {"kind": "compare", "params": params}]})
+    if name in CLOSED_FORM_SWEEPS:
+        (sweep, base), graph, model, sections = CLOSED_FORM_SWEEPS[name], None, None, {}
+    else:
+        sweep, base, graph, model = REGION_SWEEPS[name], {}, CHAIN8, TFIM8
+        sections = {"lattice": {"d": 1, "L": 8}, "model": {"name": "tfim", "J": 1.0, "g": 1.0}}
+    return (cli._SWEEP_KEYS[name][2], cli._derived(graph, model), base,
+            lambda params: [row[3] for row in cli._run_sweep(name, sweep, params, graph, model)],
+            lambda params: dict(sections, command="bound", params=params,
+                                sweeps=[dict(sweep, bound=name)]))
+
+
+@pytest.mark.parametrize("name", ["simulate", *cli._SWEEP_KEYS, "compare"])
+def test_params_reads_are_what_each_reader_reads(tmp_path, capsys, name):
+    # each constant outside a reader's set leaves its values bit-equal and is refused by the
+    # CLI, naming it; each inside moves some value and is accepted.  Derived constants (d,
+    # and a model's h and degree) stay at the run's values and are refused as well
+    reads, derived, base, values, configure = params_reader(name)
+    settable = reads - set(derived)
+    params = BoundParams(**base, **{key: value for key, (value, _) in derived.items()})
+    expected = values(params)
+    assert expected and None not in expected  # every value inside its window
+    for key in (field.name for field in fields(BoundParams)):
+        moved = replace(params, **{key: getattr(params, key) * 2 + 1})
+        if key in settable:
+            assert values(moved) != expected, f"{name} does not read {key}"
+        elif key not in derived:
+            assert repr(values(moved)) == repr(expected), f"{name} reads {key}"
+        config = configure({key: getattr(moved, key)})
+        code = main(["--config", write_config(tmp_path, config, name=f"{key}.json"),
+                     "--out", str(tmp_path / key)])
+        err = capsys.readouterr().err
+        if key in settable:
+            assert code == 0, err
+        else:
+            assert code == 2 and err.startswith("error: ")
+            assert f"params ['{key}']" in err or f"params.{key} is " in err
 
 
 @pytest.mark.parametrize("t", [1e308, -1e300, 1e6])
