@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import logging
 import math
 import os
 import sys
@@ -80,6 +81,8 @@ from .ssb import (
     symmetric_unitary,
 )
 from .states import ProductState
+
+log = logging.getLogger(__name__)
 
 _MODE_SOURCE = ("is not a setting: the plan's keys set the mode (plan.r and plan.m_star for"
                 " desk, plan.epsilon for paper-formula)")
@@ -679,8 +682,14 @@ def _cmd_ssb(config: dict, files: dict) -> int:
                 {"R": float(row[1]), "value": float(row[3]), "beta": float(row[0])}
                 for row in rk_rows
             ]
-            compare_reports.append(disorder_bound_compare(
-                results, params, _number(experiment.get("t", 1.0), "compare t")))
+            t = _number(experiment.get("t", 1.0), "compare t")
+            report = disorder_bound_compare(results, params, t)
+            if not any(row["valid"] for row in report["rows"]):
+                log.warning("every compare row lies outside the volume bound's window"
+                            " lr_velocity * t > 1 and R > lr_velocity * t (here lr_velocity * t"
+                            " = %g and R in %s), so no row has a bound",
+                            params.lr_velocity * t, sorted({row["R"] for row in results}))
+            compare_reports.append(report)
     fits = _ssb_fits(rk_rows, ghz_rows)
     if fits:
         files["fits.json"] = json.dumps(fits, indent=2, sort_keys=True) + "\n"

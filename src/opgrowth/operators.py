@@ -18,8 +18,8 @@ imaginary entries is assembled and evolved in real arithmetic; real vectors
 stay real under it.  A block's column chunks are evolved concurrently, one
 per CPU the process may run on, and a large product of a vector has its
 rows split across those CPUs, with the same bits at any count.  Only
-``ssb.symmetric_unitary`` still diagonalizes a region Hamiltonian
-(``evolution_unitary``).  These routines are the oracle
+``ssb.symmetric_unitary`` still diagonalizes, one flip sector of a region
+Hamiltonian at a time (``evolution_unitary``).  These routines are the oracle
 the closed-form bounds and the cluster simulator are checked against, so
 clarity beats cleverness.
 
@@ -479,18 +479,17 @@ def _add_on_qubits(row: np.ndarray, values: np.ndarray, positions: list[int], n:
     view += values.reshape(value_shape + [1])
 
 
-def evolution_unitary(H: HamiltonianSpec, region: tuple[int, ...], t: float) -> np.ndarray:
-    """exp(i t H_region) by numpy's ``eigh`` of the dense region Hamiltonian, for ``ssb``.
+def evolution_unitary(H_mat: np.ndarray, t: float) -> np.ndarray:
+    """exp(i t H) of a dense Hermitian matrix by numpy's ``eigh``, for ``ssb``'s flip sectors.
 
-    A real Hamiltonian (tfim, heisenberg) is diagonalized as a real
-    symmetric matrix, several times faster than a complex one, and its real
-    eigenvectors make U from two real products.  LAPACK's divide-and-conquer
-    driver keeps the eigenvectors orthogonal to about 1e-15.  A region above
-    DEFAULT_QUBIT_CAP raises CapExceededError before anything is assembled.
+    A real matrix (the sectors of tfim and heisenberg) is diagonalized as a
+    real symmetric one, several times faster than a complex one, and its
+    real eigenvectors make U from two real products.  LAPACK's
+    divide-and-conquer driver keeps the eigenvectors orthogonal to about
+    1e-15.  The caller sizes H_mat: ``ssb.symmetric_unitary`` checks
+    DEFAULT_QUBIT_CAP before it assembles the region Hamiltonian.
     """
-    if len(region) > DEFAULT_QUBIT_CAP:
-        raise CapExceededError(f"region of {len(region)} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
-    w, V = np.linalg.eigh(hamiltonian_matrix(H, region, sparse=True).toarray())
+    w, V = np.linalg.eigh(H_mat)
     phase = np.exp(1j * t * w)
     if np.isrealobj(V):
         # two real products cost half of one complex product with V cast to complex

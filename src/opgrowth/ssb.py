@@ -1,11 +1,19 @@
 """Symmetry-breaking diagnostics: nested-commutator identity, GHZ splitting,
 and the disorder parameter of Ising-weighted (RK) wavefunctions.
 
+The identity's evolution U = exp(-iHt) is built one flip sector at a
+time: ``parity_sectors`` checks that H commutes with the global flip and
+splits it into its even and odd blocks of dimension 2^{n-1}, each goes
+through ``operators.evolution_unitary``, and U is assembled from the two
+(``symmetric_unitary``; Pfeuty 1970 for the split of the transverse-field
+Ising chain).  ``nested_identity_check`` takes each [Z_v, C] entry by
+entry, C[x, y] (z_v(x) - z_v(y)), in C's own buffer.
+
 The GHZ splitting of the open transverse-field Ising chain is its lowest
 free-fermion energy, twice the smallest singular value of an L x L
-bidiagonal matrix (``ghz_splitting``); no 2^L matrix is built.
-``parity_sectors`` splits any flip-symmetric matrix into its even and odd
-blocks, the dense reference the tests hold that closed form to.
+bidiagonal matrix (``ghz_splitting``); no 2^L matrix is built.  The dense
+blocks of ``parity_sectors`` are the reference the tests hold that closed
+form to.
 
 The disorder parameter of the RK state reduces to a classical observable.
 Writing the state in the Z basis, psi(s) = exp(beta*E(s)/2)/sqrt(Z) with
@@ -33,10 +41,9 @@ from .operators import (
     DEFAULT_QUBIT_CAP,
     HamiltonianSpec,
     LocalOperator,
-    PAULI,
     apply_local,
-    commutator,
     evolution_unitary,
+    hamiltonian_matrix,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -100,11 +107,55 @@ def _check_flip_symmetric(M: np.ndarray, what: str) -> None:
 
 
 def symmetric_unitary(H: HamiltonianSpec, t: float, region) -> np.ndarray:
-    """exp(-iHt) on ``region`` with a hard check that it commutes with the global spin flip."""
+    """exp(-iHt) on ``region``, evolved one flip sector at a time.
+
+    A region above DEFAULT_QUBIT_CAP raises CapExceededError before H is
+    assembled.  ``parity_sectors`` then checks that H commutes with the
+    global flip D (ValueError otherwise) and splits it, before anything is
+    diagonalized, into its even and odd blocks, each of dimension 2^{n-1}
+    in the basis (|x> +- |x_bar>)/sqrt(2) of x < 2^{n-1}.  Each block goes
+    through ``evolution_unitary``, a quarter of the ``eigh`` and product
+    flops of the whole matrix.  With U_e and U_o the two sector evolutions,
+
+        U[x, y] = U[x_bar, y_bar] = (U_e + U_o)[x, y] / 2,
+        U[x, y_bar] = U[x_bar, y] = (U_e - U_o)[x, y] / 2,
+
+    and x_bar = 2^n - 1 - x, so the bottom half of U is the top half with
+    both indices reversed, and U commutes with D to the last bit.
+    """
     region = tuple(sorted(region))
-    U = evolution_unitary(H, region, -t)
-    _check_flip_symmetric(U, "evolution")
+    n = len(region)
+    if n > DEFAULT_QUBIT_CAP:
+        raise CapExceededError(f"region of {n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
+    even, odd = parity_sectors(hamiltonian_matrix(H, region, sparse=True).toarray(), n)
+    U_even, U_odd = evolution_unitary(even, -t), evolution_unitary(odd, -t)
+    half = len(U_even)
+    U = np.empty((2 * half, 2 * half), dtype=complex)
+    top = U[:half]
+    np.add(U_even, U_odd, out=top[:, :half])
+    np.subtract(U_even, U_odd, out=top[:, ::-1][:, :half])  # column y_bar
+    top *= 0.5
+    U[half:] = top[::-1, ::-1]
     return U
+
+
+def _z_commutator(C: np.ndarray, position: int, n: int) -> np.ndarray:
+    """[Z, C] in place, for Z on qubit ``position`` of n and a C-contiguous 2^n x 2^n C.
+
+    Z is diagonal, so [Z, C][x, y] = C[x, y] (z(x) - z(y)) with z = +1 on
+    bit 0 and -1 on bit 1: of the four blocks of C by the qubit's bit in
+    row and column, the two with equal bits become zero, (0, 1) doubles
+    and (1, 0) doubles negated.  No temporary is made, and the entries
+    equal those of ``commutator(PAULI["Z"], [position], C, n)`` exactly.
+    Returns C.
+    """
+    outer, inner = 1 << position, 1 << (n - 1 - position)
+    blocks = np.reshape(C, (outer, 2, inner, outer, 2, inner), copy=False)
+    blocks[:, 0, :, :, 0] = 0
+    blocks[:, 1, :, :, 1] = 0
+    blocks[:, 0, :, :, 1] *= 2
+    blocks[:, 1, :, :, 0] *= -2
+    return C
 
 
 def nested_identity_check(
@@ -118,8 +169,9 @@ def nested_identity_check(
     lhs = <psi| D O |psi> with |psi> = U |0...0> and D the global flip;
     rhs = 2^{-m} <0...0| D [[...[O(t), Z_{v1}], ...], Z_{vm}] |0...0>
     with O(t) = U^dag O U.  The two agree for any sites v_i whenever U
-    commutes with D.  O and every Z_v act on their own qubits
-    (``apply_local``, ``commutator``), so the one dense product is U^dag (O U).
+    commutes with D.  O acts on its own qubits (``apply_local``), so the
+    one dense product is U^dag (O U), and each [Z_v, C] is taken entry by
+    entry in C's own buffer (``_z_commutator``).
 
     Raises ValueError, before any product, when U is not 2^n x 2^n for the
     region's n sites, when O's sites or some v leave the region, or when U
@@ -137,7 +189,7 @@ def nested_identity_check(
     lhs = complex(np.vdot(U[:, 0], OU[::-1, 0]))
     C = U.conj().T @ OU
     for v in v_list:
-        C = commutator(PAULI["Z"], [region.index(v)], C, n)
+        _z_commutator(C, region.index(v), n)
     # <0...0| D C |0...0> is the entry of C at row D|0...0> = |1...1>, column 0;
     # each step took [Z_v, C] = -[C, Z_v]
     rhs = complex(C[-1, 0]) * (-0.5) ** len(v_list)
@@ -149,8 +201,12 @@ def parity_sectors(H_mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Basis pairs |x>, |x_bar> with x < 2^{n-1} combine into
     (|x> +- |x_bar>)/sqrt(2); returns the two sector Hamiltonians in that
-    basis, in the order of x.
+    basis, in the order of x.  Raises ValueError for fewer than one qubit,
+    a shape other than 2^n x 2^n, or a matrix that does not commute with
+    the global flip.
     """
+    if n < 1:
+        raise ValueError(f"the flip pairs basis states of at least one qubit, got {n}")
     dim = 2**n
     if H_mat.shape != (dim, dim):
         raise ValueError(f"matrix shape {H_mat.shape} does not match {n} qubits")

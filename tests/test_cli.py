@@ -612,6 +612,28 @@ def test_ssb_compare_without_one_rk_d_exits_2(tmp_path, capsys, experiments, sou
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_ssb_compare_outside_the_window_warns_once(tmp_path, caplog):
+    # at the default lr_velocity and t, v t = 1 and the volume bound needs it above 1
+    ring = {**RING8_RK, "sizes": [2, 3]}
+    config = {"command": "ssb", "experiments": [ring, {"kind": "compare"}]}
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="opgrowth.cli"):
+        assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    warnings = [r for r in caplog.records if r.name == "opgrowth.cli"]
+    assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+    assert "lr_velocity * t > 1 and R > lr_velocity * t" in warnings[0].getMessage()
+    assert "lr_velocity * t = 1 " in warnings[0].getMessage()
+    rows = json.loads((out / "compare.json").read_text())[0]["rows"]
+    assert [(row["R"], row["bound"], row["valid"]) for row in rows] == [
+        (2.0, None, False), (3.0, None, False)]
+    # one row inside the window: no warning
+    caplog.clear()
+    config["experiments"][1] = {"kind": "compare", "params": {"lr_velocity": 0.5}, "t": 3.0}
+    with caplog.at_level(logging.WARNING, logger="opgrowth.cli"):
+        assert main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "in")]) == 0
+    assert not [r for r in caplog.records if r.name == "opgrowth.cli"]
+
+
 def test_fit_summary_values():
     fit = fit_summary([0, 1, 2], [0.0, 2.0, 1.0])
     assert fit["slope"] == pytest.approx(0.5) and fit["intercept"] == pytest.approx(0.5)

@@ -167,18 +167,16 @@ def test_evolution_caps_and_region_check(trips_before_allocating):
 
 
 def test_dense_guard_trips_in_eigh(trips_before_allocating, monkeypatch):
-    # the one dense evolution, evolution_unitary, checks the cap before its eigh
-    # and before the region Hamiltonian is assembled
-    from opgrowth.ssb import symmetric_unitary
+    # the one dense evolution, evolution_unitary, takes an assembled sector;
+    # symmetric_unitary checks the cap before the region Hamiltonian is assembled
+    import opgrowth.ssb
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembly started before the dense cap check")
 
-    monkeypatch.setattr(operators, "hamiltonian_matrix", no_assembly)
+    monkeypatch.setattr(opgrowth.ssb, "hamiltonian_matrix", no_assembly)
     chain15 = build_named_hamiltonian("tfim", build_square_lattice(1, 15), {"g": 1.0})
-    region = tuple(range(15))
-    trips_before_allocating(lambda: operators.evolution_unitary(chain15, region, 0.1))
-    trips_before_allocating(lambda: symmetric_unitary(chain15, 0.1, region))
+    trips_before_allocating(lambda: opgrowth.ssb.symmetric_unitary(chain15, 0.1, range(15)))
 
 
 def test_local_operator_permutes_factors_with_support():
@@ -1005,7 +1003,7 @@ def test_expm_multiply_long_time_matches_dense_evolution():
     t = 300.0 / norm
     assert operators._chebyshev_degree(norm * t) > 300
     got = operators.expm_multiply(H_sp, psi, t, mu, norm)
-    want = operators.evolution_unitary(H, region, -t) @ psi
+    want = operators.evolution_unitary(H_sp.toarray(), -t) @ psi
     assert np.max(np.abs(got - want)) <= 1e-12
 
 

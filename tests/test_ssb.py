@@ -1,5 +1,6 @@
 """Symmetry-breaking diagnostics: identity, splitting, disorder parameter."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -79,13 +80,17 @@ def test_identity_property_suite_small():
     assert result["passed"], result
 
 
-def test_identity_rejects_asymmetric_evolution():
+def test_identity_rejects_asymmetric_evolution(monkeypatch):
     g = build_square_lattice(1, 3)
-    # a Z field breaks the flip symmetry
+    # a Z field breaks the flip symmetry, which is checked before anything is diagonalized
     from opgrowth.operators import HamTerm, HamiltonianSpec, PAULI
 
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran before the flip check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     H = HamiltonianSpec((HamTerm(frozenset((0,)), PAULI["Z"], 1.0),), graph=g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="global flip"):
         symmetric_unitary(H, 0.5, (0, 1, 2))
 
 
@@ -118,18 +123,61 @@ def test_parity_sectors_match_isometry_construction():
         assert np.max(np.abs(Ho - iso_odd.conj().T @ H @ iso_odd)) <= 1e-12
 
 
-def test_symmetric_unitary_matches_expm():
+def _yz_chain(n, rng):
+    """sum_i a_i Y_i Z_{i+1} + b_i X_i on the open chain: flip-symmetric, with imaginary entries."""
+    from opgrowth.operators import HamTerm, HamiltonianSpec, PAULI
+
+    terms = []
+    for i in range(n - 1):
+        a = float(rng.uniform(0.4, 1.4))
+        terms.append(HamTerm(frozenset((i, i + 1)), a * np.kron(PAULI["Y"], PAULI["Z"]), a))
+    for i in range(n):
+        b = float(rng.uniform(0.2, 1.1))
+        terms.append(HamTerm(frozenset((i,)), b * PAULI["X"], b))
+    return HamiltonianSpec(tuple(terms), graph=build_square_lattice(1, n))
+
+
+def test_symmetric_unitary_matches_expm(monkeypatch):
+    # each flip sector is evolved on its own: eigh sees only 2^{n-1} x 2^{n-1} matrices,
+    # real ones for tfim and complex ones for the Y Z chain
     from opgrowth.operators import hamiltonian_matrix
 
+    eigh, seen = np.linalg.eigh, []
+
+    def sector_eigh(mat, *args, **kwargs):
+        seen.append((np.shape(mat), np.iscomplexobj(mat)))
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", sector_eigh)
     rng = np.random.default_rng(5)
-    for n in (2, 4, 6):
-        g = build_square_lattice(1, n)
-        H = build_named_hamiltonian(
-            "tfim", g, {"J": float(rng.uniform(0.4, 1.4)), "g": float(rng.uniform(0.2, 1.1))})
+    for model, n in itertools.product(("tfim", "yz"), (2, 3, 4, 6)):
+        if model == "tfim":
+            H = build_named_hamiltonian("tfim", build_square_lattice(1, n), {
+                "J": float(rng.uniform(0.4, 1.4)), "g": float(rng.uniform(0.2, 1.1))})
+        else:
+            H = _yz_chain(n, rng)
         t = float(rng.uniform(0.1, 1.5))
+        seen.clear()
         U = symmetric_unitary(H, t, tuple(range(n)))
+        assert seen == [((2 ** (n - 1),) * 2, model == "yz")] * 2
         reference = expm(-1j * t * hamiltonian_matrix(H, tuple(range(n))))
-        assert np.max(np.abs(U - reference)) <= 1e-12
+        assert np.max(np.abs(U - reference)) <= 1e-12, (model, n)
+        assert np.array_equal(U, U[::-1, ::-1])
+
+
+def test_entrywise_z_commutator_matches_commutator():
+    from opgrowth.operators import PAULI, commutator
+    from opgrowth.ssb import _z_commutator
+
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        dim = 2**n
+        for v in range(n):
+            C = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            want = commutator(PAULI["Z"], [v], C, n)
+            got = C.copy()
+            assert _z_commutator(got, v, n) is got
+            assert np.array_equal(got, want), (n, v)
 
 
 def test_flip_check_rejects_asymmetric_input():
@@ -139,6 +187,8 @@ def test_flip_check_rejects_asymmetric_input():
     H = _random_flip_symmetric(3, rng) + kron_all([PAULI["Z"], PAULI["I"], PAULI["I"]])
     with pytest.raises(ValueError, match="global flip"):
         parity_sectors(H, 3)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        parity_sectors(np.eye(1), 0)
     w, V = np.linalg.eigh(H)
     U = (V * np.exp(-0.4j * w)) @ V.conj().T
     with pytest.raises(ValueError, match="global flip"):
@@ -187,7 +237,7 @@ def test_identity_rejects_bad_arguments_before_any_product(monkeypatch, case):
         raise AssertionError("a product was taken before the arguments were checked")
 
     monkeypatch.setattr(opgrowth.ssb, "apply_local", no_product)
-    monkeypatch.setattr(opgrowth.ssb, "commutator", no_product)
+    monkeypatch.setattr(opgrowth.ssb, "_z_commutator", no_product)
     U, O, v_list = np.eye(8, dtype=complex), pauli_operator("X", (1,)), [0, 2]
     if case == "shape":
         U, match = np.eye(16, dtype=complex), "does not act on 3 qubits"
