@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CapExceededError, ValidityWindowError
 from .lattice import FactorGraph, boundary_vertices, hop_distances
@@ -212,8 +211,11 @@ def matrix_exp_bound(
     """Bound from the exponential of the vertex coupling-strength matrix.
 
     W[u, v] sums the norms of all terms containing both u and v; the bound
-    is prod_i sum over boundary pairs of exp(2|t| W).
+    is prod_i sum over boundary pairs of exp(2|t| W).  ``scipy.linalg`` is
+    imported here, on the first call, so the CLI does not load it at start.
     """
+    from scipy.linalg import expm
+
     vertices = tuple(g.vertices)
     n = len(vertices)
     if n > MATRIX_EXP_VERTEX_CAP:

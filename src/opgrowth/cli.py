@@ -390,10 +390,16 @@ def _cmd_bound(config: dict, files: dict) -> int:
     params = _bound_params(config.get("params", {}), reads, _derived(graph, model))
     rows: list[list] = []
     files["bounds.csv"] = (["R", "t", "bound_name", "value", "valid_flag", "exact"], rows)
-    for name, sweep in sweeps:
+    for index, (name, sweep) in enumerate(sweeps):
         if name in ("path_sum", "matrix_exp", "dominance") and model is None:
             raise ConfigError(f"{name} sweep needs lattice and model sections")
-        rows.extend(_run_sweep(name, sweep, params, graph, model))
+        misses: list[str] = []
+        sweep_rows = _run_sweep(name, sweep, params, graph, model, misses)
+        if sweep_rows and not any(row[4] for row in sweep_rows):
+            log.warning("every row of bound sweep %d (%s) lies outside the bound's validity"
+                        " window (%s), so no row has a value",
+                        index, name, "; ".join(dict.fromkeys(misses)))
+        rows.extend(sweep_rows)
     return 0
 
 
@@ -414,12 +420,18 @@ _SWEEP_KEYS = {  # the (required, optional) keys each bound sweep reads, and its
 }
 
 
-def _run_sweep(name, sweep, params, graph, model):
+def _run_sweep(name, sweep, params, graph, model, misses=None):
+    """The sweep's ``bounds.csv`` rows.
+
+    A row outside its bound's window (volume, combinatorial and
+    quasilocal_nested have one) adds the reason to ``misses``.
+    """
     rows = []
     if name == "volume":
         for t in _grid(sweep.get("t", [1.0])):
             for R in _grid(sweep.get("R", [2.0])):
-                rows.append(_bound_row("volume", t, R, lambda: volume_bound(params, R, t)))
+                rows.append(_bound_row("volume", t, R, lambda: volume_bound(params, R, t),
+                                       misses=misses))
     elif name in ("combinatorial", "quasilocal_nested"):
         regions = sweep["regions"]
         if not isinstance(regions, list) or not regions or not all(
@@ -431,7 +443,8 @@ def _run_sweep(name, sweep, params, graph, model):
             raise ConfigError(f"combinatorial distances must be >= 1, got {r_min}")
         evaluate = combinatorial_bound if name == "combinatorial" else quasilocal_nested_bound
         for t in _grid(sweep.get("t", [0.1] if name == "combinatorial" else [1.0])):
-            rows.append(_bound_row(name, t, r_min, lambda: evaluate(params, regions, t)))
+            rows.append(_bound_row(name, t, r_min, lambda: evaluate(params, regions, t),
+                                   misses=misses))
     elif name == "quasilocal_pair":
         dB, dS = _number(sweep.get("dB", 1), "dB"), _number(sweep.get("dS", 1), "dS")
         for t in _grid(sweep.get("t", [1.0])):
@@ -520,16 +533,21 @@ def _dominance_sweep(sweep, params, graph, model):
     return rows
 
 
-def _bound_row(name, t, r, thunk, exact=None):
-    value = _windowed(thunk)
+def _bound_row(name, t, r, thunk, exact=None, misses=None):
+    value = _windowed(thunk, misses)
     return [float(r), float(t), name, value, value is not None, exact]
 
 
-def _windowed(thunk) -> float | None:
-    """The bound ``thunk()`` evaluates, or None outside its validity window: an empty cell."""
+def _windowed(thunk, misses=None) -> float | None:
+    """The bound ``thunk()`` evaluates, or None outside its validity window: an empty cell.
+
+    The reason for an empty cell is appended to ``misses`` when one is given.
+    """
     try:
         return float(thunk())
-    except ValidityWindowError:
+    except ValidityWindowError as err:
+        if misses is not None:
+            misses.append(str(err))
         return None
 
 

@@ -6,8 +6,9 @@ time: ``parity_sectors`` checks that H commutes with the global flip and
 splits it into its even and odd blocks of dimension 2^{n-1}, each goes
 through ``operators.evolution_unitary``, and U is assembled from the two
 (``symmetric_unitary``; Pfeuty 1970 for the split of the transverse-field
-Ising chain).  ``nested_identity_check`` takes each [Z_v, C] entry by
-entry, C[x, y] (z_v(x) - z_v(y)), in C's own buffer.
+Ising chain).  ``nested_identity_check`` reads one entry of O(t) = U^dag O U,
+<1...1| O(t) |0...0>, from U's first and last columns; each [Z_v, .]
+only scales that entry, so no 2^n x 2^n product is taken.
 
 The GHZ splitting of the open transverse-field Ising chain is its lowest
 free-fermion energy, twice the smallest singular value of an L x L
@@ -98,10 +99,14 @@ def _check_flip_symmetric(M: np.ndarray, what: str) -> None:
     """Raise ValueError unless M commutes with the global flip D (X on every qubit).
 
     D sends basis state x to dim-1-x, so D M = M[::-1], M D = M[:, ::-1]
-    and ||M D - D M|| = ||M - M[::-1, ::-1]||.  The gap is measured in the
-    Frobenius norm, which bounds the spectral norm from above.
+    and ||M D - D M|| = ||Delta|| with Delta = M - M[::-1, ::-1].  Delta
+    reversed in both indices is -Delta, so its bottom half repeats its top
+    half and ||Delta||_F = sqrt(2) ||Delta[:dim/2]||_F: only the top half
+    is formed.  The gap is measured in the Frobenius norm, which bounds the
+    spectral norm from above.
     """
-    gap = np.linalg.norm(M - M[::-1, ::-1])
+    half = len(M) // 2
+    gap = np.sqrt(2) * np.linalg.norm(M[:half] - M[::-1, ::-1][:half])
     if gap > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric under the global flip (gap {gap:.2e})")
 
@@ -139,25 +144,6 @@ def symmetric_unitary(H: HamiltonianSpec, t: float, region) -> np.ndarray:
     return U
 
 
-def _z_commutator(C: np.ndarray, position: int, n: int) -> np.ndarray:
-    """[Z, C] in place, for Z on qubit ``position`` of n and a C-contiguous 2^n x 2^n C.
-
-    Z is diagonal, so [Z, C][x, y] = C[x, y] (z(x) - z(y)) with z = +1 on
-    bit 0 and -1 on bit 1: of the four blocks of C by the qubit's bit in
-    row and column, the two with equal bits become zero, (0, 1) doubles
-    and (1, 0) doubles negated.  No temporary is made, and the entries
-    equal those of ``commutator(PAULI["Z"], [position], C, n)`` exactly.
-    Returns C.
-    """
-    outer, inner = 1 << position, 1 << (n - 1 - position)
-    blocks = np.reshape(C, (outer, 2, inner, outer, 2, inner), copy=False)
-    blocks[:, 0, :, :, 0] = 0
-    blocks[:, 1, :, :, 1] = 0
-    blocks[:, 0, :, :, 1] *= 2
-    blocks[:, 1, :, :, 0] *= -2
-    return C
-
-
 def nested_identity_check(
     U: np.ndarray,
     O: LocalOperator,
@@ -169,9 +155,15 @@ def nested_identity_check(
     lhs = <psi| D O |psi> with |psi> = U |0...0> and D the global flip;
     rhs = 2^{-m} <0...0| D [[...[O(t), Z_{v1}], ...], Z_{vm}] |0...0>
     with O(t) = U^dag O U.  The two agree for any sites v_i whenever U
-    commutes with D.  O acts on its own qubits (``apply_local``), so the
-    one dense product is U^dag (O U), and each [Z_v, C] is taken entry by
-    entry in C's own buffer (``_z_commutator``).
+    commutes with D.
+
+    D |0...0> = |1...1>, so rhs reads the one entry of the nested
+    commutator at row |1...1> and column |0...0>.  Z is diagonal, so each
+    [Z_v, C] scales C[x, y] by z_v(x) - z_v(y), which on that entry is
+    -2 for every v.  So rhs is the entry <1...1| O(t) |0...0> times (-2)^m,
+    and times (-1/2)^m for [C, Z_v] = -[Z_v, C] and the 2^{-m}: both
+    sides come from the one vector O U|0...0> (``apply_local`` on U's
+    first column) and U's last column.
 
     Raises ValueError, before any product, when U is not 2^n x 2^n for the
     region's n sites, when O's sites or some v leave the region, or when U
@@ -185,14 +177,10 @@ def nested_identity_check(
     if off:
         raise ValueError(f"sites {off} of O or v_list leave the region {list(region)}")
     _check_flip_symmetric(U, "evolution")
-    OU = apply_local(O.matrix, [region.index(s) for s in O.support], U, n)
-    lhs = complex(np.vdot(U[:, 0], OU[::-1, 0]))
-    C = U.conj().T @ OU
-    for v in v_list:
-        _z_commutator(C, region.index(v), n)
-    # <0...0| D C |0...0> is the entry of C at row D|0...0> = |1...1>, column 0;
-    # each step took [Z_v, C] = -[C, Z_v]
-    rhs = complex(C[-1, 0]) * (-0.5) ** len(v_list)
+    O_psi = apply_local(O.matrix, [region.index(s) for s in O.support], U[:, 0], n)
+    lhs = complex(np.vdot(U[:, 0], O_psi[::-1]))
+    m = len(v_list)
+    rhs = complex(np.vdot(U[:, -1], O_psi)) * (-2.0) ** m * (-0.5) ** m
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -269,22 +257,36 @@ def rk_disorder_parameter(state: RKState, region: DisorderRegion, method: str = 
 def _rk_enumerate(state: RKState, region: DisorderRegion) -> float:
     """Sum over the 2^n configuration indices x, vertex v read from bit n-1-v.
 
-    Each bond's s_u s_v = 1 - 2 * (bit_u xor bit_v) is taken from x itself,
-    one bond at a time, so no 2^n x n spin table is built.
+    Each vertex's bit of x is one uint8 plane of 2^n entries.  A bond is
+    unlike where its two planes differ, so each bond takes one XOR and one
+    add into small-integer counters of unlike bonds, one over all bonds and
+    one over the bonds crossing the region's boundary.  With s_u s_v =
+    1 - 2 (bit_u xor bit_v), the energy is bonds - 2 unlike and the
+    crossing energy B is crossing bonds - 2 unlike crossing: the same exact
+    integers as sums of +-1 products, so the result does not depend on how
+    they are counted.
     """
     n = len(state.graph.vertices)
-    codes = np.arange(2**n, dtype=np.int64)
-    energy = np.zeros(2**n)
-    crossing = np.zeros(2**n)
-    for (u, v) in state.bonds:
-        prod = codes >> (n - 1 - u)
-        prod ^= codes >> (n - 1 - v)
-        prod &= 1
-        prod *= -2
-        prod += 1
-        energy += prod
+    bonds = state.bonds
+    codes = np.arange(2**n, dtype=np.uint32)
+    planes = np.empty((n, 2**n), dtype=np.uint8)
+    for v in range(n):
+        np.bitwise_and(codes >> (n - 1 - v), 1, out=planes[v], casting="unsafe")
+    count_type = np.min_scalar_type(len(bonds))
+    unlike, unlike_crossing = np.zeros(2**n, count_type), np.zeros(2**n, count_type)
+    differ = np.empty(2**n, dtype=np.uint8)
+    crossing_bonds = 0
+    for (u, v) in bonds:
+        np.bitwise_xor(planes[u], planes[v], out=differ)
+        unlike += differ
         if (u in region.vertices) != (v in region.vertices):
-            crossing += prod
+            unlike_crossing += differ
+            crossing_bonds += 1
+    del codes, planes, differ  # freed before the two float vectors are made
+    energy = np.multiply(unlike, -2.0)
+    energy += len(bonds)
+    crossing = np.multiply(unlike_crossing, -2.0)
+    crossing += crossing_bonds
     # the weights and the summand reuse the two vectors: no further 2^n arrays
     energy *= state.beta
     energy -= energy.max()

@@ -634,6 +634,38 @@ def test_ssb_compare_outside_the_window_warns_once(tmp_path, caplog):
     assert not [r for r in caplog.records if r.name == "opgrowth.cli"]
 
 
+def test_bound_sweep_outside_the_window_warns_once(tmp_path, caplog):
+    # at the default params mu chi = 1, below the quasilocal_nested threshold of 3.79 at d = 1
+    config = {"command": "bound", "sweeps": [
+        {"bound": "quasilocal_nested", "regions": [[4, 1, 3], [4, 1, 5]], "t": [0.1]},
+        {"bound": "volume", "t": [2.0], "R": [3.0]}]}
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="opgrowth.cli"):
+        assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    warnings = [r for r in caplog.records if r.name == "opgrowth.cli"]
+    assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+    message = warnings[0].getMessage()
+    assert "bound sweep 0 (quasilocal_nested)" in message
+    assert "mu*chi = 1.0000 must exceed max(log2 + d log3 + 2, kappa) = 3.7918" in message
+    nested, volume = (out / "bounds.csv").read_text().splitlines()[1:]
+    assert nested == "3.0,0.1,quasilocal_nested,,false," and volume.endswith(",true,")
+    # one row of the sweep inside the window: no warning
+    caplog.clear()
+    config["params"] = {"box_margin": 10.0}
+    with caplog.at_level(logging.WARNING, logger="opgrowth.cli"):
+        assert main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "in")]) == 0
+    assert not [r for r in caplog.records if r.name == "opgrowth.cli"]
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # only matrix_exp_bound uses scipy.linalg, and it imports it on its first call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, opgrowth.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout == "False\n"
+
 def test_fit_summary_values():
     fit = fit_summary([0, 1, 2], [0.0, 2.0, 1.0])
     assert fit["slope"] == pytest.approx(0.5) and fit["intercept"] == pytest.approx(0.5)

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import opgrowth.bounds
 from opgrowth.bounds import BoundParams
 from opgrowth.cli import check_flip_identity, fit_summary
-from opgrowth.lattice import build_square_lattice
+from opgrowth.lattice import build_rectangular_lattice, build_square_lattice
 from opgrowth.operators import build_named_hamiltonian, pauli_operator
 from opgrowth.ssb import (
     DisorderRegion,
@@ -165,21 +165,6 @@ def test_symmetric_unitary_matches_expm(monkeypatch):
         assert np.array_equal(U, U[::-1, ::-1])
 
 
-def test_entrywise_z_commutator_matches_commutator():
-    from opgrowth.operators import PAULI, commutator
-    from opgrowth.ssb import _z_commutator
-
-    rng = np.random.default_rng(21)
-    for n in range(1, 7):
-        dim = 2**n
-        for v in range(n):
-            C = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            want = commutator(PAULI["Z"], [v], C, n)
-            got = C.copy()
-            assert _z_commutator(got, v, n) is got
-            assert np.array_equal(got, want), (n, v)
-
-
 def test_flip_check_rejects_asymmetric_input():
     from opgrowth.operators import PAULI, kron_all
 
@@ -229,6 +214,24 @@ def test_identity_matches_embedded_reference():
                 assert gap <= 1e-12
 
 
+def test_identity_takes_no_dense_product():
+    # only the flip check's half of M - DMD and the vector O U|0...0> are made
+    from opgrowth.operators import LocalOperator
+
+    n, rng = 8, np.random.default_rng(9)
+    H = build_named_hamiltonian("tfim", build_square_lattice(1, n), {"J": 1.0, "g": 0.8})
+    U = symmetric_unitary(H, 0.7, tuple(range(n)))
+    M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    O = LocalOperator((2, 5), M / np.linalg.norm(M, 2))
+    tracemalloc.start()
+    try:
+        _, _, gap = nested_identity_check(U, O, [0, 3, 7], tuple(range(n)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gap <= 1e-12
+    assert peak < U.nbytes
+
 @pytest.mark.parametrize("case", ["shape", "operator", "site"])
 def test_identity_rejects_bad_arguments_before_any_product(monkeypatch, case):
     import opgrowth.ssb
@@ -237,7 +240,6 @@ def test_identity_rejects_bad_arguments_before_any_product(monkeypatch, case):
         raise AssertionError("a product was taken before the arguments were checked")
 
     monkeypatch.setattr(opgrowth.ssb, "apply_local", no_product)
-    monkeypatch.setattr(opgrowth.ssb, "_z_commutator", no_product)
     U, O, v_list = np.eye(8, dtype=complex), pauli_operator("X", (1,)), [0, 2]
     if case == "shape":
         U, match = np.eye(16, dtype=complex), "does not act on 3 qubits"
@@ -329,6 +331,47 @@ def test_rk_evaluators_agree():
         assert a == pytest.approx(b, abs=1e-12)
         assert a == pytest.approx(c, abs=1e-12)
 
+
+def _rk_enumerate_per_bond(state: RKState, region: DisorderRegion) -> float:
+    """The enumeration with each bond's +-1 product summed in int64, one bond at a time."""
+    n = len(state.graph.vertices)
+    codes = np.arange(2**n, dtype=np.int64)
+    energy = np.zeros(2**n)
+    crossing = np.zeros(2**n)
+    for (u, v) in state.bonds:
+        prod = codes >> (n - 1 - u)
+        prod ^= codes >> (n - 1 - v)
+        prod &= 1
+        prod *= -2
+        prod += 1
+        energy += prod
+        if (u in region.vertices) != (v in region.vertices):
+            crossing += prod
+    energy *= state.beta
+    energy -= energy.max()
+    np.exp(energy, out=energy)
+    crossing *= -state.beta
+    np.exp(crossing, out=crossing)
+    crossing *= energy
+    return float(np.sum(crossing) / np.sum(energy))
+
+
+@pytest.mark.parametrize("graph, beta, members", [
+    (RING12, 0.5, [range(k) for k in range(13)] + [{0, 2, 4}]),
+    (build_square_lattice(1, 10), 0.7, [range(k) for k in range(11)] + [{1, 5, 6}]),
+    (build_square_lattice(2, 4, periodic=True), 0.3, None),
+    (build_rectangular_lattice((2, 3)), 1.1, [range(k) for k in range(7)] + [{0, 4}]),
+], ids=["ring12", "chain10", "torus4x4", "grid2x3"])
+def test_rk_enumeration_matches_per_bond_sums(graph, beta, members):
+    # bit planes and unlike-bond counters give the same exact integers, so the same bits
+    state = RKState(beta, graph)
+    if members is None:
+        regions = [square_region(graph, (0, 0), side) for side in (1, 2, 3, 4)]
+    else:
+        regions = [DisorderRegion.from_graph(graph, m) for m in members]
+    for region in regions:
+        assert (rk_disorder_parameter(state, region, method="enumerate")
+                == _rk_enumerate_per_bond(state, region))
 
 def test_rk_enumeration_on_the_cap_ring_without_spin_table():
     # the enumeration holds a few 2^n vectors, never a 2^n x n spin table
