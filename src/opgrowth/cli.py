@@ -11,8 +11,9 @@ repeated runs stay byte-identical.  The thread count (``--threads`` or the
 config) is validated and recorded in the manifest; it does not change the
 computation.  Each fact of a run has one source: the dimension d is the
 lattice's, h and the degree are the model's, the anchor box is the box that
-holds the observable, and the mode is the plan's.  Each setting has a reader:
-``params`` takes only the constants the run's bounds read.
+holds the observable, and the plan's keys alone say how it is sized.  Each
+setting has a reader: ``params`` takes only the constants the run's bounds
+read.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .operators import (
     embed,
 )
 from .simulate import (
+    SimPlan,
     cluster_correction,
     inclusion_exclusion,
     operator_piece,
@@ -557,25 +559,25 @@ def _cmd_simulate(config: dict, files: dict) -> int:
     if "anchor_vertex" in plan_spec:
         raise ConfigError("plan.anchor_vertex is not a setting: the anchor box is the box"
                           " that holds observable.sites")
-    # the plan's keys set the mode: r and m_star (desk) or epsilon (paper-formula)
-    mode = {("m_star", "r"): "desk", ("epsilon",): "paper-formula"}.get(tuple(sorted(plan_spec)))
-    if mode is None:
-        raise ConfigError(f"plan sets {sorted(plan_spec)}: a plan holds r and m_star (desk"
-                          " mode) or epsilon (paper-formula mode), and nothing else")
-    sizes = {key: _integer(plan_spec[key], f"plan.{key}") for key in ("r", "m_star")
-             if key in plan_spec}
-    epsilon = _number(plan_spec.get("epsilon", 1e-6), "plan.epsilon")
     params = (_bound_params(config["params"], _SIMULATE_READS, _derived(graph))
               if "params" in config else None)
-    if mode == "paper-formula" and params is None:
-        raise ConfigError("a paper-formula plan (plan.epsilon) needs a params section")
     want_oracle = _flag(config.get("oracle", True), "oracle")
     grid = _grid(config.get("t_grid", [0.5]))
-    plans = [
-        plan(params, t, epsilon, mode=mode, graph=graph, anchor_vertex=observable.support[0],
-             r=sizes.get("r"), m_star=sizes.get("m_star"))
-        for t in grid
-    ]
+    anchor, keys = observable.support[0], sorted(plan_spec)
+    if keys == ["m_star", "r"]:  # r and m_star as given: one plan for the grid
+        sizes = [_integer(plan_spec[key], f"plan.{key}") for key in ("r", "m_star")]
+        for key, size in zip(("r", "m_star"), sizes):
+            if size < 1:
+                raise ConfigError(f"plan.{key} must be at least 1, got {size}")
+        plans = [SimPlan.tiled(graph, *sizes, anchor)] * len(grid)
+    elif keys == ["epsilon"]:  # sized per t by the paper's formulas
+        if params is None:
+            raise ConfigError("a plan from plan.epsilon needs a params section")
+        epsilon = _number(plan_spec["epsilon"], "plan.epsilon")
+        plans = [plan(params, t, epsilon, graph, anchor) for t in grid]
+    else:
+        raise ConfigError(f"plan sets {keys}: a plan holds r and m_star, or"
+                          " epsilon alone, and nothing else")
     if any(not set(observable.support) <= set(p.tiling.box_vertices[p.tiling.anchor_box])
            for p in plans):
         raise ConfigError(f"observable sites {list(observable.support)} are not in one box")
@@ -833,7 +835,7 @@ def check_completeness(correction=cluster_correction) -> dict:
             total += embed(piece.matrix, piece.support, region)
         worst = max(worst, operator_norm(total - full))
     state = ProductState.all_zero()
-    sim_plan = plan(None, 0.7, 1e-6, mode="desk", graph=graph, r=2, m_star=3)
+    sim_plan = SimPlan.tiled(graph, 2, 3)
     estimate, diag = simulate_expectation(model, A, state, 0.7, sim_plan)
     resummed = float(sum(inclusion_exclusion(diag["raw"], correction).values())[0])
     exact = exact_expectation(model, A, state, 0.7)

@@ -7,6 +7,11 @@ contribution; summing contributions over all clusters up to a size cutoff
 approximates the exact expectation with an error that shrinks
 exponentially in the cutoff volume.
 
+A plan (``SimPlan``) holds the box side r, the cutoff m* and the box
+tiling.  ``SimPlan.tiled`` builds one from a given r and m*; ``plan``
+sizes both from a target error and |t| by the paper's formulas and hands
+them to it.
+
 Only clusters that contain the anchor box and are connected on the coarse
 box graph can contribute.  ``tile_boxes`` joins two boxes when a factor of
 the lattice has a site in each, so when H's terms are connected in the
@@ -62,59 +67,51 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Box side and cluster-size cutoff for one simulation."""
+    """Box side, cluster-size cutoff and box tiling of one simulation: see ``tiled``."""
 
     r: int
     m_star: int
-    tiling: BoxTiling | None = None
+    tiling: BoxTiling
 
-    def __post_init__(self):
-        if self.r < 1 or self.m_star < 1:
+    @classmethod
+    def tiled(cls, graph: FactorGraph, r: int, m_star: int, anchor_vertex: int = 0) -> SimPlan:
+        """The plan of boxes of side r, clamped to the lattice extent, and cutoff m_star.
+
+        The boxes tile ``graph`` with the anchor box holding ``anchor_vertex``.
+        A side below the interaction range is a ``ConfigError``.
+        """
+        if r < 1 or m_star < 1:
             raise ValueError("require r >= 1 and m_star >= 1")
+        extent = graph.side if graph.side is not None else max(
+            max(c) for c in graph.coords.values()) + 1
+        if r > extent:
+            log.warning("box side %d exceeds lattice extent %d; clamping", r, extent)
+            r = extent
+        if r < graph.interaction_range:
+            raise ConfigError(f"box side {r} is below the interaction range")
+        return cls(r, m_star, tile_boxes(graph, r, anchor_vertex))
 
 
 def plan(
-    params: BoundParams | None,
+    params: BoundParams,
     t: float,
     epsilon: float,
-    mode: str = "desk",
-    graph: FactorGraph | None = None,
+    graph: FactorGraph,
     anchor_vertex: int = 0,
-    r: int | None = None,
-    m_star: int | None = None,
 ) -> SimPlan:
-    """Choose box side and cluster cutoff.
+    """The paper's plan for target error ``epsilon`` at time ``t``, tiled on ``graph``.
 
-    In "paper-formula" mode, r = 4(v_LR t + box_offset) and the cutoff is
+    The box side is r = ceil(4(v_LR |t| + box_offset)) and the cutoff
     m* = floor(3^{d+2}/(mu r) * log(2 c_d / eps)) + 3^{d+2} + 1, using the
-    constants in ``params``.  In "desk" mode both come from the caller.
+    constants in ``params``; ``SimPlan.tiled`` clamps r to the lattice.
     """
     if epsilon <= 0:
         raise ValidityWindowError("target error must be positive")
-    if mode == "paper-formula":
-        if params is None:
-            raise ValueError("paper-formula mode needs BoundParams")
-        d = params.dimension
-        r_val = max(1, math.ceil(4 * (params.lr_velocity * t + params.box_offset)))
-        log_term = max(0.0, math.log(2 * params.sim_prefactor / epsilon))
-        m_val = int(3 ** (d + 2) / (params.decay_rate * r_val) * log_term) + 3 ** (d + 2) + 1
-    elif mode == "desk":
-        if r is None or m_star is None:
-            raise ValueError("desk mode needs explicit r and m_star")
-        r_val, m_val = int(r), int(m_star)
-    else:
-        raise ValueError(f"unknown plan mode {mode!r}")
-    tiling = None
-    if graph is not None:
-        extent = graph.side if graph.side is not None else max(
-            max(c) for c in graph.coords.values()) + 1
-        if r_val > extent:
-            log.warning("box side %d exceeds lattice extent %d; clamping", r_val, extent)
-            r_val = extent
-        tiling = tile_boxes(graph, r_val, anchor_vertex)
-        if r_val < graph.interaction_range:
-            raise ConfigError(f"box side {r_val} is below the interaction range")
-    return SimPlan(r=r_val, m_star=m_val, tiling=tiling)
+    d = params.dimension
+    r = max(1, math.ceil(4 * (params.lr_velocity * abs(t) + params.box_offset)))
+    log_term = max(0.0, math.log(2 * params.sim_prefactor / epsilon))
+    m_star = int(3 ** (d + 2) / (params.decay_rate * r) * log_term) + 3 ** (d + 2) + 1
+    return SimPlan.tiled(graph, r, m_star, anchor_vertex)
 
 
 def cluster_region(tiling: BoxTiling, cluster: Cluster) -> tuple[int, ...]:
@@ -422,8 +419,6 @@ def simulate_expectation(
     """
     times, scalar = time_grid(t)
     tiling = sim_plan.tiling
-    if tiling is None:
-        raise ValueError("plan carries no tiling; pass graph= when building it")
     anchor = tiling.anchor_box
     if not set(A.support) <= set(tiling.box_vertices[anchor]):
         raise ValueError("observable support must sit inside the anchor box")

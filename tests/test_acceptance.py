@@ -38,7 +38,7 @@ from opgrowth.operators import (
     nested_commutator_norm,
     pauli_operator,
 )
-from opgrowth.simulate import plan, simulate_expectation
+from opgrowth.simulate import SimPlan, simulate_expectation
 from opgrowth.ssb import (
     DisorderRegion,
     RKState,
@@ -150,8 +150,8 @@ def test_criterion_3_cluster_expansion_convergence():
     A = pauli_operator("Z", (0,))
     state = ProductState.all_zero()
     summary = []
+    sim_plan = SimPlan.tiled(g, 2, 6)
     for t in (0.25, 0.5, 1.0):
-        sim_plan = plan(None, t, 1e-6, mode="desk", graph=g, anchor_vertex=0, r=2, m_star=6)
         _, diag = simulate_expectation(H, A, state, t, sim_plan)
         exact = exact_expectation(H, A, state, t)
         errors = [abs(est - exact) for est in diag["running_estimates"]]

@@ -827,6 +827,38 @@ def test_paper_formula_mode_end_to_end(tmp_path):
     assert abs(float(final[2]) - float(final[3])) < 1e-9  # estimate vs oracle
 
 
+def test_paper_formula_plan_reads_the_magnitude_of_t(tmp_path):
+    # r = ceil(4(v|t| + c)): t = -0.3 gets t = 0.3's boxes and cutoff, and <Z(t)> of a
+    # real H and state is even in t, so the two rows of each level agree
+    cfg = write_config(tmp_path, {
+        "command": "simulate",
+        "lattice": {"d": 1, "L": 10},
+        "model": {"name": "tfim", "J": 1.0, "g": 0.9},
+        "observable": {"pauli": "Z", "sites": [0]},
+        "plan": {"epsilon": 0.05},
+        "params": {"box_offset": 1e-9},
+        "t_grid": [0.3, -0.3],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "results.csv")
+    forward = [row for row in rows if row[0] == "0.3"]
+    backward = [row for row in rows if row[0] == "-0.3"]
+    assert forward and len(forward) == len(backward)
+    for ahead, behind in zip(forward, backward):
+        assert ahead[1] == behind[1]
+        assert abs(float(ahead[2]) - float(behind[2])) <= 1e-12
+
+
+@pytest.mark.parametrize("key", ["r", "m_star"])
+def test_plan_sizes_below_one_exit_2_naming_the_key(tmp_path, capsys, key):
+    config = dict(SIM_CONFIG, plan=dict(SIM_CONFIG["plan"], **{key: 0}))
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: plan.{key} must be at least 1, got 0\n"
+
+
 def test_paper_formula_mode_requires_params(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "simulate",
@@ -902,6 +934,8 @@ def region_sweep(bound, S, B):
     dict(SIM_CONFIG, state=[]),
     dict(SIM_CONFIG, observable=None),
     dict(SIM_CONFIG, plan=5),
+    dict(SIM_CONFIG, plan={"r": 0, "m_star": 3}),
+    dict(SIM_CONFIG, plan={"r": 2, "m_star": 0}),
     dict(SIM_CONFIG, params=None),
     dict(SIM_CONFIG, params=[]),
     {"command": "lattice", "lattice": None},
@@ -926,6 +960,7 @@ def region_sweep(bound, S, B):
         "suite-not-a-name", "params-not-an-object", "rk-beta-negative", "t-grid-nan",
         "t-grid-infinity", "t-grid-inf-string", "params-value", "lattice-not-an-object",
         "model-not-an-object", "state-not-an-object", "observable-null", "plan-not-an-object",
+        "plan-r-zero", "plan-m-star-zero",
         "params-null", "params-empty-list", "lattice-null", "oracle-model-not-an-object",
         "bound-params-not-an-object", "rk-lattice-not-an-object", "sweep-observable-null",
         "probe-not-an-object", "probes-not-a-list"])
@@ -1017,7 +1052,7 @@ def params_reader(name):
     """
     if name == "simulate":  # the paper-formula plan and bound_value, d from the lattice
         def values(params):
-            plans = [plan(params, t, 0.05, mode="paper-formula") for t in (0.3, 1.0)]
+            plans = [plan(params, t, 0.05, CHAIN8) for t in (0.3, 1.0)]
             return [(p.r, p.m_star) for p in plans] + [
                 truncation_error_bound(params, t, M) for t in (0.3, 1.0) for M in (4, 8)]
         return (cli._SIMULATE_READS, cli._derived(CHAIN8), {}, values,

@@ -36,6 +36,7 @@ from opgrowth.operators import (
 )
 from opgrowth.simulate import (
     ComponentClasses,
+    SimPlan,
     cluster_correction,
     inclusion_exclusion,
     operator_piece,
@@ -51,35 +52,52 @@ TFIM6 = build_named_hamiltonian("tfim", CHAIN6, {"J": 1.0, "g": 0.9})
 ZERO = ProductState.all_zero()
 
 
+PAPER_PARAMS = BoundParams(decay_rate=1.0, lr_velocity=1.0, sim_prefactor=1.0,
+                           box_offset=0.0, dimension=1)
+
+
 def test_plan_formula_value():
-    params = BoundParams(decay_rate=1.0, lr_velocity=1.0, sim_prefactor=1.0,
-                         box_offset=0.0, dimension=1)
     # choose eps with log(2 c_d / eps) = 4, and t giving r = 4
     eps = 2 * math.exp(-4.0)
-    p = plan(params, 1.0, eps, mode="paper-formula")
+    p = plan(PAPER_PARAMS, 1.0, eps, CHAIN6)
     assert p.r == 4
     assert p.m_star == int(27 * 4 / 4) + 27 + 1 == 55
+    assert p.tiling == tile_boxes(CHAIN6, 4, 0)
 
 
 def test_plan_large_epsilon_floor():
-    params = BoundParams(decay_rate=1.0, lr_velocity=1.0, sim_prefactor=1.0,
-                         box_offset=0.0, dimension=1)
-    p = plan(params, 1.0, 10.0, mode="paper-formula")
+    p = plan(PAPER_PARAMS, 1.0, 10.0, CHAIN6)
     assert p.m_star == 27 + 1
 
 
-def test_plan_desk_passthrough_and_errors():
-    p = plan(None, 0.5, 1e-6, mode="desk", r=2, m_star=3)
-    assert (p.r, p.m_star) == (2, 3)
+def test_plan_sizes_boxes_from_the_magnitude_of_t():
+    # r = ceil(4(v|t| + c)): a backward evolution reaches as far as a forward one
+    params = dataclasses.replace(PAPER_PARAMS, box_offset=1e-9)
+    chain = build_square_lattice(1, 10)
+    for t in (0.3, 0.8):
+        forward, backward = plan(params, t, 0.05, chain), plan(params, -t, 0.05, chain)
+        assert (forward.r, forward.m_star) == (backward.r, backward.m_star)
+        assert forward.tiling == backward.tiling
+    assert plan(params, -0.3, 0.05, chain).r == 2
+
+
+def test_plan_refuses_a_target_error_that_is_not_positive():
     with pytest.raises(ValidityWindowError):
-        plan(None, 0.5, -1.0, mode="desk", r=2, m_star=3)
-    with pytest.raises(ValueError):
-        plan(None, 0.5, 1e-6, mode="desk")
+        plan(PAPER_PARAMS, 0.5, -1.0, CHAIN6)
+
+
+def test_plan_desk_passthrough_and_errors():
+    p = SimPlan.tiled(CHAIN6, 2, 3)
+    assert (p.r, p.m_star) == (2, 3)
+    assert p.tiling == tile_boxes(CHAIN6, 2, 0)
+    for r, m_star in ((0, 3), (2, 0)):
+        with pytest.raises(ValueError):
+            SimPlan.tiled(CHAIN6, r, m_star)
 
 
 def test_plan_clamps_oversized_boxes(caplog):
     with caplog.at_level(logging.WARNING, logger="opgrowth.simulate"):
-        p = plan(None, 0.5, 1e-6, mode="desk", graph=CHAIN6, r=50, m_star=2)
+        p = SimPlan.tiled(CHAIN6, 50, 2)
     assert p.r == 6
     assert "clamping" in caplog.text
 
@@ -206,20 +224,20 @@ def test_cluster_correction_missing_dependency():
 
 
 def test_simulate_t0_exact():
-    p = plan(None, 0.0, 1e-6, mode="desk", graph=CHAIN6, r=2, m_star=3)
+    p = SimPlan.tiled(CHAIN6, 2, 3)
     est, diag = simulate_expectation(TFIM6, pauli_operator("Z", (0,)), ZERO, 0.0, p)
     assert est == pytest.approx(1.0, abs=1e-10)
     assert all(abs(s) < 1e-10 for s in diag["level_sums"][1:])
 
 
 def test_simulate_anchor_support_check():
-    p = plan(None, 0.4, 1e-6, mode="desk", graph=CHAIN6, r=2, m_star=2)
+    p = SimPlan.tiled(CHAIN6, 2, 2)
     with pytest.raises(ValueError):
         simulate_expectation(TFIM6, pauli_operator("Z", (3,)), ZERO, 0.4, p)
 
 
 def test_simulate_converges_to_exact():
-    p = plan(None, 0.6, 1e-6, mode="desk", graph=CHAIN6, r=2, m_star=3)
+    p = SimPlan.tiled(CHAIN6, 2, 3)
     est, diag = simulate_expectation(TFIM6, pauli_operator("Z", (0,)), ZERO, 0.6, p)
     exact = exact_expectation(TFIM6, pauli_operator("Z", (0,)), ZERO, 0.6)
     errors = [abs(r - exact) for r in diag["running_estimates"]]
@@ -250,8 +268,7 @@ def test_simulate_at_full_cutoff_equals_exact(g, data):
     A = pauli_operator(data.draw(st.sampled_from("XYZ")), (anchor,))
     r = data.draw(st.integers(1, 2))
     boxes = sorted(tile_boxes(g, r, anchor).box_vertices)
-    p = plan(None, 1.0, 1e-6, mode="desk", graph=g, anchor_vertex=anchor,
-             r=r, m_star=len(boxes))
+    p = SimPlan.tiled(g, r, len(boxes), anchor)
     grid = [data.draw(st.floats(0.0, 1.0)) for _ in range(2)]
     results = simulate_expectation(H, A, state, grid, p)
     exact = exact_expectation(H, A, state, grid)
@@ -264,7 +281,7 @@ def test_simulate_anchor_only_hamiltonian():
     g4 = build_square_lattice(1, 4)
     inner = HamiltonianSpec(
         (HamTerm(frozenset({0, 1}), np.kron(PAULI["Z"], PAULI["X"]), 1.0),), graph=g4)
-    p = plan(None, 0.8, 1e-6, mode="desk", graph=g4, r=2, m_star=2)
+    p = SimPlan.tiled(g4, 2, 2)
     est, diag = simulate_expectation(inner, pauli_operator("Z", (0,)), ZERO, 0.8, p)
     tiling = p.tiling
     single = raw_cluster_expectation(inner, pauli_operator("Z", (0,)), ZERO,
@@ -278,7 +295,7 @@ def test_simulate_2d_converges_to_oracle():
     g = build_square_lattice(2, 3)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.8})
     A = pauli_operator("Z", (0,))
-    p = plan(None, 0.5, 1e-6, mode="desk", graph=g, anchor_vertex=0, r=2, m_star=4)
+    p = SimPlan.tiled(g, 2, 4, 0)
     assert len(p.tiling.box_vertices) == 4
     est, diag = simulate_expectation(H, A, ZERO, 0.5, p)
     exact = exact_expectation(H, A, ZERO, 0.5)
@@ -304,7 +321,7 @@ def test_clusters_not_joined_by_factors_contribute_zero(r, m_star):
     g = build_square_lattice(2, 4)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.8})
     A = pauli_operator("Z", (0,))
-    p = plan(None, 0.6, 1e-6, mode="desk", graph=g, r=r, m_star=m_star)
+    p = SimPlan.tiled(g, r, m_star)
     estimate, _ = simulate_expectation(H, A, ZERO, 0.6, p)
     coordinate = _coordinate_tiling(p.tiling)
     clusters = enumerate_connected_subsets(coordinate.adjacency, coordinate.anchor_box, m_star)
@@ -363,7 +380,7 @@ def test_component_evaluation_matches_full_region(model, params):
     state = _random_product_state(g.vertices, np.random.default_rng(11))
     A = pauli_operator("Z", (5,))
     grid = [0.4, 1.0]
-    p = plan(None, 1.0, 1e-6, mode="desk", graph=g, anchor_vertex=5, r=1, m_star=5)
+    p = SimPlan.tiled(g, 1, 5, 5)
     results = simulate_expectation(H, A, state, grid, p)
     full = {}
     for cluster in enumerate_connected_subsets(p.tiling.adjacency, p.tiling.anchor_box, 5):
@@ -394,7 +411,7 @@ def test_component_evaluations_counted_once(monkeypatch, caplog, L, r, m_star, c
         return exact_expectation(H, A, state, t, region=region)
 
     monkeypatch.setattr(simulate_mod, "exact_expectation", counting_expectation)
-    p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=r, m_star=m_star)
+    p = SimPlan.tiled(g, r, m_star)
     with caplog.at_level(logging.INFO, logger="opgrowth.simulate"):
         _, diag = simulate_expectation(H, A, ZERO, [0.25, 1.0], p)[0]
     assert len(regions) == len(set(regions)) == classes  # one evaluation per class
@@ -553,7 +570,7 @@ def test_class_of_distinct_terms_or_states_is_its_component(model, params, rando
     state = _random_product_state(g.vertices, np.random.default_rng(9)) if random_state else ZERO
     A = pauli_operator("Z", (5,))
     grid = [0.3, 0.8]
-    p = plan(None, 0.8, 1e-6, mode="desk", graph=g, anchor_vertex=5, r=1, m_star=5)
+    p = SimPlan.tiled(g, 1, 5, 5)
     results = simulate_expectation(H, A, state, grid, p)
     diag = results[0][1]
     assert diag["running_classes"] == diag["running_clusters"]
@@ -568,7 +585,7 @@ def test_class_values_match_per_component_evaluation():
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 1.05})
     A = pauli_operator("Z", (0,))
     grid = [0.25, 1.0]
-    p = plan(None, 1.0, 1e-6, mode="desk", graph=g, r=1, m_star=8)
+    p = SimPlan.tiled(g, 1, 8)
     results = simulate_expectation(H, A, ZERO, grid, p)
     diag = results[-1][1]
     assert (diag["running_clusters"][-1], diag["running_classes"][-1]) == (829, 158)
@@ -590,7 +607,7 @@ def test_coarse_graph_enumeration_matches_brute_force():
 
 
 def test_simulate_repeat_determinism():
-    p = plan(None, 0.7, 1e-6, mode="desk", graph=CHAIN6, r=1, m_star=4)
+    p = SimPlan.tiled(CHAIN6, 1, 4)
     A = pauli_operator("Z", (0,))
     est1, diag1 = simulate_expectation(TFIM6, A, ZERO, 0.7, p)
     est2, diag2 = simulate_expectation(TFIM6, A, ZERO, 0.7, p)
@@ -653,7 +670,7 @@ def test_truncation_error_monotone_above_float_floor():
     g10 = build_square_lattice(1, 10)
     H10 = build_named_hamiltonian("tfim", g10, {"J": 1.0, "g": 1.1})
     A = pauli_operator("Z", (0,))
-    p = plan(None, 0.8, 1e-6, mode="desk", graph=g10, r=2, m_star=5)
+    p = SimPlan.tiled(g10, 2, 5)
     _, diag = simulate_expectation(H10, A, ZERO, 0.8, p)
     exact = exact_expectation(H10, A, ZERO, 0.8)
     floor = 1e-13
@@ -671,7 +688,7 @@ def test_simulate_grid_matches_scalar_calls():
     g = build_square_lattice(2, 4)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.8})
     A = pauli_operator("Z", (0,))
-    p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=2, m_star=3)
+    p = SimPlan.tiled(g, 2, 3)
     grid = [0.6, 0.0, 0.3, 0.6]  # unsorted, repeated point, t = 0
     results = simulate_expectation(H, A, ZERO, grid, p)
     assert len(results) == len(grid)
@@ -690,7 +707,7 @@ def test_grid_resum_keeps_raw_values_and_matches_scalar_resums(monkeypatch):
     g = build_square_lattice(2, 4)
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.8})
     A = pauli_operator("Z", (0,))
-    p = plan(None, 0.5, 1e-6, mode="desk", graph=g, r=1, m_star=4)
+    p = SimPlan.tiled(g, 1, 4)
     listed = []
 
     def counting_correction(raw, corrected, cluster, subclusters):
