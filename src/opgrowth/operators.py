@@ -17,9 +17,9 @@ largest eigenvalue of a Gram matrix, never an SVD.  A Hamiltonian without
 imaginary entries is assembled and evolved in real arithmetic; real vectors
 stay real under it.  A block's column chunks are evolved concurrently, one
 per CPU the process may run on, and a large product of a vector has its
-rows split across those CPUs, with the same bits at any count.  Only
-``ssb.symmetric_unitary`` still diagonalizes, one flip sector of a region
-Hamiltonian at a time (``evolution_unitary``).  These routines are the oracle
+rows split across those CPUs, with the same bits at any count.  No run
+path diagonalizes a region Hamiltonian: ``evolution_unitary``, ``eigh`` of
+one dense matrix, is the tests' reference only.  These routines are the oracle
 the closed-form bounds and the cluster simulator are checked against, so
 clarity beats cleverness.
 
@@ -44,7 +44,7 @@ from scipy.sparse import _sparsetools
 from .errors import CapExceededError, ConfigError
 from .lattice import FactorGraph, enumerate_connected_subsets
 
-DEFAULT_QUBIT_CAP = 14  # dense 2^n x 2^n matrices
+DEFAULT_QUBIT_CAP = 14  # 2^n x 2^n operators: Heisenberg evolution and its commutator norms
 VECTOR_QUBIT_CAP = DEFAULT_QUBIT_CAP + 6  # 2^n state vectors and sparse region Hamiltonians
 SPARSE_BYTES_CAP = 2 << 30  # peak bytes of assembling one sparse region Hamiltonian
 HERMITICITY_TOL = 1e-12
@@ -480,26 +480,13 @@ def _add_on_qubits(row: np.ndarray, values: np.ndarray, positions: list[int], n:
 
 
 def evolution_unitary(H_mat: np.ndarray, t: float) -> np.ndarray:
-    """exp(i t H) of a dense Hermitian matrix by numpy's ``eigh``, for ``ssb``'s flip sectors.
+    """exp(i t H) = V exp(i t w) V^dag of a dense Hermitian matrix, from numpy's ``eigh``.
 
-    A real matrix (the sectors of tfim and heisenberg) is diagonalized as a
-    real symmetric one, several times faster than a complex one, and its
-    real eigenvectors make U from two real products.  LAPACK's
-    divide-and-conquer driver keeps the eigenvectors orthogonal to about
-    1e-15.  The caller sizes H_mat: ``ssb.symmetric_unitary`` checks
-    DEFAULT_QUBIT_CAP before it assembles the region Hamiltonian.
+    No run path calls it: it is the dense reference the tests hold
+    ``expm_multiply`` to.  The caller sizes H_mat.
     """
     w, V = np.linalg.eigh(H_mat)
-    phase = np.exp(1j * t * w)
-    if np.isrealobj(V):
-        # two real products cost half of one complex product with V cast to complex
-        U = np.empty(V.shape, dtype=complex)
-        U.real = (V * phase.real) @ V.T
-        U.imag = (V * phase.imag) @ V.T
-        return U
-    scaled = V * phase
-    np.conj(V, out=V)
-    return scaled @ V.T
+    return (V * np.exp(1j * t * w)) @ V.conj().T
 
 
 def heisenberg_evolve(

@@ -1,20 +1,19 @@
 """Symmetry-breaking diagnostics: nested-commutator identity, GHZ splitting,
 and the disorder parameter of Ising-weighted (RK) wavefunctions.
 
-The identity's evolution U = exp(-iHt) is built one flip sector at a
-time: ``parity_sectors`` checks that H commutes with the global flip and
-splits it into its even and odd blocks of dimension 2^{n-1}, each goes
-through ``operators.evolution_unitary``, and U is assembled from the two
-(``symmetric_unitary``; Pfeuty 1970 for the split of the transverse-field
-Ising chain).  ``nested_identity_check`` reads one entry of O(t) = U^dag O U,
-<1...1| O(t) |0...0>, from U's first and last columns; each [Z_v, .]
-only scales that entry, so no 2^n x 2^n product is taken.
+The identity reads two columns of U = exp(-iHt), U|0...0> and U|1...1>,
+and nothing else of U: ``symmetric_unitary`` checks on the sparse region
+Hamiltonian that H commutes with the global flip, then evolves both
+columns as one 2^n x 2 block with ``operators.expm_multiply``.
+``nested_identity_check`` reads one entry of O(t) = U^dag O U,
+<1...1| O(t) |0...0>, from those columns; each [Z_v, .] only scales that
+entry, so no 2^n x 2^n array is made.
 
 The GHZ splitting of the open transverse-field Ising chain is its lowest
 free-fermion energy, twice the smallest singular value of an L x L
 bidiagonal matrix (``ghz_splitting``); no 2^L matrix is built.  The dense
 blocks of ``parity_sectors`` are the reference the tests hold that closed
-form to.
+form to; no run path calls it.
 
 The disorder parameter of the RK state reduces to a classical observable.
 Writing the state in the Z basis, psi(s) = exp(beta*E(s)/2)/sqrt(Z) with
@@ -35,16 +34,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CapExceededError, ValidityWindowError
 from .lattice import FactorGraph
 from .operators import (
     DEFAULT_QUBIT_CAP,
+    VECTOR_QUBIT_CAP,
     HamiltonianSpec,
     LocalOperator,
     apply_local,
-    evolution_unitary,
+    expm_multiply,
     hamiltonian_matrix,
+    shift_and_radius,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -95,53 +97,43 @@ def square_region(g: FactorGraph, corner: tuple[int, ...], side: int) -> Disorde
     return DisorderRegion.from_graph(g, members)
 
 
-def _check_flip_symmetric(M: np.ndarray, what: str) -> None:
+def _check_flip_symmetric(M, what: str) -> None:
     """Raise ValueError unless M commutes with the global flip D (X on every qubit).
 
-    D sends basis state x to dim-1-x, so D M = M[::-1], M D = M[:, ::-1]
-    and ||M D - D M|| = ||Delta|| with Delta = M - M[::-1, ::-1].  Delta
-    reversed in both indices is -Delta, so its bottom half repeats its top
-    half and ||Delta||_F = sqrt(2) ||Delta[:dim/2]||_F: only the top half
-    is formed.  The gap is measured in the Frobenius norm, which bounds the
-    spectral norm from above.
+    D sends basis state x to dim-1-x, so D M D = M[::-1, ::-1] and
+    ||M D - D M|| = ||M - M[::-1, ::-1]||.  M is a dense array
+    (``parity_sectors``) or a sparse matrix (``symmetric_unitary``), and it
+    is reversed in its own format, so a CSR is never made dense.  The gap
+    is the Frobenius norm of the difference's stored values, which bounds
+    the spectral norm from above.
     """
-    half = len(M) // 2
-    gap = np.sqrt(2) * np.linalg.norm(M[:half] - M[::-1, ::-1][:half])
+    delta = M - M[::-1, ::-1]
+    gap = np.linalg.norm(delta.data if sp.issparse(delta) else delta)
     if gap > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric under the global flip (gap {gap:.2e})")
 
 
 def symmetric_unitary(H: HamiltonianSpec, t: float, region) -> np.ndarray:
-    """exp(-iHt) on ``region``, evolved one flip sector at a time.
+    """The columns U|0...0> and U|1...1> of U = exp(-iHt) on ``region``: a 2^n x 2 array.
 
-    A region above DEFAULT_QUBIT_CAP raises CapExceededError before H is
-    assembled.  ``parity_sectors`` then checks that H commutes with the
-    global flip D (ValueError otherwise) and splits it, before anything is
-    diagonalized, into its even and odd blocks, each of dimension 2^{n-1}
-    in the basis (|x> +- |x_bar>)/sqrt(2) of x < 2^{n-1}.  Each block goes
-    through ``evolution_unitary``, a quarter of the ``eigh`` and product
-    flops of the whole matrix.  With U_e and U_o the two sector evolutions,
-
-        U[x, y] = U[x_bar, y_bar] = (U_e + U_o)[x, y] / 2,
-        U[x, y_bar] = U[x_bar, y] = (U_e - U_o)[x, y] / 2,
-
-    and x_bar = 2^n - 1 - x, so the bottom half of U is the top half with
-    both indices reversed, and U commutes with D to the last bit.
+    They are all the flip identity reads of U.  Only vectors are held, so
+    a region above VECTOR_QUBIT_CAP raises CapExceededError before H is
+    assembled.  H's flip symmetry is checked on its CSR
+    (``_check_flip_symmetric``), ValueError otherwise, before anything is
+    evolved.  The two columns are then evolved as one block by
+    ``expm_multiply``, with the shift and radius of ``shift_and_radius``.
+    U|1...1> is propagated, never taken as D U|0...0>: that would make the
+    identity's two sides equal by construction.
     """
     region = tuple(sorted(region))
     n = len(region)
-    if n > DEFAULT_QUBIT_CAP:
-        raise CapExceededError(f"region of {n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
-    even, odd = parity_sectors(hamiltonian_matrix(H, region, sparse=True).toarray(), n)
-    U_even, U_odd = evolution_unitary(even, -t), evolution_unitary(odd, -t)
-    half = len(U_even)
-    U = np.empty((2 * half, 2 * half), dtype=complex)
-    top = U[:half]
-    np.add(U_even, U_odd, out=top[:, :half])
-    np.subtract(U_even, U_odd, out=top[:, ::-1][:, :half])  # column y_bar
-    top *= 0.5
-    U[half:] = top[::-1, ::-1]
-    return U
+    if n > VECTOR_QUBIT_CAP:
+        raise CapExceededError(f"region of {n} qubits exceeds cap {VECTOR_QUBIT_CAP}")
+    H_sp = hamiltonian_matrix(H, region, sparse=True)
+    _check_flip_symmetric(H_sp, "Hamiltonian")
+    ends = np.zeros((1 << n, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
+    return expm_multiply(H_sp, ends, t, *shift_and_radius(H, region))
 
 
 def nested_identity_check(
@@ -155,7 +147,9 @@ def nested_identity_check(
     lhs = <psi| D O |psi> with |psi> = U |0...0> and D the global flip;
     rhs = 2^{-m} <0...0| D [[...[O(t), Z_{v1}], ...], Z_{vm}] |0...0>
     with O(t) = U^dag O U.  The two agree for any sites v_i whenever U
-    commutes with D.
+    commutes with D.  ``U`` holds the two columns U|0...0> and U|1...1>,
+    as ``symmetric_unitary`` returns them; that checks H's flip symmetry
+    before it evolves anything, so U is not checked here.
 
     D |0...0> = |1...1>, so rhs reads the one entry of the nested
     commutator at row |1...1> and column |0...0>.  Z is diagonal, so each
@@ -165,18 +159,16 @@ def nested_identity_check(
     sides come from the one vector O U|0...0> (``apply_local`` on U's
     first column) and U's last column.
 
-    Raises ValueError, before any product, when U is not 2^n x 2^n for the
-    region's n sites, when O's sites or some v leave the region, or when U
-    does not commute with D.
+    Raises ValueError, before any product, when U is not 2^n x 2 for the
+    region's n sites, or when O's sites or some v leave the region.
     """
     region, v_list = tuple(sorted(region)), list(v_list)
     n = len(region)
-    if np.shape(U) != (1 << n, 1 << n):
+    if np.shape(U) != (1 << n, 2):
         raise ValueError(f"evolution of shape {np.shape(U)} does not act on {n} qubits")
     off = sorted(set(O.support).union(v_list) - set(region))
     if off:
         raise ValueError(f"sites {off} of O or v_list leave the region {list(region)}")
-    _check_flip_symmetric(U, "evolution")
     O_psi = apply_local(O.matrix, [region.index(s) for s in O.support], U[:, 0], n)
     lhs = complex(np.vdot(U[:, 0], O_psi[::-1]))
     m = len(v_list)
@@ -185,7 +177,7 @@ def nested_identity_check(
 
 
 def parity_sectors(H_mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block-diagonalize a flip-symmetric Hamiltonian into even/odd sectors.
+    """Block-diagonalize a flip-symmetric Hamiltonian into even/odd sectors: a dense reference.
 
     Basis pairs |x>, |x_bar> with x < 2^{n-1} combine into
     (|x> +- |x_bar>)/sqrt(2); returns the two sector Hamiltonians in that
@@ -236,15 +228,17 @@ def ghz_splitting(hamiltonian: str, L: int, g: float, J: float = 1.0) -> float:
 def rk_disorder_parameter(state: RKState, region: DisorderRegion, method: str = "auto") -> float:
     """<D_R> on the RK state: the Gibbs average of exp(-beta * crossing-bond energy).
 
-    method "enumerate" sums all 2^N spin configurations (N <= 20);
+    method "enumerate" sums all 2^N spin configurations, N <= RK_ENUM_CAP,
+    and raises CapExceededError above it before any 2^N array exists;
     "transfer" uses the ring transfer matrix (1d periodic chains only);
-    "auto" picks enumeration, falling back to the transfer matrix for long
-    rings.
+    "auto" takes the transfer matrix on a 1d periodic chain above the cap
+    and enumerates every other lattice.
     """
     g = state.graph
     n = len(g.vertices)
     if method == "auto":
-        method = "enumerate" if n <= RK_ENUM_CAP else "transfer"
+        ring = g.dimension == 1 and g.periodic
+        method = "transfer" if ring and n > RK_ENUM_CAP else "enumerate"
     if method == "enumerate":
         if n > RK_ENUM_CAP:
             raise CapExceededError(f"{n} sites exceeds the 2^{RK_ENUM_CAP} enumeration cap")

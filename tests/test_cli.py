@@ -692,6 +692,26 @@ def test_ssb_ghz_above_qubit_cap_exits_2(tmp_path, capsys):
     assert manifest["truncated"] and manifest["outputs"] == ["rk.csv", "ghz.csv"]
 
 
+@pytest.mark.parametrize("lattice, region, sites", [
+    ({"d": 2, "L": 5, "periodic": True}, "square", 25),
+    ({"d": 1, "L": 22}, "interval", 22),
+], ids=["torus5x5", "open-chain22"])
+def test_ssb_rk_above_the_enumeration_cap_exits_2(tmp_path, capsys, lattice, region, sites):
+    # only a ring takes the transfer matrix; any other lattice above the cap is refused
+    # by the enumeration's cap, before any 2^n array, with no traceback
+    cfg = write_config(tmp_path, {
+        "command": "ssb",
+        "experiments": [{"kind": "rk", "lattice": lattice, "region": region, "sizes": [1, 2]}],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {sites} sites exceeds the 2^20 enumeration cap\n"
+    assert read_rows(out / "rk.csv") == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["truncated"] and manifest["outputs"] == ["rk.csv"]
+
+
 RING8 = {"d": 1, "L": 8, "periodic": True}
 
 
@@ -1158,6 +1178,39 @@ def test_one_time_past_the_chebyshev_cap_keeps_the_times_before_it(tmp_path, cap
     assert (out / name).read_text() == (alone / name).read_text()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["truncated"] and manifest["outputs"] == [name]
+
+
+def test_oracle_grid_past_the_cap_whose_times_pass_alone_is_whole(tmp_path, monkeypatch):
+    # with the chunk floor at 1 byte the grid takes two segments, and the second one's step
+    # 0.5 -> 2.5 from -0.5, 3.0 R = 22.2 on this chain, trips the lowered cap; each time
+    # alone, at most 2.5 R = 18.5, stays under it, so every row is written and the run is
+    # not truncated
+    import opgrowth.cli
+    from opgrowth import operators
+
+    monkeypatch.setattr(operators, "CHUNK_FLOOR", 1)
+    monkeypatch.setattr(operators, "CHEBYSHEV_ARGUMENT_CAP", 20)
+    calls = []
+
+    def counted(model, observable, state, t):
+        calls.append(t)
+        return exact_expectation(model, observable, state, t)
+
+    monkeypatch.setattr(opgrowth.cli, "exact_expectation", counted)
+    grid = [-2.5, -2.0, -1.5, -1.0, -0.5, 0.5, 2.5]
+    model = build_named_hamiltonian("tfim", build_square_lattice(1, 6), {"g": 0.9})
+    assert operators.shift_and_radius(model, range(6))[1] == pytest.approx(7.40, abs=0.01)
+    cfg = write_config(tmp_path, {"command": "oracle", "lattice": {"d": 1, "L": 6},
+                                  "model": {"name": "tfim", "g": 0.9}, "t_grid": grid})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    assert calls == [grid, *grid]  # the grid trips, then each time alone passes
+    rows = read_rows(out / "oracle.csv")
+    assert [float(row[0]) for row in rows] == grid
+    observable, state = pauli_operator("Z", (0,)), ProductState.all_zero()
+    for t, row in zip(grid, rows):
+        assert float(row[1]) == exact_expectation(model, observable, state, t)
+    assert not json.loads((out / "manifest.json").read_text())["truncated"]
 
 
 def test_stray_imaginary_part_stays_exit_1(tmp_path, monkeypatch):

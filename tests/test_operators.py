@@ -167,16 +167,16 @@ def test_evolution_caps_and_region_check(trips_before_allocating):
 
 
 def test_dense_guard_trips_in_eigh(trips_before_allocating, monkeypatch):
-    # the one dense evolution, evolution_unitary, takes an assembled sector;
-    # symmetric_unitary checks the cap before the region Hamiltonian is assembled
+    # symmetric_unitary holds two 2^n columns, so it checks the vector cap, one site
+    # above it here, before the region Hamiltonian is assembled
     import opgrowth.ssb
 
     def no_assembly(*args, **kwargs):
-        raise AssertionError("assembly started before the dense cap check")
+        raise AssertionError("assembly started before the vector cap check")
 
     monkeypatch.setattr(opgrowth.ssb, "hamiltonian_matrix", no_assembly)
-    chain15 = build_named_hamiltonian("tfim", build_square_lattice(1, 15), {"g": 1.0})
-    trips_before_allocating(lambda: opgrowth.ssb.symmetric_unitary(chain15, 0.1, range(15)))
+    chain21 = build_named_hamiltonian("tfim", build_square_lattice(1, 21), {"g": 1.0})
+    trips_before_allocating(lambda: opgrowth.ssb.symmetric_unitary(chain21, 0.1, range(21)))
 
 
 def test_local_operator_permutes_factors_with_support():

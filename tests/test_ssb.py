@@ -82,13 +82,14 @@ def test_identity_property_suite_small():
 
 def test_identity_rejects_asymmetric_evolution(monkeypatch):
     g = build_square_lattice(1, 3)
-    # a Z field breaks the flip symmetry, which is checked before anything is diagonalized
+    # a Z field breaks the flip symmetry, which is checked before anything is evolved
+    import opgrowth.ssb
     from opgrowth.operators import HamTerm, HamiltonianSpec, PAULI
 
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("eigh ran before the flip check")
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("an evolution ran before the flip check")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(opgrowth.ssb, "expm_multiply", no_evolution)
     H = HamiltonianSpec((HamTerm(frozenset((0,)), PAULI["Z"], 1.0),), graph=g)
     with pytest.raises(ValueError, match="global flip"):
         symmetric_unitary(H, 0.5, (0, 1, 2))
@@ -138,17 +139,14 @@ def _yz_chain(n, rng):
 
 
 def test_symmetric_unitary_matches_expm(monkeypatch):
-    # each flip sector is evolved on its own: eigh sees only 2^{n-1} x 2^{n-1} matrices,
-    # real ones for tfim and complex ones for the Y Z chain
+    # the columns U|0...0> and U|1...1> are propagated, for real tfim and the complex
+    # Y Z chain alike, and nothing is diagonalized
     from opgrowth.operators import hamiltonian_matrix
 
-    eigh, seen = np.linalg.eigh, []
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a Hamiltonian was diagonalized")
 
-    def sector_eigh(mat, *args, **kwargs):
-        seen.append((np.shape(mat), np.iscomplexobj(mat)))
-        return eigh(mat, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", sector_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     rng = np.random.default_rng(5)
     for model, n in itertools.product(("tfim", "yz"), (2, 3, 4, 6)):
         if model == "tfim":
@@ -157,16 +155,14 @@ def test_symmetric_unitary_matches_expm(monkeypatch):
         else:
             H = _yz_chain(n, rng)
         t = float(rng.uniform(0.1, 1.5))
-        seen.clear()
         U = symmetric_unitary(H, t, tuple(range(n)))
-        assert seen == [((2 ** (n - 1),) * 2, model == "yz")] * 2
-        reference = expm(-1j * t * hamiltonian_matrix(H, tuple(range(n))))
+        reference = expm(-1j * t * hamiltonian_matrix(H, tuple(range(n))))[:, [0, -1]]
+        assert U.shape == (2**n, 2)
         assert np.max(np.abs(U - reference)) <= 1e-12, (model, n)
-        assert np.array_equal(U, U[::-1, ::-1])
 
 
 def test_flip_check_rejects_asymmetric_input():
-    from opgrowth.operators import PAULI, kron_all
+    from opgrowth.operators import PAULI, HamTerm, HamiltonianSpec, kron_all
 
     rng = np.random.default_rng(3)
     H = _random_flip_symmetric(3, rng) + kron_all([PAULI["Z"], PAULI["I"], PAULI["I"]])
@@ -174,10 +170,15 @@ def test_flip_check_rejects_asymmetric_input():
         parity_sectors(H, 3)
     with pytest.raises(ValueError, match="at least one qubit"):
         parity_sectors(np.eye(1), 0)
+    spec = HamiltonianSpec((HamTerm(frozenset((0, 1, 2)), H, float(np.linalg.norm(H, 2))),),
+                           graph=build_square_lattice(1, 3))
+    with pytest.raises(ValueError, match="global flip"):
+        symmetric_unitary(spec, 0.4, (0, 1, 2))
+    # the identity fails on such an evolution's columns, so its gap shows the asymmetry
     w, V = np.linalg.eigh(H)
     U = (V * np.exp(-0.4j * w)) @ V.conj().T
-    with pytest.raises(ValueError, match="global flip"):
-        nested_identity_check(U, pauli_operator("X", (1,)), [0], (0, 1, 2))
+    _, _, gap = nested_identity_check(U[:, [0, -1]], pauli_operator("X", (1,)), [0], (0, 1, 2))
+    assert gap > 1e-10
 
 
 def _embedded_identity_sides(U, O, v_list, region):
@@ -208,29 +209,31 @@ def test_identity_matches_embedded_reference():
                 M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 O = LocalOperator(sites, M / np.linalg.norm(M, 2))
                 v_list = [int(v) for v in rng.choice(n, size=m, replace=False)]
-                lhs, rhs, gap = nested_identity_check(U, O, v_list, region)
+                lhs, rhs, gap = nested_identity_check(U[:, [0, -1]], O, v_list, region)
                 want_lhs, want_rhs = _embedded_identity_sides(U, O, v_list, region)
                 assert abs(lhs - want_lhs) <= 1e-14 and abs(rhs - want_rhs) <= 1e-14
                 assert gap <= 1e-12
 
 
 def test_identity_takes_no_dense_product():
-    # only the flip check's half of M - DMD and the vector O U|0...0> are made
+    # the sparse H, its flip check, two evolved columns and the vector O U|0...0>:
+    # together less than one 2^n x 2^n complex matrix
     from opgrowth.operators import LocalOperator
 
     n, rng = 8, np.random.default_rng(9)
     H = build_named_hamiltonian("tfim", build_square_lattice(1, n), {"J": 1.0, "g": 0.8})
-    U = symmetric_unitary(H, 0.7, tuple(range(n)))
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     O = LocalOperator((2, 5), M / np.linalg.norm(M, 2))
     tracemalloc.start()
     try:
+        U = symmetric_unitary(H, 0.7, tuple(range(n)))
         _, _, gap = nested_identity_check(U, O, [0, 3, 7], tuple(range(n)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert gap <= 1e-12
-    assert peak < U.nbytes
+    assert peak < 16 * 4**n
+
 
 @pytest.mark.parametrize("case", ["shape", "operator", "site"])
 def test_identity_rejects_bad_arguments_before_any_product(monkeypatch, case):
@@ -240,9 +243,9 @@ def test_identity_rejects_bad_arguments_before_any_product(monkeypatch, case):
         raise AssertionError("a product was taken before the arguments were checked")
 
     monkeypatch.setattr(opgrowth.ssb, "apply_local", no_product)
-    U, O, v_list = np.eye(8, dtype=complex), pauli_operator("X", (1,)), [0, 2]
+    U, O, v_list = np.eye(8, dtype=complex)[:, [0, -1]], pauli_operator("X", (1,)), [0, 2]
     if case == "shape":
-        U, match = np.eye(16, dtype=complex), "does not act on 3 qubits"
+        U, match = np.zeros((16, 2), dtype=complex), "does not act on 3 qubits"
     elif case == "operator":
         O, match = pauli_operator("XZ", (0, 3)), r"sites \[3\] of O or v_list leave"
     else:
@@ -437,6 +440,32 @@ def test_rk_transfer_requires_ring_interval():
     scattered = DisorderRegion.from_graph(RING12, {0, 2, 4})
     with pytest.raises(ValueError):
         rk_disorder_parameter(state, scattered, method="transfer")
+    # flipping every spin is the global flip, under which the RK state is even
+    whole = DisorderRegion.from_graph(RING12, range(12))
+    assert rk_disorder_parameter(state, whole, method="transfer") == 1.0
+
+
+@pytest.mark.parametrize("graph, members", [
+    (build_square_lattice(2, 5, periodic=True), None),
+    (build_square_lattice(1, RK_ENUM_CAP + 2), range(5)),
+], ids=["torus5x5", "open-chain22"])
+def test_rk_auto_off_a_ring_trips_the_enumeration_cap(trips_before_allocating, graph, members):
+    # the transfer matrix needs a ring, so any other lattice above the cap takes the
+    # enumeration, whose cap trips before any 2^n array exists
+    state = RKState(0.4, graph)
+    if members is None:
+        region = square_region(graph, (0, 0), 2)
+    else:
+        region = DisorderRegion.from_graph(graph, members)
+    trips_before_allocating(lambda: rk_disorder_parameter(state, region))
+
+
+def test_rk_auto_takes_the_transfer_matrix_on_a_ring_above_the_cap():
+    ring = build_square_lattice(1, RK_ENUM_CAP + 4, periodic=True)
+    state = RKState(0.4, ring)
+    region = DisorderRegion.from_graph(ring, range(6))
+    assert (rk_disorder_parameter(state, region)
+            == rk_disorder_parameter(state, region, method="transfer"))
 
 
 def test_disorder_compare_flags_rk_violation():
@@ -467,7 +496,7 @@ def test_disorder_compare_short_time_evolved_state():
     H = build_named_hamiltonian("tfim", g, {"J": 1.0, "g": 0.4})
     t = 0.21
     U = symmetric_unitary(H, t, tuple(range(n)))
-    psi = U @ np.eye(2**n, dtype=complex)[:, 0]
+    psi = U[:, 0]
     from opgrowth.operators import PAULI, kron_all
 
     rows = []
