@@ -35,7 +35,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -319,7 +319,9 @@ class HamiltonianSpec:
         sites in order, the kinds of the single-site terms there and d_v,
         so groups that agree on those share one ``_centered_radius``, and
         sites whose single-site terms have the same kinds share one h_v
-        radius.
+        radius.  Each share is added into its group in place, over a view
+        that gives its site's row and column axes their own index
+        (``_add_on_site``), with the bits ``embed`` would give.
         """
         single: dict[int, np.ndarray] = {}
         single_kinds: dict[int, tuple[int, ...]] = {}
@@ -340,9 +342,9 @@ class HamiltonianSpec:
                 key = (kind, tuple((single_kinds.get(v), degree[v]) for v in sites))
                 if key not in group_radius:
                     group = term.matrix.copy()
-                    for v in sites:
+                    for p, v in enumerate(sites):
                         if v in single:
-                            group += embed(single[v] / degree[v], (v,), sites)
+                            _add_on_site(group, single[v] / degree[v], p, len(sites))
                     group_radius[key] = _centered_radius(group)
                 radii.append(group_radius[key])
             else:
@@ -451,15 +453,13 @@ def _flip_pieces(matrix: np.ndarray) -> tuple[tuple[int, np.ndarray, bool], ...]
     """(f, values, imaginary?) for each flip f of a term matrix M with a nonzero value.
 
     ``values`` holds M[a, a ^ f] for every local row a, and ``imaginary``
-    says whether any of them has an imaginary part.
+    says whether any of them has an imaginary part.  All flips are read in
+    one gather, row f of a table.
     """
     local = np.arange(len(matrix))
-    out = []
-    for f in range(len(matrix)):
-        values = matrix[local, local ^ f]
-        if np.any(values):
-            out.append((f, values, bool(np.any(values.imag))))
-    return tuple(out)
+    table = matrix[local, local[:, None] ^ local]
+    nonzero, imaginary = table.any(axis=1), table.imag.any(axis=1)
+    return tuple((f, table[f], bool(imaginary[f])) for f in np.flatnonzero(nonzero).tolist())
 
 
 def _add_on_qubits(row: np.ndarray, values: np.ndarray, positions: list[int], n: int):
@@ -477,6 +477,29 @@ def _add_on_qubits(row: np.ndarray, values: np.ndarray, positions: list[int], n:
         prev = p
     view = row.reshape(shape + [1 << (n - 1 - prev)])
     view += values.reshape(value_shape + [1])
+
+
+def _add_on_site(group: np.ndarray, share: np.ndarray, p: int, k: int):
+    """group += share (x) 1 in place, for a one-qubit share on qubit p of a 2^k x 2^k group.
+
+    The group is viewed as (2^p, 2, 2^b, 2^p, 2, 2^b), b = k - 1 - p, which
+    gives the qubit's row and column axes an index of their own, and the
+    products share[i, j] * 1[x, y] of the identity on the other qubits are
+    added over it in one broadcast.  They are the entries ``embed`` adds,
+    zeros and their signs included, so the sum has its bits, without its
+    kron and transpose.
+    """
+    a, b = 1 << p, 1 << (k - 1 - p)
+    view = group.reshape(a, 2, b, a, 2, b)
+    view += share[:, None, None, :, None] * _identity(a * b).reshape(a, 1, b, a, 1, b)
+
+
+@cache
+def _identity(dim: int) -> np.ndarray:
+    """The read-only complex dim x dim identity."""
+    eye = np.eye(dim, dtype=complex)
+    eye.setflags(write=False)
+    return eye
 
 
 def evolution_unitary(H_mat: np.ndarray, t: float) -> np.ndarray:
@@ -1170,8 +1193,26 @@ def _add_product(block, x: np.ndarray, out: np.ndarray) -> None:
     ``block @ x``.  Each row's sum starts from out's value and adds the
     row's entries in stored order.  x and out must be C-contiguous, of the
     CSR's dtype and of the product's shape; otherwise ValueError, since a
-    reshape would copy and the product would be lost.
+    reshape would copy and the product would be lost.  It runs once per
+    degree and row block, so the whole contract is one expression on the
+    arrays' own attributes, and the message naming the array at fault is
+    built only on refusal (``_refuse_product``).
     """
+    rows, columns = block.shape
+    dtype = block.data.dtype
+    if not (0 < x.ndim == out.ndim <= 2 and x.shape[0] == columns and out.shape[0] == rows
+            and x.shape[1:] == out.shape[1:] and x.dtype == dtype == out.dtype
+            and x.flags.c_contiguous and out.flags.c_contiguous):
+        _refuse_product(block, x, out)
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(rows, columns, block.indptr, block.indices, block.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(rows, columns, x.shape[1], block.indptr, block.indices,
+                                 block.data, x.reshape(-1), out.reshape(-1))
+
+
+def _refuse_product(block, x: np.ndarray, out: np.ndarray):
+    """Raise the ValueError that names the operand or output ``_add_product`` refuses."""
     rows, columns = block.shape
     for name, array, length in (("operand", x, columns), ("output", out, rows)):
         if not array.flags.c_contiguous or array.dtype != block.dtype:
@@ -1180,11 +1221,8 @@ def _add_product(block, x: np.ndarray, out: np.ndarray) -> None:
         if array.shape[:1] != (length,) or array.shape[1:] != x.shape[1:] or array.ndim > 2:
             raise ValueError(f"{name} of shape {array.shape} does not fit a {block.shape}"
                              f" product of shape {x.shape}")
-    if x.ndim == 1:
-        _sparsetools.csr_matvec(rows, columns, block.indptr, block.indices, block.data, x, out)
-    else:
-        _sparsetools.csr_matvecs(rows, columns, x.shape[1], block.indptr, block.indices,
-                                 block.data, x.reshape(-1), out.reshape(-1))
+    raise ValueError(f"output of shape {out.shape} does not fit a {block.shape} product"
+                     f" of shape {x.shape}")
 
 
 def _row_blocks(H_sp, bounds: list[int]) -> list:

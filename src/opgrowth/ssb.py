@@ -31,10 +31,12 @@ at every coupling and violates any volume-law envelope at large R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import CapExceededError, ValidityWindowError
 from .lattice import FactorGraph
@@ -102,15 +104,54 @@ def _check_flip_symmetric(M, what: str) -> None:
 
     D sends basis state x to dim-1-x, so D M D = M[::-1, ::-1] and
     ||M D - D M|| = ||M - M[::-1, ::-1]||.  M is a dense array
-    (``parity_sectors``) or a sparse matrix (``symmetric_unitary``), and it
-    is reversed in its own format, so a CSR is never made dense.  The gap
-    is the Frobenius norm of the difference's stored values, which bounds
+    (``parity_sectors``) or a CSR matrix (``symmetric_unitary``); the gap
+    is the Frobenius norm of the difference (``_flip_gap``), which bounds
     the spectral norm from above.
     """
-    delta = M - M[::-1, ::-1]
-    gap = np.linalg.norm(delta.data if sp.issparse(delta) else delta)
+    gap = _flip_gap(M)
     if gap > SYMMETRY_TOL:
         raise ValueError(f"{what} is not symmetric under the global flip (gap {gap:.2e})")
+
+
+def _flip_gap(M) -> float:
+    """||M - M[::-1, ::-1]||_F for a dense array, or for a CSR read from its own arrays.
+
+    An entry of row x in column y has the flip mask x ^ y, and the flip
+    sends it to row dim-1-x = x ^ (dim-1) with the same mask.  So with T
+    holding each row's value per mask, zero where none is stored, the gap
+    is ||T - T[::-1]||_F.  The masks present are marked in a dim-long
+    boolean array and a mask's column of T is its cumulative count, so no
+    sort is taken.  T is built in blocks of rows x < dim/2, each paired
+    with its mirror rows, by scipy's ``csr_todense`` kernel on the CSR's
+    row pointers, the entries' T columns and the values; mirrored rows may
+    store different numbers of entries.  Each pair counts twice in the
+    sum.  A block holds at most 2^16 values per side, so the check
+    allocates about one index array the size of the CSR's.
+    """
+    if not sp.issparse(M):
+        return float(np.linalg.norm(M - M[::-1, ::-1]))
+    indptr, indices, data = M.indptr, M.indices, M.data
+    dim = len(indptr) - 1
+    entry_columns = np.repeat(np.arange(dim, dtype=indices.dtype), np.diff(indptr))
+    entry_columns ^= indices  # each entry's mask, then its column of T
+    present = np.zeros(dim, dtype=bool)
+    present[entry_columns] = True
+    column = np.cumsum(present, dtype=indices.dtype)
+    column -= 1
+    np.take(column, entry_columns, out=entry_columns)
+    masks, half = int(column[-1]) + 1, dim // 2
+    step = max(1, (1 << 16) // max(masks, 1))  # rows of one block
+    total = 0.0
+    for r0 in range(0, half, step):
+        r1 = min(r0 + step, half)
+        near, far = np.zeros((2, r1 - r0, masks), dtype=data.dtype)
+        _sparsetools.csr_todense(r1 - r0, masks, indptr[r0:r1 + 1], entry_columns, data, near)
+        _sparsetools.csr_todense(r1 - r0, masks, indptr[dim - r1:dim - r0 + 1], entry_columns,
+                                 data, far)  # rows dim-r1:dim-r0, the mirrors of r1-1 down to r0
+        near -= far[::-1]
+        delta = np.abs(near)
+        total += float((delta * delta).sum())
+    return math.sqrt(2 * total)
 
 
 def symmetric_unitary(H: HamiltonianSpec, t: float, region) -> np.ndarray:
@@ -170,9 +211,11 @@ def nested_identity_check(
     if off:
         raise ValueError(f"sites {off} of O or v_list leave the region {list(region)}")
     O_psi = apply_local(O.matrix, [region.index(s) for s in O.support], U[:, 0], n)
-    lhs = complex(np.vdot(U[:, 0], O_psi[::-1]))
+    # not np.vdot: OpenBLAS sums that in per-thread chunks, so from about 2^16
+    # entries its last digits would depend on the BLAS thread count
+    lhs = complex((U[:, 0].conj() * O_psi[::-1]).sum())
     m = len(v_list)
-    rhs = complex(np.vdot(U[:, -1], O_psi)) * (-2.0) ** m * (-0.5) ** m
+    rhs = complex((U[:, -1].conj() * O_psi).sum()) * (-2.0) ** m * (-0.5) ** m
     return lhs, rhs, abs(lhs - rhs)
 
 

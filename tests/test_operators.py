@@ -899,6 +899,8 @@ def test_add_product_refuses_what_it_would_copy():
         (x, np.zeros((16, 4))),             # the wrong rows
         (x, np.zeros((32, 3))),             # the wrong columns
         (np.ones(16), np.zeros(32)),        # an operand that does not fit the matrix
+        (np.ones((32, 2, 2)), np.zeros((32, 2, 2))),  # a 3-D operand
+        (np.ones(32), np.zeros((32, 1))),   # a 1-D operand with a 2-D output
     ]
     for operand, output in refused:
         before = output.copy()

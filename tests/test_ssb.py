@@ -235,6 +235,107 @@ def test_identity_takes_no_dense_product():
     assert peak < 16 * 4**n
 
 
+def test_flip_gap_is_the_dense_gap_on_the_csr():
+    from opgrowth.operators import hamiltonian_matrix
+    from opgrowth.ssb import _flip_gap
+
+    for name, params in (("tfim", {"J": 1.0, "g": 0.7}), ("heisenberg", {"Jz": 0.5}),
+                         ("random2local", {"seed": 4})):
+        for g in (build_square_lattice(1, 7), build_square_lattice(2, 3)):
+            H = build_named_hamiltonian(name, g, params)
+            vertices = tuple(g.vertices)
+            for region in (vertices, vertices[1:5], vertices[::2]):
+                H_sp = hamiltonian_matrix(H, region, sparse=True)
+                dense = H_sp.toarray()
+                want = np.linalg.norm(dense - dense[::-1, ::-1])
+                assert abs(_flip_gap(H_sp) - want) <= 1e-14 * want, (name, region)
+                assert _flip_gap(dense) == pytest.approx(want, rel=1e-14, abs=0)
+            if name == "random2local":
+                with pytest.raises(ValueError, match="global flip"):
+                    symmetric_unitary(H, 0.4, vertices)
+
+
+@pytest.mark.parametrize("a, refused", [(1e-9, True), (1e-12, False)])
+def test_flip_check_on_mirrored_rows_of_different_lengths(a, refused):
+    # a X_1 + a Z_0 X_1 gives 2a to rows with z_0 = +1 and a stored nothing to their
+    # mirrors, on top of the flip-symmetric X_0 + Z_0 Z_1: the gap is 4a
+    from opgrowth.operators import PAULI, HamTerm, HamiltonianSpec, hamiltonian_matrix
+    from opgrowth.ssb import _flip_gap
+
+    zz, zx = np.kron(PAULI["Z"], PAULI["Z"]), np.kron(PAULI["Z"], PAULI["X"])
+    terms = [(frozenset((0,)), PAULI["X"]), (frozenset((0, 1)), zz),
+             (frozenset((1,)), a * PAULI["X"]), (frozenset((0, 1)), a * zx)]
+    H = HamiltonianSpec(tuple(HamTerm(s, m, float(np.linalg.norm(m, 2))) for s, m in terms),
+                        graph=build_square_lattice(1, 2))
+    H_sp = hamiltonian_matrix(H, (0, 1), sparse=True)
+    lengths = np.diff(H_sp.indptr)
+    assert not np.array_equal(lengths, lengths[::-1])
+    assert _flip_gap(H_sp) == pytest.approx(4 * a, rel=1e-12)
+    if refused:
+        with pytest.raises(ValueError, match="global flip"):
+            symmetric_unitary(H, 0.4, (0, 1))
+    else:
+        assert symmetric_unitary(H, 0.4, (0, 1)).shape == (4, 2)
+
+
+def test_flip_check_takes_no_slice_and_no_sort(monkeypatch):
+    # at 16 qubits, from the CSR's own arrays, below the three CSR sizes that
+    # M - M[::-1, ::-1] took
+    import scipy.sparse as sp
+
+    from opgrowth.operators import hamiltonian_matrix
+    from opgrowth.ssb import _check_flip_symmetric
+
+    n = 16
+    H = build_named_hamiltonian("tfim", build_square_lattice(1, n), {"J": 1.0, "g": 0.8})
+    H_sp = hamiltonian_matrix(H, tuple(range(n)), sparse=True)
+    csr_bytes = H_sp.data.nbytes + H_sp.indices.nbytes + H_sp.indptr.nbytes
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the flip check sliced or sorted")
+
+    for name in ("sort", "argsort", "unique", "lexsort"):
+        monkeypatch.setattr(np, name, refused)
+    monkeypatch.setattr(sp.csr_matrix, "__getitem__", refused)
+    tracemalloc.start()
+    try:
+        _check_flip_symmetric(H_sp, "Hamiltonian")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * csr_bytes
+
+
+def test_identity_bits_do_not_depend_on_blas_threads():
+    # both sides summed elementwise, not by np.vdot, whose OpenBLAS sum of 2^16
+    # entries is split across the BLAS threads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "from opgrowth.lattice import build_square_lattice\n"
+        "from opgrowth.operators import build_named_hamiltonian, pauli_operator\n"
+        "from opgrowth.ssb import nested_identity_check, symmetric_unitary\n"
+        "n = 16\n"
+        "H = build_named_hamiltonian('tfim', build_square_lattice(1, n), {'J': 1.0, 'g': 0.8})\n"
+        "U = symmetric_unitary(H, 0.9, range(n))\n"
+        "lhs, rhs, _ = nested_identity_check(U, pauli_operator('X', (7,)), [3, 7], range(n))\n"
+        "print(*(x.hex() for x in (lhs.real, lhs.imag, rhs.real, rhs.imag)))\n"
+    )
+    printed = []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                capture_output=True, text=True)
+        printed.append(result.stdout)
+    assert len(printed[0].split()) == 4
+    assert printed[0] == printed[1]
+
+
 @pytest.mark.parametrize("case", ["shape", "operator", "site"])
 def test_identity_rejects_bad_arguments_before_any_product(monkeypatch, case):
     import opgrowth.ssb
